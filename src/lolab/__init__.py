@@ -55,9 +55,6 @@ from .oracle import (
     ViolationRecord,
     derived_seed,
     run_campaign,
-    verify_nonuniform_bound,
-    verify_uniform_bound,
-    verify_zero_odd,
     verify_zero_weights_sup,
 )
 from .rational import (
@@ -82,11 +79,9 @@ from .search import (
     Refutation,
     SearchProblem,
     anneal,
-    ap_two_point_margins,
     append_ledger,
     certify,
     margin_rows,
-    sign_sum_margins,
     violation_margin,
 )
 

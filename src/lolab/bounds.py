@@ -17,7 +17,7 @@ from functools import lru_cache
 from .engine import (
     APUniformSpec,
     WeightConfig,
-    ap_uniform_sum_distribution,
+    _progression_sums,
     rademacher_atom,
 )
 from .rational import (
@@ -86,6 +86,16 @@ def erdos_kleitman_bound(n: int) -> Fraction:
     return Fraction(math.comb(n, n // 2), 2 ** n)
 
 
+def nonuniform_count(n: int, k: int) -> int:
+    """2^n times the distance-aware bound at a target whose norm has ceiling k.
+
+    The count of sign vectors whose plain sum hits k shifted to the
+    reachable parity; 0 beyond the maximal reach n.
+    """
+    t = k + parity_correction(n, k)
+    return math.comb(n, (n + t) // 2) if t <= n else 0
+
+
 def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
     """Distance-aware atom bound at a non-zero target.
 
@@ -104,7 +114,7 @@ def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
         n=n,
         k=k,
         delta=delta,
-        bound=rademacher_atom(n, k + delta),
+        bound=Fraction(nonuniform_count(n, k), 2 ** n),
         theorem=TheoremTag.NON_UNIFORM,
     )
 
@@ -209,19 +219,29 @@ def zero_weights_extremal(x) -> WeightConfig:
 
 
 @lru_cache(maxsize=None)
-def _unit_ap_law(n: int, m: int):
-    cfg = WeightConfig.from_scalars([1] * n)
-    return ap_uniform_sum_distribution(APUniformSpec(m), cfg)
+def _unit_ap_law(n: int, m: int) -> dict:
+    """Point counts of the unit-weight progression sum over m^n draws."""
+    return _progression_sums([(1,)] * n, 1, APUniformSpec(m))
+
+
+def ap_uniform_count(n: int, m: int, k: int) -> int:
+    """m^n times the progression bound at a target whose norm has floor k.
+
+    The bound point is k for odd m and k shifted to the reachable parity
+    for even m. The count is 0 when that point falls outside the support
+    parity or reach.
+    """
+    target = k if m % 2 == 1 else k + parity_correction(n, k)
+    return _unit_ap_law(n, m).get((target,), 0)
 
 
 def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     """Conjectured bound for progression-uniform sums at a non-zero target.
 
-    With k = floor of the target norm, the bound point is k for odd m and
-    k shifted to the reachable parity for even m; the value is the
-    unit-weight progression sum's probability there. The value can be 0
-    when the bound point falls outside the support parity; callers that
-    hunt for violations flag those cells instead of claiming them.
+    With k = floor of the target norm, the value is the unit-weight
+    progression sum's probability at the bound point of `ap_uniform_count`.
+    It can be 0; callers that hunt for violations flag those cells instead
+    of claiming them.
     """
     if m < 3:
         raise ValueError(f"support size must be >= 3 here, got {m}")
@@ -230,9 +250,7 @@ def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     q = rat(squared_norm)
     if q <= 0:
         raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    k = floor_sqrt(q)
-    target = k if m % 2 == 1 else k + parity_correction(n, k)
-    return _unit_ap_law(n, m).probability((Fraction(target),))
+    return Fraction(ap_uniform_count(n, m, floor_sqrt(q)), m ** n)
 
 
 def milner_bound(n: int, k: int) -> int:

@@ -196,18 +196,22 @@ def _signed_sums(scaled: Sequence[tuple[int, ...]], dim: int) -> dict:
     return acc
 
 
+def _law(cfg: WeightConfig, counts: dict, scale: int, denom: int) -> AtomDistribution:
+    """Divide integer point counts back out into an exact law."""
+    atoms = {
+        tuple(Fraction(a, scale) for a in pt): Fraction(mult, denom)
+        for pt, mult in counts.items()
+    }
+    return AtomDistribution(atoms=atoms, n=cfg.n, dim=cfg.dim)
+
+
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
     """Exact law of the sign sum over all 2^n sign vectors."""
     if cfg.n > cap:
         raise CapExceeded("full-law summand", cap, cfg.n)
     scale = _denominator_lcm(cfg.weights)
     counts = _signed_sums(_scaled(cfg.weights, scale), cfg.dim)
-    denom = 2 ** cfg.n
-    atoms = {
-        tuple(Fraction(a, scale) for a in pt): Fraction(mult, denom)
-        for pt, mult in counts.items()
-    }
-    return AtomDistribution(atoms=atoms, n=cfg.n, dim=cfg.dim)
+    return _law(cfg, counts, scale, 2 ** cfg.n)
 
 
 def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
@@ -251,18 +255,19 @@ def rademacher_atom(n: int, j: int) -> Fraction:
     return Fraction(comb(n, (n + j) // 2), 2 ** n)
 
 
-def ap_uniform_sum_distribution(
-    spec: APUniformSpec, cfg: WeightConfig, *, atom_cap: int = AP_ATOM_CAP
-) -> AtomDistribution:
-    """Exact law of sum_i U_i v_i with U_i uniform on spec.support().
+def _progression_sums(
+    scaled: Sequence[tuple[int, ...]],
+    dim: int,
+    spec: APUniformSpec,
+    atom_cap: int = AP_ATOM_CAP,
+) -> dict:
+    """Counts of sum_i u_i w_i over all m^n support draws, on integer points.
 
     Convolves atom-by-atom in a hash map, so the cost tracks the number of
     distinct intermediate atoms rather than m^n; that count is capped.
     """
     support = spec.support()
-    scale = _denominator_lcm(cfg.weights)
-    scaled = _scaled(cfg.weights, scale)
-    acc = {(0,) * cfg.dim: 1}
+    acc = {(0,) * dim: 1}
     for w in scaled:
         nxt: dict = {}
         for pt, mult in acc.items():
@@ -272,9 +277,13 @@ def ap_uniform_sum_distribution(
         if len(nxt) > atom_cap:
             raise CapExceeded("progression-law atom", atom_cap, len(nxt))
         acc = nxt
-    denom = spec.m ** cfg.n
-    atoms = {
-        tuple(Fraction(a, scale) for a in pt): Fraction(mult, denom)
-        for pt, mult in acc.items()
-    }
-    return AtomDistribution(atoms=atoms, n=cfg.n, dim=cfg.dim)
+    return acc
+
+
+def ap_uniform_sum_distribution(
+    spec: APUniformSpec, cfg: WeightConfig, *, atom_cap: int = AP_ATOM_CAP
+) -> AtomDistribution:
+    """Exact law of sum_i U_i v_i with U_i uniform on spec.support()."""
+    scale = _denominator_lcm(cfg.weights)
+    counts = _progression_sums(_scaled(cfg.weights, scale), cfg.dim, spec, atom_cap)
+    return _law(cfg, counts, scale, spec.m ** cfg.n)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._parallel import parallel_map
 from .bounds import (
     TheoremTag,
     erdos_kleitman_bound,
@@ -215,40 +214,6 @@ def _config_rows(
     return rows
 
 
-def _violations(cfg: WeightConfig, rows: Iterable[CheckRow]) -> list[ViolationRecord]:
-    return [
-        ViolationRecord(cfg, row.x, row.lhs, row.rhs, row.theorem)
-        for row in rows
-        if row.violation
-    ]
-
-
-def verify_uniform_bound(
-    cfg: WeightConfig, *, cap: int = FULL_LAW_CAP
-) -> list[ViolationRecord]:
-    """Check every atom against the uniform central binomial bound."""
-    _require_nonzero_weights(cfg, "the uniform bound")
-    return _violations(cfg, _config_rows(cfg, 0, [TheoremTag.ERDOS_KLEITMAN], cap))
-
-
-def verify_nonuniform_bound(
-    cfg: WeightConfig, *, cap: int = FULL_LAW_CAP
-) -> list[ViolationRecord]:
-    """Check every non-zero atom against the distance-aware bound."""
-    _require_nonzero_weights(cfg, "the distance-aware bound")
-    return _violations(cfg, _config_rows(cfg, 0, [TheoremTag.NON_UNIFORM], cap))
-
-
-def verify_zero_odd(
-    cfg: WeightConfig, *, cap: int = FULL_LAW_CAP
-) -> list[ViolationRecord]:
-    """Check P(sum = 0) against the odd-summand zero bound."""
-    _require_nonzero_weights(cfg, "the odd-summand zero bound")
-    if cfg.n % 2 == 0:
-        raise ValueError(f"odd-summand check needs odd n, got {cfg.n}")
-    return _violations(cfg, _config_rows(cfg, 0, [TheoremTag.ZERO_ODD], cap))
-
-
 def verify_zero_weights_sup(
     x, n_max: int, gen: ConfigGenerator, *, cap: int = ATOM_QUERY_CAP
 ) -> list[ViolationRecord]:
@@ -277,19 +242,16 @@ def verify_zero_weights_sup(
             f"extremal attainment failed: {attained} != {sup} at {x}"
         )
 
-    def check_size(n: int) -> list[ViolationRecord]:
+    found = []
+    for n in range(1, n_max + 1):
         sub = replace(gen, n=n, seed=derived_seed(gen.seed, n))
-        found = []
         for cfg in sub.configs():
             lhs = atom_probability(cfg, x, cap=cap)
             if lhs > sup:
                 found.append(
                     ViolationRecord(cfg, x, lhs, sup, TheoremTag.ZERO_WEIGHTS_SUP)
                 )
-        return found
-
-    results = parallel_map(check_size, list(range(1, n_max + 1)))
-    return [record for sub in results for record in sub]
+    return found
 
 
 @dataclass
@@ -356,12 +318,9 @@ def run_campaign(
         _require_nonzero_weights(cfg, "a campaign")
         if TheoremTag.ZERO_ODD in checks and cfg.n % 2 == 0:
             raise ValueError("odd-summand check needs odd n in every config")
-
-    def check_one(item: tuple[int, WeightConfig]) -> list[CheckRow]:
-        index, cfg = item
-        return _config_rows(cfg, index, checks, cap)
-
-    all_rows = parallel_map(check_one, list(enumerate(configs)))
+    all_rows = [
+        _config_rows(cfg, index, checks, cap) for index, cfg in enumerate(configs)
+    ]
 
     atoms = 0
     equalities: list[EqualityRecord] = []

@@ -23,27 +23,26 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
-from ._parallel import parallel_map
-from .bounds import ap_uniform_bound, parity_correction
+from .bounds import ap_uniform_count, nonuniform_count
 from .engine import (
-    AP_ATOM_CAP,
+    FULL_LAW_CAP,
     APUniformSpec,
     CapExceeded,
     WeightConfig,
     _denominator_lcm,
+    _progression_sums,
     _scaled,
     _signed_sums,
     ap_uniform_sum_distribution,
     full_distribution,
-    rademacher_atom,
 )
 from .oracle import derived_seed
 from .rational import (
     Vec,
-    ceil_sqrt,
+    floor_sqrt,
     is_zero,
     l1_norm,
     linf_norm,
@@ -87,14 +86,17 @@ class NormSpec:
             return "WeightedDiagonalL2[" + ",".join(rat_str(c) for c in self.diag) + "]"
         return self.kind
 
+    def _check_diag_length(self, length: int) -> None:
+        if length != len(self.diag):
+            raise ValueError(
+                f"vector of length {length} against diagonal of length {len(self.diag)}"
+            )
+
     def _form(self, v: Vec) -> Fraction:
         """The squared value for the Euclidean kinds."""
         if self.kind == "L2":
             return norm_sq(v)
-        if len(v) != len(self.diag):
-            raise ValueError(
-                f"vector of length {len(v)} against diagonal of length {len(self.diag)}"
-            )
+        self._check_diag_length(len(v))
         return sum((c * x * x for c, x in zip(self.diag, v)), Fraction(0))
 
     def leq_one(self, v: Vec) -> bool:
@@ -104,13 +106,29 @@ class NormSpec:
             return linf_norm(v) <= 1
         return self._form(v) <= 1
 
+    def ceil_scaled(self, pt: tuple[int, ...], scale: int) -> int:
+        """Smallest integer >= the norm of pt / scale, by integer arithmetic only."""
+        if self.kind == "L1":
+            return -(-sum(abs(a) for a in pt) // scale)
+        if self.kind == "Linf":
+            return -(-max(abs(a) for a in pt) // scale)
+        if self.kind == "L2":
+            s = sum(a * a for a in pt)
+            bound = scale * scale
+        else:
+            self._check_diag_length(len(pt))
+            q = lcm(*(c.denominator for c in self.diag))
+            s = sum((c * q).numerator * a * a for c, a in zip(self.diag, pt))
+            bound = q * scale * scale
+        k = isqrt(s // bound)
+        while k * k * bound < s:
+            k += 1
+        return k
+
     def ceil_value(self, v: Vec) -> int:
         """Smallest integer >= the norm of v."""
-        if self.kind == "L1":
-            return math.ceil(l1_norm(v))
-        if self.kind == "Linf":
-            return math.ceil(linf_norm(v))
-        return ceil_sqrt(self._form(v))
+        scale = _denominator_lcm([v])
+        return self.ceil_scaled(_scaled([v], scale)[0], scale)
 
     def float_value(self, v: Vec) -> float:
         if self.kind == "L1":
@@ -286,27 +304,56 @@ def _validate_config(problem: SearchProblem, cfg: WeightConfig) -> None:
             )
 
 
-def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
-    """Exact margins of every non-zero atom of the config's law."""
-    _validate_config(problem, cfg)
-    rows: list[MarginRow] = []
+def _margin_counts(
+    problem: SearchProblem, weights: Sequence[Vec]
+) -> tuple[int, int, list[tuple[tuple[int, ...], int, int]]]:
+    """The config's law and bound on one integer lattice.
+
+    Returns (scale, denom, atoms): every non-zero atom x of the law appears
+    once as (x * scale, law count, bound count), where scale is the weights'
+    common denominator and both counts are over denom (2^n or m^n). The
+    exact margin at x is (law count - bound count) / denom; a bound count of
+    0 marks a flagged atom.
+    """
+    n, dim = len(weights), len(weights[0])
+    scale = _denominator_lcm(weights)
+    scaled = _scaled(weights, scale)
+    origin = (0,) * dim
     if problem.conjecture == 2:
-        dist = full_distribution(cfg)
         norm = problem.target_norm()
-        for x, p in dist.sorted_atoms():
-            if is_zero(x):
-                continue
-            k = norm.ceil_value(x)
-            rhs = rademacher_atom(cfg.n, k + parity_correction(cfg.n, k))
-            rows.append(MarginRow(x=x, lhs=p, rhs=rhs))
-    else:
-        dist = ap_uniform_sum_distribution(APUniformSpec(problem.m), cfg)
-        for x, p in dist.sorted_atoms():
-            if is_zero(x):
-                continue
-            rhs = ap_uniform_bound(cfg.n, problem.m, norm_sq(x))
-            rows.append(MarginRow(x=x, lhs=p, rhs=rhs))
-    return rows
+        counts = _signed_sums(scaled, dim)
+        atoms = [
+            (pt, count, nonuniform_count(n, norm.ceil_scaled(pt, scale)))
+            for pt, count in counts.items()
+            if pt != origin
+        ]
+        return scale, 2 ** n, atoms
+    m = problem.m
+    counts = _progression_sums(scaled, dim, APUniformSpec(m))
+    # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
+    atoms = [
+        (pt, count, ap_uniform_count(n, m, isqrt(sum(a * a for a in pt)) // scale))
+        for pt, count in counts.items()
+        if pt != origin
+    ]
+    return scale, m ** n, atoms
+
+
+def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
+    """Exact margins of every non-zero atom of the config's law, in atom order."""
+    _validate_config(problem, cfg)
+    if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
+        raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
+    scale, denom, atoms = _margin_counts(problem, cfg.weights)
+    # scale is one positive integer, so integer points sort as their atoms do
+    return [
+        MarginRow(
+            x=tuple(Fraction(a, scale) for a in pt),
+            lhs=Fraction(count, denom),
+            rhs=Fraction(bound, denom),
+        )
+        for pt, count, bound in sorted(atoms)
+    ]
 
 
 def violation_margin(
@@ -319,15 +366,8 @@ def violation_margin(
     prefer the atom closest to the origin, then the lexicographically
     largest, so the reported witness is stable.
     """
-    best: Optional[MarginRow] = None
-    for row in margin_rows(problem, cfg):
-        if row.rhs_zero:
-            continue
-        if best is None or _witness_preferred(row, best):
-            best = row
-    if best is None:
-        return None, None
-    return best.x, best.margin
+    cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+    return cand.x, cand.margin
 
 
 def _witness_preferred(row: MarginRow, incumbent: MarginRow) -> bool:
@@ -337,38 +377,6 @@ def _witness_preferred(row: MarginRow, incumbent: MarginRow) -> bool:
     if a != b:
         return a < b
     return row.x > incumbent.x
-
-
-def sign_sum_margins(cfg: WeightConfig) -> list[MarginRow]:
-    """Euclidean sign-sum margins of every non-zero atom (the proved bound)."""
-    rows: list[MarginRow] = []
-    for x, p in full_distribution(cfg).sorted_atoms():
-        if is_zero(x):
-            continue
-        k = ceil_sqrt(norm_sq(x))
-        rhs = rademacher_atom(cfg.n, k + parity_correction(cfg.n, k))
-        rows.append(MarginRow(x=x, lhs=p, rhs=rhs))
-    return rows
-
-
-def ap_two_point_margins(cfg: WeightConfig) -> list[MarginRow]:
-    """Internal consistency mode: the progression engine on two support points.
-
-    A two-point support is exactly the sign pair {-1, +1}, so this law must
-    coincide with the sign-sum law, and with the sign-sum target rule the
-    margins must match sign_sum_margins row for row. The public conjecture
-    entry points start at m = 3; this mode exists to pin the two engines
-    together in tests.
-    """
-    dist = ap_uniform_sum_distribution(APUniformSpec(2), cfg)
-    rows: list[MarginRow] = []
-    for x, p in dist.sorted_atoms():
-        if is_zero(x):
-            continue
-        k = ceil_sqrt(norm_sq(x))
-        rhs = rademacher_atom(cfg.n, k + parity_correction(cfg.n, k))
-        rows.append(MarginRow(x=x, lhs=p, rhs=rhs))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -458,15 +466,17 @@ def certify(
     """
     x = make_vec(x)
     _validate_config(problem, cfg)
+    n = cfg.n
     if problem.conjecture == 2:
         lhs = full_distribution(cfg).probability(x)
         k = problem.target_norm().ceil_value(x)
-        rhs = rademacher_atom(cfg.n, k + parity_correction(cfg.n, k))
+        rhs = Fraction(nonuniform_count(n, k), 2 ** n)
     else:
         if is_zero(x):
             raise ValueError("conjectured bounds apply at non-zero targets")
         lhs = ap_uniform_sum_distribution(APUniformSpec(problem.m), cfg).probability(x)
-        rhs = ap_uniform_bound(cfg.n, problem.m, norm_sq(x))
+        k = floor_sqrt(norm_sq(x))
+        rhs = Fraction(ap_uniform_count(n, problem.m, k), problem.m ** n)
     margin = lhs - rhs
     if rhs == 0:
         return Refutation(
@@ -638,114 +648,23 @@ class _Chain:
         return chain
 
 
-def _unit_ap_counts(n: int, m: int) -> dict[int, int]:
-    acc = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for s, mult in acc.items():
-            for u in range(-m + 1, m, 2):
-                nxt[s + u] = nxt.get(s + u, 0) + mult
-        acc = nxt
-    return acc
-
-
-_UNIT_AP_CACHE: dict[tuple[int, int], dict[int, int]] = {}
-
-
-def _unit_ap_counts_cached(n: int, m: int) -> dict[int, int]:
-    key = (n, m)
-    if key not in _UNIT_AP_CACHE:
-        _UNIT_AP_CACHE[key] = _unit_ap_counts(n, m)
-    return _UNIT_AP_CACHE[key]
-
-
-def _ceil_norm_scaled(norm: NormSpec, pt: tuple[int, ...], scale: int) -> int:
-    """ceil of the norm of pt / scale, exact, integer arithmetic only."""
-    if norm.kind == "L1":
-        return -(-sum(abs(a) for a in pt) // scale)
-    if norm.kind == "Linf":
-        return -(-max(abs(a) for a in pt) // scale)
-    if norm.kind == "L2":
-        s = sum(a * a for a in pt)
-        bound = scale * scale
-    else:
-        q = 1
-        for c in norm.diag:
-            q = q * c.denominator // math.gcd(q, c.denominator)
-        nums = [(c * q).numerator for c in norm.diag]
-        s = sum(num * a * a for num, a in zip(nums, pt))
-        bound = q * scale * scale
-    if s == 0:
-        return 0
-    k = isqrt(s // bound) if s >= bound else 0
-    while k * k * bound < s:
-        k += 1
-    return k
-
-
 def _fast_margin(
     problem: SearchProblem, weights: Sequence[Vec]
 ) -> tuple[float, int]:
     """Float best margin over eligible atoms, plus flagged-atom count.
 
-    Exact integer counts feed a single float division at the end, and the
-    norm ceilings are exact integer arithmetic, so this scorer disagrees
-    with the exact path only through the final division. Anything it
-    nominates is re-scored exactly before any claim is made.
+    The exact integer excess feeds a single correctly rounded division at
+    the end, so the score is the float of the exact best margin. Anything
+    it nominates is still re-scored exactly before any claim is made.
     """
-    n = len(weights)
-    dim = len(weights[0])
-    scale = _denominator_lcm(weights)
-    scaled = _scaled(weights, scale)
-    origin = (0,) * dim
+    _, denom, atoms = _margin_counts(problem, weights)
     best_excess: Optional[int] = None
     flagged = 0
-    if problem.conjecture == 2:
-        counts = _signed_sums(scaled, dim)
-        norm = problem.target_norm()
-        denom = 2.0 ** n
-        for pt, count in counts.items():
-            if pt == origin:
-                continue
-            k = _ceil_norm_scaled(norm, pt, scale)
-            t = k + (n + k) % 2
-            rhs_count = comb(n, (n + t) // 2) if t <= n else 0
-            if rhs_count == 0:
-                flagged += 1
-                continue
-            excess = count - rhs_count
-            if best_excess is None or excess > best_excess:
-                best_excess = excess
-        return (
-            float("-inf") if best_excess is None else best_excess / denom,
-            flagged,
-        )
-    m = problem.m
-    acc = {origin: 1}
-    for w in scaled:
-        nxt: dict = {}
-        for pt, mult in acc.items():
-            for u in range(-m + 1, m, 2):
-                key = tuple(a + u * b for a, b in zip(pt, w))
-                nxt[key] = nxt.get(key, 0) + mult
-        if len(nxt) > AP_ATOM_CAP:
-            raise CapExceeded("progression-law atom", AP_ATOM_CAP, len(nxt))
-        acc = nxt
-    unit = _unit_ap_counts_cached(n, m)
-    denom = float(m ** n)
-    for pt, count in acc.items():
-        if pt == origin:
-            continue
-        s = sum(a * a for a in pt)
-        k = isqrt(s) // scale
-        target = k if m % 2 == 1 else k + (n + k) % 2
-        rhs_count = unit.get(target, 0)
-        if rhs_count == 0:
+    for _, count, bound in atoms:
+        if bound == 0:
             flagged += 1
-            continue
-        excess = count - rhs_count
-        if best_excess is None or excess > best_excess:
-            best_excess = excess
+        elif best_excess is None or count - bound > best_excess:
+            best_excess = count - bound
     return (
         float("-inf") if best_excess is None else best_excess / denom,
         flagged,
@@ -971,23 +890,12 @@ def _exact_candidate(
             continue
         if best is None or _witness_preferred(row, best):
             best = row
-    if best is None:
-        return Candidate(
-            config=cfg,
-            x=None,
-            margin=None,
-            lhs=None,
-            rhs=None,
-            float_score=float_score,
-            structured=structured,
-            rhs_zero_atoms=flagged,
-        )
     return Candidate(
         config=cfg,
-        x=best.x,
-        margin=best.margin,
-        lhs=best.lhs,
-        rhs=best.rhs,
+        x=None if best is None else best.x,
+        margin=None if best is None else best.margin,
+        lhs=None if best is None else best.lhs,
+        rhs=None if best is None else best.rhs,
         float_score=float_score,
         structured=structured,
         rhs_zero_atoms=flagged,
@@ -1067,11 +975,31 @@ def _write_checkpoint(
 def _load_checkpoint(path: str) -> tuple[SearchProblem, AnnealSettings, list[_Chain]]:
     with open(path) as handle:
         payload = json.load(handle)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not an anneal checkpoint")
-    problem = SearchProblem.from_json(payload["problem"])
+
+    def parse(where: str, from_json, obj):
+        try:
+            return from_json(obj)
+        except KeyError as exc:
+            raise ValueError(
+                f"{path}: checkpoint {where} has no {exc.args[0]!r} field"
+            ) from None
+
+    for key in ("problem", "settings", "chains"):
+        if key not in payload:
+            raise ValueError(f"{path}: checkpoint has no {key!r} field")
+    # a settings file may leave fields at their defaults; a checkpoint must
+    # carry the run's own settings, or the resumed run would differ silently
+    for key in AnnealSettings.__dataclass_fields__:
+        if key not in payload["settings"]:
+            raise ValueError(f"{path}: checkpoint settings has no {key!r} field")
+    problem = parse("problem", SearchProblem.from_json, payload["problem"])
     settings = AnnealSettings.from_json(payload["settings"])
-    chains = [_Chain.from_json(obj) for obj in payload["chains"]]
+    chains = [
+        parse(f"chain {i}", _Chain.from_json, obj)
+        for i, obj in enumerate(payload["chains"])
+    ]
     return problem, settings, chains
 
 
@@ -1140,7 +1068,7 @@ def anneal(
                     )
                     structured_evals += 1
 
-    chains = parallel_map(lambda c: _run_chain(c, problem, settings), chains)
+    chains = [_run_chain(chain, problem, settings) for chain in chains]
 
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, problem, settings, chains)

@@ -15,12 +15,13 @@ from random import Random
 import pytest
 
 from lolab import (
+    APUniformSpec,
     ConfigGenerator,
     SearchProblem,
     TheoremTag,
     WeightConfig,
     anneal,
-    ap_two_point_margins,
+    ap_uniform_sum_distribution,
     atom_probability,
     build_family,
     derived_seed,
@@ -32,7 +33,6 @@ from lolab import (
     nonuniform_bound,
     parity_correction,
     run_campaign,
-    sign_sum_margins,
     verify_milner,
     verify_zero_weights_sup,
     zero_odd_bound,
@@ -324,7 +324,8 @@ def test_criterion_9_search_calibration():
                             count=50),
         ):
             for cfg in gen.configs():
-                assert ap_two_point_margins(cfg) == sign_sum_margins(cfg)
+                two_point = ap_uniform_sum_distribution(APUniformSpec(2), cfg)
+                assert two_point.atoms == full_distribution(cfg).atoms
 
 
 def test_criterion_10_byte_identical_reruns():

@@ -114,6 +114,11 @@ class TestDist:
         code, _, _ = run_cli(capsys, "dist")
         assert code == 2
 
+    def test_zero_denominator_is_bad_input(self, capsys):
+        code, _, err = run_cli(capsys, "dist", "--weights", "1/0")
+        assert code == 2
+        assert "error:" in err and "'1/0'" in err
+
 
 class TestAtom:
     def test_scalar(self, capsys):
@@ -252,6 +257,16 @@ class TestSearch:
         assert code == 0
         assert "budget=80" in out
 
+    def test_malformed_checkpoint_names_the_missing_field(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(json.dumps({"format": "lolab-anneal-checkpoint"}))
+        code, _, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget",
+            "10", "--resume", str(ckpt),
+        )
+        assert code == 2
+        assert "error:" in err and "no 'problem' field" in err
+
     def test_anneal_config_file(self, capsys, tmp_path):
         path = tmp_path / "settings.json"
         path.write_text(json.dumps({"chains": 2, "structured_n_max": 4}))
@@ -295,6 +310,13 @@ class TestAntichain:
         )
         assert code == 0
         assert json.loads(out)["milner"]["holds"] is True
+
+    def test_zero_denominator_target_is_bad_input(self, capsys):
+        code, _, err = run_cli(
+            capsys, "antichain", "--weights", "1,1", "--x", "1/0"
+        )
+        assert code == 2
+        assert "error:" in err and "'1/0'" in err
 
     def test_rejects_vector_weights(self, capsys, tmp_path):
         path = tmp_path / "weights.json"

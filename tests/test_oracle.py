@@ -19,9 +19,6 @@ from lolab import (
     extremal_config,
     norm_sq,
     run_campaign,
-    verify_nonuniform_bound,
-    verify_uniform_bound,
-    verify_zero_odd,
     verify_zero_weights_sup,
 )
 
@@ -78,27 +75,32 @@ class TestConfigGenerator:
             ConfigGenerator(n=1, d=0, seed=0)
 
 
+def single_config_violations(cfg, check):
+    """Violations of one check on one config, via a campaign of no draws."""
+    gen = ConfigGenerator(n=cfg.n, d=cfg.dim, seed=0, count=0)
+    return run_campaign(gen, [check], extra_configs=[cfg]).violations
+
+
 class TestSingleConfigVerifiers:
     def test_no_violations_on_sampled_configs(self):
         for cfg in ConfigGenerator(n=5, d=2, seed=21, count=30).configs():
-            assert verify_uniform_bound(cfg) == []
-            assert verify_nonuniform_bound(cfg) == []
-            assert verify_zero_odd(cfg) == []
+            for check in CAMPAIGN_CHECKS:
+                assert single_config_violations(cfg, check) == ()
 
     def test_zero_odd_needs_odd_n(self):
         cfg = WeightConfig.from_scalars(["1", "1"])
-        with pytest.raises(ValueError):
-            verify_zero_odd(cfg)
+        with pytest.raises(ValueError, match="odd n"):
+            single_config_violations(cfg, TheoremTag.ZERO_ODD)
 
     def test_zero_weights_rejected(self):
         cfg = WeightConfig.from_scalars(["1", "0"], allow_zero=True)
-        with pytest.raises(ValueError):
-            verify_uniform_bound(cfg)
+        with pytest.raises(ValueError, match="non-zero weights"):
+            single_config_violations(cfg, TheoremTag.ERDOS_KLEITMAN)
 
     @given(st.integers(min_value=0, max_value=2 ** 32))
     def test_nonuniform_never_fires(self, seed):
         for cfg in ConfigGenerator(n=4, d=1, seed=seed, count=3).configs():
-            assert verify_nonuniform_bound(cfg) == []
+            assert single_config_violations(cfg, TheoremTag.NON_UNIFORM) == ()
 
 
 class TestZeroWeightsSup:
@@ -174,15 +176,6 @@ class TestRunCampaign:
             return run_campaign(gen, CAMPAIGN_CHECKS).to_json_str()
 
         assert run() == run()
-
-    def test_thread_count_never_changes_bytes(self, monkeypatch):
-        def run():
-            gen = ConfigGenerator(n=5, d=2, seed=13, count=12)
-            return run_campaign(gen, CAMPAIGN_CHECKS).to_json_str()
-
-        serial = run()
-        monkeypatch.setenv("LOLAB_THREADS", "4")
-        assert run() == serial
 
     def test_report_json_shape(self):
         gen = ConfigGenerator(n=3, d=1, seed=2, count=4)

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from conftest import brute_ap_distribution, brute_sign_distribution, weight_configs
 from lolab import (
     AnnealSettings,
+    APUniformSpec,
     ConfigGenerator,
     CounterexampleCertificate,
     NormSpec,
@@ -17,13 +22,16 @@ from lolab import (
     SearchProblem,
     WeightConfig,
     anneal,
-    ap_two_point_margins,
+    ap_uniform_sum_distribution,
     append_ledger,
     certify,
+    full_distribution,
+    MarginRow,
     margin_rows,
-    sign_sum_margins,
+    norm_sq,
     violation_margin,
 )
+from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
 
@@ -180,14 +188,95 @@ class TestMargins:
             margin_rows(problem, cfg)
 
 
+@st.composite
+def search_cells(draw):
+    """A config with a conjecture-2 cell under any norm, or a conjecture-1 cell."""
+    if draw(st.booleans()):
+        cfg = draw(weight_configs(max_n=6))
+        kind = draw(st.sampled_from(NORM_KINDS))
+        diag = ()
+        if kind == "WeightedDiagonalL2":
+            coeff = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+            diag = tuple(draw(coeff) for _ in range(cfg.dim))
+        # every weight drawn lies in the Euclidean ball, hence in the box
+        problem = l2_problem(
+            n=cfg.n, d=cfg.dim, norm=NormSpec(kind, diag),
+            constraint_norm=NormSpec("Linf"),
+        )
+    else:
+        cfg = draw(weight_configs(max_n=4))
+        problem = SearchProblem(
+            conjecture=1, n=cfg.n, d=cfg.dim, budget=0, seed=0,
+            m=draw(st.sampled_from((3, 4))),
+        )
+    return problem, cfg
+
+
+def oracle_rows(problem, cfg) -> list[MarginRow]:
+    """Margin rows from brute-force laws and exact Fraction norms."""
+    n = cfg.n
+    unit_weights = [(1,)] * n
+    if problem.conjecture == 2:
+        law = brute_sign_distribution(cfg.weights)
+        unit = brute_sign_distribution(unit_weights)
+        spec = problem.target_norm()
+    else:
+        law = brute_ap_distribution(cfg.weights, problem.m)
+        unit = brute_ap_distribution(unit_weights, problem.m)
+
+    def bound(x):
+        if problem.conjecture == 2:
+            if spec.kind == "L1":
+                k = math.ceil(sum(abs(c) for c in x))
+            elif spec.kind == "Linf":
+                k = math.ceil(max(abs(c) for c in x))
+            else:
+                q = sum(c * v * v for c, v in zip(spec.diag or (1,) * len(x), x))
+                k = 0
+                while k * k < q:
+                    k += 1
+            target = k + (n + k) % 2
+        else:
+            k = 0
+            while (k + 1) ** 2 <= norm_sq(x):
+                k += 1
+            target = k if problem.m % 2 else k + (n + k) % 2
+        return F(unit.get((target,), 0))
+
+    return [
+        MarginRow(x=x, lhs=p, rhs=bound(x))
+        for x, p in sorted(law.items())
+        if any(x)
+    ]
+
+
+class TestMarginCore:
+    @given(search_cells())
+    def test_pinned_to_brute_force_oracles(self, cell):
+        problem, cfg = cell
+        assert margin_rows(problem, cfg) == oracle_rows(problem, cfg)
+        score, flagged = _fast_margin(problem, cfg.weights)
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+        assert flagged == cand.rhs_zero_atoms
+        if cand.margin is None:
+            assert score == float("-inf")
+        else:
+            assert score == float(cand.margin)
+
+
+def two_point_law_is_sign_law(cfg) -> bool:
+    """A two-point progression support is the sign pair {-1, +1}."""
+    two_point = ap_uniform_sum_distribution(APUniformSpec(2), cfg)
+    return two_point.atoms == full_distribution(cfg).atoms
+
+
 class TestTwoPointReduction:
     def test_known_pair(self):
-        cfg = WeightConfig.from_scalars(["1/4", "1/4"])
-        assert ap_two_point_margins(cfg) == sign_sum_margins(cfg)
+        assert two_point_law_is_sign_law(WeightConfig.from_scalars(["1/4", "1/4"]))
 
     def test_random_configs(self):
         for cfg in ConfigGenerator(n=4, d=2, seed=41, count=25).configs():
-            assert ap_two_point_margins(cfg) == sign_sum_margins(cfg)
+            assert two_point_law_is_sign_law(cfg)
 
 
 class TestCertify:
@@ -334,6 +423,31 @@ class TestAnneal:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not an anneal checkpoint"):
             anneal(l2_problem(budget=10), resume=str(path))
+
+    def test_resume_names_missing_checkpoint_fields(self, tmp_path):
+        ckpt = tmp_path / "state.json"
+        problem = l2_problem(n=4, d=1, budget=20, seed=19)
+        anneal(problem, FAST, checkpoint_path=str(ckpt))
+        payload = json.loads(ckpt.read_text())
+        for key in ("problem", "settings", "chains"):
+            partial = {k: v for k, v in payload.items() if k != key}
+            ckpt.write_text(json.dumps(partial))
+            with pytest.raises(ValueError, match=f"checkpoint has no '{key}' field"):
+                anneal(problem, resume=str(ckpt))
+        settings = dict(payload["settings"])
+        del payload["settings"]["chains"]
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="settings has no 'chains' field"):
+            anneal(problem, resume=str(ckpt))
+        payload["settings"] = settings
+        del payload["chains"][1]["rng_state"]
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="chain 1 has no 'rng_state' field"):
+            anneal(problem, resume=str(ckpt))
+        del payload["problem"]["seed"]
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="problem has no 'seed' field"):
+            anneal(problem, resume=str(ckpt))
 
     def test_ledger_appends_one_line_per_run(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
