@@ -167,8 +167,8 @@ def cmd_dist(args) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow([f"x{i + 1}" for i in range(dist.dim)] + ["probability"])
-        for x, p in dist.sorted_atoms():
-            writer.writerow(vec_strs(x) + [rat_str(p)])
+        for x, p in dist.formatted_atoms():
+            writer.writerow(x + [p])
         text = buffer.getvalue()
         if args.out:
             with open(args.out, "w", newline="") as handle:

@@ -7,21 +7,24 @@ Two sum models share a convolution core:
 * progression-uniform sums: S = sum_i U_i v_i with U_i independent uniform
   on the m symmetric support points {-m+1, -m+3, ..., m-1}.
 
-Laws are finite exact objects (atom -> Fraction). Internally weights are
-scaled by the least common denominator so convolution runs on integer
-tuples; results are divided back out, so there is no rounding at any step.
+Weights are scaled by their least common denominator so convolution runs
+on integer tuples, and a law keeps that integer form: a count per lattice
+point over one denominator (2^n or m^n). Laws sort and compare on those
+integers; `Fraction`s (and their "p/q" strings) are made only where a law
+is read, so there is no rounding at any step.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .rational import RationalLike, Vec, make_vec, norm_sq, rat_str, vec_strs
+from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
 
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
 # single-atom queries via half-sum tables cost O(2^(n/2)), and the
@@ -125,47 +128,98 @@ class APUniformSpec:
 
 @dataclass
 class AtomDistribution:
-    """A finite exact law: every atom maps to a positive Fraction."""
+    """A finite exact law on the lattice of points pt / scale.
 
-    atoms: dict[Vec, Fraction]
+    `counts` maps each integer point pt to a positive count; the atom
+    pt / scale has probability counts[pt] / denom. Since scale is one
+    positive integer, integer points order as their atoms do.
+    """
+
+    counts: dict[tuple[int, ...], int]
+    scale: int
+    denom: int
     n: int
     dim: int
 
+    @property
+    def atoms(self) -> "_AtomView":
+        """Read-only {atom: Fraction} view; its length costs nothing."""
+        return _AtomView(self)
+
+    def _atom(self, pt: tuple[int, ...]) -> Vec:
+        return tuple(Fraction(a, self.scale) for a in pt)
+
+    def _lattice_point(self, x) -> Optional[tuple[int, ...]]:
+        """x * scale, or None when x is off the lattice."""
+        pt = []
+        for c in make_vec(x):
+            a, rem = divmod(c.numerator * self.scale, c.denominator)
+            if rem:
+                return None
+            pt.append(a)
+        return tuple(pt)
+
     def probability(self, x) -> Fraction:
-        return self.atoms.get(make_vec(x), Fraction(0))
+        pt = self._lattice_point(x)
+        return Fraction(0 if pt is None else self.counts.get(pt, 0), self.denom)
 
     def sorted_atoms(self) -> list[tuple[Vec, Fraction]]:
-        return sorted(self.atoms.items())
+        return [
+            (self._atom(pt), Fraction(count, self.denom))
+            for pt, count in sorted(self.counts.items())
+        ]
+
+    def formatted_atoms(self) -> Iterator[tuple[list[str], str]]:
+        """("p/q" coordinates, "p/q" probability) of every atom, in atom order."""
+        scale, denom = self.scale, self.denom
+        for pt, count in sorted(self.counts.items()):
+            yield [ratio_str(a, scale) for a in pt], ratio_str(count, denom)
 
     def max_probability(self) -> tuple[Vec, Fraction]:
         """The most likely atom; ties go to the lexicographically least."""
-        best_x, best_p = None, Fraction(-1)
-        for x, p in self.sorted_atoms():
-            if p > best_p:
-                best_x, best_p = x, p
-        return best_x, best_p
+        best = max(self.counts.values())
+        pt = min(pt for pt, count in self.counts.items() if count == best)
+        return self._atom(pt), Fraction(best, self.denom)
 
     def check(self) -> None:
         """Assert the law is a symmetric probability distribution."""
-        total = sum(self.atoms.values(), Fraction(0))
-        if total != 1:
-            raise AssertionError(f"law sums to {total}, not 1")
-        for x, p in self.atoms.items():
-            if p <= 0:
-                raise AssertionError(f"non-positive mass {p} at {x}")
-            neg = tuple(-c for c in x)
-            if self.atoms.get(neg) != p:
-                raise AssertionError(f"law not symmetric at {x}")
+        total = sum(self.counts.values())
+        if total != self.denom:
+            raise AssertionError(f"law sums to {Fraction(total, self.denom)}, not 1")
+        for pt, count in self.counts.items():
+            if count <= 0:
+                raise AssertionError(f"non-positive count {count} at {self._atom(pt)}")
+            if self.counts.get(tuple(-a for a in pt)) != count:
+                raise AssertionError(f"law not symmetric at {self._atom(pt)}")
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "dim": self.dim,
             "atoms": [
-                {"x": vec_strs(x), "probability": rat_str(p)}
-                for x, p in self.sorted_atoms()
+                {"x": x, "probability": p} for x, p in self.formatted_atoms()
             ],
         }
+
+
+class _AtomView(Mapping):
+    """A law's atoms as a read-only Mapping, made into Fractions on access."""
+
+    def __init__(self, law: AtomDistribution):
+        self._law = law
+
+    def __len__(self) -> int:
+        return len(self._law.counts)
+
+    def __iter__(self) -> Iterator[Vec]:
+        return map(self._law._atom, self._law.counts)
+
+    def __getitem__(self, x) -> Fraction:
+        law = self._law
+        pt = law._lattice_point(x)
+        if pt is None or pt not in law.counts:
+            raise KeyError(x)
+        return Fraction(law.counts[pt], law.denom)
 
 
 def _denominator_lcm(vectors: Sequence[Vec], extra: Vec = ()) -> int:
@@ -196,22 +250,13 @@ def _signed_sums(scaled: Sequence[tuple[int, ...]], dim: int) -> dict:
     return acc
 
 
-def _law(cfg: WeightConfig, counts: dict, scale: int, denom: int) -> AtomDistribution:
-    """Divide integer point counts back out into an exact law."""
-    atoms = {
-        tuple(Fraction(a, scale) for a in pt): Fraction(mult, denom)
-        for pt, mult in counts.items()
-    }
-    return AtomDistribution(atoms=atoms, n=cfg.n, dim=cfg.dim)
-
-
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
     """Exact law of the sign sum over all 2^n sign vectors."""
     if cfg.n > cap:
         raise CapExceeded("full-law summand", cap, cfg.n)
     scale = _denominator_lcm(cfg.weights)
     counts = _signed_sums(_scaled(cfg.weights, scale), cfg.dim)
-    return _law(cfg, counts, scale, 2 ** cfg.n)
+    return AtomDistribution(counts, scale, 2 ** cfg.n, cfg.n, cfg.dim)
 
 
 def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
@@ -286,4 +331,4 @@ def ap_uniform_sum_distribution(
     """Exact law of sum_i U_i v_i with U_i uniform on spec.support()."""
     scale = _denominator_lcm(cfg.weights)
     counts = _progression_sums(_scaled(cfg.weights, scale), cfg.dim, spec, atom_cap)
-    return _law(cfg, counts, scale, spec.m ** cfg.n)
+    return AtomDistribution(counts, scale, spec.m ** cfg.n, cfg.n, cfg.dim)

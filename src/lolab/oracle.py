@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .bounds import (
     TheoremTag,
     erdos_kleitman_bound,
-    nonuniform_bound,
+    nonuniform_count,
     zero_odd_bound,
     zero_weights_extremal,
     zero_weights_sup,
@@ -32,7 +32,15 @@ from .engine import (
     atom_probability,
     full_distribution,
 )
-from .rational import Vec, is_zero, make_vec, norm_sq, rat_str, vec_strs
+from .rational import (
+    Vec,
+    ceil_sqrt_ratio,
+    is_zero,
+    make_vec,
+    norm_sq,
+    rat_str,
+    vec_strs,
+)
 
 # Campaign checks that run per-config against the full law. The
 # zero-weights supremum has its own sampling entry point because it
@@ -181,19 +189,30 @@ def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
 def _config_rows(
     cfg: WeightConfig, config_index: int, checks: Sequence[TheoremTag], cap: int
 ) -> list[CheckRow]:
-    dist = full_distribution(cfg, cap=cap)
+    law = full_distribution(cfg, cap=cap)
     rows: list[CheckRow] = []
     for check in checks:
         if check is TheoremTag.NON_UNIFORM:
-            for x, p in dist.sorted_atoms():
-                if is_zero(x):
+            # on the lattice, |x| = |pt| / scale, so k = ceil(sqrt(|pt|^2 / scale^2))
+            scale, denom = law.scale, law.denom
+            scale_sq = scale * scale
+            for pt, count in sorted(law.counts.items()):
+                norm_sq_scaled = sum(a * a for a in pt)
+                if norm_sq_scaled == 0:
                     continue
-                report = nonuniform_bound(cfg.n, norm_sq(x))
+                k = ceil_sqrt_ratio(norm_sq_scaled, scale_sq)
                 rows.append(
-                    CheckRow(config_index, check, x, report.k, p, report.bound)
+                    CheckRow(
+                        config_index,
+                        check,
+                        tuple(Fraction(a, scale) for a in pt),
+                        k,
+                        Fraction(count, denom),
+                        Fraction(nonuniform_count(cfg.n, k), denom),
+                    )
                 )
         elif check is TheoremTag.ERDOS_KLEITMAN:
-            x, p = dist.max_probability()
+            x, p = law.max_probability()
             rows.append(
                 CheckRow(config_index, check, x, 0, p, erdos_kleitman_bound(cfg.n))
             )
@@ -205,7 +224,7 @@ def _config_rows(
                     check,
                     origin,
                     0,
-                    dist.probability(origin),
+                    law.probability(origin),
                     zero_odd_bound(cfg.n),
                 )
             )

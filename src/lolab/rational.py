@@ -11,7 +11,7 @@ module's exploratory scorer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -32,9 +32,15 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def ratio_str(num: int, den: int) -> str:
+    """Canonical wire form "p/q" of num/den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def rat_str(q: Fraction) -> str:
     """Canonical wire form "p/q" in lowest terms, sign on the numerator."""
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_str(q.numerator, q.denominator)
 
 
 def make_vec(coords: Iterable[RationalLike]) -> Vec:
@@ -101,8 +107,19 @@ def floor_sqrt(q: RationalLike) -> int:
     return isqrt(q.numerator * q.denominator) // q.denominator
 
 
+def ceil_sqrt_ratio(num: int, den: int) -> int:
+    """Smallest integer k >= 0 with k*k >= num/den, for num >= 0 and den > 0.
+
+    isqrt(num // den) is the floor of sqrt(num/den), so the ceiling is
+    that or one more.
+    """
+    k = isqrt(num // den)
+    return k if k * k * den >= num else k + 1
+
+
 def ceil_sqrt(q: RationalLike) -> int:
     """Smallest integer k >= 0 with k*k >= q; 0 only when q = 0."""
     q = rat(q)
-    k = floor_sqrt(q)
-    return k if k * k == q else k + 1
+    if q < 0:
+        raise ValueError(f"squared norm must be >= 0, got {q}")
+    return ceil_sqrt_ratio(q.numerator, q.denominator)

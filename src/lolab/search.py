@@ -42,6 +42,7 @@ from .engine import (
 from .oracle import derived_seed
 from .rational import (
     Vec,
+    ceil_sqrt_ratio,
     floor_sqrt,
     is_zero,
     l1_norm,
@@ -120,10 +121,7 @@ class NormSpec:
             q = lcm(*(c.denominator for c in self.diag))
             s = sum((c * q).numerator * a * a for c, a in zip(self.diag, pt))
             bound = q * scale * scale
-        k = isqrt(s // bound)
-        while k * k * bound < s:
-            k += 1
-        return k
+        return ceil_sqrt_ratio(s, bound)
 
     def ceil_value(self, v: Vec) -> int:
         """Smallest integer >= the norm of v."""
@@ -136,28 +134,6 @@ class NormSpec:
         if self.kind == "Linf":
             return float(linf_norm(v))
         return math.sqrt(float(self._form(v)))
-
-    def triangle_holds(self, u: Vec, v: Vec) -> bool:
-        """Exact check of norm(u + v) <= norm(u) + norm(v).
-
-        For the Euclidean kinds the inequality is squared twice: with
-        b = form(u+v) - form(u) - form(v), it is equivalent to b <= 0 or
-        b^2 <= 4 form(u) form(v), so no square roots are needed.
-        """
-        w = tuple(a + b for a, b in zip(u, v))
-        if self.kind in ("L1", "Linf"):
-            value = l1_norm if self.kind == "L1" else linf_norm
-            return value(w) <= value(u) + value(v)
-        b = self._form(w) - self._form(u) - self._form(v)
-        return b <= 0 or b * b <= 4 * self._form(u) * self._form(v)
-
-    def scaling_holds(self, v: Vec, c: Fraction) -> bool:
-        """Exact check of norm(c v) = |c| norm(v)."""
-        w = tuple(c * x for x in v)
-        if self.kind in ("L1", "Linf"):
-            value = l1_norm if self.kind == "L1" else linf_norm
-            return value(w) == abs(c) * value(v)
-        return self._form(w) == c * c * self._form(v)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -1040,6 +1016,9 @@ def anneal(
     chains' candidates. `checkpoint_path` writes the final chain states so
     a later call can extend the run.
     """
+    if problem.conjecture == 2 and problem.n > FULL_LAW_CAP:
+        # every exact rescore is a full sign law, so refuse before annealing
+        raise CapExceeded("full-law summand", FULL_LAW_CAP, problem.n)
     if resume is not None:
         stored_problem, settings, chains = _load_checkpoint(resume)
         mismatch = replace(stored_problem, budget=problem.budget) != problem

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from lolab.cli import main
 
@@ -284,6 +287,18 @@ class TestSearch:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_full_law_cap_fires_before_the_anneal(self, capsys, seed):
+        # n = 26 is past the 24-summand full-law cap of the exact rescore;
+        # the refusal must not depend on which configs the anneal nominates
+        code, out, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "26",
+            "--budget", "60", "--chains", "1", "--seed", seed,
+        )
+        assert code == 3
+        assert out == ""
+        assert "full-law summand cap is 24, request needs 26" in err
+
     def test_unknown_norm(self, capsys):
         code, _, _ = run_cli(
             capsys, "search", "--conjecture", "2", "--n", "3",
@@ -348,6 +363,75 @@ class TestExtremal:
         code, _, err = run_cli(capsys, "extremal", "--n", "2", "--x", "4")
         assert code == 2
         assert "nothing attains it" in err
+
+
+PLANE_WEIGHTS = [
+    ["1/2", "-1/3"], ["2/5", "1/4"], ["-3/7", "1/6"], ["1/3", "1/3"], ["0", "1/2"]
+]
+MIXED = "1/2,-1/3,2/5,3/7,1/6,-5/9,1/4"
+SMALL_GRID = [
+    "--n", "5", "--d", "2", "--count", "6", "--seed", "3", "--denominator", "2"
+]
+PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
+
+# sha256 of stdout followed by the --out file, recorded before laws kept
+# their integer form; any change to law or campaign bytes shows here
+GOLDEN_OUTPUTS = {
+    "dist_sign_json": (
+        ["dist", "--weights", MIXED],
+        "137b3af15311c88a11530126304b84a19fe6dd0e2bee58fd3a36a45f6dc0ebab",
+    ),
+    "dist_sign_csv": (
+        ["dist", "--weights", MIXED, "--format", "csv"],
+        "bab1ecc3b5a80e6bc983956e5386cd1b37db6d80f74bcc411d062dd29484bf1d",
+    ),
+    "dist_ap4_json": (
+        ["dist", "--weights", "1/2,-1/3,2/5,3/4,1/6", "--ap-m", "4"],
+        "1d9ce852aa624ca59a63fc9075d7b0267fefd8f60fd54df0e4f2949eefc721ba",
+    ),
+    "dist_plane_json": (
+        ["dist", "--weights-file", "{weights}"],
+        "7c1ec7bbfc5222fc3ec1a2bb79f8d7d3b19f49174d79913601258d760998e39c",
+    ),
+    "verify_theorem1_json": (
+        ["verify", "--theorem", "1", *SMALL_GRID, "--with-extremal"],
+        "b9e6bc5e5e4e9903fde5ee3e0e9f96c83123e5f56267adf0bcc94fb31ad38a43",
+    ),
+    "verify_theorem2_json": (
+        ["verify", "--theorem", "2", *PLANE_CAMPAIGN, "--with-extremal"],
+        "9d413733879b8dc9968d08fc8e87ddc5c9c01cd5b7dbabc71132e09d45911f5a",
+    ),
+    "verify_theorem4_json": (
+        ["verify", "--theorem", "4", *SMALL_GRID, "--with-extremal"],
+        "288a64841759678e0035d2ab9ea2d13b392fceeb4ba79b41594390cd4e87bbb7",
+    ),
+    "verify_theorem1_csv": (
+        ["verify", "--theorem", "1", *SMALL_GRID, "--format", "csv"],
+        "537e7f9ac61ee0884d7a0d2a107272c5d2c177bfe090aadb956dede047625055",
+    ),
+    "verify_theorem4_csv": (
+        ["verify", "--theorem", "4", *SMALL_GRID, "--format", "csv"],
+        "3d1c63b05ab0e8a76a1b75a63e7b8b92a9bd2b38141111a00c22cb3bd22064d7",
+    ),
+    "verify_theorem2_csv": (
+        ["verify", "--theorem", "2", *PLANE_CAMPAIGN, "--format", "csv"],
+        "80604536bab7aa0445c4796108c656bcb690975fde40af6dacad2c0e34bcf630",
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+    def test_output_bytes_unchanged(self, capsys, tmp_path, name):
+        argv, digest = GOLDEN_OUTPUTS[name]
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(PLANE_WEIGHTS))
+        out_path = tmp_path / "out"
+        argv = [arg.format(weights=weights) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        data = out.encode() + out_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestEntryPoint:

@@ -240,6 +240,46 @@ class TestAtomDistribution:
         # +-1 tie at 3/8; the lexicographically least point wins.
         assert dist.max_probability() == ((Fraction(-1),), Fraction(3, 8))
 
+    @given(weight_configs(), st.integers(min_value=2, max_value=7))
+    def test_probability_on_and_off_the_lattice(self, cfg, p):
+        # x + 1/scale stays on the lattice and x + 1/(p scale) leaves it;
+        # both must read like the brute-force law, which has no lattice
+        law = full_distribution(cfg)
+        brute = brute_sign_distribution(cfg.weights)
+        for x, prob in brute.items():
+            assert law.probability(x) == prob
+            for step in (Fraction(1, law.scale), Fraction(1, p * law.scale)):
+                y = (x[0] + step,) + x[1:]
+                assert law.probability(y) == brute.get(y, 0)
+            off = (x[0] + Fraction(1, p * law.scale),) + x[1:]
+            assert law.probability(off) == 0 and off not in law.atoms
+
+    @given(
+        weight_configs(max_n=5, max_denominator=3),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_max_probability_is_the_least_argmax(self, cfg, m):
+        for law, brute in (
+            (full_distribution(cfg), brute_sign_distribution(cfg.weights)),
+            (
+                ap_uniform_sum_distribution(APUniformSpec(m=m), cfg),
+                brute_ap_distribution(cfg.weights, m),
+            ),
+        ):
+            best = max(brute.values())
+            argmax = min(x for x, p in brute.items() if p == best)
+            assert law.max_probability() == (argmax, best)
+
+    def test_atom_view_is_a_read_only_mapping(self):
+        law = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
+        assert len(law.atoms) == len(law.counts) == 4
+        assert law.atoms[(Fraction(-3, 2),)] == Fraction(1, 4)
+        assert (Fraction(1, 3),) not in law.atoms
+        with pytest.raises(KeyError):
+            law.atoms[(Fraction(1, 3),)]
+        with pytest.raises(TypeError):
+            law.atoms[(Fraction(1, 2),)] = Fraction(1)
+
     def test_json_shape(self):
         dist = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
         blob = json.loads(json.dumps(dist.to_json()))

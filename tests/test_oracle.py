@@ -7,19 +7,33 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+from conftest import brute_sign_distribution, weight_configs
 from lolab import (
     CAMPAIGN_CHECKS,
+    FULL_LAW_CAP,
     ConfigGenerator,
     TheoremTag,
     WeightConfig,
     derived_seed,
+    erdos_kleitman_bound,
     extremal_config,
+    nonuniform_bound,
     norm_sq,
     run_campaign,
     verify_zero_weights_sup,
+    zero_odd_bound,
+)
+from lolab.oracle import _config_rows
+
+F = Fraction
+# atoms at whole multiples of (3/5, 4/5), and (-4/5, 3/5) alone, have
+# integer Euclidean norm, where the ceiling must not round up
+PYTHAGOREAN = WeightConfig(dim=2, weights=((F(3, 5), F(4, 5)),) * 4)
+PYTHAGOREAN_MIXED = WeightConfig(
+    dim=2, weights=((F(3, 5), F(4, 5)),) * 4 + ((F(-4, 5), F(3, 5)),)
 )
 
 
@@ -101,6 +115,51 @@ class TestSingleConfigVerifiers:
     def test_nonuniform_never_fires(self, seed):
         for cfg in ConfigGenerator(n=4, d=1, seed=seed, count=3).configs():
             assert single_config_violations(cfg, TheoremTag.NON_UNIFORM) == ()
+
+
+def brute_rows(cfg, check):
+    """(x, k, lhs, rhs) of a check, from enumeration and the Fraction bounds."""
+    brute = brute_sign_distribution(cfg.weights)
+    origin = (F(0),) * cfg.dim
+    if check is TheoremTag.NON_UNIFORM:
+        rows = []
+        for x, p in sorted(brute.items()):
+            if x != origin:
+                report = nonuniform_bound(cfg.n, norm_sq(x))
+                rows.append((x, report.k, p, report.bound))
+        return rows
+    if check is TheoremTag.ERDOS_KLEITMAN:
+        best = max(brute.values())
+        argmax = min(x for x, p in brute.items() if p == best)
+        return [(argmax, 0, best, erdos_kleitman_bound(cfg.n))]
+    return [(origin, 0, brute.get(origin, F(0)), zero_odd_bound(cfg.n))]
+
+
+def campaign_rows(cfg, check):
+    rows = _config_rows(cfg, 0, (check,), FULL_LAW_CAP)
+    return [(row.x, row.k, row.lhs, row.rhs) for row in rows]
+
+
+class TestConfigRows:
+    @given(weight_configs())
+    @example(PYTHAGOREAN)
+    @example(PYTHAGOREAN_MIXED)
+    def test_pinned_to_brute_force_oracles(self, cfg):
+        checks = list(CAMPAIGN_CHECKS)
+        if cfg.n % 2 == 0:
+            checks.remove(TheoremTag.ZERO_ODD)
+        for check in checks:
+            assert campaign_rows(cfg, check) == brute_rows(cfg, check)
+
+    def test_integer_norms_keep_their_ceiling(self):
+        for cfg, x, k in (
+            (PYTHAGOREAN, (F(6, 5), F(8, 5)), 2),
+            (PYTHAGOREAN_MIXED, (F(-4, 5), F(3, 5)), 1),
+        ):
+            rows = campaign_rows(cfg, TheoremTag.NON_UNIFORM)
+            assert rows == brute_rows(cfg, TheoremTag.NON_UNIFORM)
+            assert norm_sq(x) == k * k
+            assert (x, k) in [(row_x, row_k) for row_x, row_k, _, _ in rows]
 
 
 class TestZeroWeightsSup:
