@@ -34,9 +34,9 @@ from .bounds import (
     zero_weights_sup,
 )
 from .engine import (
-    AP_ATOM_CAP,
     ATOM_QUERY_CAP,
     FULL_LAW_CAP,
+    LAW_ATOM_CAP,
     APUniformSpec,
     AtomDistribution,
     CapExceeded,

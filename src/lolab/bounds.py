@@ -17,7 +17,7 @@ from functools import lru_cache
 from .engine import (
     APUniformSpec,
     WeightConfig,
-    _progression_sums,
+    _law,
     rademacher_atom,
 )
 from .rational import (
@@ -221,7 +221,7 @@ def zero_weights_extremal(x) -> WeightConfig:
 @lru_cache(maxsize=None)
 def _unit_ap_law(n: int, m: int) -> dict:
     """Point counts of the unit-weight progression sum over m^n draws."""
-    return _progression_sums([(1,)] * n, 1, APUniformSpec(m))
+    return _law([(1,)] * n, 1, APUniformSpec(m)).counts
 
 
 def ap_uniform_count(n: int, m: int, k: int) -> int:

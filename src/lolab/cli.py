@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .rational import (
     Vec,
-    is_zero,
     make_vec,
     norm_sq,
     parse_point,
@@ -135,21 +134,15 @@ def _parse_norm(flag: Optional[str], diag: Optional[str]) -> Optional[NormSpec]:
 
 
 def cmd_bound(args) -> int:
-    if args.zero or (args.x is not None and is_zero(parse_point(args.x))):
-        x = parse_point(args.x) if args.x is not None else (Fraction(0),)
-        report = bound_dispatch(args.n, x)
-        squared = Fraction(0)
-    elif args.x is not None:
-        x = parse_point(args.x)
-        report = bound_dispatch(args.n, x)
-        squared = norm_sq(x)
-    elif args.norm_sq is not None:
+    if args.norm_sq is not None:
         squared = rat(args.norm_sq)
         if squared == 0:
             raise ValueError("a zero target is requested with --zero")
         report = nonuniform_bound(args.n, squared)
     else:
-        raise ValueError("provide one of --x, --norm-sq, or --zero")
+        x = parse_point(args.x) if args.x is not None else (Fraction(0),)
+        report = bound_dispatch(args.n, x)
+        squared = norm_sq(x)
     payload = report.to_json()
     if args.hoeffding:
         payload["hoeffding"] = hoeffding_bound(args.n, squared)
@@ -210,6 +203,8 @@ def cmd_verify(args) -> int:
     if tag is TheoremTag.ZERO_WEIGHTS_SUP:
         if args.x is None:
             raise ValueError("--x is required for the zero-weights supremum check")
+        if args.format == "csv":
+            raise ValueError("the zero-weights supremum check writes JSON only")
         x = parse_point(args.x)
         gen = ConfigGenerator(
             n=max(args.n_max, 1),
@@ -354,6 +349,21 @@ def cmd_extremal(args) -> int:
     return 0 if probability == bound else 1
 
 
+# Flags that several subcommands read; each subcommand takes --out and the
+# ones it names here, so a flag it would ignore is a usage error
+SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="base RNG seed"),
+    "--format": dict(choices=("json", "csv"), default="json", help="output format"),
+    "--out": dict(help="write output to this file"),
+    "--cap-full": dict(
+        type=int, default=FULL_LAW_CAP, help="summand cap for full-law enumeration"
+    ),
+    "--cap-mitm": dict(
+        type=int, default=ATOM_QUERY_CAP, help="summand cap for single-atom queries"
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lolab",
@@ -362,39 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
             "weighted sums of random signs."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    common.add_argument("--out", help="write output to this file")
-    common.add_argument(
-        "--cap-full",
-        type=int,
-        default=FULL_LAW_CAP,
-        help="summand cap for full-law enumeration",
-    )
-    common.add_argument(
-        "--cap-mitm",
-        type=int,
-        default=ATOM_QUERY_CAP,
-        help="summand cap for single-atom queries",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", parents=[common], help="evaluate a bound at a target")
+    def command(name, func, summary, shared=()):
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--out", *shared):
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("bound", cmd_bound, "evaluate a bound at a target")
     p.add_argument("--n", type=int, required=True, help="summand count")
-    p.add_argument("--x", help="target point, e.g. 3/2 or (1,1)")
-    p.add_argument("--norm-sq", help="squared Euclidean norm of the target")
-    p.add_argument("--zero", action="store_true", help="target the origin")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--x", help="target point, e.g. 3/2 or (1,1)")
+    target.add_argument("--norm-sq", help="squared Euclidean norm of the target")
+    target.add_argument("--zero", action="store_true", help="target the origin")
     p.add_argument(
         "--hoeffding",
         action="store_true",
         help="include the float exponential comparison bound",
     )
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("dist", parents=[common], help="exact law of a weight config")
+    p = command(
+        "dist", cmd_dist, "exact law of a weight config", ("--format", "--cap-full")
+    )
     p.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")
     p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
     p.add_argument(
@@ -402,16 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="use progression-uniform summands with this support size",
     )
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("atom", parents=[common], help="P(sum = x) for one target")
+    p = command("atom", cmd_atom, "P(sum = x) for one target", ("--cap-mitm",))
     p.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")
     p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
     p.add_argument("--x", required=True, help="target point")
-    p.set_defaults(func=cmd_atom)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="randomized campaign against a bound"
+    p = command(
+        "verify",
+        cmd_verify,
+        "randomized campaign against a bound",
+        ("--seed", "--format", "--cap-full", "--cap-mitm"),
     )
     p.add_argument(
         "--theorem",
@@ -441,10 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="largest summand count sampled (zero-weights supremum only)",
     )
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
-        "search", parents=[common], help="anneal for conjecture counterexamples"
+    p = command(
+        "search", cmd_search, "anneal for conjecture counterexamples", ("--seed",)
     )
     p.add_argument(
         "--conjecture",
@@ -469,10 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="write final chain states here")
     p.add_argument("--resume", help="continue from this checkpoint")
     p.add_argument("--ledger", help="append a JSONL summary line here")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser(
-        "antichain", parents=[common], help="subset family behind a scalar atom"
+    p = command(
+        "antichain",
+        cmd_antichain,
+        "subset family behind a scalar atom",
+        ("--cap-full", "--cap-mitm"),
     )
     p.add_argument("--weights", help="inline scalar weights, e.g. 1,1,1")
     p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
@@ -480,11 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k", type=int, help="intersection level to check (default ceil(x))"
     )
-    p.set_defaults(func=cmd_antichain)
 
-    p = sub.add_parser(
-        "extremal", parents=[common], help="bound-attaining configuration at a target"
-    )
+    p = command("extremal", cmd_extremal, "bound-attaining configuration at a target")
     p.add_argument("--n", type=int, help="summand count")
     p.add_argument("--d", type=int, default=1, help="weight dimension")
     p.add_argument("--x", required=True, help="non-zero target point")
@@ -493,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="zero-weights supremum extremal (n is then k*k)",
     )
-    p.set_defaults(func=cmd_extremal)
 
     return parser
 

@@ -1,17 +1,17 @@
 """Exact laws of weighted sums of random signs and of progression uniforms.
 
-Two sum models share a convolution core:
+One lattice-sum kernel enumerates every law:
 
-* sign sums: S = sum_i eps_i v_i with eps_i independent uniform on {-1, +1}
-  and rational weight vectors v_i;
 * progression-uniform sums: S = sum_i U_i v_i with U_i independent uniform
-  on the m symmetric support points {-m+1, -m+3, ..., m-1}.
+  on the m symmetric support points {-m+1, -m+3, ..., m-1};
+* sign sums: S = sum_i eps_i v_i with eps_i independent uniform on
+  {-1, +1}, which is the progression sum with m = 2.
 
 Weights are scaled by their least common denominator so convolution runs
 on integer tuples, and a law keeps that integer form: a count per lattice
-point over one denominator (2^n or m^n). Laws sort and compare on those
-integers; `Fraction`s (and their "p/q" strings) are made only where a law
-is read, so there is no rounding at any step.
+point over one denominator (m^n, so 2^n for signs). Laws sort and compare
+on those integers; `Fraction`s (and their "p/q" strings) are made only where
+a law is read, so there is no rounding at any step.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading.
 """
@@ -22,16 +22,17 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
 
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
-# single-atom queries via half-sum tables cost O(2^(n/2)), and the
-# progression law is capped by its intermediate atom count.
+# single-atom queries via half-sum tables cost O(2^(n/2)), and every law and
+# half-sum table is capped by its intermediate atom count.
 FULL_LAW_CAP = 24
 ATOM_QUERY_CAP = 40
-AP_ATOM_CAP = 1 << 24
+LAW_ATOM_CAP = 1 << 24
 
 
 class CapExceeded(Exception):
@@ -236,27 +237,49 @@ def _scaled(vectors: Sequence[Vec], scale: int) -> list[tuple[int, ...]]:
     return [tuple((c * scale).numerator for c in v) for v in vectors]
 
 
-def _signed_sums(scaled: Sequence[tuple[int, ...]], dim: int) -> dict:
-    """Counts of sum_i eps_i w_i over all sign vectors, on integer points."""
+def _lattice_sums(
+    scaled: Sequence[tuple[int, ...]],
+    dim: int,
+    support: Sequence[int],
+    atom_cap: int,
+) -> dict:
+    """Counts of sum_i u_i w_i over all draws of each u_i from support.
+
+    Convolves atom by atom in a hash map on integer points, so the cost
+    tracks the number of distinct intermediate atoms rather than
+    len(support)^n; that count is capped.
+    """
     acc = {(0,) * dim: 1}
     for w in scaled:
+        steps = [tuple(u * b for b in w) for u in support]
         nxt: dict = {}
         for pt, mult in acc.items():
-            up = tuple(a + b for a, b in zip(pt, w))
-            dn = tuple(a - b for a, b in zip(pt, w))
-            nxt[up] = nxt.get(up, 0) + mult
-            nxt[dn] = nxt.get(dn, 0) + mult
+            for step in steps:
+                key = tuple(map(add, pt, step))
+                nxt[key] = nxt.get(key, 0) + mult
+        if len(nxt) > atom_cap:
+            raise CapExceeded("law atom", atom_cap, len(nxt))
         acc = nxt
     return acc
+
+
+def _law(
+    weights: Sequence[Vec],
+    dim: int,
+    spec: APUniformSpec,
+    atom_cap: int = LAW_ATOM_CAP,
+) -> AtomDistribution:
+    """Exact law of sum_i U_i w_i with U_i uniform on spec.support()."""
+    n, scale = len(weights), _denominator_lcm(weights)
+    counts = _lattice_sums(_scaled(weights, scale), dim, spec.support(), atom_cap)
+    return AtomDistribution(counts, scale, spec.m ** n, n, dim)
 
 
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
     """Exact law of the sign sum over all 2^n sign vectors."""
     if cfg.n > cap:
         raise CapExceeded("full-law summand", cap, cfg.n)
-    scale = _denominator_lcm(cfg.weights)
-    counts = _signed_sums(_scaled(cfg.weights, scale), cfg.dim)
-    return AtomDistribution(counts, scale, 2 ** cfg.n, cfg.n, cfg.dim)
+    return _law(cfg.weights, cfg.dim, APUniformSpec(2))
 
 
 def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
@@ -275,8 +298,9 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     scaled = _scaled(cfg.weights, scale)
     target = tuple((c * scale).numerator for c in x)
     cut = (cfg.n + 1) // 2
-    front = _signed_sums(scaled[:cut], cfg.dim)
-    back = _signed_sums(scaled[cut:], cfg.dim)
+    signs = APUniformSpec(2).support()
+    front = _lattice_sums(scaled[:cut], cfg.dim, signs, LAW_ATOM_CAP)
+    back = _lattice_sums(scaled[cut:], cfg.dim, signs, LAW_ATOM_CAP)
     if len(back) < len(front):
         front, back = back, front
     hits = 0
@@ -300,35 +324,8 @@ def rademacher_atom(n: int, j: int) -> Fraction:
     return Fraction(comb(n, (n + j) // 2), 2 ** n)
 
 
-def _progression_sums(
-    scaled: Sequence[tuple[int, ...]],
-    dim: int,
-    spec: APUniformSpec,
-    atom_cap: int = AP_ATOM_CAP,
-) -> dict:
-    """Counts of sum_i u_i w_i over all m^n support draws, on integer points.
-
-    Convolves atom-by-atom in a hash map, so the cost tracks the number of
-    distinct intermediate atoms rather than m^n; that count is capped.
-    """
-    support = spec.support()
-    acc = {(0,) * dim: 1}
-    for w in scaled:
-        nxt: dict = {}
-        for pt, mult in acc.items():
-            for u in support:
-                key = tuple(a + u * b for a, b in zip(pt, w))
-                nxt[key] = nxt.get(key, 0) + mult
-        if len(nxt) > atom_cap:
-            raise CapExceeded("progression-law atom", atom_cap, len(nxt))
-        acc = nxt
-    return acc
-
-
 def ap_uniform_sum_distribution(
-    spec: APUniformSpec, cfg: WeightConfig, *, atom_cap: int = AP_ATOM_CAP
+    spec: APUniformSpec, cfg: WeightConfig, *, atom_cap: int = LAW_ATOM_CAP
 ) -> AtomDistribution:
     """Exact law of sum_i U_i v_i with U_i uniform on spec.support()."""
-    scale = _denominator_lcm(cfg.weights)
-    counts = _progression_sums(_scaled(cfg.weights, scale), cfg.dim, spec, atom_cap)
-    return AtomDistribution(counts, scale, spec.m ** cfg.n, cfg.n, cfg.dim)
+    return _law(cfg.weights, cfg.dim, spec, atom_cap)

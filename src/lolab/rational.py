@@ -62,20 +62,8 @@ def parse_point(text: str) -> Vec:
     return make_vec(parts)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_neg(v: Vec) -> Vec:
-    return tuple(-c for c in v)
-
-
 def vec_scale(factor: Fraction, v: Vec) -> Vec:
     return tuple(factor * c for c in v)
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def norm_sq(v: Vec) -> Fraction:

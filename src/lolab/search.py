@@ -33,9 +33,8 @@ from .engine import (
     CapExceeded,
     WeightConfig,
     _denominator_lcm,
-    _progression_sums,
+    _law,
     _scaled,
-    _signed_sums,
     ap_uniform_sum_distribution,
     full_distribution,
 )
@@ -291,28 +290,24 @@ def _margin_counts(
     exact margin at x is (law count - bound count) / denom; a bound count of
     0 marks a flagged atom.
     """
-    n, dim = len(weights), len(weights[0])
-    scale = _denominator_lcm(weights)
-    scaled = _scaled(weights, scale)
-    origin = (0,) * dim
+    m = 2 if problem.conjecture == 2 else problem.m
+    law = _law(weights, len(weights[0]), APUniformSpec(m))
+    n, scale, origin = law.n, law.scale, (0,) * law.dim
     if problem.conjecture == 2:
         norm = problem.target_norm()
-        counts = _signed_sums(scaled, dim)
         atoms = [
             (pt, count, nonuniform_count(n, norm.ceil_scaled(pt, scale)))
-            for pt, count in counts.items()
+            for pt, count in law.counts.items()
             if pt != origin
         ]
-        return scale, 2 ** n, atoms
-    m = problem.m
-    counts = _progression_sums(scaled, dim, APUniformSpec(m))
-    # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
-    atoms = [
-        (pt, count, ap_uniform_count(n, m, isqrt(sum(a * a for a in pt)) // scale))
-        for pt, count in counts.items()
-        if pt != origin
-    ]
-    return scale, m ** n, atoms
+    else:
+        # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
+        atoms = [
+            (pt, count, ap_uniform_count(n, m, isqrt(sum(a * a for a in pt)) // scale))
+            for pt, count in law.counts.items()
+            if pt != origin
+        ]
+    return scale, law.denom, atoms
 
 
 def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
@@ -560,6 +555,22 @@ class _Chain:
     top: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
+    def record(
+        self, problem: SearchProblem, n: int, weights: list[Vec], iteration: int
+    ) -> tuple[float, bool]:
+        """Score a state, count its flags, keep it as a candidate, track the best.
+
+        Returns the float score and whether it beat the chain's best.
+        """
+        score, flags = _fast_margin(problem, weights)
+        self.flagged += flags
+        self.note_candidate(score, n, tuple(weights))
+        improved = score > self.best_score
+        if improved:
+            self.best_score = score
+            self.trace.append((iteration, score))
+        return score, improved
+
     def note_candidate(self, score: float, n: int, weights: tuple) -> None:
         if score == float("-inf"):
             return
@@ -737,13 +748,7 @@ def _new_chain(
         score=float("-inf"),
         best_score=float("-inf"),
     )
-    score, flags = _fast_margin(problem, weights)
-    chain.score = score
-    chain.flagged += flags
-    chain.note_candidate(score, n, tuple(weights))
-    if score > chain.best_score:
-        chain.best_score = score
-        chain.trace.append((0, score))
+    chain.score, _ = chain.record(problem, n, weights, 0)
     return chain
 
 
@@ -762,9 +767,7 @@ def _run_chain(
         proposal = _propose(chain, problem, settings)
         if proposal is not None:
             n, weights = proposal
-            score, flags = _fast_margin(problem, weights)
-            chain.flagged += flags
-            chain.note_candidate(score, n, tuple(weights))
+            score, improved = chain.record(problem, n, weights, iteration)
             accept = score >= chain.score
             if not accept:
                 t = _temperature(settings, iteration)
@@ -773,25 +776,14 @@ def _run_chain(
                 chain.n = n
                 chain.weights = weights
                 chain.score = score
-            if score > chain.best_score:
-                chain.best_score = score
-                chain.since_improve = 0
-                chain.trace.append((iteration, score))
-            else:
-                chain.since_improve += 1
+            chain.since_improve = 0 if improved else chain.since_improve + 1
         else:
             chain.since_improve += 1
         if chain.since_improve >= window:
             chain.n, chain.weights = _initial_state(
                 chain.rng, problem, settings, chain.d
             )
-            score, flags = _fast_margin(problem, chain.weights)
-            chain.flagged += flags
-            chain.score = score
-            chain.note_candidate(score, chain.n, tuple(chain.weights))
-            if score > chain.best_score:
-                chain.best_score = score
-                chain.trace.append((iteration, score))
+            chain.score, _ = chain.record(problem, chain.n, chain.weights, iteration)
             chain.since_improve = 0
         chain.done += 1
     return chain

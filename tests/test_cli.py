@@ -55,6 +55,21 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ["--zero", "--x", "3"],
+            ["--x", "1", "--norm-sq", "1"],
+            ["--zero", "--norm-sq", "1"],
+        ],
+    )
+    def test_target_flags_are_exclusive(self, capsys, target):
+        # --zero --x 3 once printed the bound at x = 3 beside the
+        # Hoeffding value at the origin
+        code, out, err = run_cli(capsys, "bound", "--n", "4", *target, "--hoeffding")
+        assert code == 2
+        assert out == "" and "not allowed with argument" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "bound.json"
         code, out, _ = run_cli(
@@ -182,6 +197,17 @@ class TestVerify:
         assert code == 0
         assert "0 violations" in out
 
+    def test_zero_weights_sup_rejects_csv(self, capsys, tmp_path):
+        # it has no CSV rows; --format csv once exited 0 and wrote nothing
+        path = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", "3", "--x", "2", "--n-max", "4",
+            "--count", "2", "--format", "csv", "--out", str(path),
+        )
+        assert code == 2
+        assert out == "" and "writes JSON only" in err
+        assert not path.exists()
+
     def test_json_report_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -299,6 +325,17 @@ class TestSearch:
         assert out == ""
         assert "full-law summand cap is 24, request needs 26" in err
 
+    def test_rejects_format_flag(self, capsys, tmp_path):
+        # search writes JSON only; --format csv once wrote JSON into r.csv
+        path = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "3", "--budget", "10",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --format csv" in err
+        assert not path.exists()
+
     def test_unknown_norm(self, capsys):
         code, _, _ = run_cli(
             capsys, "search", "--conjecture", "2", "--n", "3",
@@ -365,6 +402,51 @@ class TestExtremal:
         assert "nothing attains it" in err
 
 
+# A minimal valid command line per subcommand, and the shared flags it reads
+# besides --out; every other shared flag is a usage error there
+SHARED_FLAG_USE = {
+    "bound": (["--n", "4", "--x", "1"], ()),
+    "dist": (["--weights", "1,1"], ("--format", "--cap-full")),
+    "atom": (["--weights", "1,1", "--x", "0"], ("--cap-mitm",)),
+    "verify": (
+        ["--theorem", "1", "--n", "3", "--count", "1"],
+        ("--seed", "--format", "--cap-full", "--cap-mitm"),
+    ),
+    "search": (["--conjecture", "2", "--n", "2", "--budget", "4"], ("--seed",)),
+    "antichain": (["--weights", "1,1", "--x", "0"], ("--cap-full", "--cap-mitm")),
+    "extremal": (["--n", "4", "--x", "1"], ()),
+}
+SHARED_FLAG_VALUES = {
+    "--seed": "1", "--format": "json", "--cap-full": "30", "--cap-mitm": "30"
+}
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command in sorted(SHARED_FLAG_USE)
+            for flag in sorted(SHARED_FLAG_VALUES)
+        ],
+    )
+    def test_each_command_takes_only_the_flags_it_reads(
+        self, capsys, tmp_path, command, flag
+    ):
+        argv, used = SHARED_FLAG_USE[command]
+        out_path = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, command, *argv, flag, SHARED_FLAG_VALUES[flag],
+            "--out", str(out_path),
+        )
+        if flag in used:
+            assert code == 0
+            assert out_path.exists()
+        else:
+            assert code == 2
+            assert f"unrecognized arguments: {flag}" in err
+
+
 PLANE_WEIGHTS = [
     ["1/2", "-1/3"], ["2/5", "1/4"], ["-3/7", "1/6"], ["1/3", "1/3"], ["0", "1/2"]
 ]
@@ -374,8 +456,10 @@ SMALL_GRID = [
 ]
 PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 
-# sha256 of stdout followed by the --out file, recorded before laws kept
-# their integer form; any change to law or campaign bytes shows here
+# sha256 of stdout followed by the --out file; the dist and verify cases
+# were recorded before laws kept their integer form, the search, atom and
+# antichain cases before every law went through one lattice-sum kernel.
+# Any change to law, campaign, search or family bytes shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
         ["dist", "--weights", MIXED],
@@ -416,6 +500,39 @@ GOLDEN_OUTPUTS = {
     "verify_theorem2_csv": (
         ["verify", "--theorem", "2", *PLANE_CAMPAIGN, "--format", "csv"],
         "80604536bab7aa0445c4796108c656bcb690975fde40af6dacad2c0e34bcf630",
+    ),
+    "search_c2_linf": (
+        ["search", "--conjecture", "2", "--norm", "linf", "--n", "5", "--d", "2",
+         "--budget", "120", "--seed", "4", "--chains", "2"],
+        "5889cf14a7b2436229335bae177dc1355e021fd47e7b3cf7af126c8722d5a051",
+    ),
+    "search_c2_l2": (
+        ["search", "--conjecture", "2", "--n", "6", "--d", "2", "--budget", "100",
+         "--seed", "7", "--chains", "2"],
+        "74cc8a6faff84585215c605bb11fb313a41121cf635ccee30cb5216fe898d384",
+    ),
+    "search_c1_m3": (
+        ["search", "--conjecture", "1", "--m", "3", "--n", "5", "--budget", "80",
+         "--seed", "2", "--chains", "2"],
+        "f670bc2cfb445400e9fb53995f1e5ce71ec66687ddddfcd4a402db2f873559ce",
+    ),
+    "search_c1_m4": (
+        ["search", "--conjecture", "1", "--m", "4", "--n", "4", "--d", "2",
+         "--budget", "60", "--seed", "5", "--chains", "2"],
+        "3106504c5613329d386544fa30ca614155cef9099d345ea19dd3d73692098210",
+    ),
+    "atom_scalar": (
+        ["atom", "--weights", "1/2,1/3,1/6,1/4,3/4,1/3,2/3,1/2,1/4,1/6,5/12",
+         "--x", "1"],
+        "f36909d44570d0c22ed6e7ec5420367d83f669a044cae1648f3c5f7b04eeedc0",
+    ),
+    "antichain_ones": (
+        ["antichain", "--weights", "1,1,1,1,1,1", "--x", "2"],
+        "7ae6f04787c09a384bfac1d6a72a00bf289841f5c6577d3e4e0ba534d8f65143",
+    ),
+    "antichain_grid": (
+        ["antichain", "--weights", "1/2,1/4,3/4,1/4,1/2,1,3/4,1/4", "--x", "3/4"],
+        "314076de70a2b2a48a1f247c9a9cd9453b2fc8facd4b2f10ec83fa7ee7038311",
     ),
 }
 

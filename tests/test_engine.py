@@ -17,6 +17,9 @@ from conftest import (
     weight_configs,
 )
 from lolab import (
+    ATOM_QUERY_CAP,
+    FULL_LAW_CAP,
+    LAW_ATOM_CAP,
     APUniformSpec,
     CapExceeded,
     WeightConfig,
@@ -26,6 +29,7 @@ from lolab import (
     rademacher_atom,
     rat,
 )
+from lolab.engine import _lattice_sums
 
 
 class TestWeightConfig:
@@ -232,6 +236,25 @@ class TestAPUniformSum:
         )
         with pytest.raises(CapExceeded):
             ap_uniform_sum_distribution(APUniformSpec(m=5), cfg, atom_cap=1000)
+
+
+class TestLatticeSums:
+    # 1/2, ..., 1/2^12 scaled by 2^12: all 2^k sign sums of the first k
+    # weights are distinct, so the k-th step holds 2^k atoms
+    GENERIC = [(2 ** (12 - i),) for i in range(1, 13)]
+
+    def test_atom_cap_guards_sign_laws(self):
+        signs = APUniformSpec(m=2).support()
+        message = "law atom cap is 1000, request needs 1024"
+        with pytest.raises(CapExceeded, match=message):
+            _lattice_sums(self.GENERIC, 1, signs, 1000)
+        assert len(_lattice_sums(self.GENERIC, 1, signs, 1 << 12)) == 1 << 12
+
+    def test_default_summand_caps_stay_under_the_atom_cap(self):
+        # a full sign law has at most 2^n atoms and a half-sum table at most
+        # 2^ceil(n/2), so the atom cap cannot fire under the default caps
+        assert 2 ** FULL_LAW_CAP <= LAW_ATOM_CAP
+        assert 2 ** ((ATOM_QUERY_CAP + 1) // 2) <= LAW_ATOM_CAP
 
 
 class TestAtomDistribution:
