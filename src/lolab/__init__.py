@@ -82,7 +82,6 @@ from .search import (
     append_ledger,
     certify,
     margin_rows,
-    violation_margin,
 )
 
 __version__ = "0.1.0"

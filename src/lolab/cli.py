@@ -198,9 +198,27 @@ def _extremal_fixtures(tag: TheoremTag, n: int, d: int) -> list[WeightConfig]:
     return fixtures
 
 
+# verify runs a campaign (theorems 1, 2 and 4) or the zero-weights supremum
+# check (theorem 3), and each reads flags the other does not. These flags
+# parse to None when absent, so a flag of the other mode is refused and an
+# absent one of the chosen mode takes its default here
+VERIFY_MODE_FLAGS = {
+    "campaign": {"n": 8, "d": 1, "with_extremal": False, "cap_full": FULL_LAW_CAP},
+    "sup": {"x": None, "n_max": 12, "cap_mitm": ATOM_QUERY_CAP},
+}
+
+
 def cmd_verify(args) -> int:
     tag = THEOREM_FLAGS[args.theorem]
-    if tag is TheoremTag.ZERO_WEIGHTS_SUP:
+    mode = "sup" if tag is TheoremTag.ZERO_WEIGHTS_SUP else "campaign"
+    for flags_mode, flags in VERIFY_MODE_FLAGS.items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif flags_mode != mode:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} is not read by theorem {args.theorem}")
+    if mode == "sup":
         if args.x is None:
             raise ValueError("--x is required for the zero-weights supremum check")
         if args.format == "csv":
@@ -309,7 +327,7 @@ def cmd_antichain(args) -> int:
             "not an antichain" if not antichain_ok else f"not {k}-intersecting"
         )
     cfg = _config_from_weights(vectors, l2_unit_ball=False)
-    probability = atom_probability(cfg, (x,), cap=max(args.cap_mitm, cfg.n))
+    probability = atom_probability(cfg, (x,), cap=cfg.n)
     payload = {
         "family": family.to_json(),
         "size": len(family),
@@ -425,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
             "3 = zero-weights supremum, 4 = odd-summand zero bound"
         ),
     )
-    p.add_argument("--n", type=int, default=8, help="summand count per config")
-    p.add_argument("--d", type=int, default=1, help="weight dimension")
+    p.add_argument("--n", type=int, help="summand count per config")
+    p.add_argument("--d", type=int, help="weight dimension")
     p.add_argument("--count", type=int, default=100, help="configs per campaign")
     p.add_argument(
         "--denominator", type=int, default=16, help="weight grid denominator"
@@ -440,8 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-max",
         type=int,
-        default=12,
         help="largest summand count sampled (zero-weights supremum only)",
+    )
+    p.set_defaults(
+        **{dest: None for flags in VERIFY_MODE_FLAGS.values() for dest in flags}
     )
 
     p = command(
@@ -475,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "antichain",
         cmd_antichain,
         "subset family behind a scalar atom",
-        ("--cap-full", "--cap-mitm"),
+        ("--cap-full",),
     )
     p.add_argument("--weights", help="inline scalar weights, e.g. 1,1,1")
     p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")

@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .bounds import ap_uniform_count, nonuniform_count
 from .engine import (
@@ -42,7 +42,6 @@ from .oracle import derived_seed
 from .rational import (
     Vec,
     ceil_sqrt_ratio,
-    floor_sqrt,
     is_zero,
     l1_norm,
     linf_norm,
@@ -122,11 +121,6 @@ class NormSpec:
             bound = q * scale * scale
         return ceil_sqrt_ratio(s, bound)
 
-    def ceil_value(self, v: Vec) -> int:
-        """Smallest integer >= the norm of v."""
-        scale = _denominator_lcm([v])
-        return self.ceil_scaled(_scaled([v], scale)[0], scale)
-
     def float_value(self, v: Vec) -> float:
         if self.kind == "L1":
             return float(l1_norm(v))
@@ -189,6 +183,23 @@ class SearchProblem:
 
     def target_norm(self) -> NormSpec:
         return self.norm if self.norm is not None else NormSpec("L2")
+
+    def law_spec(self) -> APUniformSpec:
+        """The summand law: signs for conjecture 2, m progression points for 1."""
+        return APUniformSpec(2 if self.conjecture == 2 else self.m)
+
+    def bound_count(self, n: int, pt: tuple[int, ...], scale: int) -> int:
+        """The conjectured bound at pt / scale, as a count over law_spec().m ** n.
+
+        Both conjectures round the target's norm to an integer k and read
+        the unit-weight law there: conjecture 2 rounds its norm up and
+        shifts k to the reachable parity; conjecture 1 rounds the Euclidean
+        norm down and shifts k only for even m.
+        """
+        if self.conjecture == 2:
+            return nonuniform_count(n, self.target_norm().ceil_scaled(pt, scale))
+        # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
+        return ap_uniform_count(n, self.m, isqrt(sum(a * a for a in pt)) // scale)
 
     def dimensions(self) -> tuple[int, ...]:
         """Dimensions the search explores.
@@ -290,23 +301,13 @@ def _margin_counts(
     exact margin at x is (law count - bound count) / denom; a bound count of
     0 marks a flagged atom.
     """
-    m = 2 if problem.conjecture == 2 else problem.m
-    law = _law(weights, len(weights[0]), APUniformSpec(m))
+    law = _law(weights, len(weights[0]), problem.law_spec())
     n, scale, origin = law.n, law.scale, (0,) * law.dim
-    if problem.conjecture == 2:
-        norm = problem.target_norm()
-        atoms = [
-            (pt, count, nonuniform_count(n, norm.ceil_scaled(pt, scale)))
-            for pt, count in law.counts.items()
-            if pt != origin
-        ]
-    else:
-        # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
-        atoms = [
-            (pt, count, ap_uniform_count(n, m, isqrt(sum(a * a for a in pt)) // scale))
-            for pt, count in law.counts.items()
-            if pt != origin
-        ]
+    atoms = [
+        (pt, count, problem.bound_count(n, pt, scale))
+        for pt, count in law.counts.items()
+        if pt != origin
+    ]
     return scale, law.denom, atoms
 
 
@@ -327,37 +328,11 @@ def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
     ]
 
 
-def violation_margin(
-    problem: SearchProblem, cfg: WeightConfig
-) -> tuple[Optional[Vec], Optional[Fraction]]:
-    """The maximizing atom and exact margin over eligible atoms.
-
-    Atoms with a zero bound are flagged cells, not candidates, so they are
-    excluded here; if nothing is eligible the result is (None, None). Ties
-    prefer the atom closest to the origin, then the lexicographically
-    largest, so the reported witness is stable.
-    """
-    cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
-    return cand.x, cand.margin
-
-
-def _witness_preferred(row: MarginRow, incumbent: MarginRow) -> bool:
-    if row.margin != incumbent.margin:
-        return row.margin > incumbent.margin
-    a, b = norm_sq(row.x), norm_sq(incumbent.x)
-    if a != b:
-        return a < b
-    return row.x > incumbent.x
-
-
 @dataclass(frozen=True)
-class CounterexampleCertificate:
-    """An exactly positive margin, recomputed from scratch.
+class _Verdict:
+    """certify's exact numbers for one config and target."""
 
-    lhs comes from the config's full exact law, rhs from the closed-form
-    bound; margin = lhs - rhs > 0 as Fractions. No float appears anywhere
-    in the claim.
-    """
+    certificate: ClassVar[bool]
 
     problem: SearchProblem
     config: WeightConfig
@@ -367,8 +342,8 @@ class CounterexampleCertificate:
     margin: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "certificate": True,
+        obj = {
+            "certificate": self.certificate,
             "problem": self.problem.to_json(),
             "config": self.config.to_json(),
             "x": vec_strs(self.x),
@@ -376,6 +351,22 @@ class CounterexampleCertificate:
             "rhs": rat_str(self.rhs),
             "margin": rat_str(self.margin),
         }
+        # fields a subclass adds hold plain JSON values
+        for f in fields(self)[len(fields(_Verdict)):]:
+            obj[f.name] = getattr(self, f.name)
+        return obj
+
+
+@dataclass(frozen=True)
+class CounterexampleCertificate(_Verdict):
+    """An exactly positive margin, recomputed from scratch.
+
+    lhs comes from the config's full exact law, rhs from the closed-form
+    bound; margin = lhs - rhs > 0 as Fractions. No float appears anywhere
+    in the claim.
+    """
+
+    certificate: ClassVar[bool] = True
 
     @classmethod
     def from_json(cls, obj: dict) -> "CounterexampleCertificate":
@@ -390,7 +381,7 @@ class CounterexampleCertificate:
 
 
 @dataclass(frozen=True)
-class Refutation:
+class Refutation(_Verdict):
     """A candidate that did not survive exact recomputation.
 
     Keeps the float score that nominated it (when there was one) next to
@@ -399,27 +390,10 @@ class Refutation:
     reported but never certified.
     """
 
-    problem: SearchProblem
-    config: WeightConfig
-    x: Vec
-    lhs: Fraction
-    rhs: Fraction
-    margin: Fraction
+    certificate: ClassVar[bool] = False
+
     float_score: Optional[float] = None
     rhs_zero: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "certificate": False,
-            "problem": self.problem.to_json(),
-            "config": self.config.to_json(),
-            "x": vec_strs(self.x),
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "margin": rat_str(self.margin),
-            "float_score": self.float_score,
-            "rhs_zero": self.rhs_zero,
-        }
 
 
 def certify(
@@ -437,25 +411,19 @@ def certify(
     """
     x = make_vec(x)
     _validate_config(problem, cfg)
-    n = cfg.n
     if problem.conjecture == 2:
-        lhs = full_distribution(cfg).probability(x)
-        k = problem.target_norm().ceil_value(x)
-        rhs = Fraction(nonuniform_count(n, k), 2 ** n)
+        law = full_distribution(cfg)  # a sign law, under the full-law summand cap
     else:
         if is_zero(x):
             raise ValueError("conjectured bounds apply at non-zero targets")
-        lhs = ap_uniform_sum_distribution(APUniformSpec(problem.m), cfg).probability(x)
-        k = floor_sqrt(norm_sq(x))
-        rhs = Fraction(ap_uniform_count(n, problem.m, k), problem.m ** n)
+        law = ap_uniform_sum_distribution(problem.law_spec(), cfg)
+    lhs = law.probability(x)
+    scale = _denominator_lcm([x])
+    rhs = Fraction(problem.bound_count(cfg.n, _scaled([x], scale)[0], scale), law.denom)
     margin = lhs - rhs
-    if rhs == 0:
-        return Refutation(
-            problem, cfg, x, lhs, rhs, margin, float_score=float_score, rhs_zero=True
-        )
-    if margin > 0:
+    if margin > 0 and rhs != 0:
         return CounterexampleCertificate(problem, cfg, x, lhs, rhs, margin)
-    return Refutation(problem, cfg, x, lhs, rhs, margin, float_score=float_score)
+    return Refutation(problem, cfg, x, lhs, rhs, margin, float_score, rhs_zero=rhs == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +474,7 @@ class AnnealSettings:
             raise ValueError("structured_n_max must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "chains": self.chains,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "cooling_iters": self.cooling_iters,
-            "grid_denominator": self.grid_denominator,
-            "top_candidates": self.top_candidates,
-            "stagnation_fraction": self.stagnation_fraction,
-            "structured_first": self.structured_first,
-            "structured_n_max": self.structured_n_max,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnnealSettings":
@@ -530,6 +488,16 @@ class AnnealSettings:
     def from_file(cls, path: str) -> "AnnealSettings":
         with open(path) as handle:
             return cls.from_json(json.load(handle))
+
+
+def _by_score(item: tuple) -> tuple:
+    """The one candidate order: float score down, then n, then the weights.
+
+    item is ((n, weights), score), an entry of a chain's top or of the
+    chains' merged top.
+    """
+    (n, weights), score = item
+    return (-score, n, repr(weights))
 
 
 def _temperature(settings: AnnealSettings, iteration: int) -> float:
@@ -572,17 +540,11 @@ class _Chain:
         return score, improved
 
     def note_candidate(self, score: float, n: int, weights: tuple) -> None:
-        if score == float("-inf"):
-            return
         key = (n, weights)
-        old = self.top.get(key)
-        if old is None or score > old:
+        if score > self.top.get(key, float("-inf")):
             self.top[key] = score
         if len(self.top) > 64:
-            kept = sorted(
-                self.top.items(), key=lambda kv: (-kv[1], kv[0][0], repr(kv[0][1]))
-            )[:16]
-            self.top = dict(kept)
+            self.top = dict(sorted(self.top.items(), key=_by_score)[:16])
 
     def to_json(self) -> dict:
         state = self.rng.getstate()
@@ -600,9 +562,7 @@ class _Chain:
             "rng_state": [state[0], list(state[1]), state[2]],
             "top": [
                 {"n": n, "weights": [vec_strs(w) for w in ws], "score": score}
-                for (n, ws), score in sorted(
-                    self.top.items(), key=lambda kv: (-kv[1], kv[0][0], repr(kv[0][1]))
-                )
+                for (n, ws), score in sorted(self.top.items(), key=_by_score)
             ],
             "trace": [[it, score] for it, score in self.trace],
         }
@@ -807,14 +767,7 @@ def _structured_bases(
         cands.append(tuple(c / 2 for c in ones))
         cands.append((Fraction(3, 5), Fraction(4, 5)) + (zero,) * (d - 2))
     ball = problem.weight_norm()
-    seen = set()
-    out = []
-    for w in cands:
-        if w in seen or is_zero(w) or not ball.leq_one(w):
-            continue
-        seen.add(w)
-        out.append(w)
-    return out
+    return [w for w in dict.fromkeys(cands) if not is_zero(w) and ball.leq_one(w)]
 
 
 @dataclass
@@ -852,12 +805,13 @@ def _exact_candidate(
 ) -> Candidate:
     rows = margin_rows(problem, cfg)
     flagged = sum(1 for row in rows if row.rhs_zero)
-    best: Optional[MarginRow] = None
-    for row in rows:
-        if row.rhs_zero:
-            continue
-        if best is None or _witness_preferred(row, best):
-            best = row
+    # ties prefer the atom closest to the origin, then the lexicographically
+    # largest, so the reported witness is stable
+    best = max(
+        (row for row in rows if not row.rhs_zero),
+        key=lambda row: (row.margin, -norm_sq(row.x), row.x),
+        default=None,
+    )
     return Candidate(
         config=cfg,
         x=None if best is None else best.x,
@@ -1046,32 +1000,24 @@ def anneal(
 
     merged: dict = {}
     for chain in chains:
-        for (n, weights), score in chain.top.items():
-            key = (chain.d, n, weights)
-            old = merged.get(key)
-            if old is None or score > old:
+        for key, score in chain.top.items():
+            if score > merged.get(key, float("-inf")):
                 merged[key] = score
-    ranked = sorted(
-        merged.items(), key=lambda kv: (-kv[1], kv[0][1], repr(kv[0][2]))
-    )[: settings.top_candidates]
+    ranked = sorted(merged.items(), key=_by_score)[: settings.top_candidates]
     annealed = [
         _exact_candidate(
             problem,
-            WeightConfig(dim=d, weights=weights, l2_unit_ball=False),
+            WeightConfig(dim=len(weights[0]), weights=weights, l2_unit_ball=False),
             float_score=score,
             structured=False,
         )
-        for (d, n, weights), score in ranked
+        for (_, weights), score in ranked
     ]
 
-    seen_configs = set()
-    candidates: list[Candidate] = []
+    unique: dict = {}
     for cand in structured + annealed:
-        key = json.dumps(cand.config.to_json(), sort_keys=True)
-        if key in seen_configs:
-            continue
-        seen_configs.add(key)
-        candidates.append(cand)
+        unique.setdefault(cand.config, cand)
+    candidates = list(unique.values())
 
     def rank_key(cand: Candidate):
         margin = cand.margin if cand.margin is not None else Fraction(-2)

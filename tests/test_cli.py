@@ -208,6 +208,32 @@ class TestVerify:
         assert out == "" and "writes JSON only" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "theorem,stray",
+        [
+            ("1", ["--x", "5"]),
+            ("1", ["--n-max", "5"]),
+            ("1", ["--cap-mitm", "30"]),
+            ("3", ["--n", "4"]),
+            ("3", ["--d", "2"]),
+            ("3", ["--with-extremal"]),
+            ("3", ["--cap-full", "30"]),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else f"theorem{v}",
+    )
+    def test_rejects_the_other_modes_flags(self, capsys, theorem, stray):
+        # --theorem 1 --x 5 once exited 0 with --x unused
+        argv = {
+            "1": ["--n", "3", "--count", "2"],
+            "3": ["--x", "1", "--n-max", "3", "--count", "2"],
+        }[theorem]
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", theorem, *argv, *stray
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {stray[0]} is not read by theorem {theorem}" in err
+
     def test_json_report_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -402,19 +428,26 @@ class TestExtremal:
         assert "nothing attains it" in err
 
 
-# A minimal valid command line per subcommand, and the shared flags it reads
-# besides --out; every other shared flag is a usage error there
+# A minimal valid command line per subcommand (per verify mode), and the
+# shared flags it reads besides --out; every other shared flag is a usage
+# error there
 SHARED_FLAG_USE = {
-    "bound": (["--n", "4", "--x", "1"], ()),
-    "dist": (["--weights", "1,1"], ("--format", "--cap-full")),
-    "atom": (["--weights", "1,1", "--x", "0"], ("--cap-mitm",)),
+    "bound": (["bound", "--n", "4", "--x", "1"], ()),
+    "dist": (["dist", "--weights", "1,1"], ("--format", "--cap-full")),
+    "atom": (["atom", "--weights", "1,1", "--x", "0"], ("--cap-mitm",)),
     "verify": (
-        ["--theorem", "1", "--n", "3", "--count", "1"],
-        ("--seed", "--format", "--cap-full", "--cap-mitm"),
+        ["verify", "--theorem", "1", "--n", "3", "--count", "1"],
+        ("--seed", "--format", "--cap-full"),
     ),
-    "search": (["--conjecture", "2", "--n", "2", "--budget", "4"], ("--seed",)),
-    "antichain": (["--weights", "1,1", "--x", "0"], ("--cap-full", "--cap-mitm")),
-    "extremal": (["--n", "4", "--x", "1"], ()),
+    "verify_theorem3": (
+        ["verify", "--theorem", "3", "--x", "1", "--n-max", "2", "--count", "1"],
+        ("--seed", "--format", "--cap-mitm"),
+    ),
+    "search": (
+        ["search", "--conjecture", "2", "--n", "2", "--budget", "4"], ("--seed",)
+    ),
+    "antichain": (["antichain", "--weights", "1,1", "--x", "0"], ("--cap-full",)),
+    "extremal": (["extremal", "--n", "4", "--x", "1"], ()),
 }
 SHARED_FLAG_VALUES = {
     "--seed": "1", "--format": "json", "--cap-full": "30", "--cap-mitm": "30"
@@ -436,15 +469,17 @@ class TestSharedFlags:
         argv, used = SHARED_FLAG_USE[command]
         out_path = tmp_path / "out"
         code, _, err = run_cli(
-            capsys, command, *argv, flag, SHARED_FLAG_VALUES[flag],
-            "--out", str(out_path),
+            capsys, *argv, flag, SHARED_FLAG_VALUES[flag], "--out", str(out_path),
         )
         if flag in used:
             assert code == 0
             assert out_path.exists()
         else:
             assert code == 2
-            assert f"unrecognized arguments: {flag}" in err
+            assert (
+                f"unrecognized arguments: {flag}" in err
+                or f"error: {flag} is not read by theorem" in err
+            )
 
 
 PLANE_WEIGHTS = [
@@ -458,8 +493,10 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 
 # sha256 of stdout followed by the --out file; the dist and verify cases
 # were recorded before laws kept their integer form, the search, atom and
-# antichain cases before every law went through one lattice-sum kernel.
-# Any change to law, campaign, search or family bytes shows here
+# antichain cases before every law went through one lattice-sum kernel, and
+# the search_c2_box_certifies and search_c2_wl2 cases before certify took
+# its bound from SearchProblem. Any change to law, campaign, search,
+# certificate or family bytes shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
         ["dist", "--weights", MIXED],
@@ -521,6 +558,16 @@ GOLDEN_OUTPUTS = {
          "--budget", "60", "--seed", "5", "--chains", "2"],
         "3106504c5613329d386544fa30ca614155cef9099d345ea19dd3d73692098210",
     ),
+    "search_c2_box_certifies": (
+        ["search", "--conjecture", "2", "--n", "6", "--d", "2", "--budget", "100",
+         "--seed", "3", "--constraint-norm", "linf"],
+        "67dcbf30094c53451507092d995397869244a0a0dfffe075244670f3af3551b2",
+    ),
+    "search_c2_wl2": (
+        ["search", "--conjecture", "2", "--norm", "wl2", "--norm-diag", "1/2,2",
+         "--n", "5", "--d", "2", "--budget", "200", "--seed", "6"],
+        "5823dfe6f384244e6a80e1f23506beb8ff77fe8e07477a532cee3b28e8da8f5e",
+    ),
     "atom_scalar": (
         ["atom", "--weights", "1/2,1/3,1/6,1/4,3/4,1/3,2/3,1/2,1/4,1/6,5/12",
          "--x", "1"],
@@ -536,6 +583,9 @@ GOLDEN_OUTPUTS = {
     ),
 }
 
+# a certified violation exits 1; every other case exits 0
+GOLDEN_EXIT_CODES = {"search_c2_box_certifies": 1}
+
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
@@ -546,7 +596,7 @@ class TestGoldenBytes:
         out_path = tmp_path / "out"
         argv = [arg.format(weights=weights) for arg in argv]
         code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
-        assert code == 0
+        assert code == GOLDEN_EXIT_CODES.get(name, 0)
         data = out.encode() + out_path.read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 

@@ -31,8 +31,8 @@ from lolab import (
     MarginRow,
     margin_rows,
     norm_sq,
-    violation_margin,
 )
+from lolab.engine import _denominator_lcm, _scaled
 from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
@@ -63,6 +63,18 @@ def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
     return spec._form(w) == c * c * spec._form(v)
 
 
+def ceil_norm(spec: NormSpec, v) -> int:
+    """Smallest integer >= the norm of v, through the integer ceiling."""
+    scale = _denominator_lcm([v])
+    return spec.ceil_scaled(_scaled([v], scale)[0], scale)
+
+
+def witness(problem: SearchProblem, cfg: WeightConfig):
+    """The exact rescore's witness atom and margin."""
+    cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+    return cand.x, cand.margin
+
+
 def l2_problem(**kwargs) -> SearchProblem:
     base = dict(conjecture=2, n=4, d=1, budget=0, seed=0)
     base.update(kwargs)
@@ -77,15 +89,15 @@ class TestNormSpec:
 
     def test_ceil_values(self):
         v = (F(1), F(1))
-        assert NormSpec("L1").ceil_value(v) == 2
-        assert NormSpec("L2").ceil_value(v) == 2
-        assert NormSpec("Linf").ceil_value(v) == 1
-        assert NormSpec("WeightedDiagonalL2", diag=(F(4), F(4))).ceil_value(v) == 3
+        assert ceil_norm(NormSpec("L1"), v) == 2
+        assert ceil_norm(NormSpec("L2"), v) == 2
+        assert ceil_norm(NormSpec("Linf"), v) == 1
+        assert ceil_norm(NormSpec("WeightedDiagonalL2", diag=(F(4), F(4))), v) == 3
 
     def test_exact_boundary(self):
         # Squared comparisons must not round 3/5,4/5 away from norm 1.
         v = (F(3, 5), F(4, 5))
-        assert NormSpec("L2").ceil_value(v) == 1
+        assert ceil_norm(NormSpec("L2"), v) == 1
         assert NormSpec("L2").leq_one(v)
         assert not NormSpec("L2").leq_one((F(3, 5), F(4, 5), F(1, 1000)))
 
@@ -182,7 +194,7 @@ class TestSearchProblem:
 class TestMargins:
     def test_unit_triple_touches_the_bound(self):
         cfg = WeightConfig.from_scalars(["1", "1", "1"])
-        x, margin = violation_margin(l2_problem(n=3), cfg)
+        x, margin = witness(l2_problem(n=3), cfg)
         assert (x, margin) == ((F(1),), F(0))
 
     def test_box_norm_diagonal(self):
@@ -190,7 +202,7 @@ class TestMargins:
             n=1, d=2, norm=NormSpec("Linf"), constraint_norm=NormSpec("Linf")
         )
         cfg = WeightConfig(dim=2, weights=((F(1), F(1)),), l2_unit_ball=False)
-        x, margin = violation_margin(problem, cfg)
+        x, margin = witness(problem, cfg)
         assert x == (F(1), F(1))
         assert margin == 0
 
@@ -199,7 +211,7 @@ class TestMargins:
         cfg = WeightConfig.from_scalars(["1/2"])
         rows = margin_rows(problem, cfg)
         assert rows and all(row.rhs_zero for row in rows)
-        assert violation_margin(problem, cfg) == (None, None)
+        assert witness(problem, cfg) == (None, None)
 
     def test_rows_never_exceed_bound_in_clean_cell(self):
         problem = l2_problem(n=5)
@@ -239,40 +251,40 @@ def search_cells(draw):
     return problem, cfg
 
 
+def brute_law(problem, weights) -> dict:
+    """The cell's law of weights, by brute-force enumeration."""
+    if problem.conjecture == 2:
+        return brute_sign_distribution(weights)
+    return brute_ap_distribution(weights, problem.m)
+
+
+def oracle_bound(problem, n, x) -> Fraction:
+    """The conjectured bound at x, from exact Fraction norms and a brute unit law."""
+    if problem.conjecture == 2:
+        spec = problem.target_norm()
+        if spec.kind == "L1":
+            k = math.ceil(sum(abs(c) for c in x))
+        elif spec.kind == "Linf":
+            k = math.ceil(max(abs(c) for c in x))
+        else:
+            q = sum(c * v * v for c, v in zip(spec.diag or (1,) * len(x), x))
+            k = 0
+            while k * k < q:
+                k += 1
+        target = k + (n + k) % 2
+    else:
+        k = 0
+        while (k + 1) ** 2 <= norm_sq(x):
+            k += 1
+        target = k if problem.m % 2 else k + (n + k) % 2
+    return F(brute_law(problem, [(1,)] * n).get((target,), 0))
+
+
 def oracle_rows(problem, cfg) -> list[MarginRow]:
     """Margin rows from brute-force laws and exact Fraction norms."""
-    n = cfg.n
-    unit_weights = [(1,)] * n
-    if problem.conjecture == 2:
-        law = brute_sign_distribution(cfg.weights)
-        unit = brute_sign_distribution(unit_weights)
-        spec = problem.target_norm()
-    else:
-        law = brute_ap_distribution(cfg.weights, problem.m)
-        unit = brute_ap_distribution(unit_weights, problem.m)
-
-    def bound(x):
-        if problem.conjecture == 2:
-            if spec.kind == "L1":
-                k = math.ceil(sum(abs(c) for c in x))
-            elif spec.kind == "Linf":
-                k = math.ceil(max(abs(c) for c in x))
-            else:
-                q = sum(c * v * v for c, v in zip(spec.diag or (1,) * len(x), x))
-                k = 0
-                while k * k < q:
-                    k += 1
-            target = k + (n + k) % 2
-        else:
-            k = 0
-            while (k + 1) ** 2 <= norm_sq(x):
-                k += 1
-            target = k if problem.m % 2 else k + (n + k) % 2
-        return F(unit.get((target,), 0))
-
     return [
-        MarginRow(x=x, lhs=p, rhs=bound(x))
-        for x, p in sorted(law.items())
+        MarginRow(x=x, lhs=p, rhs=oracle_bound(problem, cfg.n, x))
+        for x, p in sorted(brute_law(problem, cfg.weights).items())
         if any(x)
     ]
 
@@ -307,6 +319,29 @@ class TestTwoPointReduction:
 
 
 class TestCertify:
+    @given(search_cells())
+    def test_pinned_to_brute_force_oracles(self, cell):
+        # every non-zero atom, one point off the law's lattice and, where the
+        # conjecture states a bound there, the origin
+        problem, cfg = cell
+        law = brute_law(problem, cfg.weights)
+        points = [x for x in sorted(law) if any(x)]
+        scale = _denominator_lcm(cfg.weights)
+        far = max(points, key=norm_sq)
+        points.append((far[0] + F(1, 2 * scale),) + far[1:])
+        if problem.conjecture == 2:
+            points.append((F(0),) * cfg.dim)
+        for x in points:
+            outcome = certify(problem, cfg, x)
+            lhs, rhs = law.get(x, F(0)), oracle_bound(problem, cfg.n, x)
+            assert (outcome.x, outcome.lhs, outcome.rhs) == (x, lhs, rhs)
+            assert outcome.margin == lhs - rhs
+            if rhs != 0 and lhs > rhs:
+                assert isinstance(outcome, CounterexampleCertificate)
+            else:
+                assert isinstance(outcome, Refutation)
+                assert outcome.rhs_zero == (rhs == 0)
+
     def test_mixed_norm_certificate(self):
         problem = l2_problem(n=3, d=2, constraint_norm=NormSpec("Linf"))
         cfg = WeightConfig(
