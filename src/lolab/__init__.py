@@ -49,7 +49,6 @@ from .engine import (
 from .oracle import (
     CAMPAIGN_CHECKS,
     CampaignReport,
-    CheckRow,
     ConfigGenerator,
     EqualityRecord,
     ViolationRecord,

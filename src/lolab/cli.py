@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .antichain import (
     build_family,
@@ -82,13 +82,19 @@ NORM_FLAGS = {
 }
 
 
-def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The --out file, or stdout when --out is not given."""
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        with open(args.out, "w", newline="") as handle:
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, payload) -> None:
+    with _output(args) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_weights(args) -> list[Vec]:
@@ -156,20 +162,13 @@ def cmd_dist(args) -> int:
         dist = ap_uniform_sum_distribution(APUniformSpec(args.ap_m), cfg)
     else:
         dist = full_distribution(cfg, cap=args.cap_full)
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow([f"x{i + 1}" for i in range(dist.dim)] + ["probability"])
-        for x, p in dist.formatted_atoms():
-            writer.writerow(x + [p])
-        text = buffer.getvalue()
-        if args.out:
-            with open(args.out, "w", newline="") as handle:
-                handle.write(text)
+    with _output(args) as handle:
+        if args.format == "csv":
+            writer = csv.writer(handle)
+            writer.writerow([f"x{i + 1}" for i in range(dist.dim)] + ["probability"])
+            writer.writerows(x + [p] for x, p in dist.formatted_atoms())
         else:
-            sys.stdout.write(text)
-    else:
-        _emit(args, dist.to_json())
+            dist.to_json(handle)
     return 0
 
 
@@ -266,8 +265,7 @@ def cmd_verify(args) -> int:
         count = len(campaign.violations)
     print(summary)
     if args.out and args.format != "csv":
-        with open(args.out, "w") as handle:
-            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(args, report)
     return 1 if count else 0
 
 
@@ -299,8 +297,7 @@ def cmd_search(args) -> int:
     )
     print(result.summary())
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(result.to_json_str() + "\n")
+        _emit(args, result.to_json())
     return 1 if result.certificates else 0
 
 

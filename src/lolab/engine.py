@@ -11,7 +11,9 @@ Weights are scaled by their least common denominator so convolution runs
 on integer tuples, and a law keeps that integer form: a count per lattice
 point over one denominator (m^n, so 2^n for signs). Laws sort and compare
 on those integers; `Fraction`s (and their "p/q" strings) are made only where
-a law is read, so there is no rounding at any step.
+a law is read, so there is no rounding at any step. Every law is symmetric
+about the origin, so a law is written out (`to_json`, CSV rows) from its
+sorted upper half, one atom at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
 
@@ -133,7 +135,8 @@ class AtomDistribution:
 
     `counts` maps each integer point pt to a positive count; the atom
     pt / scale has probability counts[pt] / denom. Since scale is one
-    positive integer, integer points order as their atoms do.
+    positive integer, integer points order as their atoms do. Each summand's
+    support is symmetric, so counts[pt] == counts[-pt].
     """
 
     counts: dict[tuple[int, ...], int]
@@ -152,8 +155,11 @@ class AtomDistribution:
 
     def _lattice_point(self, x) -> Optional[tuple[int, ...]]:
         """x * scale, or None when x is off the lattice."""
+        x = make_vec(x)
+        if len(x) != self.dim:
+            raise ValueError(f"target has length {len(x)}, expected dim {self.dim}")
         pt = []
-        for c in make_vec(x):
+        for c in x:
             a, rem = divmod(c.numerator * self.scale, c.denominator)
             if rem:
                 return None
@@ -171,15 +177,35 @@ class AtomDistribution:
         ]
 
     def formatted_atoms(self) -> Iterator[tuple[list[str], str]]:
-        """("p/q" coordinates, "p/q" probability) of every atom, in atom order."""
-        scale, denom = self.scale, self.denom
-        for pt, count in sorted(self.counts.items()):
-            yield [ratio_str(a, scale) for a in pt], ratio_str(count, denom)
+        """("p/q" coordinates, "p/q" probability) of every atom, in atom order.
+
+        Every law here is symmetric about the origin, and negation reverses
+        lexicographic order. So only the atoms above the origin are sorted
+        and formatted; the atoms below are those in reverse, with each
+        coordinate string negated.
+        """
+        scale, denom, counts = self.scale, self.denom, self.counts
+        origin = (0,) * self.dim
+        # one "p/q" string per distinct count, shared by the atoms that have it
+        probs = {count: ratio_str(count, denom) for count in set(counts.values())}
+        upper = [
+            ([ratio_str(a, scale) for a in pt], probs[counts[pt]])
+            for pt in sorted(pt for pt in counts if pt > origin)
+        ]
+        for x, p in reversed(upper):
+            yield [_negated(c) for c in x], p
+        if origin in counts:
+            yield ["0/1"] * self.dim, probs[counts[origin]]
+        yield from upper
+
+    def max_count(self) -> tuple[tuple[int, ...], int]:
+        """The most likely point and its count; ties go to the least point."""
+        best = max(self.counts.values())
+        return min(pt for pt, count in self.counts.items() if count == best), best
 
     def max_probability(self) -> tuple[Vec, Fraction]:
         """The most likely atom; ties go to the lexicographically least."""
-        best = max(self.counts.values())
-        pt = min(pt for pt, count in self.counts.items() if count == best)
+        pt, best = self.max_count()
         return self._atom(pt), Fraction(best, self.denom)
 
     def check(self) -> None:
@@ -193,14 +219,29 @@ class AtomDistribution:
             if self.counts.get(tuple(-a for a in pt)) != count:
                 raise AssertionError(f"law not symmetric at {self._atom(pt)}")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "atoms": [
-                {"x": x, "probability": p} for x, p in self.formatted_atoms()
-            ],
-        }
+    def to_json(self, handle: TextIO) -> None:
+        """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
+
+        Atoms are written one at a time as they are formatted; their "p/q"
+        strings need no JSON escaping.
+        """
+        handle.write('{\n  "atoms": [')
+        sep = "\n"
+        for x, p in self.formatted_atoms():
+            handle.write(
+                f'{sep}    {{\n      "probability": "{p}",\n      "x": [\n        "'
+                + '",\n        "'.join(x)
+                + '"\n      ]\n    }'
+            )
+            sep = ",\n"
+        handle.write(f'\n  ],\n  "dim": {self.dim},\n  "n": {self.n}\n}}\n')
+
+
+def _negated(coord: str) -> str:
+    """The "p/q" string of minus a "p/q" coordinate; "0/1" stays "0/1"."""
+    if coord[0] == "-":
+        return coord[1:]
+    return coord if coord == "0/1" else "-" + coord
 
 
 class _AtomView(Mapping):
@@ -217,6 +258,8 @@ class _AtomView(Mapping):
 
     def __getitem__(self, x) -> Fraction:
         law = self._law
+        if len(x) != law.dim:  # absent, where probability() would refuse it
+            raise KeyError(x)
         pt = law._lattice_point(x)
         if pt is None or pt not in law.counts:
             raise KeyError(x)

@@ -5,6 +5,11 @@ and compares every relevant atom against the applicable closed-form bound.
 Reports capture violations (there should never be any), exact-equality rows
 (extremal witnesses worth keeping as regression fixtures), and counters,
 and serialize deterministically: same generator in, same bytes out.
+
+Campaigns run config by config. Each row compares a law count with the
+bound count over the law's one denominator, both integers; CSV cells are
+formatted from those integers, and `Fraction`s are made only for the
+equality and violation records.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
     TheoremTag,
@@ -27,6 +33,7 @@ from .bounds import (
 from .engine import (
     ATOM_QUERY_CAP,
     FULL_LAW_CAP,
+    AtomDistribution,
     CapExceeded,
     WeightConfig,
     atom_probability,
@@ -39,6 +46,7 @@ from .rational import (
     make_vec,
     norm_sq,
     rat_str,
+    ratio_str,
     vec_strs,
 )
 
@@ -124,26 +132,6 @@ class ConfigGenerator:
 
 
 @dataclass(frozen=True)
-class CheckRow:
-    """One exact comparison: P(sum = x) against the applicable bound."""
-
-    config_index: int
-    theorem: TheoremTag
-    x: Vec
-    k: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def equality(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def violation(self) -> bool:
-        return self.lhs > self.rhs
-
-
-@dataclass(frozen=True)
 class ViolationRecord:
     """A bound exceeded, with everything needed to reproduce the check."""
 
@@ -186,51 +174,45 @@ def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
         raise ValueError(f"{what} requires non-zero weights")
 
 
-def _config_rows(
-    cfg: WeightConfig, config_index: int, checks: Sequence[TheoremTag], cap: int
-) -> list[CheckRow]:
-    law = full_distribution(cfg, cap=cap)
-    rows: list[CheckRow] = []
+# A campaign row (check, pt, k, count, bound): the atom pt / law.scale has
+# probability count / law.denom and its bound is bound / law.denom
+Row = tuple[TheoremTag, tuple[int, ...], int, int, int]
+
+
+def _bound_count(bound: Fraction, denom: int) -> int:
+    """bound * denom, whole for every bound over 2^n and a sign law's 2^n."""
+    count = bound * denom
+    if count.denominator != 1:
+        raise AssertionError(f"bound {bound} is not a multiple of 1/{denom}")
+    return count.numerator
+
+
+def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterator[Row]:
+    """The campaign rows of one config's sign law, all in integers over law.denom."""
+    n, denom = law.n, law.denom
     for check in checks:
         if check is TheoremTag.NON_UNIFORM:
             # on the lattice, |x| = |pt| / scale, so k = ceil(sqrt(|pt|^2 / scale^2))
-            scale, denom = law.scale, law.denom
-            scale_sq = scale * scale
+            scale_sq = law.scale * law.scale
+            bound_by_k: dict[int, int] = {}
             for pt, count in sorted(law.counts.items()):
-                norm_sq_scaled = sum(a * a for a in pt)
+                norm_sq_scaled = sum(map(mul, pt, pt))
                 if norm_sq_scaled == 0:
                     continue
                 k = ceil_sqrt_ratio(norm_sq_scaled, scale_sq)
-                rows.append(
-                    CheckRow(
-                        config_index,
-                        check,
-                        tuple(Fraction(a, scale) for a in pt),
-                        k,
-                        Fraction(count, denom),
-                        Fraction(nonuniform_count(cfg.n, k), denom),
-                    )
-                )
+                bound = bound_by_k.get(k)
+                if bound is None:
+                    bound = bound_by_k[k] = nonuniform_count(n, k)
+                yield check, pt, k, count, bound
         elif check is TheoremTag.ERDOS_KLEITMAN:
-            x, p = law.max_probability()
-            rows.append(
-                CheckRow(config_index, check, x, 0, p, erdos_kleitman_bound(cfg.n))
-            )
+            pt, count = law.max_count()
+            yield check, pt, 0, count, _bound_count(erdos_kleitman_bound(n), denom)
         elif check is TheoremTag.ZERO_ODD:
-            origin = (Fraction(0),) * cfg.dim
-            rows.append(
-                CheckRow(
-                    config_index,
-                    check,
-                    origin,
-                    0,
-                    law.probability(origin),
-                    zero_odd_bound(cfg.n),
-                )
-            )
+            origin = (0,) * law.dim
+            count = law.counts.get(origin, 0)
+            yield check, origin, 0, count, _bound_count(zero_odd_bound(n), denom)
         else:
             raise ValueError(f"{check.value} is not a per-config campaign check")
-    return rows
 
 
 def verify_zero_weights_sup(
@@ -335,12 +317,10 @@ def run_campaign(
     configs = list(extra_configs) + gen.configs()
     for cfg in configs:
         _require_nonzero_weights(cfg, "a campaign")
+        if cfg.n > cap:  # fire before any law is built or the CSV file opened
+            raise CapExceeded("full-law summand", cap, cfg.n)
         if TheoremTag.ZERO_ODD in checks and cfg.n % 2 == 0:
             raise ValueError("odd-summand check needs odd n in every config")
-    all_rows = [
-        _config_rows(cfg, index, checks, cap) for index, cfg in enumerate(configs)
-    ]
-
     atoms = 0
     equalities: list[EqualityRecord] = []
     violations: list[ViolationRecord] = []
@@ -351,28 +331,27 @@ def run_campaign(
         writer = csv.writer(handle)
         writer.writerow(["n", "d", "k", "lhs", "rhs", "equality"])
     try:
-        for (index, cfg), rows in zip(enumerate(configs), all_rows):
-            for row in rows:
+        for index, cfg in enumerate(configs):
+            law = full_distribution(cfg, cap=cap)
+            n, dim, scale, denom = law.n, law.dim, law.scale, law.denom
+            cells: dict[int, str] = {}  # count -> its "p/q" over denom
+            for check, pt, k, count, bound in _config_rows(law, checks):
                 atoms += 1
                 if writer is not None:
-                    writer.writerow(
-                        [
-                            cfg.n,
-                            cfg.dim,
-                            row.k,
-                            rat_str(row.lhs),
-                            rat_str(row.rhs),
-                            str(row.equality).lower(),
-                        ]
-                    )
-                if row.equality:
-                    equalities.append(
-                        EqualityRecord(index, row.theorem, row.x, row.lhs)
-                    )
-                elif row.violation:
-                    violations.append(
-                        ViolationRecord(cfg, row.x, row.lhs, row.rhs, row.theorem)
-                    )
+                    for c in (count, bound):
+                        if c not in cells:
+                            cells[c] = ratio_str(c, denom)
+                    equality = "true" if count == bound else "false"
+                    writer.writerow((n, dim, k, cells[count], cells[bound], equality))
+                if count < bound:
+                    continue
+                x = tuple(Fraction(a, scale) for a in pt)
+                lhs = Fraction(count, denom)
+                if count == bound:
+                    equalities.append(EqualityRecord(index, check, x, lhs))
+                else:
+                    rhs = Fraction(bound, denom)
+                    violations.append(ViolationRecord(cfg, x, lhs, rhs, check))
     finally:
         if handle is not None:
             handle.close()

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lolab
 from lolab.cli import main
 
 
@@ -95,6 +98,17 @@ class TestDist:
         lines = out.strip().splitlines()
         assert lines[0] == "x1,probability"
         assert "0/1,1/2" in lines
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_stdout_bytes_equal_out_file_bytes(self, capsys, tmp_path, fmt):
+        weights = tmp_path / "axes.json"
+        weights.write_text(json.dumps(AXES_WEIGHTS))
+        argv = ["dist", "--weights-file", str(weights), "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / "law"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
     def test_progression_law(self, capsys):
         code, out, _ = run_cli(
@@ -485,6 +499,11 @@ class TestSharedFlags:
 PLANE_WEIGHTS = [
     ["1/2", "-1/3"], ["2/5", "1/4"], ["-3/7", "1/6"], ["1/3", "1/3"], ["0", "1/2"]
 ]
+# a planar sign law with atoms on both axes and at the origin, where a
+# mirrored "0/1" coordinate must stay unsigned
+AXES_WEIGHTS = [
+    [1, 0], [0, 1], ["1/2", "1/2"], ["-1/3", "0"], ["1/2", "1/2"], ["1/3", "0"]
+]
 MIXED = "1/2,-1/3,2/5,3/7,1/6,-5/9,1/4"
 SMALL_GRID = [
     "--n", "5", "--d", "2", "--count", "6", "--seed", "3", "--denominator", "2"
@@ -495,8 +514,9 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 # were recorded before laws kept their integer form, the search, atom and
 # antichain cases before every law went through one lattice-sum kernel, and
 # the search_c2_box_certifies and search_c2_wl2 cases before certify took
-# its bound from SearchProblem. Any change to law, campaign, search,
-# certificate or family bytes shows here
+# its bound from SearchProblem, and the dist_axes and dist_ap3_origin cases
+# before dist wrote a half-sorted law as a stream. Any change to law,
+# campaign, search, certificate or family bytes shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
         ["dist", "--weights", MIXED],
@@ -513,6 +533,22 @@ GOLDEN_OUTPUTS = {
     "dist_plane_json": (
         ["dist", "--weights-file", "{weights}"],
         "7c1ec7bbfc5222fc3ec1a2bb79f8d7d3b19f49174d79913601258d760998e39c",
+    ),
+    "dist_axes_json": (
+        ["dist", "--weights-file", "{axes}"],
+        "5ffccb13301de57219bb76b5d70d9590ad804450c6e12b04e6cfed95dd660412",
+    ),
+    "dist_axes_csv": (
+        ["dist", "--weights-file", "{axes}", "--format", "csv"],
+        "03369ddeee915d06e4eb9ae9fb5029a2d67ea343c5824e13fce777183e5e5179",
+    ),
+    "dist_ap3_origin_json": (
+        ["dist", "--weights", "1,1/2,1/2", "--ap-m", "3"],
+        "6174509d768fb584cf1d1924f5203e6a2496fd2cfe620853d14fc085787f2a06",
+    ),
+    "dist_ap3_origin_csv": (
+        ["dist", "--weights", "1,1/2,1/2", "--ap-m", "3", "--format", "csv"],
+        "e9b68e51ad2f532811ca8e6bcdd16da3e82f4ed0e28cedc038626da1aec9c24e",
     ),
     "verify_theorem1_json": (
         ["verify", "--theorem", "1", *SMALL_GRID, "--with-extremal"],
@@ -593,26 +629,35 @@ class TestGoldenBytes:
         argv, digest = GOLDEN_OUTPUTS[name]
         weights = tmp_path / "weights.json"
         weights.write_text(json.dumps(PLANE_WEIGHTS))
+        axes = tmp_path / "axes.json"
+        axes.write_text(json.dumps(AXES_WEIGHTS))
         out_path = tmp_path / "out"
-        argv = [arg.format(weights=weights) for arg in argv]
+        argv = [arg.format(weights=weights, axes=axes) for arg in argv]
         code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == GOLDEN_EXIT_CODES.get(name, 0)
         data = out.encode() + out_path.read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+def run_module(*argv):
+    """`python -m lolab.cli argv` on the lolab these tests import."""
+    src = str(Path(lolab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "lolab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lolab.cli", "bound", "--n", "4", "--x", "1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("bound", "--n", "4", "--x", "1")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["bound"] == "1/4"
 
     def test_no_command_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lolab.cli"], capture_output=True, text=True
-        )
+        proc = run_module()
         assert proc.returncode == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 
@@ -28,8 +29,10 @@ from lolab import (
     full_distribution,
     rademacher_atom,
     rat,
+    rat_str,
 )
 from lolab.engine import _lattice_sums
+from lolab.rational import vec_strs
 
 
 class TestWeightConfig:
@@ -277,6 +280,14 @@ class TestAtomDistribution:
             off = (x[0] + Fraction(1, p * law.scale),) + x[1:]
             assert law.probability(off) == 0 and off not in law.atoms
 
+    def test_probability_rejects_a_target_of_the_wrong_dimension(self):
+        law = full_distribution(WeightConfig(dim=2, weights=((1, 0), (0, 1))))
+        assert law.probability((1, 1)) == Fraction(1, 4)
+        for x in ((2,), (1, 1, 0)):
+            with pytest.raises(ValueError, match="expected dim 2"):
+                law.probability(x)
+            assert x not in law.atoms
+
     @given(
         weight_configs(max_n=5, max_denominator=3),
         st.integers(min_value=2, max_value=4),
@@ -305,12 +316,40 @@ class TestAtomDistribution:
 
     def test_json_shape(self):
         dist = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
-        blob = json.loads(json.dumps(dist.to_json()))
+        buffer = io.StringIO()
+        dist.to_json(buffer)
+        blob = json.loads(buffer.getvalue())
         assert blob["n"] == 2 and blob["dim"] == 1
         assert blob["atoms"][0] == {"x": ["-3/2"], "probability": "1/4"}
         assert [a["x"] for a in blob["atoms"]] == [
             ["-3/2"], ["-1/2"], ["1/2"], ["3/2"]
         ]
+
+    @given(
+        weight_configs(max_n=5, dims=(1, 2), max_denominator=3),
+        st.sampled_from((2, 3, 4)),
+    )
+    def test_streamed_json_is_the_json_module_layout(self, cfg, m):
+        # the half-sorted, mirrored atoms must come out in full atom order
+        # with canonical strings, "0/1" on an axis included
+        if m == 2:
+            law, brute = full_distribution(cfg), brute_sign_distribution(cfg.weights)
+        else:
+            law = ap_uniform_sum_distribution(APUniformSpec(m=m), cfg)
+            brute = brute_ap_distribution(cfg.weights, m)
+        buffer = io.StringIO()
+        law.to_json(buffer)
+        text = buffer.getvalue()
+        blob = json.loads(text)
+        assert text == json.dumps(blob, indent=2, sort_keys=True) + "\n"
+        assert blob == {
+            "n": cfg.n,
+            "dim": cfg.dim,
+            "atoms": [
+                {"x": vec_strs(x), "probability": rat_str(p)}
+                for x, p in sorted(brute.items())
+            ],
+        }
 
     def test_rat_parsing(self):
         assert rat("3/6") == Fraction(1, 2)

@@ -13,20 +13,22 @@ import hypothesis.strategies as st
 from conftest import brute_sign_distribution, weight_configs
 from lolab import (
     CAMPAIGN_CHECKS,
-    FULL_LAW_CAP,
     ConfigGenerator,
     TheoremTag,
     WeightConfig,
     derived_seed,
     erdos_kleitman_bound,
     extremal_config,
+    full_distribution,
     nonuniform_bound,
     norm_sq,
     run_campaign,
     verify_zero_weights_sup,
     zero_odd_bound,
 )
-from lolab.oracle import _config_rows
+from lolab import oracle
+from lolab.cli import main
+from lolab.oracle import ViolationRecord, _config_rows
 
 F = Fraction
 # atoms at whole multiples of (3/5, 4/5), and (-4/5, 3/5) alone, have
@@ -136,8 +138,12 @@ def brute_rows(cfg, check):
 
 
 def campaign_rows(cfg, check):
-    rows = _config_rows(cfg, 0, (check,), FULL_LAW_CAP)
-    return [(row.x, row.k, row.lhs, row.rhs) for row in rows]
+    """(x, k, lhs, rhs) of a check, from the campaign's integer rows."""
+    law = full_distribution(cfg)
+    return [
+        (tuple(F(a, law.scale) for a in pt), k, F(count, law.denom), F(bound, law.denom))
+        for _, pt, k, count, bound in _config_rows(law, (check,))
+    ]
 
 
 class TestConfigRows:
@@ -244,3 +250,66 @@ class TestRunCampaign:
         assert blob["checks"] == ["ErdosKleitman"]
         assert blob["violations"] == []
         assert blob["configs_checked"] == 4
+
+
+class TestCampaignViolation:
+    """The violation branch, driven by a lowered Erdos-Kleitman bound."""
+
+    @pytest.fixture(autouse=True)
+    def bound_of_one_draw(self, monkeypatch):
+        # 1/2^n is attained by every law whose 2^n atoms are distinct, so
+        # only a law with a repeated atom exceeds it, at its most likely atom
+        monkeypatch.setattr(oracle, "erdos_kleitman_bound", lambda n: F(1, 2 ** n))
+
+    def test_exact_record_report_and_csv(self, tmp_path):
+        repeated = WeightConfig.from_scalars(["1", "1", "1/2"])
+        distinct = WeightConfig.from_scalars(["1", "1/2", "1/4"])
+        gen = ConfigGenerator(n=3, d=1, seed=0, count=0)
+        path = tmp_path / "rows.csv"
+        report = run_campaign(
+            gen,
+            [TheoremTag.ERDOS_KLEITMAN],
+            extra_configs=[repeated, distinct],
+            csv_path=str(path),
+        )
+        # +-1/2 are each hit twice out of 8 draws; the least of them is reported
+        expected = ViolationRecord(
+            repeated, (F(-1, 2),), F(1, 4), F(1, 8), TheoremTag.ERDOS_KLEITMAN
+        )
+        assert report.violations == (expected,)
+        assert [(e.config_index, e.x, e.value) for e in report.equalities] == [
+            (1, (F(-7, 4),), F(1, 8))
+        ]
+        assert json.loads(report.to_json_str())["violations"] == [
+            {
+                "config": repeated.to_json(),
+                "x": ["-1/2"],
+                "lhs": "1/4",
+                "rhs": "1/8",
+                "theorem": "ErdosKleitman",
+            }
+        ]
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == [
+            ["3", "1", "0", "1/4", "1/8", "false"],
+            ["3", "1", "0", "1/8", "1/8", "true"],
+        ]
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_verify_exits_one(self, capsys, tmp_path, fmt):
+        # on the grid of denominator 1 every weight is +-1, so each law has
+        # its most likely atom at -1 with mass 3/8
+        out = tmp_path / ("report." + fmt)
+        argv = ["verify", "--theorem", "1", "--n", "3", "--count", "2"]
+        argv += ["--denominator", "1", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 1
+        assert "2 violations" in capsys.readouterr().out
+        if fmt == "json":
+            violations = json.loads(out.read_text())["violations"]
+            assert [(v["x"], v["lhs"], v["rhs"]) for v in violations] == [
+                (["-1/1"], "3/8", "1/8")
+            ] * 2
+        else:
+            rows = list(csv.reader(out.read_text().splitlines()))
+            assert rows[1:] == [["3", "1", "0", "3/8", "1/8", "false"]] * 2

@@ -342,6 +342,12 @@ class TestCertify:
                 assert isinstance(outcome, Refutation)
                 assert outcome.rhs_zero == (rhs == 0)
 
+    def test_rejects_a_target_of_the_wrong_dimension(self):
+        cfg = WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),) * 3)
+        for problem in (l2_problem(n=3, d=2), SearchProblem(conjecture=1, n=3, d=2, budget=0, seed=0, m=3)):
+            with pytest.raises(ValueError, match="expected dim 2"):
+                certify(problem, cfg, (F(2),))
+
     def test_mixed_norm_certificate(self):
         problem = l2_problem(n=3, d=2, constraint_norm=NormSpec("Linf"))
         cfg = WeightConfig(
