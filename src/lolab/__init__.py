@@ -11,12 +11,11 @@ exponential comparison bound.
 
 from .antichain import (
     FAMILY_CAP,
-    MilnerHypothesisError,
     SubsetFamily,
     build_family,
     is_antichain,
     is_k_intersecting,
-    verify_milner,
+    milner_report,
 )
 from .bounds import (
     BoundReport,
@@ -58,13 +57,8 @@ from .oracle import (
 )
 from .rational import (
     Vec,
-    ceil_sqrt,
-    floor_sqrt,
-    l1_norm,
-    linf_norm,
     make_vec,
     norm_sq,
-    parse_point,
     rat,
     rat_str,
 )

@@ -8,7 +8,9 @@ intersections have at least ceil(x) elements, which is what makes the
 counting bound on its size bite.
 
 Members are bitmasks (bit i set means index i+1 is in the set); the JSON
-form spells each member as a sorted 1-based element list.
+form spells each member as a sorted 1-based element list. `milner_report`
+checks a family against the size bound for k-intersecting antichains and
+reports both hypotheses, so the CLI's family report comes from one rule.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ from .engine import FULL_LAW_CAP, CapExceeded
 from .rational import RationalLike, rat
 
 FAMILY_CAP = FULL_LAW_CAP
-
-
-class MilnerHypothesisError(ValueError):
-    """The family fails a hypothesis of the intersecting-antichain bound.
-
-    Distinct from a bound violation: a hypothesis failure means the bound
-    does not apply, not that it is broken.
-    """
 
 
 @dataclass(frozen=True)
@@ -59,18 +53,6 @@ class SubsetFamily:
             "n": self.n,
             "members": [list(self.elements(mask)) for mask in self.members],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SubsetFamily":
-        masks = []
-        for elems in obj["members"]:
-            mask = 0
-            for e in elems:
-                if e < 1 or e > obj["n"]:
-                    raise ValueError(f"element {e} outside ground set")
-                mask |= 1 << (e - 1)
-            masks.append(mask)
-        return cls(n=obj["n"], members=tuple(masks))
 
 
 def build_family(
@@ -143,18 +125,26 @@ def is_k_intersecting(family: SubsetFamily, k: int) -> bool:
     return True
 
 
-def verify_milner(family: SubsetFamily, k: int) -> bool:
-    """Check the k-intersecting antichain size bound on a family.
+def milner_report(family: SubsetFamily, k: int) -> dict:
+    """The family's "is_antichain", "is_k_intersecting" and "milner" report.
 
-    Raises MilnerHypothesisError when the family is not an antichain or
-    not k-intersecting, so a hypothesis failure can never be confused
-    with a violation of the bound itself. Returns whether the size bound
-    holds (it always should; False would be a major find).
+    A failed hypothesis is named and leaves "bound" and "holds" null, so it
+    is never read as a violation of the size bound; with k > n no bound
+    applies and only the empty family qualifies, so it holds. "holds" false
+    would be a major find.
     """
-    if not is_antichain(family):
-        raise MilnerHypothesisError("family is not an antichain")
-    if not is_k_intersecting(family, k):
-        raise MilnerHypothesisError(f"family is not {k}-intersecting")
-    if not family.members:
-        return True
-    return len(family) <= milner_bound(family.n, k)
+    antichain_ok = is_antichain(family)
+    intersecting_ok = is_k_intersecting(family, k)
+    bound = holds = error = None
+    if not antichain_ok:
+        error = "not an antichain"
+    elif not intersecting_ok:
+        error = f"not {k}-intersecting"
+    else:
+        bound = milner_bound(family.n, k) if k <= family.n else None
+        holds = bound is None or len(family) <= bound
+    return {
+        "is_antichain": antichain_ok,
+        "is_k_intersecting": intersecting_ok,
+        "milner": {"bound": bound, "holds": holds, "hypothesis_error": error},
+    }

@@ -23,10 +23,10 @@ from .engine import (
 from .rational import (
     RationalLike,
     ceil_sqrt,
+    floor_sqrt_ratio,
     is_zero,
     make_vec,
     norm_sq,
-    floor_sqrt,
     rat,
     rat_str,
     vec_scale,
@@ -40,8 +40,6 @@ class TheoremTag(str, Enum):
     NON_UNIFORM = "NonUniform"
     ZERO_ODD = "ZeroOdd"
     ZERO_WEIGHTS_SUP = "ZeroWeightsSup"
-    HOEFFDING = "Hoeffding"
-    CONJECTURE1 = "Conjecture1"
 
 
 @dataclass(frozen=True)
@@ -62,16 +60,6 @@ class BoundReport:
             "bound": rat_str(self.bound),
             "theorem": self.theorem.value,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundReport":
-        return cls(
-            n=obj["n"],
-            k=obj["k"],
-            delta=obj["delta"],
-            bound=rat(obj["bound"]),
-            theorem=TheoremTag(obj["theorem"]),
-        )
 
 
 def parity_correction(n: int, k: int) -> int:
@@ -250,7 +238,8 @@ def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     q = rat(squared_norm)
     if q <= 0:
         raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    return Fraction(ap_uniform_count(n, m, floor_sqrt(q)), m ** n)
+    k = floor_sqrt_ratio(q.numerator, q.denominator)
+    return Fraction(ap_uniform_count(n, m, k), m ** n)
 
 
 def milner_bound(n: int, k: int) -> int:

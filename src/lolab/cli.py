@@ -20,17 +20,12 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .antichain import (
-    build_family,
-    is_antichain,
-    is_k_intersecting,
-)
+from .antichain import build_family, milner_report
 from .bounds import (
     TheoremTag,
     bound_dispatch,
     extremal_config,
     hoeffding_bound,
-    milner_bound,
     nonuniform_bound,
     zero_weights_extremal,
     zero_weights_sup,
@@ -281,12 +276,14 @@ def cmd_search(args) -> int:
         constraint_norm=_parse_norm(args.constraint_norm, args.constraint_norm_diag),
     )
     if args.resume:
+        if args.chains is not None or args.anneal_config:
+            raise ValueError("a resumed run keeps its checkpoint's settings")
         settings = None
     elif args.anneal_config:
         settings = AnnealSettings.from_file(args.anneal_config)
     else:
         settings = AnnealSettings()
-    if settings is not None and args.chains is not None:
+    if args.chains is not None:
         settings = replace(settings, chains=args.chains)
     result = anneal(
         problem,
@@ -309,46 +306,35 @@ def cmd_antichain(args) -> int:
     x = rat(args.x)
     family = build_family(weights, x, cap=args.cap_full)
     k = args.k if args.k is not None else max(0, math.ceil(x))
-    antichain_ok = is_antichain(family)
-    intersecting_ok = is_k_intersecting(family, k)
-    milner: dict = {"bound": None, "holds": None, "hypothesis_error": None}
-    holds = None
-    if antichain_ok and intersecting_ok:
-        milner["bound"] = (
-            milner_bound(family.n, k) if k <= family.n else None
-        )
-        holds = milner["bound"] is None or len(family) <= milner["bound"]
-        milner["holds"] = holds
-    else:
-        milner["hypothesis_error"] = (
-            "not an antichain" if not antichain_ok else f"not {k}-intersecting"
-        )
+    report = milner_report(family, k)
     cfg = _config_from_weights(vectors, l2_unit_ball=False)
     probability = atom_probability(cfg, (x,), cap=cfg.n)
     payload = {
         "family": family.to_json(),
         "size": len(family),
         "k": k,
-        "is_antichain": antichain_ok,
-        "is_k_intersecting": intersecting_ok,
-        "milner": milner,
+        **report,
         "atom_probability": rat_str(probability),
         "cardinality_matches": Fraction(len(family), 2 ** family.n) == probability,
     }
     _emit(args, payload)
-    return 1 if holds is False else 0
+    return 1 if report["milner"]["holds"] is False else 0
 
 
 def cmd_extremal(args) -> int:
     x = parse_point(args.x)
     if args.sup:
+        # --n and --d parse to None when absent, like verify's mode flags
+        for flag, value in (("--n", args.n), ("--d", args.d)):
+            if value is not None:
+                raise ValueError(f"{flag} is not read with --sup")
         cfg = zero_weights_extremal(x)
         bound = zero_weights_sup(norm_sq(x))
         tag = TheoremTag.ZERO_WEIGHTS_SUP
     else:
         if args.n is None:
             raise ValueError("--n is required without --sup")
-        cfg = extremal_config(args.n, args.d, x)
+        cfg = extremal_config(args.n, 1 if args.d is None else args.d, x)
         bound = nonuniform_bound(args.n, norm_sq(x)).bound
         tag = TheoremTag.NON_UNIFORM
     probability = atom_probability(cfg, x, cap=max(ATOM_QUERY_CAP, cfg.n))
@@ -503,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("extremal", cmd_extremal, "bound-attaining configuration at a target")
     p.add_argument("--n", type=int, help="summand count")
-    p.add_argument("--d", type=int, default=1, help="weight dimension")
+    p.add_argument("--d", type=int, help="weight dimension (default 1)")
     p.add_argument("--x", required=True, help="non-zero target point")
     p.add_argument(
         "--sup",

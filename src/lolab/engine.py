@@ -203,22 +203,6 @@ class AtomDistribution:
         best = max(self.counts.values())
         return min(pt for pt, count in self.counts.items() if count == best), best
 
-    def max_probability(self) -> tuple[Vec, Fraction]:
-        """The most likely atom; ties go to the lexicographically least."""
-        pt, best = self.max_count()
-        return self._atom(pt), Fraction(best, self.denom)
-
-    def check(self) -> None:
-        """Assert the law is a symmetric probability distribution."""
-        total = sum(self.counts.values())
-        if total != self.denom:
-            raise AssertionError(f"law sums to {Fraction(total, self.denom)}, not 1")
-        for pt, count in self.counts.items():
-            if count <= 0:
-                raise AssertionError(f"non-positive count {count} at {self._atom(pt)}")
-            if self.counts.get(tuple(-a for a in pt)) != count:
-                raise AssertionError(f"law not symmetric at {self._atom(pt)}")
-
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
 

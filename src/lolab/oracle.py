@@ -15,7 +15,6 @@ equality and violation records.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -125,10 +124,6 @@ class ConfigGenerator:
             "allow_zero": self.allow_zero,
             "count": self.count,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConfigGenerator":
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -286,9 +281,6 @@ class CampaignReport:
             "equalities": [record.to_json() for record in self.equalities],
             "violations": [record.to_json() for record in self.violations],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def run_campaign(

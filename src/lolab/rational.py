@@ -83,25 +83,22 @@ def is_zero(v: Vec) -> bool:
     return all(c == 0 for c in v)
 
 
-def floor_sqrt(q: RationalLike) -> int:
-    """Largest integer k >= 0 with k*k <= q, by integer arithmetic only.
+def floor_sqrt_ratio(num: int, den: int) -> int:
+    """Largest integer k >= 0 with k*k <= num/den, for num >= 0 and den > 0.
 
-    Uses floor(sqrt(a/b)) = isqrt(a*b) // b, which avoids the off-by-one
-    a floating square root can produce at boundary values like q = k*k.
+    floor(sqrt(num/den)) = isqrt(num // den), by integer arithmetic only,
+    which avoids the off-by-one a floating square root can produce at
+    boundary values like num/den = k*k.
     """
-    q = rat(q)
-    if q < 0:
-        raise ValueError(f"squared norm must be >= 0, got {q}")
-    return isqrt(q.numerator * q.denominator) // q.denominator
+    return isqrt(num // den)
 
 
 def ceil_sqrt_ratio(num: int, den: int) -> int:
     """Smallest integer k >= 0 with k*k >= num/den, for num >= 0 and den > 0.
 
-    isqrt(num // den) is the floor of sqrt(num/den), so the ceiling is
-    that or one more.
+    The ceiling is the floor or one more.
     """
-    k = isqrt(num // den)
+    k = floor_sqrt_ratio(num, den)
     return k if k * k * den >= num else k + 1
 
 

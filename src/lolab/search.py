@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import ClassVar, Optional, Sequence, Union
 
 from .bounds import ap_uniform_count, nonuniform_count
@@ -42,6 +42,7 @@ from .oracle import derived_seed
 from .rational import (
     Vec,
     ceil_sqrt_ratio,
+    floor_sqrt_ratio,
     is_zero,
     l1_norm,
     linf_norm,
@@ -198,8 +199,8 @@ class SearchProblem:
         """
         if self.conjecture == 2:
             return nonuniform_count(n, self.target_norm().ceil_scaled(pt, scale))
-        # the floor of the Euclidean norm of pt / scale is isqrt(|pt|^2) // scale
-        return ap_uniform_count(n, self.m, isqrt(sum(a * a for a in pt)) // scale)
+        k = floor_sqrt_ratio(sum(a * a for a in pt), scale * scale)
+        return ap_uniform_count(n, self.m, k)
 
     def dimensions(self) -> tuple[int, ...]:
         """Dimensions the search explores.
@@ -367,17 +368,6 @@ class CounterexampleCertificate(_Verdict):
     """
 
     certificate: ClassVar[bool] = True
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CounterexampleCertificate":
-        return cls(
-            problem=SearchProblem.from_json(obj["problem"]),
-            config=WeightConfig.from_json(obj["config"]),
-            x=make_vec(obj["x"]),
-            lhs=rat(obj["lhs"]),
-            rhs=rat(obj["rhs"]),
-            margin=rat(obj["margin"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -871,9 +861,6 @@ class AnnealResult:
             },
             "chains": self.chains,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 CHECKPOINT_FORMAT = "lolab-anneal-checkpoint"

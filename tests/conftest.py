@@ -13,7 +13,8 @@ from itertools import product
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from lolab import WeightConfig, ceil_sqrt
+from lolab import WeightConfig
+from lolab.rational import ceil_sqrt
 
 settings.register_profile(
     "lolab",
@@ -55,6 +56,22 @@ def brute_ap_distribution(weights, m):
         )
         atoms[pt] = atoms.get(pt, 0) + 1
     return {pt: Fraction(c, m ** n) for pt, c in atoms.items()}
+
+
+def max_atom(law):
+    """The law's most likely atom and its probability, from `max_count`."""
+    pt, count = law.max_count()
+    return tuple(Fraction(a, law.scale) for a in pt), Fraction(count, law.denom)
+
+
+def assert_symmetric_law(law):
+    """Assert the law is a symmetric probability distribution."""
+    total = sum(law.counts.values())
+    assert total == law.denom, f"law sums to {Fraction(total, law.denom)}, not 1"
+    for pt, count in law.counts.items():
+        assert count > 0, f"non-positive count {count} at {pt}"
+        mirror = tuple(-a for a in pt)
+        assert law.counts.get(mirror) == count, f"law not symmetric at {pt}"
 
 
 ROTATION = (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from random import Random
 
@@ -12,18 +11,17 @@ import hypothesis.strategies as st
 
 from lolab import (
     CapExceeded,
-    MilnerHypothesisError,
     SubsetFamily,
     WeightConfig,
     atom_probability,
     build_family,
-    ceil_sqrt,
     is_antichain,
     is_k_intersecting,
     milner_bound,
+    milner_report,
     rat,
-    verify_milner,
 )
+from lolab.rational import ceil_sqrt
 
 
 def family_sets(family):
@@ -44,16 +42,12 @@ class TestSubsetFamily:
     def test_elements_one_based(self):
         fam = SubsetFamily(n=4, members=(0b1010,))
         assert fam.elements(0b1010) == (2, 4)
+        blob = SubsetFamily(n=3, members=(3, 5, 6)).to_json()
+        assert blob["members"] == [[1, 2], [1, 3], [2, 3]]
 
     def test_rejects_mask_outside_ground_set(self):
         with pytest.raises(ValueError):
             SubsetFamily(n=2, members=(4,))
-
-    def test_json_round_trip(self):
-        fam = SubsetFamily(n=3, members=(3, 5, 6))
-        blob = json.loads(json.dumps(fam.to_json()))
-        assert SubsetFamily.from_json(blob) == fam
-        assert blob["members"] == [[1, 2], [1, 3], [2, 3]]
 
 
 class TestBuildFamily:
@@ -104,7 +98,7 @@ class TestBuildFamily:
         assert is_antichain(fam)
         k = ceil_sqrt(x * x)
         assert is_k_intersecting(fam, min(k, len(ws)))
-        assert verify_milner(fam, min(k, len(ws)))
+        assert milner_holds(fam, min(k, len(ws)))
 
 
 class TestPredicates:
@@ -126,22 +120,47 @@ class TestPredicates:
         assert not is_k_intersecting(fam, 1)
 
 
+def milner_holds(family, k):
+    """Whether the size bound holds, failing on a hypothesis failure."""
+    report = milner_report(family, k)
+    assert report["is_antichain"] and report["is_k_intersecting"]
+    assert report["milner"]["hypothesis_error"] is None
+    return report["milner"]["holds"]
+
+
 class TestVerifyMilner:
+    """milner_report, the one check of the size bound."""
+
     def test_holds_on_built_family(self):
         fam = build_family([1, 1, 1, 1], 2)
-        assert verify_milner(fam, 2)
+        assert milner_holds(fam, 2)
         assert len(fam) <= milner_bound(4, 2)
 
     def test_empty_family_holds(self):
-        assert verify_milner(SubsetFamily(n=3, members=()), 1)
+        assert milner_holds(SubsetFamily(n=3, members=()), 1)
 
     def test_hypothesis_failure_is_distinct(self):
+        # a failed hypothesis reports which one, and no bound or verdict
         nested = SubsetFamily(n=3, members=(0b001, 0b011))
-        with pytest.raises(MilnerHypothesisError):
-            verify_milner(nested, 1)
+        assert milner_report(nested, 1) == {
+            "is_antichain": False,
+            "is_k_intersecting": True,
+            "milner": {
+                "bound": None,
+                "holds": None,
+                "hypothesis_error": "not an antichain",
+            },
+        }
         sparse = SubsetFamily(n=4, members=(0b0011, 0b1100))
-        with pytest.raises(MilnerHypothesisError):
-            verify_milner(sparse, 1)
+        assert milner_report(sparse, 1) == {
+            "is_antichain": True,
+            "is_k_intersecting": False,
+            "milner": {
+                "bound": None,
+                "holds": None,
+                "hypothesis_error": "not 1-intersecting",
+            },
+        }
 
     def test_full_level_meets_bound_exactly(self):
         # All 2-element subsets of [4] form a 0-intersecting antichain
@@ -150,7 +169,7 @@ class TestVerifyMilner:
             m for m in range(16) if bin(m).count("1") == 2
         )
         fam = SubsetFamily(n=4, members=masks)
-        assert verify_milner(fam, 0)
+        assert milner_holds(fam, 0)
         assert len(fam) == milner_bound(4, 0)
 
     def test_seeded_random_families(self):
@@ -164,5 +183,5 @@ class TestVerifyMilner:
                 continue
             fam = build_family(ws, x)
             k = min(ceil_sqrt(x * x), n)
-            assert verify_milner(fam, k)
+            assert milner_holds(fam, k)
             assert len(fam) <= milner_bound(n, k)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -10,9 +9,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import brute_sign_atom, weight_vectors
+from conftest import brute_sign_atom, max_atom, weight_vectors
 from lolab import (
-    BoundReport,
     TheoremTag,
     WeightConfig,
     ap_uniform_bound,
@@ -31,6 +29,7 @@ from lolab import (
     zero_weights_extremal,
     zero_weights_sup,
 )
+from lolab.rational import ceil_sqrt_ratio, floor_sqrt_ratio
 
 
 class TestParityCorrection:
@@ -75,7 +74,7 @@ class TestErdosKleitman:
     @given(weight_vectors(dim=2), st.integers(min_value=1, max_value=5))
     def test_dominates_max_atom(self, w, n):
         cfg = WeightConfig(dim=2, weights=(w,) * n)
-        _, p = full_distribution(cfg).max_probability()
+        _, p = max_atom(full_distribution(cfg))
         assert p <= erdos_kleitman_bound(n)
 
 
@@ -121,11 +120,6 @@ class TestNonUniformBound:
         q = Fraction(k * k)
         exact = float(nonuniform_bound(n, q).bound)
         assert exact <= hoeffding_bound(n, q) + 1e-12
-
-    def test_json_round_trip(self):
-        report = nonuniform_bound(5, 2)
-        blob = json.loads(json.dumps(report.to_json()))
-        assert BoundReport.from_json(blob) == report
 
 
 class TestZeroOdd:
@@ -286,6 +280,20 @@ class TestAPUniformBound:
         )
         dist = ap_uniform_sum_distribution(APUniformSpec(m), cfg)
         assert dist.probability((k,)) == bound
+
+
+class TestSquareRootRounding:
+    @given(
+        st.integers(min_value=0, max_value=10 ** 30),
+        st.integers(min_value=1, max_value=10 ** 12),
+    )
+    def test_floor_and_ceiling_of_a_ratio(self, num, den):
+        # exact at every size, where a float square root drifts
+        for q in (num, 0, den, 4 * den - 1, 4 * den, 4 * den + 1):
+            k = floor_sqrt_ratio(q, den)
+            assert k * k * den <= q < (k + 1) ** 2 * den
+            c = ceil_sqrt_ratio(q, den)
+            assert c * c * den >= q and (c == 0 or (c - 1) ** 2 * den < q)
 
 
 class TestMilnerBound:

@@ -326,6 +326,30 @@ class TestSearch:
         assert code == 0
         assert "budget=80" in out
 
+    @pytest.mark.parametrize("flag", ["--chains", "--anneal-config"])
+    def test_resume_refuses_settings_flags(self, capsys, tmp_path, flag):
+        # a resumed run keeps its checkpoint's chains and settings; these
+        # flags were once accepted and silently ignored
+        ckpt = tmp_path / "state.json"
+        code, _, _ = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget",
+            "40", "--seed", "19", "--chains", "2", "--checkpoint", str(ckpt),
+        )
+        assert code == 0
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"chains": 7}))
+        value = "7" if flag == "--chains" else str(settings)
+        out_path = tmp_path / "result.json"
+        code, out, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget",
+            "80", "--seed", "19", "--resume", str(ckpt), flag, value,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: a resumed run keeps its checkpoint's settings" in err
+        assert not out_path.exists()
+
     def test_malformed_checkpoint_names_the_missing_field(self, capsys, tmp_path):
         ckpt = tmp_path / "state.json"
         ckpt.write_text(json.dumps({"format": "lolab-anneal-checkpoint"}))
@@ -436,6 +460,19 @@ class TestExtremal:
         assert blob["theorem"] == "ZeroWeightsSup"
         assert blob["equality"] is True
 
+    @pytest.mark.parametrize("flag,value", [("--n", "5"), ("--d", "3")])
+    def test_sup_refuses_the_aligned_flags(self, capsys, tmp_path, flag, value):
+        # --sup builds k*k copies in the target's dimension; --n 5 --d 3
+        # were once accepted and a d = 1 config written
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "extremal", "--sup", "--x", "2", flag, value,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == "" and f"error: {flag} is not read with --sup" in err
+        assert not out_path.exists()
+
     def test_out_of_reach(self, capsys):
         code, _, err = run_cli(capsys, "extremal", "--n", "2", "--x", "4")
         assert code == 2
@@ -511,12 +548,14 @@ SMALL_GRID = [
 PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 
 # sha256 of stdout followed by the --out file; the dist and verify cases
-# were recorded before laws kept their integer form, the search, atom and
-# antichain cases before every law went through one lattice-sum kernel, and
-# the search_c2_box_certifies and search_c2_wl2 cases before certify took
-# its bound from SearchProblem, and the dist_axes and dist_ap3_origin cases
-# before dist wrote a half-sorted law as a stream. Any change to law,
-# campaign, search, certificate or family bytes shows here
+# were recorded before laws kept their integer form, the search, atom,
+# antichain_ones and antichain_grid cases before every law went through one
+# lattice-sum kernel, the search_c2_box_certifies and search_c2_wl2 cases
+# before certify took its bound from SearchProblem, the dist_axes and
+# dist_ap3_origin cases before dist wrote a half-sorted law as a stream, and
+# the other antichain cases before the Milner check moved into the antichain
+# module. Any change to law, campaign, search, certificate or family bytes
+# shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
         ["dist", "--weights", MIXED],
@@ -616,6 +655,16 @@ GOLDEN_OUTPUTS = {
     "antichain_grid": (
         ["antichain", "--weights", "1/2,1/4,3/4,1/4,1/2,1,3/4,1/4", "--x", "3/4"],
         "314076de70a2b2a48a1f247c9a9cd9453b2fc8facd4b2f10ec83fa7ee7038311",
+    ),
+    # an antichain that is not 2-intersecting: bound and holds are null
+    "antichain_not_k_intersecting": (
+        ["antichain", "--weights", "1,1,1", "--x", "1", "--k", "2"],
+        "e52f5cc17e632a5befc3c9bdea3a37dc3e6ad97620c3ce57f0654ba3a6615396",
+    ),
+    # an empty family with k > n: no bound applies, and it holds
+    "antichain_empty_k_past_n": (
+        ["antichain", "--weights", "1,1", "--x", "1", "--k", "5"],
+        "46f58cb3b3a4560a21f28a9570f0016530fc4caab4b0a6e7b600b6c8024001df",
     ),
 }
 

@@ -11,9 +11,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import (
+    assert_symmetric_law,
     brute_ap_distribution,
     brute_sign_atom,
     brute_sign_distribution,
+    max_atom,
     rotate,
     weight_configs,
 )
@@ -96,7 +98,7 @@ class TestFullDistribution:
     def test_cancelling_weights(self):
         dist = full_distribution(WeightConfig.from_scalars(["1/2", "1/2"]))
         assert dist.probability((0,)) == Fraction(1, 2)
-        assert dist.max_probability() == ((Fraction(0),), Fraction(1, 2))
+        assert max_atom(dist) == ((Fraction(0),), Fraction(1, 2))
 
     def test_cap(self):
         cfg = WeightConfig.from_scalars(["1"] * 5)
@@ -113,7 +115,7 @@ class TestFullDistribution:
     def test_probabilities_sum_to_one(self, cfg):
         dist = full_distribution(cfg)
         assert sum(dist.atoms.values()) == 1
-        dist.check()
+        assert_symmetric_law(dist)
 
     @given(weight_configs())
     def test_symmetric_about_origin(self, cfg):
@@ -264,7 +266,7 @@ class TestAtomDistribution:
     def test_max_probability_tie_break(self):
         dist = full_distribution(WeightConfig.from_scalars(["1", "1", "1"]))
         # +-1 tie at 3/8; the lexicographically least point wins.
-        assert dist.max_probability() == ((Fraction(-1),), Fraction(3, 8))
+        assert max_atom(dist) == ((Fraction(-1),), Fraction(3, 8))
 
     @given(weight_configs(), st.integers(min_value=2, max_value=7))
     def test_probability_on_and_off_the_lattice(self, cfg, p):
@@ -302,7 +304,7 @@ class TestAtomDistribution:
         ):
             best = max(brute.values())
             argmax = min(x for x, p in brute.items() if p == best)
-            assert law.max_probability() == (argmax, best)
+            assert max_atom(law) == (argmax, best)
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))

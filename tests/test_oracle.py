@@ -79,11 +79,6 @@ class TestConfigGenerator:
             for (c,) in cfg.weights:
                 assert c.denominator in (1, 3)
 
-    def test_json_round_trip(self):
-        gen = ConfigGenerator(n=4, d=2, seed=11, count=5, allow_zero=True)
-        blob = json.loads(json.dumps(gen.to_json()))
-        assert ConfigGenerator.from_json(blob) == gen
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ConfigGenerator(n=0, d=1, seed=0)
@@ -216,7 +211,7 @@ class TestRunCampaign:
     def test_rejects_unknown_check(self):
         gen = ConfigGenerator(n=4, d=1, seed=1, count=1)
         with pytest.raises(ValueError):
-            run_campaign(gen, [TheoremTag.HOEFFDING])
+            run_campaign(gen, [TheoremTag.ZERO_WEIGHTS_SUP])
 
     def test_zero_odd_parity_guard(self):
         gen = ConfigGenerator(n=4, d=1, seed=1, count=1)
@@ -238,14 +233,15 @@ class TestRunCampaign:
     def test_report_bytes_deterministic(self):
         def run():
             gen = ConfigGenerator(n=5, d=2, seed=13, count=10)
-            return run_campaign(gen, CAMPAIGN_CHECKS).to_json_str()
+            report = run_campaign(gen, CAMPAIGN_CHECKS)
+            return json.dumps(report.to_json(), indent=2, sort_keys=True)
 
         assert run() == run()
 
     def test_report_json_shape(self):
         gen = ConfigGenerator(n=3, d=1, seed=2, count=4)
         report = run_campaign(gen, [TheoremTag.ERDOS_KLEITMAN])
-        blob = json.loads(report.to_json_str())
+        blob = json.loads(json.dumps(report.to_json(), indent=2, sort_keys=True))
         assert blob["generator"]["seed"] == 2
         assert blob["checks"] == ["ErdosKleitman"]
         assert blob["violations"] == []
@@ -280,7 +276,8 @@ class TestCampaignViolation:
         assert [(e.config_index, e.x, e.value) for e in report.equalities] == [
             (1, (F(-7, 4),), F(1, 8))
         ]
-        assert json.loads(report.to_json_str())["violations"] == [
+        blob = json.loads(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        assert blob["violations"] == [
             {
                 "config": repeated.to_json(),
                 "x": ["-1/2"],

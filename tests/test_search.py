@@ -26,13 +26,12 @@ from lolab import (
     append_ledger,
     certify,
     full_distribution,
-    l1_norm,
-    linf_norm,
     MarginRow,
     margin_rows,
     norm_sq,
 )
 from lolab.engine import _denominator_lcm, _scaled
+from lolab.rational import l1_norm, linf_norm
 from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
@@ -358,16 +357,7 @@ class TestCertify:
         assert outcome.lhs == F(3, 8)
         assert outcome.rhs == F(1, 8)
         assert outcome.margin == F(1, 4)
-
-    def test_certificate_json_round_trip(self):
-        problem = l2_problem(n=3, d=2, constraint_norm=NormSpec("Linf"))
-        cfg = WeightConfig(
-            dim=2, weights=((F(1), F(1)),) * 3, l2_unit_ball=False
-        )
-        cert = certify(problem, cfg, (F(1), F(1)))
-        blob = json.loads(json.dumps(cert.to_json()))
-        assert blob["certificate"] is True
-        assert CounterexampleCertificate.from_json(blob) == cert
+        assert outcome.to_json()["certificate"] is True
 
     def test_touching_the_bound_refutes(self):
         cfg = WeightConfig.from_scalars(["1", "1", "1"])
@@ -428,8 +418,8 @@ FAST = AnnealSettings(chains=2, cooling_iters=50, structured_n_max=6)
 class TestAnneal:
     def test_byte_identical_reruns(self):
         problem = l2_problem(n=5, d=2, budget=120, seed=11)
-        a = anneal(problem, FAST).to_json_str()
-        b = anneal(problem, FAST).to_json_str()
+        a = json.dumps(anneal(problem, FAST).to_json(), indent=2, sort_keys=True)
+        b = json.dumps(anneal(problem, FAST).to_json(), indent=2, sort_keys=True)
         assert a == b
 
     def test_clean_cell_certifies_nothing(self):
