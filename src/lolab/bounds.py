@@ -195,15 +195,13 @@ def extremal_config(n: int, d: int, x) -> WeightConfig:
 def zero_weights_extremal(x) -> WeightConfig:
     """The k*k aligned copies of x / k attaining the zero-weights supremum.
 
+    That is the extremal config at n = k*k, where the parity shift is 0.
     All weights are non-zero; allowing zeros only lets other n reach the
     same value, never exceed it.
     """
     x = make_vec(x)
-    if is_zero(x):
-        raise ValueError("extremal construction needs a non-zero target")
     k = ceil_sqrt(norm_sq(x))
-    w = vec_scale(Fraction(1, k), x)
-    return WeightConfig(dim=len(x), weights=(w,) * (k * k))
+    return extremal_config(k * k, len(x), x)
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .bounds import (
     extremal_config,
     hoeffding_bound,
     nonuniform_bound,
+    nonuniform_count,
     zero_weights_extremal,
     zero_weights_sup,
 )
@@ -124,8 +125,13 @@ def _config_from_weights(vectors: Sequence[Vec], **kwargs) -> WeightConfig:
     return WeightConfig(dim=dims.pop(), weights=tuple(vectors), **kwargs)
 
 
-def _parse_norm(flag: Optional[str], diag: Optional[str]) -> Optional[NormSpec]:
+def _parse_norm(args, dest: str) -> Optional[NormSpec]:
+    """The NormSpec of --<dest> and --<dest>-diag, or None when neither is given."""
+    flag, diag = getattr(args, dest), getattr(args, dest + "_diag")
     if flag is None:
+        if diag is not None:
+            name = "--" + dest.replace("_", "-")
+            raise ValueError(f"{name}-diag needs {name}")
         return None
     kind = NORM_FLAGS.get(flag.lower())
     if kind is None:
@@ -153,10 +159,13 @@ def cmd_bound(args) -> int:
 
 def cmd_dist(args) -> int:
     cfg = _config_from_weights(_load_weights(args))
-    if args.ap_m is not None:
-        dist = ap_uniform_sum_distribution(APUniformSpec(args.ap_m), cfg)
+    if args.ap_m is None:
+        cap = FULL_LAW_CAP if args.cap_full is None else args.cap_full
+        dist = full_distribution(cfg, cap=cap)
+    elif args.cap_full is not None:
+        raise ValueError("--cap-full is not read with --ap-m")
     else:
-        dist = full_distribution(cfg, cap=args.cap_full)
+        dist = ap_uniform_sum_distribution(APUniformSpec(args.ap_m), cfg)
     with _output(args) as handle:
         if args.format == "csv":
             writer = csv.writer(handle)
@@ -183,7 +192,7 @@ def _extremal_fixtures(tag: TheoremTag, n: int, d: int) -> list[WeightConfig]:
     elif tag is TheoremTag.NON_UNIFORM:
         for k in (1, 2):
             x = (Fraction(k),) + (Fraction(0),) * (d - 1)
-            if k + (n + k) % 2 <= n:
+            if nonuniform_count(n, k) > 0:
                 fixtures.append(extremal_config(n, d, x))
     elif tag is TheoremTag.ZERO_ODD and n >= 3:
         half = (Fraction(1, 2),) + (Fraction(0),) * (d - 1)
@@ -242,6 +251,8 @@ def cmd_verify(args) -> int:
         )
         count = len(violations)
     else:
+        if args.format == "csv" and not args.out:
+            raise ValueError("--format csv needs --out, the file the rows go to")
         gen = ConfigGenerator(
             n=args.n,
             d=args.d,
@@ -272,8 +283,8 @@ def cmd_search(args) -> int:
         budget=args.budget,
         seed=args.seed,
         m=args.m,
-        norm=_parse_norm(args.norm, args.norm_diag),
-        constraint_norm=_parse_norm(args.constraint_norm, args.constraint_norm_diag),
+        norm=_parse_norm(args, "norm"),
+        constraint_norm=_parse_norm(args, "constraint_norm"),
     )
     if args.resume:
         if args.chains is not None or args.anneal_config:
@@ -404,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="use progression-uniform summands with this support size",
     )
+    p.set_defaults(cap_full=None)  # so that --cap-full with --ap-m is refused
 
     p = command("atom", cmd_atom, "P(sum = x) for one target", ("--cap-mitm",))
     p.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")

@@ -7,15 +7,16 @@ One lattice-sum kernel enumerates every law:
 * sign sums: S = sum_i eps_i v_i with eps_i independent uniform on
   {-1, +1}, which is the progression sum with m = 2.
 
-Weights are scaled by their least common denominator so convolution runs
-on integer tuples, and a law keeps that integer form: a count per lattice
-point over one denominator (m^n, so 2^n for signs). Laws sort and compare
+Weights (and an atom query's target) go on one integer lattice, `_scaled`
+by their least common denominator, so convolution runs on integer tuples,
+and a law keeps that integer form: a count per lattice point over one
+denominator (m^n, so 2^n for signs). Laws sort and compare
 on those integers; `Fraction`s (and their "p/q" strings) are made only where
 a law is read, so there is no rounding at any step. Every law is symmetric
 about the origin, so a law is written out (`to_json`, CSV rows) from its
 sorted upper half, one atom at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
-rather than silently degrading.
+rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`.
 """
 
 from __future__ import annotations
@@ -250,31 +251,23 @@ class _AtomView(Mapping):
         return Fraction(law.counts[pt], law.denom)
 
 
-def _denominator_lcm(vectors: Sequence[Vec], extra: Vec = ()) -> int:
-    scale = 1
-    for v in vectors:
-        for c in v:
-            scale = lcm(scale, c.denominator)
-    for c in extra:
-        scale = lcm(scale, c.denominator)
-    return scale
+def _denominator_lcm(vectors: Sequence[Vec]) -> int:
+    return lcm(*(c.denominator for v in vectors for c in v))
 
 
 def _scaled(vectors: Sequence[Vec], scale: int) -> list[tuple[int, ...]]:
-    return [tuple((c * scale).numerator for c in v) for v in vectors]
+    """Each vector times scale, a common multiple of its denominators, as ints."""
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
 
 
 def _lattice_sums(
-    scaled: Sequence[tuple[int, ...]],
-    dim: int,
-    support: Sequence[int],
-    atom_cap: int,
+    scaled: Sequence[tuple[int, ...]], dim: int, support: Sequence[int]
 ) -> dict:
     """Counts of sum_i u_i w_i over all draws of each u_i from support.
 
     Convolves atom by atom in a hash map on integer points, so the cost
     tracks the number of distinct intermediate atoms rather than
-    len(support)^n; that count is capped.
+    len(support)^n; that count is capped by LAW_ATOM_CAP, read per call.
     """
     acc = {(0,) * dim: 1}
     for w in scaled:
@@ -284,21 +277,16 @@ def _lattice_sums(
             for step in steps:
                 key = tuple(map(add, pt, step))
                 nxt[key] = nxt.get(key, 0) + mult
-        if len(nxt) > atom_cap:
-            raise CapExceeded("law atom", atom_cap, len(nxt))
+        if len(nxt) > LAW_ATOM_CAP:
+            raise CapExceeded("law atom", LAW_ATOM_CAP, len(nxt))
         acc = nxt
     return acc
 
 
-def _law(
-    weights: Sequence[Vec],
-    dim: int,
-    spec: APUniformSpec,
-    atom_cap: int = LAW_ATOM_CAP,
-) -> AtomDistribution:
+def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribution:
     """Exact law of sum_i U_i w_i with U_i uniform on spec.support()."""
     n, scale = len(weights), _denominator_lcm(weights)
-    counts = _lattice_sums(_scaled(weights, scale), dim, spec.support(), atom_cap)
+    counts = _lattice_sums(_scaled(weights, scale), dim, spec.support())
     return AtomDistribution(counts, scale, spec.m ** n, n, dim)
 
 
@@ -321,13 +309,12 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
         raise ValueError(f"target has length {len(x)}, expected dim {cfg.dim}")
     if cfg.n > cap:
         raise CapExceeded("atom-query summand", cap, cfg.n)
-    scale = _denominator_lcm(cfg.weights, extra=x)
-    scaled = _scaled(cfg.weights, scale)
-    target = tuple((c * scale).numerator for c in x)
+    vectors = [*cfg.weights, x]
+    *scaled, target = _scaled(vectors, _denominator_lcm(vectors))
     cut = (cfg.n + 1) // 2
     signs = APUniformSpec(2).support()
-    front = _lattice_sums(scaled[:cut], cfg.dim, signs, LAW_ATOM_CAP)
-    back = _lattice_sums(scaled[cut:], cfg.dim, signs, LAW_ATOM_CAP)
+    front = _lattice_sums(scaled[:cut], cfg.dim, signs)
+    back = _lattice_sums(scaled[cut:], cfg.dim, signs)
     if len(back) < len(front):
         front, back = back, front
     hits = 0
@@ -351,8 +338,6 @@ def rademacher_atom(n: int, j: int) -> Fraction:
     return Fraction(comb(n, (n + j) // 2), 2 ** n)
 
 
-def ap_uniform_sum_distribution(
-    spec: APUniformSpec, cfg: WeightConfig, *, atom_cap: int = LAW_ATOM_CAP
-) -> AtomDistribution:
+def ap_uniform_sum_distribution(spec: APUniformSpec, cfg: WeightConfig) -> AtomDistribution:
     """Exact law of sum_i U_i v_i with U_i uniform on spec.support()."""
-    return _law(cfg.weights, cfg.dim, spec, atom_cap)
+    return _law(cfg.weights, cfg.dim, spec)

@@ -71,14 +71,6 @@ def norm_sq(v: Vec) -> Fraction:
     return sum((c * c for c in v), Fraction(0))
 
 
-def l1_norm(v: Vec) -> Fraction:
-    return sum((abs(c) for c in v), Fraction(0))
-
-
-def linf_norm(v: Vec) -> Fraction:
-    return max(abs(c) for c in v)
-
-
 def is_zero(v: Vec) -> bool:
     return all(c == 0 for c in v)
 

@@ -44,8 +44,6 @@ from .rational import (
     ceil_sqrt_ratio,
     floor_sqrt_ratio,
     is_zero,
-    l1_norm,
-    linf_norm,
     make_vec,
     norm_sq,
     rat,
@@ -60,9 +58,9 @@ NORM_KINDS = ("L1", "L2", "Linf", "WeightedDiagonalL2")
 class NormSpec:
     """A norm on the ambient space, evaluated exactly on rational vectors.
 
-    The Euclidean kinds never take square roots: comparisons and integer
-    ceilings go through squared values, so boundary cases like a norm of
-    exactly k are decided correctly.
+    Each kind has one integer rule, `_ratio`, that the unit-ball test, the
+    integer ceiling and the scorer's float all read. The Euclidean kinds give
+    squared values, so boundary cases like a norm of exactly k are exact.
     """
 
     kind: str = "L2"
@@ -86,48 +84,40 @@ class NormSpec:
             return "WeightedDiagonalL2[" + ",".join(rat_str(c) for c in self.diag) + "]"
         return self.kind
 
-    def _check_diag_length(self, length: int) -> None:
-        if length != len(self.diag):
-            raise ValueError(
-                f"vector of length {length} against diagonal of length {len(self.diag)}"
-            )
-
-    def _form(self, v: Vec) -> Fraction:
-        """The squared value for the Euclidean kinds."""
+    def _ratio(self, pt: tuple[int, ...], scale: int) -> tuple[int, int]:
+        """(num, den) with num / den the norm of pt / scale, squared if Euclidean."""
+        if self.kind == "L1":
+            return sum(abs(a) for a in pt), scale
+        if self.kind == "Linf":
+            return max(abs(a) for a in pt), scale
         if self.kind == "L2":
-            return norm_sq(v)
-        self._check_diag_length(len(v))
-        return sum((c * x * x for c, x in zip(self.diag, v)), Fraction(0))
+            return sum(a * a for a in pt), scale * scale
+        if len(pt) != len(self.diag):
+            raise ValueError(
+                f"vector of length {len(pt)} against diagonal of length {len(self.diag)}"
+            )
+        q = lcm(*(c.denominator for c in self.diag))
+        s = sum(c.numerator * (q // c.denominator) * a * a for c, a in zip(self.diag, pt))
+        return s, q * scale * scale
 
     def leq_one(self, v: Vec) -> bool:
-        if self.kind == "L1":
-            return l1_norm(v) <= 1
-        if self.kind == "Linf":
-            return linf_norm(v) <= 1
-        return self._form(v) <= 1
+        scale = _denominator_lcm([v])
+        num, den = self._ratio(_scaled([v], scale)[0], scale)
+        return num <= den
 
     def ceil_scaled(self, pt: tuple[int, ...], scale: int) -> int:
         """Smallest integer >= the norm of pt / scale, by integer arithmetic only."""
-        if self.kind == "L1":
-            return -(-sum(abs(a) for a in pt) // scale)
-        if self.kind == "Linf":
-            return -(-max(abs(a) for a in pt) // scale)
-        if self.kind == "L2":
-            s = sum(a * a for a in pt)
-            bound = scale * scale
-        else:
-            self._check_diag_length(len(pt))
-            q = lcm(*(c.denominator for c in self.diag))
-            s = sum((c * q).numerator * a * a for c, a in zip(self.diag, pt))
-            bound = q * scale * scale
-        return ceil_sqrt_ratio(s, bound)
+        num, den = self._ratio(pt, scale)
+        if self.kind in ("L1", "Linf"):
+            return -(-num // den)
+        return ceil_sqrt_ratio(num, den)
 
     def float_value(self, v: Vec) -> float:
-        if self.kind == "L1":
-            return float(l1_norm(v))
-        if self.kind == "Linf":
-            return float(linf_norm(v))
-        return math.sqrt(float(self._form(v)))
+        scale = _denominator_lcm([v])
+        num, den = self._ratio(_scaled([v], scale)[0], scale)
+        if self.kind in ("L1", "Linf"):
+            return num / den
+        return math.sqrt(num / den)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}

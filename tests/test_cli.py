@@ -118,6 +118,14 @@ class TestDist:
         blob = json.loads(out)
         assert {"x": ["0/1"], "probability": "1/3"} in blob["atoms"]
 
+    def test_progression_law_refuses_cap_full(self, capsys):
+        # progression laws have no summand cap; --cap-full was once ignored
+        code, out, err = run_cli(
+            capsys, "dist", "--weights", "1,1,1", "--ap-m", "3", "--cap-full", "1"
+        )
+        assert code == 2
+        assert out == "" and "error: --cap-full is not read with --ap-m" in err
+
     def test_weights_file_vectors(self, capsys, tmp_path):
         path = tmp_path / "weights.json"
         path.write_text(json.dumps([["1", "0"], ["0", "1"]]))
@@ -259,6 +267,15 @@ class TestVerify:
         assert blob["violations"] == []
         assert blob["configs_checked"] == 8
 
+    def test_csv_rows_need_out(self, capsys):
+        # the rows go only to --out; without it a run once exited 0 and wrote none
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", "2", "--n", "4", "--count", "2",
+            "--format", "csv",
+        )
+        assert code == 2
+        assert out == "" and "error:" in err and "--out" in err
+
     def test_csv_rows_to_file(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         code, _, _ = run_cli(
@@ -349,6 +366,25 @@ class TestSearch:
         assert out == ""
         assert "error: a resumed run keeps its checkpoint's settings" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            ["--conjecture", "2", "--d", "2", "--norm-diag", "1/2,2"],
+            ["--conjecture", "2", "--d", "2", "--constraint-norm-diag", "1/2,2"],
+            ["--conjecture", "1", "--m", "3", "--norm-diag", "1/2,2"],
+        ],
+        ids=("norm-diag", "constraint-norm-diag", "conjecture1-norm-diag"),
+    )
+    def test_diag_needs_its_norm_flag(self, capsys, cell):
+        # a diagonal without its norm flag was once dropped, running an L2 cell
+        code, out, err = run_cli(
+            capsys, "search", "--n", "3", "--budget", "10", "--chains", "1", *cell
+        )
+        diag_flag = cell[-2]
+        assert code == 2
+        assert out == ""
+        assert f"error: {diag_flag} needs {diag_flag.removesuffix('-diag')}" in err
 
     def test_malformed_checkpoint_names_the_missing_field(self, capsys, tmp_path):
         ckpt = tmp_path / "state.json"

@@ -33,6 +33,7 @@ from lolab import (
     rat,
     rat_str,
 )
+from lolab import engine
 from lolab.engine import _lattice_sums
 from lolab.rational import vec_strs
 
@@ -235,12 +236,13 @@ class TestAPUniformSum:
         dist = ap_uniform_sum_distribution(APUniformSpec(m=2), cfg)
         assert dist.atoms == full_distribution(cfg).atoms
 
-    def test_atom_cap(self):
+    def test_atom_cap(self, monkeypatch):
         cfg = WeightConfig.from_scalars(
             [str(Fraction(1, 2 ** i)) for i in range(1, 9)]
         )
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
         with pytest.raises(CapExceeded):
-            ap_uniform_sum_distribution(APUniformSpec(m=5), cfg, atom_cap=1000)
+            ap_uniform_sum_distribution(APUniformSpec(m=5), cfg)
 
 
 class TestLatticeSums:
@@ -248,12 +250,14 @@ class TestLatticeSums:
     # weights are distinct, so the k-th step holds 2^k atoms
     GENERIC = [(2 ** (12 - i),) for i in range(1, 13)]
 
-    def test_atom_cap_guards_sign_laws(self):
+    def test_atom_cap_guards_sign_laws(self, monkeypatch):
         signs = APUniformSpec(m=2).support()
         message = "law atom cap is 1000, request needs 1024"
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
         with pytest.raises(CapExceeded, match=message):
-            _lattice_sums(self.GENERIC, 1, signs, 1000)
-        assert len(_lattice_sums(self.GENERIC, 1, signs, 1 << 12)) == 1 << 12
+            _lattice_sums(self.GENERIC, 1, signs)
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1 << 12)
+        assert len(_lattice_sums(self.GENERIC, 1, signs)) == 1 << 12
 
     def test_default_summand_caps_stay_under_the_atom_cap(self):
         # a full sign law has at most 2^n atoms and a half-sum table at most

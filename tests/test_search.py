@@ -9,7 +9,7 @@ from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import brute_ap_distribution, brute_sign_distribution, weight_configs
 from lolab import (
@@ -31,10 +31,22 @@ from lolab import (
     norm_sq,
 )
 from lolab.engine import _denominator_lcm, _scaled
-from lolab.rational import l1_norm, linf_norm
 from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
+
+
+EUCLIDEAN = ("L2", "WeightedDiagonalL2")
+
+
+def reference_norm(spec: NormSpec, v) -> Fraction:
+    """The norm of v as one exact Fraction, squared for the Euclidean kinds."""
+    if spec.kind == "L1":
+        return sum((abs(c) for c in v), F(0))
+    if spec.kind == "Linf":
+        return max(abs(c) for c in v)
+    diag = spec.diag or (F(1),) * len(v)
+    return sum((c * x * x for c, x in zip(diag, v)), F(0))
 
 
 def triangle_holds(spec: NormSpec, u, v) -> bool:
@@ -45,21 +57,18 @@ def triangle_holds(spec: NormSpec, u, v) -> bool:
     b^2 <= 4 form(u) form(v), so no square roots are needed.
     """
     w = tuple(a + b for a, b in zip(u, v))
-    if spec.kind in ("L1", "Linf"):
-        value = l1_norm if spec.kind == "L1" else linf_norm
-        return value(w) <= value(u) + value(v)
-    form = spec._form
-    b = form(w) - form(u) - form(v)
-    return b <= 0 or b * b <= 4 * form(u) * form(v)
+    nu, nv, nw = (reference_norm(spec, x) for x in (u, v, w))
+    if spec.kind not in EUCLIDEAN:
+        return nw <= nu + nv
+    b = nw - nu - nv
+    return b <= 0 or b * b <= 4 * nu * nv
 
 
 def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
     """Exact check of norm(c v) = |c| norm(v)."""
     w = tuple(c * x for x in v)
-    if spec.kind in ("L1", "Linf"):
-        value = l1_norm if spec.kind == "L1" else linf_norm
-        return value(w) == abs(c) * value(v)
-    return spec._form(w) == c * c * spec._form(v)
+    factor = c * c if spec.kind in EUCLIDEAN else abs(c)
+    return reference_norm(spec, w) == factor * reference_norm(spec, v)
 
 
 def ceil_norm(spec: NormSpec, v) -> int:
@@ -141,6 +150,56 @@ class TestNormSpec:
             for spec in specs:
                 assert triangle_holds(spec, u, v)
                 assert scaling_holds(spec, u, c)
+
+
+COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def norms_and_vectors(draw):
+    """A norm of any kind and a vector of a dimension it accepts."""
+    kind = draw(st.sampled_from(NORM_KINDS))
+    d = draw(st.integers(min_value=1, max_value=3))
+    diag = ()
+    if kind == "WeightedDiagonalL2":
+        positive = st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10)
+        diag = tuple(draw(st.lists(positive, min_size=d, max_size=d)))
+    v = tuple(draw(st.lists(COORDS, min_size=d, max_size=d)))
+    return NormSpec(kind, diag), v
+
+
+class TestNormRule:
+    """The integer rule behind every NormSpec method, against exact Fractions."""
+
+    @given(norms_and_vectors())
+    @example((NormSpec("L2"), (F(3, 5), F(4, 5))))
+    @example((NormSpec("L2"), (F(6, 5), F(-8, 5))))
+    @example((NormSpec("L1"), (F(1, 2), F(-1, 2))))
+    @example((NormSpec("Linf"), (F(-2), F(1, 3))))
+    @example((NormSpec("WeightedDiagonalL2", diag=(F(1, 4), F(4))), (F(6, 5), F(2, 5))))
+    @example((NormSpec("L1"), (F(0), F(0))))
+    def test_matches_the_fraction_reference(self, case):
+        spec, v = case
+        ref = reference_norm(spec, v)
+        power = 2 if spec.kind in EUCLIDEAN else 1
+        assert spec.leq_one(v) == (ref <= 1)
+        k = ceil_norm(spec, v)
+        assert k >= 0 and k ** power >= ref
+        assert k == 0 or (k - 1) ** power < ref
+        # bit-equal to the float of the exact norm, as the scorer once read it
+        expected = math.sqrt(float(ref)) if power == 2 else float(ref)
+        assert spec.float_value(v) == expected
+
+    @given(
+        st.lists(st.lists(COORDS, min_size=1, max_size=3), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_scaled_matches_fraction_products(self, vectors, multiple):
+        vectors = [tuple(v) for v in vectors]
+        # any common multiple of the denominators puts the vectors on a lattice
+        scale = _denominator_lcm(vectors) * multiple
+        expected = [tuple((c * scale).numerator for c in v) for v in vectors]
+        assert _scaled(vectors, scale) == expected
 
 
 class TestSearchProblem:
