@@ -64,6 +64,35 @@ def max_atom(law):
     return tuple(Fraction(a, law.scale) for a in pt), Fraction(count, law.denom)
 
 
+def brute_is_antichain(family):
+    """No member strictly contains another, by comparing every pair."""
+    by_size = {}
+    for mask in family.members:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    sizes = sorted(by_size)
+    for i, small in enumerate(sizes):
+        for big in sizes[i + 1 :]:
+            for a in by_size[small]:
+                for b in by_size[big]:
+                    if a & b == a:
+                        return False
+    return True
+
+
+def brute_is_k_intersecting(family, k):
+    """Every pair of members, (A, A) included, shares >= k elements."""
+    if k == 0:
+        return True
+    members = family.members
+    if any(mask.bit_count() < k for mask in members):
+        return False
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if (a & b).bit_count() < k:
+                return False
+    return True
+
+
 def assert_symmetric_law(law):
     """Assert the law is a symmetric probability distribution."""
     total = sum(law.counts.values())

@@ -6,8 +6,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
+
+from conftest import brute_is_antichain, brute_is_k_intersecting
 
 from lolab import (
     CapExceeded,
@@ -118,6 +120,48 @@ class TestPredicates:
     def test_pairwise_check(self):
         fam = SubsetFamily(n=4, members=(0b0011, 0b1100))
         assert not is_k_intersecting(fam, 1)
+
+
+@st.composite
+def subset_families(draw):
+    """Any member set over n <= 8, often pushed toward passing the checks.
+
+    OR-ing every member with a common core makes the family core-intersecting,
+    and keeping one member size makes it an antichain, so both verdicts occur.
+    """
+    n = draw(st.integers(min_value=0, max_value=8))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12))
+    if draw(st.booleans()):
+        core = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        masks = [m | core for m in masks]
+    if masks and draw(st.booleans()):
+        size = masks[0].bit_count()
+        masks = [m for m in masks if m.bit_count() == size]
+    return SubsetFamily(n=n, members=tuple(masks))
+
+
+class TestBitsetChecks:
+    """The subset-bitset checks against the pair-loop oracles."""
+
+    @settings(max_examples=400)
+    @given(subset_families())
+    @example(SubsetFamily(n=0, members=()))
+    @example(SubsetFamily(n=0, members=(0,)))
+    @example(SubsetFamily(n=3, members=()))
+    @example(SubsetFamily(n=3, members=(0b011, 0b101, 0b110, 0b111)))
+    @example(SubsetFamily(n=8, members=(0b11110000, 0b00001111, 0b11111111)))
+    def test_match_the_pair_loops(self, family):
+        assert is_antichain(family) == brute_is_antichain(family)
+        for k in range(family.n + 2):
+            assert is_k_intersecting(family, k) == brute_is_k_intersecting(family, k)
+
+    def test_largest_unit_family_checked_quickly(self):
+        # 43,758 members: a pair loop over them took about a minute
+        fam = build_family([1] * 18, 2)
+        assert len(fam) == 43758
+        assert is_antichain(fam)
+        assert is_k_intersecting(fam, 2)
+        assert not is_k_intersecting(fam, 3)
 
 
 def milner_holds(family, k):
