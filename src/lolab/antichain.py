@@ -146,8 +146,9 @@ def is_k_intersecting(family: SubsetFamily, k: int) -> bool:
     """
     if k < 0:
         raise ValueError(f"intersection level must be >= 0, got {k}")
-    if k == 0:
+    if k == 0 or not family.members:
         return True
+    # a member smaller than k fails, so past here k <= n and the layers are few
     if any(mask.bit_count() < k for mask in family.members):
         return False
     members = _bitset(family)

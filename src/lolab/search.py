@@ -65,8 +65,6 @@ class NormSpec:
 
     kind: str = "L2"
     diag: tuple[Fraction, ...] = ()
-    # the diagonal over its common denominator q, as (integer coefficients, q)
-    _diag_lattice: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
@@ -80,10 +78,6 @@ class NormSpec:
                 raise ValueError("diagonal coefficients must be positive")
         elif diag:
             raise ValueError(f"{self.kind} takes no diagonal coefficients")
-        q = lcm(*(c.denominator for c in diag))
-        object.__setattr__(
-            self, "_diag_lattice", (tuple(c.numerator * (q // c.denominator) for c in diag), q)
-        )
 
     def label(self) -> str:
         if self.kind == "WeightedDiagonalL2":
@@ -98,12 +92,13 @@ class NormSpec:
             return max(abs(a) for a in pt), scale
         if self.kind == "L2":
             return sum(a * a for a in pt), scale * scale
-        coeffs, q = self._diag_lattice
-        if len(pt) != len(coeffs):
+        if len(pt) != len(self.diag):
             raise ValueError(
-                f"vector of length {len(pt)} against diagonal of length {len(coeffs)}"
+                f"vector of length {len(pt)} against diagonal of length {len(self.diag)}"
             )
-        return sum(c * a * a for c, a in zip(coeffs, pt)), q * scale * scale
+        q = lcm(*(c.denominator for c in self.diag))
+        s = sum(c.numerator * (q // c.denominator) * a * a for c, a in zip(self.diag, pt))
+        return s, q * scale * scale
 
     def leq_one(self, v: Vec) -> bool:
         scale = _denominator_lcm([v])

@@ -121,6 +121,12 @@ class TestPredicates:
         fam = SubsetFamily(n=4, members=(0b0011, 0b1100))
         assert not is_k_intersecting(fam, 1)
 
+    def test_level_far_past_n_builds_no_layers(self):
+        # an empty family holds at any level; a non-empty one fails its size check
+        huge = 10**9
+        assert is_k_intersecting(SubsetFamily(n=2, members=()), huge)
+        assert not is_k_intersecting(SubsetFamily(n=2, members=(0b11,)), huge)
+
 
 @st.composite
 def subset_families(draw):

@@ -463,6 +463,16 @@ class TestAntichain:
         assert code == 0
         assert json.loads(out)["milner"]["holds"] is True
 
+    def test_large_target_gives_empty_family_at_once(self, capsys):
+        # k defaults to ceil(x), far past n: the empty family holds, no bound applies
+        code, out, _ = run_cli(
+            capsys, "antichain", "--weights", "1", "--x", "1000000000"
+        )
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["size"] == 0 and blob["k"] == 10**9
+        assert blob["milner"] == {"bound": None, "holds": True, "hypothesis_error": None}
+
     def test_zero_denominator_target_is_bad_input(self, capsys):
         code, _, err = run_cli(
             capsys, "antichain", "--weights", "1,1", "--x", "1/0"
