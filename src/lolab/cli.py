@@ -101,20 +101,19 @@ def _load_weights(args) -> list[Vec]:
         raise ValueError("provide --weights (scalars) or --weights-file")
     with open(path) as handle:
         text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        rows = json.loads(text)
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError("weights JSON must be an array of vectors")
-        return [make_vec(row) for row in rows]
-    vectors = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        vectors.append(make_vec(line.split(",")))
+    try:
+        if text.lstrip().startswith("["):
+            rows = json.loads(text)
+            if not all(isinstance(r, list) for r in rows):
+                raise ValueError("weights JSON must be an array of vectors")
+        else:
+            lines = (line.strip() for line in text.splitlines())
+            rows = [line.split(",") for line in lines if line]
+        vectors = [make_vec(row) for row in rows]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"weights file {path}: {exc}") from None
     if not vectors:
-        raise ValueError("weights file is empty")
+        raise ValueError(f"weights file {path} is empty")
     return vectors
 
 

@@ -7,14 +7,14 @@ One lattice-sum kernel enumerates every law:
 * sign sums: S = sum_i eps_i v_i with eps_i independent uniform on
   {-1, +1}, which is the progression sum with m = 2.
 
-Weights (and an atom query's target) go on one integer lattice, `_scaled`
+Weights (and an atom query's target) go on one integer `lattice`, scaled
 by their least common denominator, so convolution runs on integer tuples,
 and a law keeps that integer form: a count per lattice point over one
 denominator (m^n, so 2^n for signs). Laws sort and compare
 on those integers; `Fraction`s (and their "p/q" strings) are made only where
 a law is read, so there is no rounding at any step. Every law is symmetric
-about the origin, so a law is written out (`to_json`, CSV rows) from its
-sorted upper half, one atom at a time.
+about the origin, so every walk in atom order (`sorted_atoms`, `to_json`)
+mirrors its one sorted upper half (`upper_half`).
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`.
 """
@@ -151,7 +151,7 @@ class AtomDistribution:
         """Read-only {atom: Fraction} view; its length costs nothing."""
         return _AtomView(self)
 
-    def _atom(self, pt: tuple[int, ...]) -> Vec:
+    def atom(self, pt: tuple[int, ...]) -> Vec:
         return tuple(Fraction(a, self.scale) for a in pt)
 
     def _lattice_point(self, x) -> Optional[tuple[int, ...]]:
@@ -171,30 +171,38 @@ class AtomDistribution:
         pt = self._lattice_point(x)
         return Fraction(0 if pt is None else self.counts.get(pt, 0), self.denom)
 
-    def sorted_atoms(self) -> list[tuple[Vec, Fraction]]:
-        return [
-            (self._atom(pt), Fraction(count, self.denom))
-            for pt, count in sorted(self.counts.items())
-        ]
+    def upper_half(self) -> list[tuple[int, ...]]:
+        """The points above the origin, sorted: the one sort of a law's points.
+
+        Every law here is symmetric and negation reverses lexicographic
+        order, so the points below the origin are these negated, in reverse.
+        """
+        origin = (0,) * self.dim
+        return sorted(pt for pt in self.counts if pt > origin)
+
+    def sorted_atoms(self) -> list[tuple[tuple[int, ...], int]]:
+        """(point, count) of every atom, in atom order, mirrored from upper_half()."""
+        counts, upper, origin = self.counts, self.upper_half(), (0,) * self.dim
+        lower = [(tuple(-a for a in pt), counts[pt]) for pt in reversed(upper)]
+        middle = [(origin, counts[origin])] if origin in counts else []
+        return lower + middle + [(pt, counts[pt]) for pt in upper]
 
     def formatted_atoms(self) -> Iterator[tuple[list[str], str]]:
         """("p/q" coordinates, "p/q" probability) of every atom, in atom order.
 
-        Every law here is symmetric about the origin, and negation reverses
-        lexicographic order. So only the atoms above the origin are sorted
-        and formatted; the atoms below are those in reverse, with each
-        coordinate string negated.
+        Only the upper half is formatted; the atoms below are those in
+        reverse, with each coordinate string negated.
         """
         scale, denom, counts = self.scale, self.denom, self.counts
-        origin = (0,) * self.dim
         # one "p/q" string per distinct count, shared by the atoms that have it
         probs = {count: ratio_str(count, denom) for count in set(counts.values())}
         upper = [
             ([ratio_str(a, scale) for a in pt], probs[counts[pt]])
-            for pt in sorted(pt for pt in counts if pt > origin)
+            for pt in self.upper_half()
         ]
         for x, p in reversed(upper):
             yield [_negated(c) for c in x], p
+        origin = (0,) * self.dim
         if origin in counts:
             yield ["0/1"] * self.dim, probs[counts[origin]]
         yield from upper
@@ -239,7 +247,7 @@ class _AtomView(Mapping):
         return len(self._law.counts)
 
     def __iter__(self) -> Iterator[Vec]:
-        return map(self._law._atom, self._law.counts)
+        return map(self._law.atom, self._law.counts)
 
     def __getitem__(self, x) -> Fraction:
         law = self._law
@@ -251,13 +259,10 @@ class _AtomView(Mapping):
         return Fraction(law.counts[pt], law.denom)
 
 
-def _denominator_lcm(vectors: Sequence[Vec]) -> int:
-    return lcm(*(c.denominator for v in vectors for c in v))
-
-
-def _scaled(vectors: Sequence[Vec], scale: int) -> list[tuple[int, ...]]:
-    """Each vector times scale, a common multiple of its denominators, as ints."""
-    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
+def lattice(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, ...]]]:
+    """The vectors' least common denominator, and each vector times it as ints."""
+    scale = lcm(*(c.denominator for v in vectors for c in v))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
 
 
 def _lattice_sums(
@@ -285,9 +290,9 @@ def _lattice_sums(
 
 def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribution:
     """Exact law of sum_i U_i w_i with U_i uniform on spec.support()."""
-    n, scale = len(weights), _denominator_lcm(weights)
-    counts = _lattice_sums(_scaled(weights, scale), dim, spec.support())
-    return AtomDistribution(counts, scale, spec.m ** n, n, dim)
+    scale, points = lattice(weights)
+    counts = _lattice_sums(points, dim, spec.support())
+    return AtomDistribution(counts, scale, spec.m ** len(weights), len(weights), dim)
 
 
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
@@ -309,8 +314,7 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
         raise ValueError(f"target has length {len(x)}, expected dim {cfg.dim}")
     if cfg.n > cap:
         raise CapExceeded("atom-query summand", cap, cfg.n)
-    vectors = [*cfg.weights, x]
-    *scaled, target = _scaled(vectors, _denominator_lcm(vectors))
+    _, (*scaled, target) = lattice([*cfg.weights, x])
     cut = (cfg.n + 1) // 2
     signs = APUniformSpec(2).support()
     front = _lattice_sums(scaled[:cut], cfg.dim, signs)

@@ -190,7 +190,7 @@ def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterato
             # on the lattice, |x| = |pt| / scale, so k = ceil(sqrt(|pt|^2 / scale^2))
             scale_sq = law.scale * law.scale
             bound_by_k: dict[int, int] = {}
-            for pt, count in sorted(law.counts.items()):
+            for pt, count in law.sorted_atoms():
                 norm_sq_scaled = sum(map(mul, pt, pt))
                 if norm_sq_scaled == 0:
                     continue
@@ -323,7 +323,7 @@ def run_campaign(
     try:
         for index, cfg in enumerate(configs):
             law = full_distribution(cfg, cap=cap)
-            n, dim, scale, denom = law.n, law.dim, law.scale, law.denom
+            n, dim, denom = law.n, law.dim, law.denom
             cells: dict[int, str] = {}  # count -> its "p/q" over denom
             for check, pt, k, count, bound in _config_rows(law, checks):
                 atoms += 1
@@ -335,7 +335,7 @@ def run_campaign(
                     writer.writerow((n, dim, k, cells[count], cells[bound], equality))
                 if count < bound:
                     continue
-                x = tuple(Fraction(a, scale) for a in pt)
+                x = law.atom(pt)
                 lhs = Fraction(count, denom)
                 if count == bound:
                     equalities.append(EqualityRecord(index, check, x, lhs))

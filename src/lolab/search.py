@@ -30,13 +30,11 @@ from .bounds import ap_uniform_count, nonuniform_count
 from .engine import (
     FULL_LAW_CAP,
     APUniformSpec,
+    AtomDistribution,
     CapExceeded,
     WeightConfig,
-    _denominator_lcm,
     _law,
-    _scaled,
-    ap_uniform_sum_distribution,
-    full_distribution,
+    lattice,
 )
 from .oracle import derived_seed
 from .rational import (
@@ -101,8 +99,8 @@ class NormSpec:
         return s, q * scale * scale
 
     def leq_one(self, v: Vec) -> bool:
-        scale = _denominator_lcm([v])
-        num, den = self._ratio(_scaled([v], scale)[0], scale)
+        scale, (pt,) = lattice([v])
+        num, den = self._ratio(pt, scale)
         return num <= den
 
     def ceil_scaled(self, pt: tuple[int, ...], scale: int) -> int:
@@ -113,8 +111,8 @@ class NormSpec:
         return ceil_sqrt_ratio(num, den)
 
     def float_value(self, v: Vec) -> float:
-        scale = _denominator_lcm([v])
-        num, den = self._ratio(_scaled([v], scale)[0], scale)
+        scale, (pt,) = lattice([v])
+        num, den = self._ratio(pt, scale)
         if self.kind in ("L1", "Linf"):
             return num / den
         return math.sqrt(num / den)
@@ -281,41 +279,26 @@ def _validate_config(problem: SearchProblem, cfg: WeightConfig) -> None:
             )
 
 
-def _margin_counts(
-    problem: SearchProblem, weights: Sequence[Vec]
-) -> tuple[int, int, list[tuple[tuple[int, ...], int, int]]]:
-    """The config's law and bound on one integer lattice.
-
-    Returns (scale, denom, atoms): every non-zero atom x of the law appears
-    once as (x * scale, law count, bound count), where scale is the weights'
-    common denominator and both counts are over denom (2^n or m^n). The
-    exact margin at x is (law count - bound count) / denom; a bound count of
-    0 marks a flagged atom.
-    """
-    law = _law(weights, len(weights[0]), problem.law_spec())
-    n, scale, origin = law.n, law.scale, (0,) * law.dim
-    atoms = [
-        (pt, count, problem.bound_count(n, pt, scale))
-        for pt, count in law.counts.items()
-        if pt != origin
-    ]
-    return scale, law.denom, atoms
+def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
+    """The config's law for an exact rescore or a certificate, under the caps."""
+    _validate_config(problem, cfg)
+    if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
+        raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
+    return _law(cfg.weights, cfg.dim, problem.law_spec())
 
 
 def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
     """Exact margins of every non-zero atom of the config's law, in atom order."""
-    _validate_config(problem, cfg)
-    if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
-        raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
-    scale, denom, atoms = _margin_counts(problem, cfg.weights)
-    # scale is one positive integer, so integer points sort as their atoms do
+    law = _exact_law(problem, cfg)
+    n, scale, denom = law.n, law.scale, law.denom
     return [
         MarginRow(
-            x=tuple(Fraction(a, scale) for a in pt),
+            x=law.atom(pt),
             lhs=Fraction(count, denom),
-            rhs=Fraction(bound, denom),
+            rhs=Fraction(problem.bound_count(n, pt, scale), denom),
         )
-        for pt, count, bound in sorted(atoms)
+        for pt, count in law.sorted_atoms()
+        if any(pt)
     ]
 
 
@@ -390,16 +373,12 @@ def certify(
     the exact numbers attached.
     """
     x = make_vec(x)
-    _validate_config(problem, cfg)
-    if problem.conjecture == 2:
-        law = full_distribution(cfg)  # a sign law, under the full-law summand cap
-    else:
-        if is_zero(x):
-            raise ValueError("conjectured bounds apply at non-zero targets")
-        law = ap_uniform_sum_distribution(problem.law_spec(), cfg)
+    if problem.conjecture == 1 and is_zero(x):
+        raise ValueError("conjectured bounds apply at non-zero targets")
+    law = _exact_law(problem, cfg)
     lhs = law.probability(x)
-    scale = _denominator_lcm([x])
-    rhs = Fraction(problem.bound_count(cfg.n, _scaled([x], scale)[0], scale), law.denom)
+    scale, (pt,) = lattice([x])
+    rhs = Fraction(problem.bound_count(cfg.n, pt, scale), law.denom)
     margin = lhs - rhs
     if margin > 0 and rhs != 0:
         return CounterexampleCertificate(problem, cfg, x, lhs, rhs, margin)
@@ -458,16 +437,30 @@ class AnnealSettings:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnnealSettings":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError("anneal settings must be a JSON object")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown anneal settings: {sorted(unknown)}")
+        for f in fields(cls):
+            # each field takes its default's type, and a float field an int
+            kind = type(f.default)
+            allowed = (int, float) if kind is float else (kind,)
+            if f.name in obj and type(obj[f.name]) not in allowed:
+                raise ValueError(
+                    f"anneal setting {f.name!r} must be of type {kind.__name__}, "
+                    f"got {json.dumps(obj[f.name])}"
+                )
         return cls(**obj)
 
     @classmethod
     def from_file(cls, path: str) -> "AnnealSettings":
         with open(path) as handle:
-            return cls.from_json(json.load(handle))
+            text = handle.read()
+        try:
+            return cls.from_json(json.loads(text))
+        except ValueError as exc:
+            raise ValueError(f"anneal settings file {path}: {exc}") from None
 
 
 def _by_score(item: tuple) -> tuple:
@@ -548,7 +541,8 @@ class _Chain:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "_Chain":
+    def from_json(cls, obj: dict, problem: SearchProblem) -> "_Chain":
+        """A stored chain, refused unless its states could be walked in problem's cell."""
         rng = random.Random()
         state = obj["rng_state"]
         rng.setstate((state[0], tuple(state[1]), state[2]))
@@ -572,7 +566,29 @@ class _Chain:
             for entry in obj["top"]
         }
         chain.trace = [(it, score) for it, score in obj["trace"]]
+        counters = ("index", "d", "since_improve", "done", "flagged")
+        if any(type(getattr(chain, name)) is not int for name in counters):
+            raise ValueError(f"{', '.join(counters)} must be ints")
+        if any(type(s) not in (int, float) for s in (chain.score, chain.best_score)):
+            raise ValueError("score and best_score must be numbers or null")
+        if chain.d not in problem.dimensions():
+            raise ValueError(
+                f"has d = {chain.d}; the cell explores d in {list(problem.dimensions())}"
+            )
+        _check_state(problem, chain.d, chain.n, chain.weights)
+        for n, weights in chain.top:
+            _check_state(problem, chain.d, n, weights)
         return chain
+
+
+def _check_state(problem: SearchProblem, d: int, n, weights: Sequence[Vec]) -> None:
+    """Refuse n weights of length d that the walk could not reach in problem's cell."""
+    if type(n) is not int or not 1 <= n <= problem.n or n != len(weights):
+        raise ValueError(
+            f"has n = {json.dumps(n)} and {len(weights)} weights; "
+            f"the cell needs n = len(weights) in 1..{problem.n}"
+        )
+    _validate_config(problem, WeightConfig(d, tuple(weights), l2_unit_ball=False))
 
 
 def _fast_margin(
@@ -582,18 +598,21 @@ def _fast_margin(
 
     The exact integer excess feeds a single correctly rounded division at
     the end, so the score is the float of the exact best margin. Anything
-    it nominates is still re-scored exactly before any claim is made.
+    it nominates is still re-scored exactly before any claim is made. Law
+    and norm are symmetric, so each flagged upper-half atom counts twice.
     """
-    _, denom, atoms = _margin_counts(problem, weights)
+    law = _law(weights, len(weights[0]), problem.law_spec())
+    n, scale, counts = law.n, law.scale, law.counts
     best_excess: Optional[int] = None
     flagged = 0
-    for _, count, bound in atoms:
+    for pt in law.upper_half():
+        bound = problem.bound_count(n, pt, scale)
         if bound == 0:
-            flagged += 1
-        elif best_excess is None or count - bound > best_excess:
-            best_excess = count - bound
+            flagged += 2
+        elif best_excess is None or counts[pt] - bound > best_excess:
+            best_excess = counts[pt] - bound
     return (
-        float("-inf") if best_excess is None else best_excess / denom,
+        float("-inf") if best_excess is None else best_excess / law.denom,
         flagged,
     )
 
@@ -877,28 +896,38 @@ def _load_checkpoint(path: str) -> tuple[SearchProblem, AnnealSettings, list[_Ch
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not an anneal checkpoint")
 
-    def parse(where: str, from_json, obj):
+    def parse(where: str, from_json, obj, *context):
         try:
-            return from_json(obj)
+            return from_json(obj, *context)
         except KeyError as exc:
             raise ValueError(
                 f"{path}: checkpoint {where} has no {exc.args[0]!r} field"
             ) from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint {where}: {exc}") from None
 
     for key in ("problem", "settings", "chains"):
         if key not in payload:
             raise ValueError(f"{path}: checkpoint has no {key!r} field")
+    problem = parse("problem", SearchProblem.from_json, payload["problem"])
+    settings = parse("settings", AnnealSettings.from_json, payload["settings"])
     # a settings file may leave fields at their defaults; a checkpoint must
     # carry the run's own settings, or the resumed run would differ silently
     for key in AnnealSettings.__dataclass_fields__:
         if key not in payload["settings"]:
             raise ValueError(f"{path}: checkpoint settings has no {key!r} field")
-    problem = parse("problem", SearchProblem.from_json, payload["problem"])
-    settings = AnnealSettings.from_json(payload["settings"])
+    if not isinstance(payload["chains"], list):
+        raise ValueError(f"{path}: checkpoint chains must be a JSON array")
     chains = [
-        parse(f"chain {i}", _Chain.from_json, obj)
+        parse(f"chain {i}", _Chain.from_json, obj, problem)
         for i, obj in enumerate(payload["chains"])
     ]
+    indices = sorted(chain.index for chain in chains)
+    if indices != list(range(settings.chains)):
+        raise ValueError(
+            f"{path}: checkpoint has chains {indices}; its settings need "
+            f"chains 0..{settings.chains - 1}, each once"
+        )
     return problem, settings, chains
 
 

@@ -287,7 +287,7 @@ def test_criterion_7_atom_families():
             ws = [Fraction(rng.randint(1, 16), 16) for _ in range(n)]
             cfg = WeightConfig.from_scalars(ws)
             law = full_distribution(cfg)
-            positive = [x for (x,), p in law.sorted_atoms() if x > 0]
+            positive = [law.atom(pt)[0] for pt in law.upper_half()]
             picks = sorted({0, len(positive) // 2, len(positive) - 1})
             for idx in picks:
                 if not positive:

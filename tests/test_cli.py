@@ -756,3 +756,153 @@ class TestEntryPoint:
     def test_no_command_is_usage_error(self):
         proc = run_module()
         assert proc.returncode == 2
+
+
+def _chain_edit(**changes):
+    """A checkpoint edit that sets fields of chain 0."""
+    return lambda ckpt: ckpt["chains"][0].update(changes)
+
+
+def _nine_summands(ckpt):
+    chain = ckpt["chains"][0]
+    chain["n"], chain["weights"] = 9, chain["weights"] * 3
+
+
+def _twin_chain(ckpt):
+    ckpt["chains"].append(ckpt["chains"][0])
+    ckpt["settings"]["chains"] = 2
+
+
+SEARCH = ["search", "--conjecture", "2", "--n", "3"]
+
+# (command with the file as {path}, the file's text or an edit of a valid
+# checkpoint, text the error line must hold); {path} there is the file too
+MALFORMED_FILES = {
+    "weights-empty": (["dist", "--weights-file", "{path}"], "", "weights file {path}"),
+    "weights-bad-json": (["dist", "--weights-file", "{path}"], "[[1]", "weights file {path}"),
+    "weights-not-vectors": (
+        ["dist", "--weights-file", "{path}"], "[1, 2]", "array of vectors"
+    ),
+    "weights-bad-literal": (["dist", "--weights-file", "{path}"], "abc", "weights file {path}"),
+    "weights-zero-denominator": (
+        ["dist", "--weights-file", "{path}"], "1/0", "weights file {path}"
+    ),
+    "weights-float": (["dist", "--weights-file", "{path}"], "[[1.5]]", "weights file {path}"),
+    "weights-mixed-dims": (
+        ["dist", "--weights-file", "{path}"], "[[1], [1, 2]]", "weights mix dimensions"
+    ),
+    "weights-outside-ball": (["dist", "--weights-file", "{path}"], "2", "weight"),
+    "weights-missing": (["dist", "--weights-file", "{path}"], None, "{path}"),
+    "settings-bool-as-string": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        '{"structured_first": "no"}',
+        "'structured_first'",
+    ),
+    "settings-int-as-bool": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        '{"top_candidates": true}',
+        "'top_candidates'",
+    ),
+    "settings-int-as-float": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        '{"chains": 2.5}',
+        "'chains'",
+    ),
+    "settings-null": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        "null",
+        "anneal settings file {path}",
+    ),
+    "settings-array": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        "[1]",
+        "anneal settings file {path}",
+    ),
+    "settings-unknown-field": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        '{"temperature": 1}',
+        "'temperature'",
+    ),
+    "settings-bad-json": (
+        [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
+        '{"chains"',
+        "anneal settings file {path}",
+    ),
+    "checkpoint-n-past-weights": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(n=4),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-n-past-cell": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _nine_summands,
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-weight-outside-ball": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(weights=[["5"], ["1/2"], ["1/2"]]),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-zero-weight": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(weights=[["0"], ["1/2"], ["1/2"]]),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-d-outside-cell": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(d=2),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-counter-type": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(done="x"),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-score-type": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(score="x"),
+        "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-twin-chains": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _twin_chain,
+        "{path}: checkpoint has chains [0, 0]",
+    ),
+    "checkpoint-settings-type": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt["settings"].update(structured_first="no"),
+        "{path}: checkpoint settings",
+    ),
+    "checkpoint-no-problem": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt.pop("problem"),
+        "{path}: checkpoint has no 'problem' field",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_json(tmp_path_factory):
+    """A valid one-chain checkpoint of the n = 3 sign cell, as parsed JSON."""
+    path = tmp_path_factory.mktemp("checkpoint") / "state.json"
+    assert main([*SEARCH, "--budget", "20", "--chains", "1", "--checkpoint", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_named_bad_input_error(self, capsys, tmp_path, checkpoint_json, name):
+        # every malformed file is bad input (exit 2) named before any work
+        argv, content, expected = MALFORMED_FILES[name]
+        path = tmp_path / "input"
+        if callable(content):
+            ckpt = json.loads(json.dumps(checkpoint_json))
+            content(ckpt)
+            content = json.dumps(ckpt)
+        if content is not None:
+            path.write_text(content)
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and expected.format(path=path) in err
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import (
@@ -150,7 +150,7 @@ class TestAtomProbability:
     @given(weight_configs())
     def test_matches_full_distribution_on_atoms(self, cfg):
         dist = full_distribution(cfg)
-        for pt, p in dist.sorted_atoms():
+        for pt, p in dist.atoms.items():
             assert atom_probability(cfg, pt) == p
 
     @given(weight_configs(max_n=5))
@@ -175,7 +175,7 @@ class TestAtomProbability:
         rotated = WeightConfig(
             dim=2, weights=tuple(rotate(w) for w in cfg.weights)
         )
-        for pt, p in full_distribution(cfg).sorted_atoms():
+        for pt, p in full_distribution(cfg).atoms.items():
             assert atom_probability(rotated, rotate(pt)) == p
 
 
@@ -309,6 +309,22 @@ class TestAtomDistribution:
             best = max(brute.values())
             argmax = min(x for x, p in brute.items() if p == best)
             assert max_atom(law) == (argmax, best)
+
+    @given(weight_configs(max_n=5), st.sampled_from((2, 3, 4)))
+    @example(WeightConfig.from_scalars(["1"]), 2)  # no origin atom
+    @example(WeightConfig.from_scalars(["1", "1"]), 2)  # an origin atom
+    @example(WeightConfig.from_scalars(["1/2"]), 4)  # no origin atom
+    @example(WeightConfig(dim=3, weights=((1, 0, 0), (0, 0, 1))), 3)  # d = 3, origin
+    def test_sorted_atoms_mirror_the_one_sorted_half(self, cfg, m):
+        # upper_half is the one sort of a law's points; sorted_atoms mirrors
+        # it and must read as a sort of the whole law
+        if m == 2:
+            law = full_distribution(cfg)
+        else:
+            law = ap_uniform_sum_distribution(APUniformSpec(m=m), cfg)
+        origin = (0,) * cfg.dim
+        assert law.upper_half() == sorted(pt for pt in law.counts if pt > origin)
+        assert law.sorted_atoms() == sorted(law.counts.items())
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))

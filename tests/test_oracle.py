@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from conftest import brute_sign_distribution, weight_configs
 from lolab import (
     CAMPAIGN_CHECKS,
+    AtomDistribution,
     ConfigGenerator,
     TheoremTag,
     WeightConfig,
@@ -161,6 +162,18 @@ class TestConfigRows:
             assert rows == brute_rows(cfg, TheoremTag.NON_UNIFORM)
             assert norm_sq(x) == k * k
             assert (x, k) in [(row_x, row_k) for row_x, row_k, _, _ in rows]
+
+    def test_one_sorted_walk_per_law(self, monkeypatch):
+        # the theorem-2 rows walk each config's law in the law's own order
+        walked = []
+        walk = AtomDistribution.sorted_atoms
+        monkeypatch.setattr(
+            AtomDistribution, "sorted_atoms", lambda law: walked.append(law) or walk(law)
+        )
+        gen = ConfigGenerator(n=5, d=2, seed=3, count=4)
+        report = run_campaign(gen, CAMPAIGN_CHECKS)
+        assert len({id(law) for law in walked}) == len(walked) == 4
+        assert report.configs_checked == 4
 
 
 class TestZeroWeightsSup:

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from conftest import brute_ap_distribution, brute_sign_distribution, weight_configs
 from lolab import (
     AnnealSettings,
+    AtomDistribution,
     APUniformSpec,
     ConfigGenerator,
     CounterexampleCertificate,
@@ -30,7 +31,7 @@ from lolab import (
     margin_rows,
     norm_sq,
 )
-from lolab.engine import _denominator_lcm, _scaled
+from lolab.engine import lattice
 from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
@@ -73,8 +74,8 @@ def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
 
 def ceil_norm(spec: NormSpec, v) -> int:
     """Smallest integer >= the norm of v, through the integer ceiling."""
-    scale = _denominator_lcm([v])
-    return spec.ceil_scaled(_scaled([v], scale)[0], scale)
+    scale, (pt,) = lattice([v])
+    return spec.ceil_scaled(pt, scale)
 
 
 def witness(problem: SearchProblem, cfg: WeightConfig):
@@ -190,16 +191,12 @@ class TestNormRule:
         expected = math.sqrt(float(ref)) if power == 2 else float(ref)
         assert spec.float_value(v) == expected
 
-    @given(
-        st.lists(st.lists(COORDS, min_size=1, max_size=3), min_size=1, max_size=4),
-        st.integers(min_value=1, max_value=6),
-    )
-    def test_scaled_matches_fraction_products(self, vectors, multiple):
+    @given(st.lists(st.lists(COORDS, min_size=1, max_size=3), min_size=1, max_size=4))
+    def test_scaled_matches_fraction_products(self, vectors):
         vectors = [tuple(v) for v in vectors]
-        # any common multiple of the denominators puts the vectors on a lattice
-        scale = _denominator_lcm(vectors) * multiple
-        expected = [tuple((c * scale).numerator for c in v) for v in vectors]
-        assert _scaled(vectors, scale) == expected
+        scale, points = lattice(vectors)
+        assert scale == math.lcm(*(c.denominator for v in vectors for c in v))
+        assert points == [tuple((c * scale).numerator for c in v) for v in vectors]
 
 
 class TestSearchProblem:
@@ -360,6 +357,24 @@ class TestMarginCore:
         else:
             assert score == float(cand.margin)
 
+    def test_one_sorted_walk_per_law(self, monkeypatch):
+        walked = []
+        walk = AtomDistribution.sorted_atoms
+        monkeypatch.setattr(
+            AtomDistribution, "sorted_atoms", lambda law: walked.append(law) or walk(law)
+        )
+        cells = [
+            (l2_problem(n=5, d=2), ConfigGenerator(n=5, d=2, seed=31, count=3).configs()),
+            (
+                SearchProblem(conjecture=1, n=4, d=1, budget=0, seed=0, m=3),
+                ConfigGenerator(n=4, d=1, seed=32, count=2).configs(),
+            ),
+        ]
+        for problem, configs in cells:
+            for cfg in configs:
+                margin_rows(problem, cfg)
+        assert len({id(law) for law in walked}) == len(walked) == 5
+
 
 def two_point_law_is_sign_law(cfg) -> bool:
     """A two-point progression support is the sign pair {-1, +1}."""
@@ -384,7 +399,7 @@ class TestCertify:
         problem, cfg = cell
         law = brute_law(problem, cfg.weights)
         points = [x for x in sorted(law) if any(x)]
-        scale = _denominator_lcm(cfg.weights)
+        scale, _ = lattice(cfg.weights)
         far = max(points, key=norm_sq)
         points.append((far[0] + F(1, 2 * scale),) + far[1:])
         if problem.conjecture == 2:
