@@ -8,15 +8,20 @@ One lattice-sum kernel enumerates every law:
   {-1, +1}, which is the progression sum with m = 2.
 
 Weights (and an atom query's target) go on one integer `lattice`, scaled
-by their least common denominator, so convolution runs on integer tuples,
-and a law keeps that integer form: a count per lattice point over one
-denominator (m^n, so 2^n for signs). Laws sort and compare
-on those integers; `Fraction`s (and their "p/q" strings) are made only where
-a law is read, so there is no rounding at any step. Every law is symmetric
-about the origin, so every walk in atom order (`sorted_atoms`, `to_json`)
-mirrors its one sorted upper half (`upper_half`).
+by their least common denominator. Inside the convolution each lattice
+point is packed into one int (balanced digits of radix 2 * reach + 1, with
+reach bounding every coordinate of every partial sum), so a step is one
+int add; `_law` decodes the packed keys back to integer points, and a law
+keeps that integer form: a count per lattice point over one denominator
+(m^n, so 2^n for signs). The atom query joins its half-sum tables on the
+packed keys without decoding. Laws sort and compare on those integers;
+`Fraction`s (and their "p/q" strings) are made only where a law is read,
+so there is no rounding at any step. Every law is symmetric about the
+origin, so every walk in atom order (`sorted_atoms`, `to_json`) mirrors
+its one sorted upper half (`upper_half`).
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
-rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`.
+rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`,
+checked as a convolution step grows.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
@@ -265,25 +269,51 @@ def lattice(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, ...]]]:
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
 
 
-def _lattice_sums(
-    scaled: Sequence[tuple[int, ...]], dim: int, support: Sequence[int]
-) -> dict:
+def _packing(
+    points: Sequence[tuple[int, ...]], dim: int, support: Sequence[int]
+) -> tuple[int, int]:
+    """(reach, radix) for packing the sums of these points' support multiples.
+
+    reach bounds every coordinate of every partial sum, so with the radix
+    2 * reach + 1 a point packs into one int as balanced digits: linearly,
+    and one to one on the box of radius reach.
+    """
+    top = max(abs(u) for u in support)
+    reach = top * max(sum(abs(pt[j]) for pt in points) for j in range(dim))
+    return reach, 2 * reach + 1
+
+
+def _pack(pt: tuple[int, ...], radix: int) -> int:
+    """pt[0] * radix^(d-1) + ... + pt[d-1]; the identity at d = 1."""
+    key = 0
+    for a in pt:
+        key = key * radix + a
+    return key
+
+
+def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]:
     """Counts of sum_i u_i w_i over all draws of each u_i from support.
 
-    Convolves atom by atom in a hash map on integer points, so the cost
-    tracks the number of distinct intermediate atoms rather than
-    len(support)^n; that count is capped by LAW_ATOM_CAP, read per call.
+    Each w_i comes packed into one int (`_pack`), and packing is linear, so
+    a convolution step is one int add. It runs atom by atom in a hash map,
+    so the cost tracks the number of distinct intermediate atoms rather
+    than len(support)^n; that count is capped by LAW_ATOM_CAP, read per
+    call, and checked as a step grows whenever the step could pass it.
     """
-    acc = {(0,) * dim: 1}
-    for w in scaled:
-        steps = [tuple(u * b for b in w) for u in support]
-        nxt: dict = {}
-        for pt, mult in acc.items():
+    cap = LAW_ATOM_CAP
+    acc = {0: 1}
+    for w in keys:
+        # a zero draw leaves every atom where it is: copy, then add the rest
+        nxt = acc.copy() if 0 in support else {}
+        steps = [u * w for u in support if u]
+        get = nxt.get
+        guarded = len(acc) * len(support) > cap
+        for key, mult in acc.items():
             for step in steps:
-                key = tuple(map(add, pt, step))
-                nxt[key] = nxt.get(key, 0) + mult
-        if len(nxt) > LAW_ATOM_CAP:
-            raise CapExceeded("law atom", LAW_ATOM_CAP, len(nxt))
+                k = key + step
+                nxt[k] = get(k, 0) + mult
+            if guarded and len(nxt) > cap:
+                raise CapExceeded("law atom", cap, len(nxt))
         acc = nxt
     return acc
 
@@ -291,7 +321,18 @@ def _lattice_sums(
 def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribution:
     """Exact law of sum_i U_i w_i with U_i uniform on spec.support()."""
     scale, points = lattice(weights)
-    counts = _lattice_sums(points, dim, spec.support())
+    support = spec.support()
+    reach, radix = _packing(points, dim, support)
+    packed = _lattice_sums([_pack(pt, radix) for pt in points], support)
+    # decode column by column from the last coordinate: a balanced digit is
+    # the remainder of key + reach, less reach; at d = 1 the key is the point
+    rest, columns = list(packed), []
+    for _ in range(dim - 1):
+        low = [(key + reach) % radix - reach for key in rest]
+        rest = [(key - a) // radix for key, a in zip(rest, low)]
+        columns.append(low)
+    columns.append(rest)
+    counts = dict(zip(zip(*reversed(columns)), packed.values()))
     return AtomDistribution(counts, scale, spec.m ** len(weights), len(weights), dim)
 
 
@@ -315,16 +356,20 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     if cfg.n > cap:
         raise CapExceeded("atom-query summand", cap, cfg.n)
     _, (*scaled, target) = lattice([*cfg.weights, x])
-    cut = (cfg.n + 1) // 2
     signs = APUniformSpec(2).support()
-    front = _lattice_sums(scaled[:cut], cfg.dim, signs)
-    back = _lattice_sums(scaled[cut:], cfg.dim, signs)
+    reach, radix = _packing(scaled, cfg.dim, signs)
+    if any(abs(t) > reach for t in target):
+        return Fraction(0)
+    # a join hit a + b = target has a + b in the box of radius reach, where
+    # packing is one to one, so joining packed keys is exact
+    keys = [_pack(pt, radix) for pt in scaled]
+    cut = (cfg.n + 1) // 2
+    front = _lattice_sums(keys[:cut], signs)
+    back = _lattice_sums(keys[cut:], signs)
     if len(back) < len(front):
         front, back = back, front
-    hits = 0
-    for pt, mult in front.items():
-        rest = tuple(t - a for t, a in zip(target, pt))
-        hits += mult * back.get(rest, 0)
+    t, get = _pack(target, radix), back.get
+    hits = sum(mult * get(t - key, 0) for key, mult in front.items())
     return Fraction(hits, 2 ** cfg.n)
 
 

@@ -8,12 +8,17 @@ Conjecture family 2: the sign-sum bound with the Euclidean target norm
 replaced by another norm; by default the weight constraint uses the same
 norm, with an independent constraint norm available as an explicit switch.
 
-The explorer anneals over grid-rational weight configurations. Scoring
-during the walk uses floats for speed, but nothing is ever claimed from a
-float: promising states are re-scored with exact arithmetic, and only an
-exactly positive margin becomes a certificate. Atoms whose stated bound is
-exactly zero sit outside the inequality's reachable parity (or reach); they
-are counted and flagged, never certified.
+The explorer anneals over grid-rational weight configurations. One integer
+walk over a law's points above the origin (`_best_atom`) scores both the
+annealed states and the exact candidates: it reads each atom's bound from a
+table built once per law (`SearchProblem.bound_table`) and returns the best
+excess count - bound, its witness and the flagged atoms. The anneal ranks
+states by the float of that excess over the law's denominator, which has
+the exact margin's sign; candidates carry the same integers as Fractions.
+Only an exactly positive margin, recomputed from scratch by `certify`,
+becomes a certificate. Atoms whose stated bound is exactly zero sit outside
+the inequality's reachable parity (or reach); they are counted and flagged,
+never certified.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import ClassVar, Optional, Sequence, Union
+from math import isqrt, lcm
+from operator import mul
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .bounds import ap_uniform_count, nonuniform_count
 from .engine import (
@@ -43,13 +51,35 @@ from .rational import (
     floor_sqrt_ratio,
     is_zero,
     make_vec,
-    norm_sq,
     rat,
     rat_str,
     vec_strs,
 )
 
 NORM_KINDS = ("L1", "L2", "Linf", "WeightedDiagonalL2")
+
+
+_NULL = type(None)
+
+
+def _read_fields(obj, where: str, **types: tuple[type, ...]) -> dict:
+    """The named fields of a JSON object, each of one of its allowed types.
+
+    A bool is not an int. A missing field raises KeyError(name), unless
+    _NULL is among its types, in which case it reads as None.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    values = {}
+    for name, allowed in types.items():
+        value = obj.get(name) if _NULL in allowed else obj[name]
+        if type(value) not in allowed:
+            kinds = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
+            raise ValueError(
+                f"{where} field {name!r} must be {kinds}, got {json.dumps(value)}"
+            )
+        values[name] = value
+    return values
 
 
 @dataclass(frozen=True)
@@ -94,9 +124,14 @@ class NormSpec:
             raise ValueError(
                 f"vector of length {len(pt)} against diagonal of length {len(self.diag)}"
             )
+        q, coeffs = self._diag_ints
+        return sum(c * a * a for c, a in zip(coeffs, pt)), q * scale * scale
+
+    @cached_property
+    def _diag_ints(self) -> tuple[int, tuple[int, ...]]:
+        """(q, coefficients times q) for the lcm q of the diagonal's denominators."""
         q = lcm(*(c.denominator for c in self.diag))
-        s = sum(c.numerator * (q // c.denominator) * a * a for c, a in zip(self.diag, pt))
-        return s, q * scale * scale
+        return q, tuple(c.numerator * (q // c.denominator) for c in self.diag)
 
     def leq_one(self, v: Vec) -> bool:
         scale, (pt,) = lattice([v])
@@ -125,7 +160,17 @@ class NormSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormSpec":
-        return cls(kind=obj["kind"], diag=tuple(obj.get("diag", ())))
+        values = _read_fields(obj, "norm", kind=(str,), diag=(list, _NULL))
+        diag = values["diag"] or []
+        if any(type(c) not in (str, int) for c in diag):
+            raise ValueError(
+                f"norm field 'diag' must hold p/q strings, got {json.dumps(diag)}"
+            )
+        return cls(kind=values["kind"], diag=tuple(diag))
+
+
+# the default target norm, and conjecture 1's only one
+EUCLIDEAN = NormSpec("L2")
 
 
 @dataclass(frozen=True)
@@ -171,7 +216,7 @@ class SearchProblem:
                     )
 
     def target_norm(self) -> NormSpec:
-        return self.norm if self.norm is not None else NormSpec("L2")
+        return self.norm if self.norm is not None else EUCLIDEAN
 
     def law_spec(self) -> APUniformSpec:
         """The summand law: signs for conjecture 2, m progression points for 1."""
@@ -186,9 +231,44 @@ class SearchProblem:
         norm down and shifts k only for even m.
         """
         if self.conjecture == 2:
-            return nonuniform_count(n, self.target_norm().ceil_scaled(pt, scale))
-        k = floor_sqrt_ratio(sum(a * a for a in pt), scale * scale)
+            k = self.target_norm().ceil_scaled(pt, scale)
+        else:
+            k = floor_sqrt_ratio(sum(a * a for a in pt), scale * scale)
+        return self._count_at(n, k)
+
+    def _count_at(self, n: int, k: int) -> int:
+        """bound_count at a point whose rounded norm is k."""
+        if self.conjecture == 2:
+            return nonuniform_count(n, k)
         return ap_uniform_count(n, self.m, k)
+
+    def bound_table(self, n: int, scale: int) -> Callable[[tuple[int, ...]], int]:
+        """bound_count(n, ·, scale) as one lookup per point, for a law's walk.
+
+        The table holds the bound at each rounded norm k up to `top`, past
+        the sum's reach, where every bound is 0. A point's k comes from
+        integer thresholds: one ceiling division for L1 and Linf, a bisect
+        over (k * scale)^2 (times the diagonal's lcm for the weighted norm)
+        for the Euclidean ceilings, and isqrt for conjecture 1's floor.
+        """
+        top = n + 1 if self.conjecture == 2 else (self.m - 1) * n + 1
+        table = [self._count_at(n, k) for k in range(top + 1)]
+        if self.conjecture == 1:
+            square = scale * scale
+            return lambda pt: table[min(isqrt(sum(map(mul, pt, pt)) // square), top)]
+        kind = self.target_norm().kind
+        if kind == "L1":
+            return lambda pt: table[min(-(-sum(map(abs, pt)) // scale), top)]
+        if kind == "Linf":
+            return lambda pt: table[min(-(-max(map(abs, pt)) // scale), top)]
+        if kind == "L2":
+            limits = [(k * scale) ** 2 for k in range(top)]
+            return lambda pt: table[bisect_left(limits, sum(map(mul, pt, pt)))]
+        q, coeffs = self.target_norm()._diag_ints
+        limits = [q * (k * scale) ** 2 for k in range(top)]
+        return lambda pt: table[
+            bisect_left(limits, sum(map(mul, coeffs, map(mul, pt, pt))))
+        ]
 
     def dimensions(self) -> tuple[int, ...]:
         """Dimensions the search explores.
@@ -205,7 +285,7 @@ class SearchProblem:
 
     def weight_norm(self) -> NormSpec:
         if self.conjecture == 1:
-            return NormSpec("L2")
+            return EUCLIDEAN
         if self.constraint_norm is not None:
             return self.constraint_norm
         return self.target_norm()
@@ -235,20 +315,18 @@ class SearchProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchProblem":
-        return cls(
-            conjecture=obj["conjecture"],
-            n=obj["n"],
-            d=obj["d"],
-            budget=obj["budget"],
-            seed=obj["seed"],
-            m=obj.get("m"),
-            norm=None if obj.get("norm") is None else NormSpec.from_json(obj["norm"]),
-            constraint_norm=(
-                None
-                if obj.get("constraint_norm") is None
-                else NormSpec.from_json(obj["constraint_norm"])
-            ),
+        values = _read_fields(
+            obj,
+            "problem",
+            **dict.fromkeys(("conjecture", "n", "d", "budget", "seed"), (int,)),
+            m=(int, _NULL),
+            norm=(dict, _NULL),
+            constraint_norm=(dict, _NULL),
         )
+        for key in ("norm", "constraint_norm"):
+            if values[key] is not None:
+                values[key] = NormSpec.from_json(values[key])
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -269,6 +347,11 @@ class MarginRow:
 
 
 def _validate_config(problem: SearchProblem, cfg: WeightConfig) -> None:
+    if cfg.n > problem.n:
+        raise ValueError(f"config has n = {cfg.n}; the cell allows n <= {problem.n}")
+    if cfg.dim not in problem.dimensions():
+        dims = list(problem.dimensions())
+        raise ValueError(f"config has d = {cfg.dim}; the cell explores d in {dims}")
     ball = problem.weight_norm()
     for w in cfg.weights:
         if is_zero(w):
@@ -591,30 +674,50 @@ def _check_state(problem: SearchProblem, d: int, n, weights: Sequence[Vec]) -> N
     _validate_config(problem, WeightConfig(d, tuple(weights), l2_unit_ball=False))
 
 
+def _best_atom(
+    problem: SearchProblem, law: AtomDistribution
+) -> tuple[Optional[tuple[int, int, tuple[int, ...], int]], int]:
+    """The one scorer walk: the witness (excess, -|pt|^2, pt, bound), and the flags.
+
+    Over the atoms with a non-zero bound, the witness has the largest
+    excess count - bound, then the least squared norm, then the largest
+    point pt. Law and norms are symmetric and of a mirrored pair the point
+    above the origin is the larger, so walking the points above the origin
+    finds the witness of the whole law, and each flagged (zero-bound) atom
+    there counts twice. That key orders atoms totally, so the walk needs
+    no sort. Returns None for the witness when every atom is flagged.
+    """
+    bound_at = problem.bound_table(law.n, law.scale)
+    counts = law.counts
+    best = None
+    flagged = 0
+    origin = (0,) * law.dim
+    for pt in counts:
+        if pt <= origin:
+            continue
+        bound = bound_at(pt)
+        if bound == 0:
+            flagged += 2
+            continue
+        excess = counts[pt] - bound
+        if best is None or excess >= best[0]:
+            key = (excess, -sum(a * a for a in pt), pt, bound)
+            if best is None or key > best:
+                best = key
+    return best, flagged
+
+
 def _fast_margin(
     problem: SearchProblem, weights: Sequence[Vec]
 ) -> tuple[float, int]:
-    """Float best margin over eligible atoms, plus flagged-atom count.
+    """The float of the exact best margin over eligible atoms, and the flag count.
 
-    The exact integer excess feeds a single correctly rounded division at
-    the end, so the score is the float of the exact best margin. Anything
-    it nominates is still re-scored exactly before any claim is made. Law
-    and norm are symmetric, so each flagged upper-half atom counts twice.
+    The walk's integer excess feeds one correctly rounded division, so the
+    score has the sign of the exact margin; only an exact margin is claimed.
     """
     law = _law(weights, len(weights[0]), problem.law_spec())
-    n, scale, counts = law.n, law.scale, law.counts
-    best_excess: Optional[int] = None
-    flagged = 0
-    for pt in law.upper_half():
-        bound = problem.bound_count(n, pt, scale)
-        if bound == 0:
-            flagged += 2
-        elif best_excess is None or counts[pt] - bound > best_excess:
-            best_excess = counts[pt] - bound
-    return (
-        float("-inf") if best_excess is None else best_excess / law.denom,
-        flagged,
-    )
+    best, flagged = _best_atom(problem, law)
+    return (float("-inf") if best is None else best[0] / law.denom, flagged)
 
 
 def _random_weight(
@@ -802,21 +905,20 @@ def _exact_candidate(
     float_score: Optional[float],
     structured: bool,
 ) -> Candidate:
-    rows = margin_rows(problem, cfg)
-    flagged = sum(1 for row in rows if row.rhs_zero)
-    # ties prefer the atom closest to the origin, then the lexicographically
-    # largest, so the reported witness is stable
-    best = max(
-        (row for row in rows if not row.rhs_zero),
-        key=lambda row: (row.margin, -norm_sq(row.x), row.x),
-        default=None,
-    )
+    law = _exact_law(problem, cfg)
+    best, flagged = _best_atom(problem, law)
+    if best is None:
+        x = margin = lhs = rhs = None
+    else:
+        excess, _, pt, bound = best
+        x, denom = law.atom(pt), law.denom
+        margin, lhs, rhs = (Fraction(c, denom) for c in (excess, excess + bound, bound))
     return Candidate(
         config=cfg,
-        x=None if best is None else best.x,
-        margin=None if best is None else best.margin,
-        lhs=None if best is None else best.lhs,
-        rhs=None if best is None else best.rhs,
+        x=x,
+        margin=margin,
+        lhs=lhs,
+        rhs=rhs,
         float_score=float_score,
         structured=structured,
         rhs_zero_atoms=flagged,

@@ -594,9 +594,10 @@ SMALL_GRID = [
 PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 
 # sha256 of stdout followed by the --out file; the dist and verify cases
-# were recorded before laws kept their integer form, the search, atom,
+# were recorded before laws kept their integer form, the search, atom_scalar,
 # antichain_ones and antichain_grid cases before every law went through one
-# lattice-sum kernel, the search_c2_box_certifies and search_c2_wl2 cases
+# lattice-sum kernel, atom_plane and atom_unreachable before that kernel
+# packed its points into ints, the search_c2_box_certifies and search_c2_wl2 cases
 # before certify took its bound from SearchProblem, the dist_axes and
 # dist_ap3_origin cases before dist wrote a half-sorted law as a stream, and
 # the other antichain cases before the Milner check moved into the antichain
@@ -693,6 +694,16 @@ GOLDEN_OUTPUTS = {
         ["atom", "--weights", "1/2,1/3,1/6,1/4,3/4,1/3,2/3,1/2,1/4,1/6,5/12",
          "--x", "1"],
         "f36909d44570d0c22ed6e7ec5420367d83f669a044cae1648f3c5f7b04eeedc0",
+    ),
+    # a planar target whose first coordinate is the sum's reach, 349/210
+    "atom_plane": (
+        ["atom", "--weights-file", "{weights}", "--x", "349/210,7/12"],
+        "a308eb6d3bd50e958ab760010a9832e178df00bcac358c9b9a0ffcfc860759d3",
+    ),
+    # a target past the sum's reach, 3319/1260
+    "atom_unreachable": (
+        ["atom", "--weights", MIXED, "--x", "3"],
+        "cd4879679b16f84aaf9c6df5914b2064cc5ff7c799234978d53de44b47a8c423",
     ),
     "antichain_ones": (
         ["antichain", "--weights", "1,1,1,1,1,1", "--x", "2"],
@@ -872,6 +883,21 @@ MALFORMED_FILES = {
         [*SEARCH, "--budget", "40", "--resume", "{path}"],
         lambda ckpt: ckpt["settings"].update(structured_first="no"),
         "{path}: checkpoint settings",
+    ),
+    "checkpoint-problem-n-bool": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt["problem"].update(n=True),
+        "{path}: checkpoint problem: problem field 'n' must be int, got true",
+    ),
+    "checkpoint-problem-n-string": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt["problem"].update(n="3"),
+        "{path}: checkpoint problem: problem field 'n' must be int, got \"3\"",
+    ),
+    "checkpoint-norm-kind-int": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt["problem"].update(norm={"kind": 2}),
+        "{path}: checkpoint problem: norm field 'kind' must be str, got 2",
     ),
     "checkpoint-no-problem": (
         [*SEARCH, "--budget", "40", "--resume", "{path}"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -34,7 +35,7 @@ from lolab import (
     rat_str,
 )
 from lolab import engine
-from lolab.engine import _lattice_sums
+from lolab.engine import _law, _lattice_sums, lattice
 from lolab.rational import vec_strs
 
 
@@ -170,6 +171,38 @@ class TestAtomProbability:
         with pytest.raises(CapExceeded):
             atom_probability(cfg, (0,), cap=5)
 
+    @given(weight_configs(max_n=5))
+    @example(WeightConfig(dim=2, weights=((1, 0), (0, 1))))
+    @example(WeightConfig(dim=2, weights=(("1/2", "-1/3"), ("-1/4", "2/3"))))
+    @example(WeightConfig(dim=3, weights=((0, 0, 1), (0, "1/2", "-1/2"), (1, 0, 0))))
+    def test_packed_join_at_and_past_the_reach(self, cfg):
+        # reach is the largest coordinate sum of |w|; the query packs points
+        # with radix 2 * reach + 1. Targets: every atom; the aligned atom on
+        # the reach and one lattice step past it; and each point that the
+        # radix, or a radix one too small, packs onto an atom's key (one up
+        # in a coordinate, radix down in the next), inside the box or not
+        scale, points = lattice(cfg.weights)
+        sums = [sum(abs(pt[j]) for pt in points) for j in range(cfg.dim)]
+        reach = max(sums)
+        j = sums.index(reach)
+        brute = brute_sign_distribution(cfg.weights)
+        signs = [1 if w[j] >= 0 else -1 for w in cfg.weights]
+        aligned = tuple(
+            sum(s * w[i] for s, w in zip(signs, cfg.weights)) for i in range(cfg.dim)
+        )
+        assert aligned[j] * scale == reach and aligned in brute
+        past = aligned[:j] + (aligned[j] + Fraction(1, scale),) + aligned[j + 1 :]
+        targets = [aligned, past, *brute]
+        for x in brute:
+            for i in range(cfg.dim - 1):
+                for s, radix in product((1, -1), (2 * reach, 2 * reach + 1)):
+                    y = list(x)
+                    y[i] += Fraction(s, scale)
+                    y[i + 1] -= Fraction(s * radix, scale)
+                    targets.append(tuple(y))
+        for x in targets:
+            assert atom_probability(cfg, x) == brute.get(x, 0)
+
     @given(weight_configs(dims=(2,), max_n=5))
     def test_rotation_invariance(self, cfg):
         rotated = WeightConfig(
@@ -246,18 +279,37 @@ class TestAPUniformSum:
 
 
 class TestLatticeSums:
-    # 1/2, ..., 1/2^12 scaled by 2^12: all 2^k sign sums of the first k
-    # weights are distinct, so the k-th step holds 2^k atoms
-    GENERIC = [(2 ** (12 - i),) for i in range(1, 13)]
+    # 1/2, ..., 1/2^12 scaled by 2^12 (at d = 1 a packed key is the point):
+    # all 2^k sign sums of the first k weights are distinct, so the k-th
+    # step holds 2^k atoms
+    GENERIC = [2 ** (12 - i) for i in range(1, 13)]
 
     def test_atom_cap_guards_sign_laws(self, monkeypatch):
+        # the cap fires inside the 10th step, once its table passes 1000
+        # atoms (it grows by two per source atom), not after all 1024
         signs = APUniformSpec(m=2).support()
-        message = "law atom cap is 1000, request needs 1024"
+        message = "law atom cap is 1000, request needs 1002"
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
         with pytest.raises(CapExceeded, match=message):
-            _lattice_sums(self.GENERIC, 1, signs)
+            _lattice_sums(self.GENERIC, signs)
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1 << 12)
-        assert len(_lattice_sums(self.GENERIC, 1, signs)) == 1 << 12
+        assert len(_lattice_sums(self.GENERIC, signs)) == 1 << 12
+
+    @given(
+        weight_configs(max_n=5, max_denominator=4), st.sampled_from((2, 3, 4))
+    )
+    @example(
+        WeightConfig(dim=2, weights=(("1/2", "-1/3"), ("-1/4", "2/3"), ("-1/3", "-1/3"))), 3
+    )
+    @example(WeightConfig(dim=3, weights=(("-1/2", 0, "1/2"), (0, "-3/4", "1/4"))), 4)
+    def test_packed_kernel_matches_brute_force(self, cfg, m):
+        # points go through the kernel packed into ints and are decoded at
+        # the law; mixed-sign coordinates give negative digits
+        law = _law(cfg.weights, cfg.dim, APUniformSpec(m))
+        brute = brute_ap_distribution(cfg.weights, m)
+        if m == 2:
+            assert brute == brute_sign_distribution(cfg.weights)
+        assert {law.atom(pt): Fraction(c, law.denom) for pt, c in law.counts.items()} == brute
 
     def test_default_summand_caps_stay_under_the_atom_cap(self):
         # a full sign law has at most 2^n atoms and a half-sum table at most

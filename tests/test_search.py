@@ -31,7 +31,7 @@ from lolab import (
     margin_rows,
     norm_sq,
 )
-from lolab.engine import lattice
+from lolab.engine import _law, lattice
 from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
 
 F = Fraction
@@ -374,6 +374,84 @@ class TestMarginCore:
             for cfg in configs:
                 margin_rows(problem, cfg)
         assert len({id(law) for law in walked}) == len(walked) == 5
+
+
+def each_kind(test):
+    """test with a planar cell of each norm kind, and of conjecture 1 at m = 3, 4."""
+    planar = WeightConfig(
+        dim=2, weights=((F(1, 2), F(-1, 3)), (F(-2, 3), F(1, 4)), (F(1, 3), F(1, 3)))
+    )
+    box = NormSpec("Linf")
+    norms = [NormSpec(kind) for kind in ("L1", "L2", "Linf")]
+    norms.append(NormSpec("WeightedDiagonalL2", (F(1, 2), 3)))
+    for norm in norms:
+        test = example((l2_problem(n=3, d=2, norm=norm, constraint_norm=box), planar))(test)
+    for m in (3, 4):
+        problem = SearchProblem(conjecture=1, n=3, d=2, budget=0, seed=0, m=m)
+        test = example((problem, planar))(test)
+    return test
+
+
+class TestScorerWalk:
+    @given(search_cells())
+    @each_kind
+    def test_bound_table_is_bound_count(self, cell):
+        # at every atom, the origin included, and at far points, where the
+        # table's last entry (bound 0) stands for every larger norm
+        problem, cfg = cell
+        law = _law(cfg.weights, cfg.dim, problem.law_spec())
+        lookup = problem.bound_table(cfg.n, law.scale)
+        for pt in law.counts:
+            for c in (1, 3, 20):
+                far = tuple(c * a for a in pt)
+                assert lookup(far) == problem.bound_count(cfg.n, far, law.scale)
+
+    @given(search_cells())
+    @each_kind
+    def test_witness_is_the_oracle_maximum(self, cell):
+        # the walk's witness is the brute-force row of largest margin, then
+        # least squared norm, then largest point; flags count zero-bound rows
+        problem, cfg = cell
+        rows = oracle_rows(problem, cfg)
+        eligible = [row for row in rows if not row.rhs_zero]
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+        assert cand.rhs_zero_atoms == len(rows) - len(eligible)
+        if not eligible:
+            assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (None,) * 4
+            return
+        best = max(eligible, key=lambda row: (row.margin, -norm_sq(row.x), row.x))
+        assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (
+            best.x, best.margin, best.lhs, best.rhs
+        )
+
+
+class TestCellBound:
+    @pytest.mark.parametrize(
+        "problem, cfg, message",
+        [
+            (
+                l2_problem(n=3, d=1),
+                WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),) * 3),
+                "config has d = 2",
+            ),
+            (
+                l2_problem(n=3, d=1),
+                WeightConfig.from_scalars(["1/2"] * 6),
+                "config has n = 6",
+            ),
+            (
+                SearchProblem(conjecture=1, n=3, d=1, budget=0, seed=0, m=3),
+                WeightConfig.from_scalars(["1/2"] * 6),
+                "config has n = 6",
+            ),
+        ],
+    )
+    def test_configs_outside_the_cell_are_refused(self, problem, cfg, message):
+        x = (F(1),) * cfg.dim
+        with pytest.raises(ValueError, match=message):
+            certify(problem, cfg, x)
+        with pytest.raises(ValueError, match=message):
+            margin_rows(problem, cfg)
 
 
 def two_point_law_is_sign_law(cfg) -> bool:
