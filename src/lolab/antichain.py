@@ -7,8 +7,8 @@ with weights at most 1 the family is an antichain whose pairwise
 intersections have at least ceil(x) elements, which is what makes the
 counting bound on its size bite.
 
-Members are bitmasks (bit i set means index i+1 is in the set); the JSON
-form spells each member as a sorted 1-based element list. `milner_report`
+Members are bitmasks (bit i set means index i+1 is in the set); the CLI's
+report spells each member as a sorted 1-based element list. `milner_report`
 checks a family against the size bound for k-intersecting antichains and
 reports both hypotheses, so the CLI's family report comes from one rule.
 
@@ -50,15 +50,6 @@ class SubsetFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def elements(self, mask: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if mask >> i & 1)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "members": [list(self.elements(mask)) for mask in self.members],
-        }
 
 
 def build_family(

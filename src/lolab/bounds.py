@@ -206,7 +206,7 @@ def zero_weights_extremal(x) -> WeightConfig:
 
 @lru_cache(maxsize=None)
 def _unit_ap_law(n: int, m: int) -> dict:
-    """Point counts of the unit-weight progression sum over m^n draws."""
+    """Counts of the unit-weight progression sum over m^n draws, at points >= 0."""
     return _law([(1,)] * n, 1, APUniformSpec(m)).counts
 
 
@@ -218,7 +218,7 @@ def ap_uniform_count(n: int, m: int, k: int) -> int:
     parity or reach.
     """
     target = k if m % 2 == 1 else k + parity_correction(n, k)
-    return _unit_ap_law(n, m).get((target,), 0)
+    return _unit_ap_law(n, m).get(target, 0)
 
 
 def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:

@@ -20,7 +20,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .antichain import build_family, milner_report
+from .antichain import SubsetFamily, build_family, milner_report
 from .bounds import (
     TheoremTag,
     bound_dispatch,
@@ -320,15 +320,41 @@ def cmd_antichain(args) -> int:
     cfg = _config_from_weights(vectors, l2_unit_ball=False)
     probability = atom_probability(cfg, (x,), cap=cfg.n)
     payload = {
-        "family": family.to_json(),
+        "family": {"members": [], "n": family.n},
         "size": len(family),
         "k": k,
         **report,
         "atom_probability": rat_str(probability),
         "cardinality_matches": Fraction(len(family), 2 ** family.n) == probability,
     }
-    _emit(args, payload)
+    # the members go in as text, in place of the one "members" key's []
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = text.replace('"members": []', '"members": ' + _members_json(family), 1)
+    with _output(args) as handle:
+        handle.write(text + "\n")
     return 1 if report["milner"]["holds"] is False else 0
+
+
+def _members_json(family: SubsetFamily) -> str:
+    """The family's members as sorted 1-based element lists, laid out as
+    json.dumps(indent=2) lays out the report's "members" value.
+
+    The members are most of the report, and the json module indents with
+    its pure-Python encoder, so each member's text is joined from tables of
+    element strings indexed by the member's bytes.
+    """
+    if not family.members:
+        return "[]"
+    columns = []
+    for shift in range(0, max(family.n, 1), 8):
+        table = [""]
+        for i in range(shift + 1, shift + 9):
+            element = f",\n        {i}"
+            table += [text + element for text in table]
+        columns.append([table[mask >> shift & 255] for mask in family.members])
+    texts = map("".join, zip(*columns))
+    items = [f"[{text[1:]}\n      ]" if text else "[]" for text in texts]
+    return "[\n      " + ",\n      ".join(items) + "\n    ]"
 
 
 def cmd_extremal(args) -> int:

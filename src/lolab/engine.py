@@ -8,20 +8,22 @@ One lattice-sum kernel enumerates every law:
   {-1, +1}, which is the progression sum with m = 2.
 
 Weights (and an atom query's target) go on one integer `lattice`, scaled
-by their least common denominator. Inside the convolution each lattice
-point is packed into one int (balanced digits of radix 2 * reach + 1, with
-reach bounding every coordinate of every partial sum), so a step is one
-int add; `_law` decodes the packed keys back to integer points, and a law
-keeps that integer form: a count per lattice point over one denominator
-(m^n, so 2^n for signs). The atom query joins its half-sum tables on the
-packed keys without decoding. Laws sort and compare on those integers;
-`Fraction`s (and their "p/q" strings) are made only where a law is read,
-so there is no rounding at any step. Every law is symmetric about the
-origin, so every walk in atom order (`sorted_atoms`, `to_json`) mirrors
-its one sorted upper half (`upper_half`).
+by their least common denominator. Each lattice point is packed into one
+int (balanced digits of radix 2 * reach + 1, with reach bounding every
+coordinate of every partial sum), so a convolution step is one int add,
+and packed keys order as their points do. Every summand's support is
+symmetric, so every law is its own mirror, P(x) = P(-x): the kernel
+builds, and a law keeps, only the half at or above the origin, a count per
+packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
+below the origin is ever built by a convolution. The atom query joins two
+such folded half-sum tables. Points are decoded, and `Fraction`s and their
+"p/q" strings made, only where a law is read, so there is no rounding at
+any step; at d = 1 a key is its point. Every walk in atom order
+(`sorted_atoms`, `to_json`) mirrors the law's one sorted upper half
+(`upper_half`).
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
-rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`,
-checked as a convolution step grows.
+rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
+on the atoms of both halves, checked as a convolution step grows.
 """
 
 from __future__ import annotations
@@ -136,60 +138,85 @@ class APUniformSpec:
 
 @dataclass
 class AtomDistribution:
-    """A finite exact law on the lattice of points pt / scale.
+    """A finite exact law on the lattice of points pt / scale, kept as its upper half.
 
-    `counts` maps each integer point pt to a positive count; the atom
-    pt / scale has probability counts[pt] / denom. Since scale is one
-    positive integer, integer points order as their atoms do. Each summand's
-    support is symmetric, so counts[pt] == counts[-pt].
+    Each summand's support is symmetric, so the law is its own mirror:
+    P(pt) == P(-pt). `counts` holds only the half at or above the origin,
+    keyed by packed point (`_pack`, radix 2 * reach + 1, reach bounding every
+    coordinate): the point with key k >= 0 has probability counts[k] / denom,
+    and so does its mirror, key -k. Packed keys order as their points do, so
+    a key above 0 is a point above the origin. Points are decoded (`points`)
+    only where a law is read.
     """
 
-    counts: dict[tuple[int, ...], int]
+    counts: dict[int, int]
     scale: int
     denom: int
     n: int
     dim: int
+    reach: int
+
+    @property
+    def radix(self) -> int:
+        return 2 * self.reach + 1
 
     @property
     def atoms(self) -> "_AtomView":
-        """Read-only {atom: Fraction} view; its length costs nothing."""
+        """Read-only {atom: Fraction} view of the whole law; its length costs nothing."""
         return _AtomView(self)
 
     def atom(self, pt: tuple[int, ...]) -> Vec:
         return tuple(Fraction(a, self.scale) for a in pt)
 
-    def _lattice_point(self, x) -> Optional[tuple[int, ...]]:
-        """x * scale, or None when x is off the lattice."""
+    def points(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
+        """The integer points of packed keys of either sign.
+
+        Decodes column by column from the last coordinate: a balanced digit
+        is the remainder of key + reach, less reach. At d = 1 a key is its
+        point's one coordinate.
+        """
+        reach, radix = self.reach, self.radix
+        rest, columns = list(keys), []
+        for _ in range(self.dim - 1):
+            low = [(key + reach) % radix - reach for key in rest]
+            rest = [(key - a) // radix for key, a in zip(rest, low)]
+            columns.append(low)
+        columns.append(rest)
+        return list(zip(*reversed(columns)))
+
+    def _key(self, x) -> Optional[int]:
+        """The packed key of x * scale, or None when x is off the lattice or the box."""
         x = make_vec(x)
         if len(x) != self.dim:
             raise ValueError(f"target has length {len(x)}, expected dim {self.dim}")
         pt = []
         for c in x:
             a, rem = divmod(c.numerator * self.scale, c.denominator)
-            if rem:
+            if rem or abs(a) > self.reach:
                 return None
             pt.append(a)
-        return tuple(pt)
+        return _pack(pt, self.radix)
 
     def probability(self, x) -> Fraction:
-        pt = self._lattice_point(x)
-        return Fraction(0 if pt is None else self.counts.get(pt, 0), self.denom)
+        key = self._key(x)
+        return Fraction(0 if key is None else self.counts.get(abs(key), 0), self.denom)
 
-    def upper_half(self) -> list[tuple[int, ...]]:
-        """The points above the origin, sorted: the one sort of a law's points.
+    def upper_half(self) -> list[int]:
+        """The keys above the origin, sorted: the one sort of a law's points.
 
-        Every law here is symmetric and negation reverses lexicographic
-        order, so the points below the origin are these negated, in reverse.
+        Negation reverses the order of points, so the points below the
+        origin are these negated, in reverse.
         """
-        origin = (0,) * self.dim
-        return sorted(pt for pt in self.counts if pt > origin)
+        keys = sorted(self.counts)
+        return keys[1:] if keys[0] == 0 else keys
 
     def sorted_atoms(self) -> list[tuple[tuple[int, ...], int]]:
         """(point, count) of every atom, in atom order, mirrored from upper_half()."""
-        counts, upper, origin = self.counts, self.upper_half(), (0,) * self.dim
-        lower = [(tuple(-a for a in pt), counts[pt]) for pt in reversed(upper)]
-        middle = [(origin, counts[origin])] if origin in counts else []
-        return lower + middle + [(pt, counts[pt]) for pt in upper]
+        counts, upper = self.counts, self.upper_half()
+        upper = list(zip(self.points(upper), map(counts.__getitem__, upper)))
+        lower = [(tuple(-a for a in pt), count) for pt, count in reversed(upper)]
+        middle = [((0,) * self.dim, counts[0])] if 0 in counts else []
+        return lower + middle + upper
 
     def formatted_atoms(self) -> Iterator[tuple[list[str], str]]:
         """("p/q" coordinates, "p/q" probability) of every atom, in atom order.
@@ -200,21 +227,26 @@ class AtomDistribution:
         scale, denom, counts = self.scale, self.denom, self.counts
         # one "p/q" string per distinct count, shared by the atoms that have it
         probs = {count: ratio_str(count, denom) for count in set(counts.values())}
+        keys = self.upper_half()
         upper = [
-            ([ratio_str(a, scale) for a in pt], probs[counts[pt]])
-            for pt in self.upper_half()
+            ([ratio_str(a, scale) for a in pt], probs[counts[key]])
+            for key, pt in zip(keys, self.points(keys))
         ]
         for x, p in reversed(upper):
             yield [_negated(c) for c in x], p
-        origin = (0,) * self.dim
-        if origin in counts:
-            yield ["0/1"] * self.dim, probs[counts[origin]]
+        if 0 in counts:
+            yield ["0/1"] * self.dim, probs[counts[0]]
         yield from upper
 
     def max_count(self) -> tuple[tuple[int, ...], int]:
-        """The most likely point and its count; ties go to the least point."""
+        """The most likely point and its count; ties go to the least point.
+
+        That is the mirror of the largest tied key, which is the origin when
+        no key above it ties.
+        """
         best = max(self.counts.values())
-        return min(pt for pt, count in self.counts.items() if count == best), best
+        key = max(key for key, count in self.counts.items() if count == best)
+        return self.points([-key])[0], best
 
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
@@ -242,25 +274,27 @@ def _negated(coord: str) -> str:
 
 
 class _AtomView(Mapping):
-    """A law's atoms as a read-only Mapping, made into Fractions on access."""
+    """A law's atoms, both halves, as a read-only Mapping of Fractions."""
 
     def __init__(self, law: AtomDistribution):
         self._law = law
 
     def __len__(self) -> int:
-        return len(self._law.counts)
+        return _full_size(self._law.counts)
 
     def __iter__(self) -> Iterator[Vec]:
-        return map(self._law.atom, self._law.counts)
+        law = self._law
+        keys = [*law.counts, *(-key for key in law.counts if key)]
+        return map(law.atom, law.points(keys))
 
     def __getitem__(self, x) -> Fraction:
         law = self._law
         if len(x) != law.dim:  # absent, where probability() would refuse it
             raise KeyError(x)
-        pt = law._lattice_point(x)
-        if pt is None or pt not in law.counts:
+        key = law._key(x)
+        if key is None or abs(key) not in law.counts:
             raise KeyError(x)
-        return Fraction(law.counts[pt], law.denom)
+        return Fraction(law.counts[abs(key)], law.denom)
 
 
 def lattice(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, ...]]]:
@@ -291,29 +325,50 @@ def _pack(pt: tuple[int, ...], radix: int) -> int:
     return key
 
 
+def _full_size(half: Mapping[int, int]) -> int:
+    """The atom count of the symmetric law whose keys >= 0 are half's."""
+    return 2 * len(half) - (0 in half)
+
+
 def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]:
-    """Counts of sum_i u_i w_i over all draws of each u_i from support.
+    """Counts of sum_i u_i w_i over all draws of each u_i from support, keys >= 0.
 
     Each w_i comes packed into one int (`_pack`), and packing is linear, so
-    a convolution step is one int add. It runs atom by atom in a hash map,
-    so the cost tracks the number of distinct intermediate atoms rather
-    than len(support)^n; that count is capped by LAW_ATOM_CAP, read per
-    call, and checked as a step grows whenever the step could pass it.
+    a convolution step is one int add. support is symmetric, so every law
+    here is its own mirror, and only its keys >= 0 are built. A stored key
+    k != 0 stands for k and -k, so each step s = u * |w_i|, u > 0, takes it
+    to k + s and |k - s|, the folded images of k +- s and -k -+ s. Two
+    corrections follow: the origin stands only for itself, so it reaches s
+    once, not twice; and from k = s both k - s and -k + s land on the
+    origin, which the loop counted once.
+
+    It runs atom by atom in a hash map, so the cost tracks the number of
+    distinct intermediate atoms rather than len(support)^n; that count, of
+    both halves, is capped by LAW_ATOM_CAP, read per call, and checked as a
+    step grows whenever the step could pass it.
     """
     cap = LAW_ATOM_CAP
     acc = {0: 1}
     for w in keys:
         # a zero draw leaves every atom where it is: copy, then add the rest
         nxt = acc.copy() if 0 in support else {}
-        steps = [u * w for u in support if u]
+        steps = [u * abs(w) for u in support if u > 0]
         get = nxt.get
-        guarded = len(acc) * len(support) > cap
+        guarded = _full_size(acc) * len(support) > cap
         for key, mult in acc.items():
             for step in steps:
                 k = key + step
                 nxt[k] = get(k, 0) + mult
-            if guarded and len(nxt) > cap:
-                raise CapExceeded("law atom", cap, len(nxt))
+                k = abs(key - step)
+                nxt[k] = get(k, 0) + mult
+            if guarded and _full_size(nxt) > cap:
+                raise CapExceeded("law atom", cap, _full_size(nxt))
+        origin = acc.get(0, 0)
+        for step in steps:
+            if origin:
+                nxt[step] -= origin
+            if step in acc:
+                nxt[0] = get(0, 0) + acc[step]
         acc = nxt
     return acc
 
@@ -323,17 +378,9 @@ def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribut
     scale, points = lattice(weights)
     support = spec.support()
     reach, radix = _packing(points, dim, support)
-    packed = _lattice_sums([_pack(pt, radix) for pt in points], support)
-    # decode column by column from the last coordinate: a balanced digit is
-    # the remainder of key + reach, less reach; at d = 1 the key is the point
-    rest, columns = list(packed), []
-    for _ in range(dim - 1):
-        low = [(key + reach) % radix - reach for key in rest]
-        rest = [(key - a) // radix for key, a in zip(rest, low)]
-        columns.append(low)
-    columns.append(rest)
-    counts = dict(zip(zip(*reversed(columns)), packed.values()))
-    return AtomDistribution(counts, scale, spec.m ** len(weights), len(weights), dim)
+    counts = _lattice_sums([_pack(pt, radix) for pt in points], support)
+    n = len(weights)
+    return AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
 
 
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
@@ -368,8 +415,14 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     back = _lattice_sums(keys[cut:], signs)
     if len(back) < len(front):
         front, back = back, front
+    # both tables hold keys >= 0 of symmetric laws: a front key a > 0 stands
+    # for a and -a, and a back count at b is the count at -b
     t, get = _pack(target, radix), back.get
-    hits = sum(mult * get(t - key, 0) for key, mult in front.items())
+    hits = front.get(0, 0) * get(abs(t), 0) + sum(
+        mult * (get(abs(t - key), 0) + get(abs(t + key), 0))
+        for key, mult in front.items()
+        if key
+    )
     return Fraction(hits, 2 ** cfg.n)
 
 

@@ -203,9 +203,8 @@ def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterato
             pt, count = law.max_count()
             yield check, pt, 0, count, _bound_count(erdos_kleitman_bound(n), denom)
         elif check is TheoremTag.ZERO_ODD:
-            origin = (0,) * law.dim
-            count = law.counts.get(origin, 0)
-            yield check, origin, 0, count, _bound_count(zero_odd_bound(n), denom)
+            count = law.counts.get(0, 0)
+            yield check, (0,) * law.dim, 0, count, _bound_count(zero_odd_bound(n), denom)
 
 
 def verify_zero_weights_sup(

@@ -62,16 +62,19 @@ NORM_KINDS = ("L1", "L2", "Linf", "WeightedDiagonalL2")
 _NULL = type(None)
 
 
-def _read_fields(obj, where: str, **types: tuple[type, ...]) -> dict:
+def _read_fields(obj, where: str, *, partial=False, **types: tuple[type, ...]) -> dict:
     """The named fields of a JSON object, each of one of its allowed types.
 
     A bool is not an int. A missing field raises KeyError(name), unless
-    _NULL is among its types, in which case it reads as None.
+    _NULL is among its types, in which case it reads as None, or `partial`
+    is set, in which case it is left out.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     values = {}
     for name, allowed in types.items():
+        if partial and name not in obj:
+            continue
         value = obj.get(name) if _NULL in allowed else obj[name]
         if type(value) not in allowed:
             kinds = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
@@ -519,22 +522,18 @@ class AnnealSettings:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "AnnealSettings":
-        if not isinstance(obj, dict):
-            raise ValueError("anneal settings must be a JSON object")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
+    def from_json(cls, obj: dict, *, partial: bool = True) -> "AnnealSettings":
+        """Settings from a JSON object; unless `partial`, it must hold every field."""
+        # each field takes its default's type, and a float field an int
+        types = {
+            f.name: (int, float) if type(f.default) is float else (type(f.default),)
+            for f in fields(cls)
+        }
+        values = _read_fields(obj, "anneal settings", partial=partial, **types)
+        unknown = set(obj) - set(types)
         if unknown:
             raise ValueError(f"unknown anneal settings: {sorted(unknown)}")
-        for f in fields(cls):
-            # each field takes its default's type, and a float field an int
-            kind = type(f.default)
-            allowed = (int, float) if kind is float else (kind,)
-            if f.name in obj and type(obj[f.name]) not in allowed:
-                raise ValueError(
-                    f"anneal setting {f.name!r} must be of type {kind.__name__}, "
-                    f"got {json.dumps(obj[f.name])}"
-                )
-        return cls(**obj)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "AnnealSettings":
@@ -626,34 +625,44 @@ class _Chain:
     @classmethod
     def from_json(cls, obj: dict, problem: SearchProblem) -> "_Chain":
         """A stored chain, refused unless its states could be walked in problem's cell."""
-        rng = random.Random()
-        state = obj["rng_state"]
-        rng.setstate((state[0], tuple(state[1]), state[2]))
-        chain = cls(
-            index=obj["index"],
-            seed=obj["seed"],
-            d=obj["d"],
-            rng=rng,
-            n=obj["n"],
-            weights=[make_vec(w) for w in obj["weights"]],
-            score=float("-inf") if obj["score"] is None else obj["score"],
-            best_score=(
-                float("-inf") if obj["best_score"] is None else obj["best_score"]
+        values = _read_fields(
+            obj,
+            "chain",
+            **dict.fromkeys(
+                ("index", "seed", "d", "n", "since_improve", "done", "flagged"), (int,)
             ),
-            since_improve=obj["since_improve"],
-            done=obj["done"],
-            flagged=obj["flagged"],
+            **dict.fromkeys(("score", "best_score"), (int, float, _NULL)),
+            **dict.fromkeys(("weights", "rng_state", "top", "trace"), (list,)),
         )
-        chain.top = {
-            (entry["n"], tuple(make_vec(w) for w in entry["weights"])): entry["score"]
-            for entry in obj["top"]
-        }
-        chain.trace = [(it, score) for it, score in obj["trace"]]
-        counters = ("index", "d", "since_improve", "done", "flagged")
-        if any(type(getattr(chain, name)) is not int for name in counters):
-            raise ValueError(f"{', '.join(counters)} must be ints")
-        if any(type(s) not in (int, float) for s in (chain.score, chain.best_score)):
-            raise ValueError("score and best_score must be numbers or null")
+        top = {}
+        for i, entry in enumerate(values["top"]):
+            entry = _read_fields(
+                entry, f"top[{i}]", n=(int,), weights=(list,), score=(int, float)
+            )
+            top[entry["n"], tuple(map(make_vec, entry["weights"]))] = entry["score"]
+        for entry in values["trace"]:
+            kinds = list(map(type, entry)) if type(entry) is list else None
+            if kinds not in ([int, int], [int, float]):
+                raise ValueError(
+                    "chain field 'trace' must hold [iteration, score] pairs, "
+                    f"got {json.dumps(entry)}"
+                )
+        state = values.pop("rng_state")
+        rng = random.Random()
+        try:
+            rng.setstate((state[0], tuple(state[1]), state[2]))
+        except (IndexError, TypeError, ValueError):
+            message = "chain field 'rng_state' is not a saved random state"
+            raise ValueError(message) from None
+        for name in ("score", "best_score"):
+            if values[name] is None:
+                values[name] = float("-inf")
+        values.update(
+            weights=[make_vec(w) for w in values["weights"]],
+            top=top,
+            trace=[tuple(entry) for entry in values["trace"]],
+        )
+        chain = cls(rng=rng, **values)
         if chain.d not in problem.dimensions():
             raise ValueError(
                 f"has d = {chain.d}; the cell explores d in {list(problem.dimensions())}"
@@ -664,11 +673,11 @@ class _Chain:
         return chain
 
 
-def _check_state(problem: SearchProblem, d: int, n, weights: Sequence[Vec]) -> None:
+def _check_state(problem: SearchProblem, d: int, n: int, weights: Sequence[Vec]) -> None:
     """Refuse n weights of length d that the walk could not reach in problem's cell."""
-    if type(n) is not int or not 1 <= n <= problem.n or n != len(weights):
+    if not 1 <= n <= problem.n or n != len(weights):
         raise ValueError(
-            f"has n = {json.dumps(n)} and {len(weights)} weights; "
+            f"has n = {n} and {len(weights)} weights; "
             f"the cell needs n = len(weights) in 1..{problem.n}"
         )
     _validate_config(problem, WeightConfig(d, tuple(weights), l2_unit_ball=False))
@@ -688,18 +697,15 @@ def _best_atom(
     no sort. Returns None for the witness when every atom is flagged.
     """
     bound_at = problem.bound_table(law.n, law.scale)
-    counts = law.counts
+    keys = [key for key in law.counts if key]
     best = None
     flagged = 0
-    origin = (0,) * law.dim
-    for pt in counts:
-        if pt <= origin:
-            continue
+    for pt, count in zip(law.points(keys), map(law.counts.__getitem__, keys)):
         bound = bound_at(pt)
         if bound == 0:
             flagged += 2
             continue
-        excess = counts[pt] - bound
+        excess = count - bound
         if best is None or excess >= best[0]:
             key = (excess, -sum(a * a for a in pt), pt, bound)
             if best is None or key > best:
@@ -943,11 +949,7 @@ class AnnealResult:
     def summary(self) -> str:
         cell = " ".join(f"{k}={v}" for k, v in sorted(self.problem.cell().items()))
         margin = "none" if self.best_margin is None else rat_str(self.best_margin)
-        verdict = (
-            "VIOLATION CERTIFIED"
-            if self.certificates
-            else "no violation found"
-        )
+        verdict = "VIOLATION CERTIFIED" if self.certificates else "no violation found"
         return (
             f"cell {cell} seed={self.problem.seed} "
             f"budget={self.problem.budget}: best exact margin {margin}, "
@@ -998,9 +1000,9 @@ def _load_checkpoint(path: str) -> tuple[SearchProblem, AnnealSettings, list[_Ch
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not an anneal checkpoint")
 
-    def parse(where: str, from_json, obj, *context):
+    def parse(where: str, from_json, obj, *context, **options):
         try:
-            return from_json(obj, *context)
+            return from_json(obj, *context, **options)
         except KeyError as exc:
             raise ValueError(
                 f"{path}: checkpoint {where} has no {exc.args[0]!r} field"
@@ -1012,12 +1014,11 @@ def _load_checkpoint(path: str) -> tuple[SearchProblem, AnnealSettings, list[_Ch
         if key not in payload:
             raise ValueError(f"{path}: checkpoint has no {key!r} field")
     problem = parse("problem", SearchProblem.from_json, payload["problem"])
-    settings = parse("settings", AnnealSettings.from_json, payload["settings"])
     # a settings file may leave fields at their defaults; a checkpoint must
     # carry the run's own settings, or the resumed run would differ silently
-    for key in AnnealSettings.__dataclass_fields__:
-        if key not in payload["settings"]:
-            raise ValueError(f"{path}: checkpoint settings has no {key!r} field")
+    settings = parse(
+        "settings", AnnealSettings.from_json, payload["settings"], partial=False
+    )
     if not isinstance(payload["chains"], list):
         raise ValueError(f"{path}: checkpoint chains must be a JSON array")
     chains = [
@@ -1091,9 +1092,7 @@ def anneal(
         for d in problem.dimensions():
             for base in _structured_bases(problem, settings, d):
                 for count in range(1, min(problem.n, settings.structured_n_max) + 1):
-                    cfg = WeightConfig(
-                        dim=d, weights=(base,) * count, l2_unit_ball=False
-                    )
+                    cfg = WeightConfig(d, (base,) * count, l2_unit_ball=False)
                     structured.append(
                         _exact_candidate(
                             problem, cfg, float_score=None, structured=True

@@ -93,14 +93,43 @@ def brute_is_k_intersecting(family, k):
     return True
 
 
-def assert_symmetric_law(law):
-    """Assert the law is a symmetric probability distribution."""
-    total = sum(law.counts.values())
-    assert total == law.denom, f"law sums to {Fraction(total, law.denom)}, not 1"
-    for pt, count in law.counts.items():
-        assert count > 0, f"non-positive count {count} at {pt}"
-        mirror = tuple(-a for a in pt)
-        assert law.counts.get(mirror) == count, f"law not symmetric at {pt}"
+def full_counts(law):
+    """The whole law as {integer point: count}: each stored key k and its mirror -k.
+
+    Keys are decoded one balanced digit at a time here, apart from the
+    package's column decoder.
+    """
+    reach, radix = law.reach, 2 * law.reach + 1
+
+    def point(key):
+        digits = []
+        for _ in range(law.dim):
+            a = (key + reach) % radix - reach
+            assert abs(a) <= reach
+            digits.append(a)
+            key = (key - a) // radix
+        assert key == 0, "key outside the packing box"
+        return tuple(reversed(digits))
+
+    full = {}
+    for key, count in law.counts.items():
+        full[point(key)] = full[point(-key)] = count
+    return full
+
+
+def assert_symmetric_law(law, brute):
+    """Assert the law keeps only its half at or above the origin, and that half
+    expands to brute, an independent {point: probability} law, which must be
+    a symmetric probability distribution."""
+    for key, count in law.counts.items():
+        assert key >= 0, f"key {key} below the origin"
+        assert count > 0, f"non-positive count {count} at key {key}"
+    assert sum(brute.values()) == 1
+    for x, p in brute.items():
+        assert brute.get(tuple(-c for c in x)) == p, f"brute law not symmetric at {x}"
+    full = full_counts(law)
+    assert {law.atom(pt): Fraction(c, law.denom) for pt, c in full.items()} == brute
+    assert len(law.atoms) == len(brute)
 
 
 ROTATION = (

@@ -287,7 +287,8 @@ def test_criterion_7_atom_families():
             ws = [Fraction(rng.randint(1, 16), 16) for _ in range(n)]
             cfg = WeightConfig.from_scalars(ws)
             law = full_distribution(cfg)
-            positive = [law.atom(pt)[0] for pt in law.upper_half()]
+            # at d = 1 a law's key is its point
+            positive = [Fraction(key, law.scale) for key in law.upper_half()]
             picks = sorted({0, len(positive) // 2, len(positive) - 1})
             for idx in picks:
                 if not positive:

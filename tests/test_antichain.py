@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -23,11 +24,14 @@ from lolab import (
     milner_report,
     rat,
 )
+from lolab.cli import _members_json
 from lolab.rational import ceil_sqrt
 
 
 def family_sets(family):
-    return {family.elements(m) for m in family.members}
+    return {
+        tuple(i + 1 for i in range(family.n) if mask >> i & 1) for mask in family.members
+    }
 
 
 positive_scalars = st.fractions(
@@ -42,10 +46,25 @@ class TestSubsetFamily:
         assert len(fam) == 2
 
     def test_elements_one_based(self):
+        # the report spells each member as its sorted 1-based elements
         fam = SubsetFamily(n=4, members=(0b1010,))
-        assert fam.elements(0b1010) == (2, 4)
-        blob = SubsetFamily(n=3, members=(3, 5, 6)).to_json()
-        assert blob["members"] == [[1, 2], [1, 3], [2, 3]]
+        assert json.loads(_members_json(fam)) == [[2, 4]]
+        fam = SubsetFamily(n=3, members=(3, 5, 6))
+        assert json.loads(_members_json(fam)) == [[1, 2], [1, 3], [2, 3]]
+
+    @given(st.integers(min_value=0, max_value=26), st.data())
+    @example(0, None)
+    @example(17, None)
+    def test_members_text_is_the_json_module_layout(self, n, data):
+        # at the report's depth, for masks of one to four bytes, the empty
+        # set and the empty family included
+        masks = [0, (1 << n) - 1] if data is None else data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12)
+        )
+        fam = SubsetFamily(n=n, members=tuple(masks))
+        lists = [[i + 1 for i in range(n) if mask >> i & 1] for mask in fam.members]
+        text = json.dumps({"family": {"members": lists}}, indent=2)
+        assert text == '{\n  "family": {\n    "members": ' + _members_json(fam) + "\n  }\n}"
 
     def test_rejects_mask_outside_ground_set(self):
         with pytest.raises(ValueError):

@@ -601,7 +601,9 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 # before certify took its bound from SearchProblem, the dist_axes and
 # dist_ap3_origin cases before dist wrote a half-sorted law as a stream, and
 # the other antichain cases before the Milner check moved into the antichain
-# module. Any change to law, campaign, search, certificate or family bytes
+# module, except antichain_three_bytes and antichain_empty_member, recorded
+# before the family report's members were written from per-byte tables.
+# Any change to law, campaign, search, certificate or family bytes
 # shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
@@ -723,6 +725,16 @@ GOLDEN_OUTPUTS = {
         ["antichain", "--weights", "1,1", "--x", "1", "--k", "5"],
         "46f58cb3b3a4560a21f28a9570f0016530fc4caab4b0a6e7b600b6c8024001df",
     ),
+    # n = 18: 62 members, whose elements span three bytes of each mask
+    "antichain_three_bytes": (
+        ["antichain", "--weights", ",".join(map(str, range(1, 19))), "--x", "131"],
+        "4a782f1405d5e091974c2d12c71a38387dc6bd04bec0450051cd9cae47a831c3",
+    ),
+    # the one member is the empty set
+    "antichain_empty_member": (
+        ["antichain", "--weights", "1,1", "--x", "-2"],
+        "3950b18dccfd20efc64db93639b9cd28af6d1508d3c8ffd157c023de01ffc93a",
+    ),
 }
 
 # a certified violation exits 1; every other case exits 0
@@ -777,6 +789,11 @@ def _chain_edit(**changes):
 def _nine_summands(ckpt):
     chain = ckpt["chains"][0]
     chain["n"], chain["weights"] = 9, chain["weights"] * 3
+
+
+def _top_score(score):
+    """A checkpoint edit that sets the score of chain 0's first stored candidate."""
+    return lambda ckpt: ckpt["chains"][0]["top"][0].update(score=score)
 
 
 def _twin_chain(ckpt):
@@ -873,6 +890,36 @@ MALFORMED_FILES = {
         [*SEARCH, "--budget", "40", "--resume", "{path}"],
         _chain_edit(score="x"),
         "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-trace-strings": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(trace=[["a", "b"]]),
+        "{path}: checkpoint chain 0: chain field 'trace' must hold",
+    ),
+    "checkpoint-trace-short-entry": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(trace=[[3]]),
+        "{path}: checkpoint chain 0: chain field 'trace' must hold",
+    ),
+    "checkpoint-rng-state-short": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(rng_state=[3]),
+        "{path}: checkpoint chain 0: chain field 'rng_state' is not a saved random state",
+    ),
+    "checkpoint-rng-state-strings": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(rng_state=[3, ["a"] * 625, None]),
+        "{path}: checkpoint chain 0: chain field 'rng_state' is not a saved random state",
+    ),
+    "checkpoint-top-score-string": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _top_score("high"),
+        "{path}: checkpoint chain 0: top[0] field 'score' must be int or float, got \"high\"",
+    ),
+    "checkpoint-top-score-null": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _top_score(None),
+        "{path}: checkpoint chain 0: top[0] field 'score' must be int or float, got null",
     ),
     "checkpoint-twin-chains": (
         [*SEARCH, "--budget", "40", "--resume", "{path}"],

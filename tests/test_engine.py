@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from conftest import (
     brute_ap_distribution,
     brute_sign_atom,
     brute_sign_distribution,
+    full_counts,
     max_atom,
     rotate,
     weight_configs,
@@ -117,7 +119,7 @@ class TestFullDistribution:
     def test_probabilities_sum_to_one(self, cfg):
         dist = full_distribution(cfg)
         assert sum(dist.atoms.values()) == 1
-        assert_symmetric_law(dist)
+        assert_symmetric_law(dist, brute_sign_distribution(cfg.weights))
 
     @given(weight_configs())
     def test_symmetric_about_origin(self, cfg):
@@ -153,6 +155,20 @@ class TestAtomProbability:
         dist = full_distribution(cfg)
         for pt, p in dist.atoms.items():
             assert atom_probability(cfg, pt) == p
+
+    @given(weight_configs(max_n=6), st.integers(min_value=0, max_value=2))
+    @example(WeightConfig.from_scalars(["1", "1", "1", "1"]), 0)  # both halves hit 0
+    @example(WeightConfig(dim=2, weights=(("-1/2", "1/3"), ("1/2", "1/4"))), 1)  # key < 0
+    def test_folded_join_matches_brute_force(self, cfg, zeros):
+        # the join reads two tables of keys >= 0, each front key a > 0
+        # standing for a and -a: at every atom, above and below the origin,
+        # and at the origin, with zero weights (which only scale the law) in
+        # either half
+        weights = cfg.weights + ((Fraction(0),) * cfg.dim,) * zeros
+        cfg = WeightConfig(dim=cfg.dim, weights=weights, allow_zero=True)
+        brute = brute_sign_distribution(cfg.weights)
+        for x in [*brute, (Fraction(0),) * cfg.dim]:
+            assert atom_probability(cfg, x) == brute.get(x, 0)
 
     @given(weight_configs(max_n=5))
     def test_zero_off_support(self, cfg):
@@ -200,8 +216,10 @@ class TestAtomProbability:
                     y[i] += Fraction(s, scale)
                     y[i + 1] -= Fraction(s * radix, scale)
                     targets.append(tuple(y))
+        law = full_distribution(cfg)
         for x in targets:
             assert atom_probability(cfg, x) == brute.get(x, 0)
+            assert law.probability(x) == brute.get(x, 0)
 
     @given(weight_configs(dims=(2,), max_n=5))
     def test_rotation_invariance(self, cfg):
@@ -285,31 +303,74 @@ class TestLatticeSums:
     GENERIC = [2 ** (12 - i) for i in range(1, 13)]
 
     def test_atom_cap_guards_sign_laws(self, monkeypatch):
-        # the cap fires inside the 10th step, once its table passes 1000
-        # atoms (it grows by two per source atom), not after all 1024
+        # the cap fires inside the 10th step, once its law passes 1000 atoms
+        # (its half grows by two keys, four atoms, per source key), not
+        # after all 1024
         signs = APUniformSpec(m=2).support()
-        message = "law atom cap is 1000, request needs 1002"
+        message = "law atom cap is 1000, request needs 1004"
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
         with pytest.raises(CapExceeded, match=message):
             _lattice_sums(self.GENERIC, signs)
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1 << 12)
-        assert len(_lattice_sums(self.GENERIC, signs)) == 1 << 12
+        half = _lattice_sums(self.GENERIC, signs)
+        assert len(half) == 1 << 11 and 0 not in half
+
+    def test_atom_cap_counts_both_halves(self, monkeypatch):
+        # the GENERIC law has 4096 atoms and no origin, so its half has 2048:
+        # a cap of 4095 clears the half but not the law, and must fire. Four
+        # unit weights give 5 atoms, -4..4 by 2, and a half of 3 with the origin
+        signs = APUniformSpec(m=2).support()
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", (1 << 12) - 1)
+        with pytest.raises(CapExceeded, match="request needs 4096"):
+            _lattice_sums(self.GENERIC, signs)
+        cfg = WeightConfig.from_scalars(["1"] * 4)
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", 4)
+        with pytest.raises(CapExceeded, match="request needs 5"):
+            full_distribution(cfg)
+        monkeypatch.setattr(engine, "LAW_ATOM_CAP", 5)
+        law = full_distribution(cfg)
+        assert len(law.counts) == 3 and len(law.atoms) == 5
 
     @given(
-        weight_configs(max_n=5, max_denominator=4), st.sampled_from((2, 3, 4))
+        st.lists(st.integers(min_value=-6, max_value=6), max_size=5),
+        st.integers(min_value=2, max_value=5),
+    )
+    @example([3, -3, 3], 2)  # partial sums land on the origin
+    @example([2, -1, -1], 2)  # the last step lands on it from both sides
+    @example([0, 2, -2], 3)  # a zero weight
+    @example([-4, -2], 5)  # negative keys only
+    def test_half_kernel_is_the_folded_brute_force_law(self, keys, m):
+        # the kernel keeps the keys >= 0 of the whole law of sum u_i k_i
+        support = APUniformSpec(m).support()
+        full = Counter(
+            sum(u * k for u, k in zip(draw, keys))
+            for draw in product(support, repeat=len(keys))
+        )
+        half = _lattice_sums(keys, support)
+        assert all(key >= 0 for key in half)
+        assert half == {key: c for key, c in full.items() if key >= 0}
+
+    @given(
+        weight_configs(max_n=5, max_denominator=4),
+        st.integers(min_value=2, max_value=5),
     )
     @example(
         WeightConfig(dim=2, weights=(("1/2", "-1/3"), ("-1/4", "2/3"), ("-1/3", "-1/3"))), 3
     )
     @example(WeightConfig(dim=3, weights=(("-1/2", 0, "1/2"), (0, "-3/4", "1/4"))), 4)
+    @example(WeightConfig(dim=2, weights=(("-1/2", "1/3"), ("1/2", "-1/3"))), 2)  # back to 0
+    @example(WeightConfig(dim=3, weights=((0, 0, "-1/2"), (0, "1/2", 0), (0, 0, "1/2"))), 5)
     def test_packed_kernel_matches_brute_force(self, cfg, m):
-        # points go through the kernel packed into ints and are decoded at
-        # the law; mixed-sign coordinates give negative digits
+        # points go through the kernel packed into ints, the half at or
+        # above the origin only, and are decoded at the law; mixed-sign
+        # coordinates give negative digits, and a weight whose first non-zero
+        # coordinate is negative a negative key
         law = _law(cfg.weights, cfg.dim, APUniformSpec(m))
         brute = brute_ap_distribution(cfg.weights, m)
         if m == 2:
             assert brute == brute_sign_distribution(cfg.weights)
-        assert {law.atom(pt): Fraction(c, law.denom) for pt, c in law.counts.items()} == brute
+        assert_symmetric_law(law, brute)
+        assert law.points(law.counts) == [pt for pt in full_counts(law) if pt >= (0,) * cfg.dim]
 
     def test_default_summand_caps_stay_under_the_atom_cap(self):
         # a full sign law has at most 2^n atoms and a half-sum table at most
@@ -350,6 +411,11 @@ class TestAtomDistribution:
         weight_configs(max_n=5, max_denominator=3),
         st.integers(min_value=2, max_value=4),
     )
+    # the least argmax is the mirror of the largest tied key above the origin
+    @example(WeightConfig.from_scalars(["1"]), 3)  # -1, 0 and 1 tie: -1
+    @example(WeightConfig.from_scalars(["1"]), 4)  # all four tie: -3
+    @example(WeightConfig.from_scalars(["1", "1"]), 3)  # the origin alone: 0
+    @example(WeightConfig(dim=2, weights=((1, 0), (0, 1))), 2)  # four tie: (-1, -1)
     def test_max_probability_is_the_least_argmax(self, cfg, m):
         for law, brute in (
             (full_distribution(cfg), brute_sign_distribution(cfg.weights)),
@@ -374,13 +440,17 @@ class TestAtomDistribution:
             law = full_distribution(cfg)
         else:
             law = ap_uniform_sum_distribution(APUniformSpec(m=m), cfg)
+        brute = brute_ap_distribution(cfg.weights, m)
         origin = (0,) * cfg.dim
-        assert law.upper_half() == sorted(pt for pt in law.counts if pt > origin)
-        assert law.sorted_atoms() == sorted(law.counts.items())
+        upper = sorted(x for x in brute if x > origin)
+        assert [law.atom(pt) for pt in law.points(law.upper_half())] == upper
+        assert [
+            (law.atom(pt), Fraction(count, law.denom)) for pt, count in law.sorted_atoms()
+        ] == sorted(brute.items())
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
-        assert len(law.atoms) == len(law.counts) == 4
+        assert len(law.atoms) == len(full_counts(law)) == 4 and len(law.counts) == 2
         assert law.atoms[(Fraction(-3, 2),)] == Fraction(1, 4)
         assert (Fraction(1, 3),) not in law.atoms
         with pytest.raises(KeyError):

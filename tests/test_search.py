@@ -11,7 +11,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from conftest import brute_ap_distribution, brute_sign_distribution, weight_configs
+from conftest import (
+    brute_ap_distribution,
+    brute_sign_distribution,
+    full_counts,
+    weight_configs,
+)
 from lolab import (
     AnnealSettings,
     AtomDistribution,
@@ -401,7 +406,7 @@ class TestScorerWalk:
         problem, cfg = cell
         law = _law(cfg.weights, cfg.dim, problem.law_spec())
         lookup = problem.bound_table(cfg.n, law.scale)
-        for pt in law.counts:
+        for pt in full_counts(law):
             for c in (1, 3, 20):
                 far = tuple(c * a for a in pt)
                 assert lookup(far) == problem.bound_count(cfg.n, far, law.scale)
