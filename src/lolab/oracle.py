@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -40,7 +42,6 @@ from .engine import (
 )
 from .rational import (
     Vec,
-    ceil_sqrt_ratio,
     is_zero,
     make_vec,
     norm_sq,
@@ -187,18 +188,20 @@ def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterato
     n, denom = law.n, law.denom
     for check in checks:
         if check is TheoremTag.NON_UNIFORM:
-            # on the lattice, |x| = |pt| / scale, so k = ceil(sqrt(|pt|^2 / scale^2))
+            # on the lattice, |x| = |pt| / scale, so k = ceil(|x|) is the least
+            # k with |pt|^2 <= (k * scale)^2; -pt has the norm of pt, so k and
+            # the bound of each atom above the origin serve its mirror below
+            atoms = law.sorted_atoms()
+            half = len(atoms) // 2
+            lower, upper = atoms[:half], atoms[len(atoms) - half:]
+            squares = [sum(map(mul, pt, pt)) for pt, _ in upper]
             scale_sq = law.scale * law.scale
-            bound_by_k: dict[int, int] = {}
-            for pt, count in law.sorted_atoms():
-                norm_sq_scaled = sum(map(mul, pt, pt))
-                if norm_sq_scaled == 0:
-                    continue
-                k = ceil_sqrt_ratio(norm_sq_scaled, scale_sq)
-                bound = bound_by_k.get(k)
-                if bound is None:
-                    bound = bound_by_k[k] = nonuniform_count(n, k)
-                yield check, pt, k, count, bound
+            top = isqrt(max(squares, default=0) // scale_sq) + 1
+            limits = [k * k * scale_sq for k in range(top + 1)]
+            ks = [bisect_left(limits, q) for q in squares]
+            bound_at = [nonuniform_count(n, k) for k in range(top + 1)]
+            for (pt, count), k in zip(lower + upper, ks[::-1] + ks):
+                yield check, pt, k, count, bound_at[k]
         elif check is TheoremTag.ERDOS_KLEITMAN:
             pt, count = law.max_count()
             yield check, pt, 0, count, _bound_count(erdos_kleitman_bound(n), denom)

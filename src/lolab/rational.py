@@ -19,9 +19,15 @@ Vec = tuple[Fraction, ...]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+
+    A bool is refused, though Python counts it as an int: a JSON true or
+    false where a number belongs is bad input, not 1 or 0.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -85,18 +91,14 @@ def floor_sqrt_ratio(num: int, den: int) -> int:
     return isqrt(num // den)
 
 
-def ceil_sqrt_ratio(num: int, den: int) -> int:
-    """Smallest integer k >= 0 with k*k >= num/den, for num >= 0 and den > 0.
+def ceil_sqrt(q: RationalLike) -> int:
+    """Smallest integer k >= 0 with k*k >= q; 0 only when q = 0.
 
     The ceiling is the floor or one more.
     """
-    k = floor_sqrt_ratio(num, den)
-    return k if k * k * den >= num else k + 1
-
-
-def ceil_sqrt(q: RationalLike) -> int:
-    """Smallest integer k >= 0 with k*k >= q; 0 only when q = 0."""
     q = rat(q)
     if q < 0:
         raise ValueError(f"squared norm must be >= 0, got {q}")
-    return ceil_sqrt_ratio(q.numerator, q.denominator)
+    num, den = q.numerator, q.denominator
+    k = floor_sqrt_ratio(num, den)
+    return k if k * k * den >= num else k + 1

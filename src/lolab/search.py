@@ -10,15 +10,15 @@ norm, with an independent constraint norm available as an explicit switch.
 
 The explorer anneals over grid-rational weight configurations. One integer
 walk over a law's points above the origin (`_best_atom`) scores both the
-annealed states and the exact candidates: it reads each atom's bound from a
-table built once per law (`SearchProblem.bound_table`) and returns the best
-excess count - bound, its witness and the flagged atoms. The anneal ranks
-states by the float of that excess over the law's denominator, which has
-the exact margin's sign; candidates carry the same integers as Fractions.
-Only an exactly positive margin, recomputed from scratch by `certify`,
-becomes a certificate. Atoms whose stated bound is exactly zero sit outside
-the inequality's reachable parity (or reach); they are counted and flagged,
-never certified.
+annealed states and the exact candidates: it reads their bounds through one
+batch lookup (`SearchProblem.bounds_at`, which rounds each norm through its
+kind's one threshold list) and returns the best excess count - bound, its
+witness and the flagged atoms. The anneal ranks states by the float of
+that excess over the law's denominator, which has the exact margin's sign;
+candidates carry the same integers as Fractions. Only an exactly positive
+margin, recomputed from scratch by `certify`, becomes a certificate. Atoms
+whose stated bound is exactly zero sit outside the inequality's reachable
+parity (or reach); they are counted and flagged, never certified.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
-from typing import Callable, ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .bounds import ap_uniform_count, nonuniform_count
 from .engine import (
@@ -47,8 +47,6 @@ from .engine import (
 from .oracle import derived_seed
 from .rational import (
     Vec,
-    ceil_sqrt_ratio,
-    floor_sqrt_ratio,
     is_zero,
     make_vec,
     rat,
@@ -89,9 +87,10 @@ def _read_fields(obj, where: str, *, partial=False, **types: tuple[type, ...]) -
 class NormSpec:
     """A norm on the ambient space, evaluated exactly on rational vectors.
 
-    Each kind has one integer rule, `_ratio`, that the unit-ball test, the
-    integer ceiling and the scorer's float all read. The Euclidean kinds give
-    squared values, so boundary cases like a norm of exactly k are exact.
+    Each kind has one integer rule, `_rule`, that the unit-ball test, the
+    float and the thresholds behind every rounding of a norm read. The
+    Euclidean kinds give squared values, so boundary cases like a norm of
+    exactly k are exact.
     """
 
     kind: str = "L2"
@@ -115,20 +114,28 @@ class NormSpec:
             return "WeightedDiagonalL2[" + ",".join(rat_str(c) for c in self.diag) + "]"
         return self.kind
 
-    def _ratio(self, pt: tuple[int, ...], scale: int) -> tuple[int, int]:
-        """(num, den) with num / den the norm of pt / scale, squared if Euclidean."""
+    def _rule(
+        self, points: Sequence[tuple[int, ...]], scale: int
+    ) -> tuple[list[int], int, int]:
+        """(measures, unit, p) with each pt / scale of norm (measure / unit) ** (1 / p).
+
+        p is 2 for the Euclidean kinds, whose measures are squared, else 1.
+        """
         if self.kind == "L1":
-            return sum(abs(a) for a in pt), scale
+            return [sum(map(abs, pt)) for pt in points], scale, 1
         if self.kind == "Linf":
-            return max(abs(a) for a in pt), scale
+            return [max(map(abs, pt)) for pt in points], scale, 1
         if self.kind == "L2":
-            return sum(a * a for a in pt), scale * scale
-        if len(pt) != len(self.diag):
-            raise ValueError(
-                f"vector of length {len(pt)} against diagonal of length {len(self.diag)}"
-            )
+            return [sum(map(mul, pt, pt)) for pt in points], scale * scale, 2
         q, coeffs = self._diag_ints
-        return sum(c * a * a for c, a in zip(coeffs, pt)), q * scale * scale
+        lengths = {len(pt) for pt in points} - {len(coeffs)}
+        if lengths:
+            raise ValueError(
+                f"vector of length {lengths.pop()} "
+                f"against diagonal of length {len(coeffs)}"
+            )
+        squares = [sum(map(mul, coeffs, map(mul, pt, pt))) for pt in points]
+        return squares, q * scale * scale, 2
 
     @cached_property
     def _diag_ints(self) -> tuple[int, tuple[int, ...]]:
@@ -136,24 +143,27 @@ class NormSpec:
         q = lcm(*(c.denominator for c in self.diag))
         return q, tuple(c.numerator * (q // c.denominator) for c in self.diag)
 
-    def leq_one(self, v: Vec) -> bool:
-        scale, (pt,) = lattice([v])
-        num, den = self._ratio(pt, scale)
-        return num <= den
+    def thresholds(
+        self, points: Sequence[tuple[int, ...]], scale: int, top: int
+    ) -> tuple[list[int], list[int]]:
+        """The measures of points, and the thresholds unit * k ** p for k = 0..top.
 
-    def ceil_scaled(self, pt: tuple[int, ...], scale: int) -> int:
-        """Smallest integer >= the norm of pt / scale, by integer arithmetic only."""
-        num, den = self._ratio(pt, scale)
-        if self.kind in ("L1", "Linf"):
-            return -(-num // den)
-        return ceil_sqrt_ratio(num, den)
+        The norm of pt / scale is at most k exactly when its measure is at
+        most the k-th threshold. So bisect_left gives the ceiling of a norm
+        (top + 1 past the list), and bisect_right - 1 its floor (at most top).
+        """
+        measures, unit, p = self._rule(points, scale)
+        return measures, [unit * k ** p for k in range(top + 1)]
+
+    def leq_one(self, v: Vec) -> bool:
+        scale, points = lattice([v])
+        (measure,), unit, _ = self._rule(points, scale)
+        return measure <= unit
 
     def float_value(self, v: Vec) -> float:
-        scale, (pt,) = lattice([v])
-        num, den = self._ratio(pt, scale)
-        if self.kind in ("L1", "Linf"):
-            return num / den
-        return math.sqrt(num / den)
+        scale, points = lattice([v])
+        (measure,), unit, p = self._rule(points, scale)
+        return measure / unit if p == 1 else math.sqrt(measure / unit)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -225,53 +235,27 @@ class SearchProblem:
         """The summand law: signs for conjecture 2, m progression points for 1."""
         return APUniformSpec(2 if self.conjecture == 2 else self.m)
 
-    def bound_count(self, n: int, pt: tuple[int, ...], scale: int) -> int:
-        """The conjectured bound at pt / scale, as a count over law_spec().m ** n.
+    def bounds_at(
+        self, n: int, points: Sequence[tuple[int, ...]], scale: int
+    ) -> list[int]:
+        """The conjectured bound at each pt / scale, as a count over law_spec().m ** n.
 
         Both conjectures round the target's norm to an integer k and read
         the unit-weight law there: conjecture 2 rounds its norm up and
         shifts k to the reachable parity; conjecture 1 rounds the Euclidean
-        norm down and shifts k only for even m.
+        norm down and shifts k only for even m. Every bound is 0 from
+        k = top on, one past the unit sum's reach, so k is read from the
+        thresholds up to top: a ceiling past them is top + 1, a floor at
+        most top.
         """
+        top = (self.law_spec().m - 1) * n + 1
         if self.conjecture == 2:
-            k = self.target_norm().ceil_scaled(pt, scale)
-        else:
-            k = floor_sqrt_ratio(sum(a * a for a in pt), scale * scale)
-        return self._count_at(n, k)
-
-    def _count_at(self, n: int, k: int) -> int:
-        """bound_count at a point whose rounded norm is k."""
-        if self.conjecture == 2:
-            return nonuniform_count(n, k)
-        return ap_uniform_count(n, self.m, k)
-
-    def bound_table(self, n: int, scale: int) -> Callable[[tuple[int, ...]], int]:
-        """bound_count(n, ·, scale) as one lookup per point, for a law's walk.
-
-        The table holds the bound at each rounded norm k up to `top`, past
-        the sum's reach, where every bound is 0. A point's k comes from
-        integer thresholds: one ceiling division for L1 and Linf, a bisect
-        over (k * scale)^2 (times the diagonal's lcm for the weighted norm)
-        for the Euclidean ceilings, and isqrt for conjecture 1's floor.
-        """
-        top = n + 1 if self.conjecture == 2 else (self.m - 1) * n + 1
-        table = [self._count_at(n, k) for k in range(top + 1)]
-        if self.conjecture == 1:
-            square = scale * scale
-            return lambda pt: table[min(isqrt(sum(map(mul, pt, pt)) // square), top)]
-        kind = self.target_norm().kind
-        if kind == "L1":
-            return lambda pt: table[min(-(-sum(map(abs, pt)) // scale), top)]
-        if kind == "Linf":
-            return lambda pt: table[min(-(-max(map(abs, pt)) // scale), top)]
-        if kind == "L2":
-            limits = [(k * scale) ** 2 for k in range(top)]
-            return lambda pt: table[bisect_left(limits, sum(map(mul, pt, pt)))]
-        q, coeffs = self.target_norm()._diag_ints
-        limits = [q * (k * scale) ** 2 for k in range(top)]
-        return lambda pt: table[
-            bisect_left(limits, sum(map(mul, coeffs, map(mul, pt, pt))))
-        ]
+            measures, limits = self.target_norm().thresholds(points, scale, top)
+            table = [nonuniform_count(n, k) for k in range(top + 2)]
+            return [table[bisect_left(limits, a)] for a in measures]
+        measures, limits = EUCLIDEAN.thresholds(points, scale, top)
+        table = [ap_uniform_count(n, self.m, k) for k in range(top + 1)]
+        return [table[bisect_right(limits, a) - 1] for a in measures]
 
     def dimensions(self) -> tuple[int, ...]:
         """Dimensions the search explores.
@@ -376,15 +360,11 @@ def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
 def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
     """Exact margins of every non-zero atom of the config's law, in atom order."""
     law = _exact_law(problem, cfg)
-    n, scale, denom = law.n, law.scale, law.denom
+    atoms = [(pt, count) for pt, count in law.sorted_atoms() if any(pt)]
+    bounds = problem.bounds_at(law.n, [pt for pt, _ in atoms], law.scale)
     return [
-        MarginRow(
-            x=law.atom(pt),
-            lhs=Fraction(count, denom),
-            rhs=Fraction(problem.bound_count(n, pt, scale), denom),
-        )
-        for pt, count in law.sorted_atoms()
-        if any(pt)
+        MarginRow(law.atom(pt), Fraction(count, law.denom), Fraction(bound, law.denom))
+        for (pt, count), bound in zip(atoms, bounds)
     ]
 
 
@@ -463,8 +443,9 @@ def certify(
         raise ValueError("conjectured bounds apply at non-zero targets")
     law = _exact_law(problem, cfg)
     lhs = law.probability(x)
-    scale, (pt,) = lattice([x])
-    rhs = Fraction(problem.bound_count(cfg.n, pt, scale), law.denom)
+    scale, points = lattice([x])
+    (bound,) = problem.bounds_at(cfg.n, points, scale)
+    rhs = Fraction(bound, law.denom)
     margin = lhs - rhs
     if margin > 0 and rhs != 0:
         return CounterexampleCertificate(problem, cfg, x, lhs, rhs, margin)
@@ -696,12 +677,12 @@ def _best_atom(
     there counts twice. That key orders atoms totally, so the walk needs
     no sort. Returns None for the witness when every atom is flagged.
     """
-    bound_at = problem.bound_table(law.n, law.scale)
     keys = [key for key in law.counts if key]
+    points = law.points(keys)
+    bounds = problem.bounds_at(law.n, points, law.scale)
     best = None
     flagged = 0
-    for pt, count in zip(law.points(keys), map(law.counts.__getitem__, keys)):
-        bound = bound_at(pt)
+    for pt, count, bound in zip(points, map(law.counts.__getitem__, keys), bounds):
         if bound == 0:
             flagged += 2
             continue
@@ -1081,6 +1062,13 @@ def anneal(
             raise ValueError(
                 "checkpoint was written for a different problem cell or seed"
             )
+        for chain in chains:
+            share = _chain_budget(problem, settings, chain.index)
+            if share < chain.done:
+                raise ValueError(
+                    f"budget {problem.budget} gives chain {chain.index} {share} "
+                    f"evaluations, but the checkpoint has done {chain.done}"
+                )
     else:
         if settings is None:
             settings = AnnealSettings()

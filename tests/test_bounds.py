@@ -29,7 +29,7 @@ from lolab import (
     zero_weights_extremal,
     zero_weights_sup,
 )
-from lolab.rational import ceil_sqrt_ratio, floor_sqrt_ratio
+from lolab.rational import ceil_sqrt, floor_sqrt_ratio
 
 
 class TestParityCorrection:
@@ -292,7 +292,7 @@ class TestSquareRootRounding:
         for q in (num, 0, den, 4 * den - 1, 4 * den, 4 * den + 1):
             k = floor_sqrt_ratio(q, den)
             assert k * k * den <= q < (k + 1) ** 2 * den
-            c = ceil_sqrt_ratio(q, den)
+            c = ceil_sqrt(Fraction(q, den))
             assert c * c * den >= q and (c == 0 or (c - 1) ** 2 * den < q)
 
 

@@ -343,6 +343,27 @@ class TestSearch:
         assert code == 0
         assert "budget=80" in out
 
+    def test_resume_refuses_a_budget_below_the_work_done(self, capsys, tmp_path):
+        # the budget of a resumed run is its new total; one below the
+        # checkpoint's evaluations was once accepted and reported as is
+        ckpt = tmp_path / "state.json"
+        code, _, _ = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget",
+            "200", "--seed", "3", "--chains", "2", "--checkpoint", str(ckpt),
+        )
+        assert code == 0
+        out_path = tmp_path / "result.json"
+        code, out, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget",
+            "50", "--seed", "3", "--resume", str(ckpt), "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert (
+            "error: budget 50 gives chain 0 25 evaluations, "
+            "but the checkpoint has done 100"
+        ) in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("flag", ["--chains", "--anneal-config"])
     def test_resume_refuses_settings_flags(self, capsys, tmp_path, flag):
         # a resumed run keeps its checkpoint's chains and settings; these
@@ -598,7 +619,8 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 # antichain_ones and antichain_grid cases before every law went through one
 # lattice-sum kernel, atom_plane and atom_unreachable before that kernel
 # packed its points into ints, the search_c2_box_certifies and search_c2_wl2 cases
-# before certify took its bound from SearchProblem, the dist_axes and
+# before certify took its bound from SearchProblem, search_c2_l1 before each
+# norm's rounding read one threshold list, the dist_axes and
 # dist_ap3_origin cases before dist wrote a half-sorted law as a stream, and
 # the other antichain cases before the Milner check moved into the antichain
 # module, except antichain_three_bytes and antichain_empty_member, recorded
@@ -691,6 +713,11 @@ GOLDEN_OUTPUTS = {
         ["search", "--conjecture", "2", "--norm", "wl2", "--norm-diag", "1/2,2",
          "--n", "5", "--d", "2", "--budget", "200", "--seed", "6"],
         "5823dfe6f384244e6a80e1f23506beb8ff77fe8e07477a532cee3b28e8da8f5e",
+    ),
+    "search_c2_l1": (
+        ["search", "--conjecture", "2", "--norm", "l1", "--n", "5", "--d", "2",
+         "--budget", "150", "--seed", "9", "--chains", "2"],
+        "7430babb272f18b63a78c79384790217f8eafe8484b213dd9cefeae48b22bc5c",
     ),
     "atom_scalar": (
         ["atom", "--weights", "1/2,1/3,1/6,1/4,3/4,1/3,2/3,1/2,1/4,1/6,5/12",
@@ -821,6 +848,11 @@ MALFORMED_FILES = {
     ),
     "weights-outside-ball": (["dist", "--weights-file", "{path}"], "2", "weight"),
     "weights-missing": (["dist", "--weights-file", "{path}"], None, "{path}"),
+    "weights-bool": (
+        ["dist", "--weights-file", "{path}"],
+        "[[true], [true]]",
+        "weights file {path}: a bool is not an exact rational: True",
+    ),
     "settings-bool-as-string": (
         [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
         '{"structured_first": "no"}',
@@ -880,6 +912,11 @@ MALFORMED_FILES = {
         [*SEARCH, "--budget", "40", "--resume", "{path}"],
         _chain_edit(d=2),
         "{path}: checkpoint chain 0",
+    ),
+    "checkpoint-weight-bool": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        _chain_edit(n=1, weights=[[True]]),
+        "{path}: checkpoint chain 0: a bool is not an exact rational: True",
     ),
     "checkpoint-counter-type": (
         [*SEARCH, "--budget", "40", "--resume", "{path}"],

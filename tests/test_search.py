@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import hypothesis.strategies as st
@@ -77,10 +79,22 @@ def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
     return reference_norm(spec, w) == factor * reference_norm(spec, v)
 
 
+# past every norm the tests draw: |v| <= 3 per coordinate, d <= 3, diag <= 10
+TOP = 20
+
+
 def ceil_norm(spec: NormSpec, v) -> int:
-    """Smallest integer >= the norm of v, through the integer ceiling."""
-    scale, (pt,) = lattice([v])
-    return spec.ceil_scaled(pt, scale)
+    """Smallest integer >= the norm of v, read from the threshold list."""
+    scale, points = lattice([v])
+    (measure,), limits = spec.thresholds(points, scale, TOP)
+    return bisect_left(limits, measure)
+
+
+def floor_norm(spec: NormSpec, v) -> int:
+    """Largest integer <= the norm of v, read from the threshold list."""
+    scale, points = lattice([v])
+    (measure,), limits = spec.thresholds(points, scale, TOP)
+    return bisect_right(limits, measure) - 1
 
 
 def witness(problem: SearchProblem, cfg: WeightConfig):
@@ -184,6 +198,9 @@ class TestNormRule:
     @example((NormSpec("Linf"), (F(-2), F(1, 3))))
     @example((NormSpec("WeightedDiagonalL2", diag=(F(1, 4), F(4))), (F(6, 5), F(2, 5))))
     @example((NormSpec("L1"), (F(0), F(0))))
+    @example((NormSpec("L2"), (F(9, 5), F(12, 5))))
+    @example((NormSpec("WeightedDiagonalL2", diag=(F(4), F(1, 4))), (F(3, 5), F(16, 5))))
+    @example((NormSpec("Linf"), (F(3), F(-1, 2))))
     def test_matches_the_fraction_reference(self, case):
         spec, v = case
         ref = reference_norm(spec, v)
@@ -192,9 +209,16 @@ class TestNormRule:
         k = ceil_norm(spec, v)
         assert k >= 0 and k ** power >= ref
         assert k == 0 or (k - 1) ** power < ref
+        k = floor_norm(spec, v)
+        assert k >= 0 and k ** power <= ref < (k + 1) ** power
         # bit-equal to the float of the exact norm, as the scorer once read it
         expected = math.sqrt(float(ref)) if power == 2 else float(ref)
         assert spec.float_value(v) == expected
+
+    def test_diagonal_refuses_a_vector_of_another_length(self):
+        spec = NormSpec("WeightedDiagonalL2", (F(1, 2), F(2)))
+        with pytest.raises(ValueError, match="length 1 against diagonal of length 2"):
+            spec.leq_one((F(1, 2),))
 
     @given(st.lists(st.lists(COORDS, min_size=1, max_size=3), min_size=1, max_size=4))
     def test_scaled_matches_fraction_products(self, vectors):
@@ -318,6 +342,12 @@ def brute_law(problem, weights) -> dict:
     return brute_ap_distribution(weights, problem.m)
 
 
+@lru_cache(maxsize=None)
+def unit_law(problem, n) -> dict:
+    """The brute-force law of n unit weights in problem's cell."""
+    return brute_law(problem, [(1,)] * n)
+
+
 def oracle_bound(problem, n, x) -> Fraction:
     """The conjectured bound at x, from exact Fraction norms and a brute unit law."""
     if problem.conjecture == 2:
@@ -337,7 +367,7 @@ def oracle_bound(problem, n, x) -> Fraction:
         while (k + 1) ** 2 <= norm_sq(x):
             k += 1
         target = k if problem.m % 2 else k + (n + k) % 2
-    return F(brute_law(problem, [(1,)] * n).get((target,), 0))
+    return F(unit_law(problem, n).get((target,), 0))
 
 
 def oracle_rows(problem, cfg) -> list[MarginRow]:
@@ -400,16 +430,27 @@ def each_kind(test):
 class TestScorerWalk:
     @given(search_cells())
     @each_kind
-    def test_bound_table_is_bound_count(self, cell):
-        # at every atom, the origin included, and at far points, where the
-        # table's last entry (bound 0) stands for every larger norm
+    def test_bounds_at_is_the_oracle_bound(self, cell):
+        # at every atom, the origin included, and at far points, past the
+        # last threshold, where every bound is 0
         problem, cfg = cell
         law = _law(cfg.weights, cfg.dim, problem.law_spec())
-        lookup = problem.bound_table(cfg.n, law.scale)
-        for pt in full_counts(law):
-            for c in (1, 3, 20):
-                far = tuple(c * a for a in pt)
-                assert lookup(far) == problem.bound_count(cfg.n, far, law.scale)
+        total = problem.law_spec().m ** cfg.n
+        for c in (1, 3, 20):
+            points = [tuple(c * a for a in pt) for pt in full_counts(law)]
+            expected = [
+                oracle_bound(problem, cfg.n, law.atom(pt)) * total for pt in points
+            ]
+            assert problem.bounds_at(cfg.n, points, law.scale) == expected
+
+    @pytest.mark.parametrize("m", (3, 4))
+    def test_conjecture_1_floor_at_a_norm_of_exactly_k(self, m):
+        problem = SearchProblem(conjecture=1, n=3, d=2, budget=0, seed=0, m=m)
+        targets = [(F(3 * k, 5), F(4 * k, 5)) for k in range(1, 3 * (m - 1) + 2)]
+        scale, points = lattice(targets)
+        expected = [oracle_bound(problem, 3, x) * m ** 3 for x in targets]
+        assert problem.bounds_at(3, points, scale) == expected
+        assert any(expected)
 
     @given(search_cells())
     @each_kind
