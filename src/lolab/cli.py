@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .antichain import SubsetFamily, build_family, milner_report
@@ -401,7 +402,9 @@ SHARED_FLAGS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="lolab",
         description=(

@@ -8,17 +8,21 @@ Conjecture family 2: the sign-sum bound with the Euclidean target norm
 replaced by another norm; by default the weight constraint uses the same
 norm, with an independent constraint norm available as an explicit switch.
 
-The explorer anneals over grid-rational weight configurations. One integer
-walk over a law's points above the origin (`_best_atom`) scores both the
-annealed states and the exact candidates: it reads their bounds through one
-batch lookup (`SearchProblem.bounds_at`, which rounds each norm through its
-kind's one threshold list) and returns the best excess count - bound, its
-witness and the flagged atoms. The anneal ranks states by the float of
-that excess over the law's denominator, which has the exact margin's sign;
+The explorer anneals over grid-rational weights in integers: a chain's
+state is their lattice points over their least common denominator, and
+Fractions are made only at its edges (start, resume, checkpoints, ties of
+candidate scores, exact rescores). One integer walk over a law's points
+above the origin (`_best_atom`) scores both the annealed states and the
+exact candidates: it reads their bounds through one batch lookup
+(`SearchProblem.bounds_at`, which rounds each norm through its kind's one
+threshold list) and returns the best excess count - bound, its witness
+and the flagged atoms. The anneal ranks states by the float of that
+excess over the law's denominator, which has the exact margin's sign;
 candidates carry the same integers as Fractions. Only an exactly positive
-margin, recomputed from scratch by `certify`, becomes a certificate. Atoms
-whose stated bound is exactly zero sit outside the inequality's reachable
-parity (or reach); they are counted and flagged, never certified.
+margin, recomputed from scratch by `certify`, becomes a certificate.
+Atoms whose stated bound is exactly zero sit outside the inequality's
+reachable parity (or reach); they are counted and flagged, never
+certified.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import lcm
+from itertools import groupby
+from math import gcd, lcm
 from operator import mul
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -43,6 +48,8 @@ from .engine import (
     WeightConfig,
     _law,
     lattice,
+    lattice_law,
+    lattice_laws,
 )
 from .oracle import derived_seed
 from .rational import (
@@ -51,6 +58,8 @@ from .rational import (
     make_vec,
     rat,
     rat_str,
+    ratio_str,
+    vec_scale,
     vec_strs,
 )
 
@@ -155,14 +164,18 @@ class NormSpec:
         measures, unit, p = self._rule(points, scale)
         return measures, [unit * k ** p for k in range(top + 1)]
 
-    def leq_one(self, v: Vec) -> bool:
-        scale, points = lattice([v])
-        (measure,), unit, _ = self._rule(points, scale)
+    def contains(self, pt: Sequence[int], scale: int) -> bool:
+        """Whether pt / scale lies in the unit ball."""
+        (measure,), unit, _ = self._rule([pt], scale)
         return measure <= unit
 
-    def float_value(self, v: Vec) -> float:
-        scale, points = lattice([v])
-        (measure,), unit, p = self._rule(points, scale)
+    def leq_one(self, v: Vec) -> bool:
+        scale, (pt,) = lattice([v])
+        return self.contains(pt, scale)
+
+    def float_value(self, pt: Sequence[int], scale: int) -> float:
+        """The float of the norm of pt / scale: one correctly rounded int division."""
+        (measure,), unit, p = self._rule([pt], scale)
         return measure / unit if p == 1 else math.sqrt(measure / unit)
 
     def to_json(self) -> dict:
@@ -248,13 +261,13 @@ class SearchProblem:
         thresholds up to top: a ceiling past them is top + 1, a floor at
         most top.
         """
-        top = (self.law_spec().m - 1) * n + 1
+        m = self.law_spec().m
+        top = (m - 1) * n + 1
+        table = _bound_counts(self.conjecture, m, n)
         if self.conjecture == 2:
             measures, limits = self.target_norm().thresholds(points, scale, top)
-            table = [nonuniform_count(n, k) for k in range(top + 2)]
             return [table[bisect_left(limits, a)] for a in measures]
         measures, limits = EUCLIDEAN.thresholds(points, scale, top)
-        table = [ap_uniform_count(n, self.m, k) for k in range(top + 1)]
         return [table[bisect_right(limits, a) - 1] for a in measures]
 
     def dimensions(self) -> tuple[int, ...]:
@@ -287,18 +300,10 @@ class SearchProblem:
         return cell
 
     def to_json(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "n": self.n,
-            "d": self.d,
-            "budget": self.budget,
-            "seed": self.seed,
-            "m": self.m,
-            "norm": None if self.norm is None else self.norm.to_json(),
-            "constraint_norm": (
-                None if self.constraint_norm is None else self.constraint_norm.to_json()
-            ),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("norm", "constraint_norm"):
+            obj[key] = None if obj[key] is None else obj[key].to_json()
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchProblem":
@@ -314,6 +319,14 @@ class SearchProblem:
             if values[key] is not None:
                 values[key] = NormSpec.from_json(values[key])
         return cls(**values)
+
+
+@lru_cache(maxsize=None)
+def _bound_counts(conjecture: int, m: int, n: int) -> tuple[int, ...]:
+    """The bound count of bounds_at at each rounded norm k, up to one past top."""
+    if conjecture == 1:
+        return tuple(ap_uniform_count(n, m, k) for k in range((m - 1) * n + 3))
+    return tuple(nonuniform_count(n, k) for k in range((m - 1) * n + 3))
 
 
 @dataclass(frozen=True)
@@ -344,9 +357,7 @@ def _validate_config(problem: SearchProblem, cfg: WeightConfig) -> None:
         if is_zero(w):
             raise ValueError("search configs need non-zero weights")
         if not ball.leq_one(w):
-            raise ValueError(
-                f"weight {w} lies outside the {ball.label()} unit ball"
-            )
+            raise ValueError(f"weight {w} lies outside the {ball.label()} unit ball")
 
 
 def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
@@ -488,6 +499,11 @@ class AnnealSettings:
             raise ValueError(f"need at least one chain, got {self.chains}")
         if not (0 < self.t_end <= self.t_start):
             raise ValueError("need 0 < t_end <= t_start")
+        if not math.isfinite(self.t_start) or self.t_end / self.t_start == 0:
+            raise ValueError(
+                "need a finite t_start and a t_end / t_start that does not "
+                f"underflow to 0, got {self.t_end} / {self.t_start}"
+            )
         if self.cooling_iters < 1:
             raise ValueError("cooling_iters must be >= 1")
         if self.grid_denominator < 1:
@@ -526,14 +542,47 @@ class AnnealSettings:
             raise ValueError(f"anneal settings file {path}: {exc}") from None
 
 
-def _by_score(item: tuple) -> tuple:
-    """The one candidate order: float score down, then n, then the weights.
+# A chain's state (scale, points) holds its weights pt / scale over their least
+# common denominator: gcd(scale, every coordinate) == 1, so equal weights agree.
+State = tuple[int, tuple[tuple[int, ...], ...]]
 
-    item is ((n, weights), score), an entry of a chain's top or of the
-    chains' merged top.
-    """
-    (n, weights), score = item
-    return (-score, n, repr(weights))
+
+def _canonical(scale: int, points: Sequence[tuple[int, ...]]) -> State:
+    g = gcd(scale, *(a for pt in points for a in pt))
+    if g == 1:
+        return scale, tuple(points)
+    return scale // g, tuple(tuple(a // g for a in pt) for pt in points)
+
+
+def _placed(state: State, i: int, pt: Sequence[int], s: int) -> State:
+    """The state with weight i set to pt / s, or with pt / s appended at i = n."""
+    scale, points = state
+    common = lcm(scale, s)
+    f, g = common // scale, common // s
+    points = [tuple(a * f for a in p) for p in points] if f > 1 else list(points)
+    points[i : i + 1] = [tuple(a * g for a in pt)]
+    return _canonical(common, points)
+
+
+def _weights(state: State) -> tuple[Vec, ...]:
+    scale, points = state
+    return tuple(tuple(Fraction(a, scale) for a in pt) for pt in points)
+
+
+def _ranked(top: dict, limit: Optional[int] = None) -> list[tuple[State, float]]:
+    """The one candidate order of (state, score) items: score down, then n, then the
+    repr of the Fraction weights where those tie. With a limit, the first items, a
+    set to the callers: only the tied group that the limit cuts is put in order."""
+    ranked = []
+    items = sorted(top.items(), key=lambda item: (-item[1], len(item[0][1])))
+    for _, group in groupby(items, key=lambda item: (item[1], len(item[0][1]))):
+        group = list(group)
+        if group[1:] and (limit is None or len(ranked) + len(group) > limit):
+            group.sort(key=lambda item: repr(_weights(item[0])))
+        ranked += group
+        if limit is not None and len(ranked) >= limit:
+            break
+    return ranked[:limit]
 
 
 def _temperature(settings: AnnealSettings, iteration: int) -> float:
@@ -547,40 +596,31 @@ class _Chain:
     seed: int
     d: int
     rng: random.Random
-    n: int
-    weights: list[Vec]
+    state: State
     score: float
     best_score: float
     since_improve: int = 0
     done: int = 0
     flagged: int = 0
-    # float-scored states seen, keyed by (n, weights); exact re-scoring
-    # happens once at the end on the best few
+    # float-scored states seen; the best few are rescored exactly at the end
     top: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
     def record(
-        self, problem: SearchProblem, n: int, weights: list[Vec], iteration: int
+        self, problem: SearchProblem, state: State, iteration: int
     ) -> tuple[float, bool]:
-        """Score a state, count its flags, keep it as a candidate, track the best.
-
-        Returns the float score and whether it beat the chain's best.
-        """
-        score, flags = _fast_margin(problem, weights)
+        """Score, flag and keep a state: its score, and whether it beat the best."""
+        score, flags = _score(problem, self.d, state)
         self.flagged += flags
-        self.note_candidate(score, n, tuple(weights))
+        if score > self.top.get(state, float("-inf")):
+            self.top[state] = score
+        if len(self.top) > 64:
+            self.top = dict(_ranked(self.top, 16))
         improved = score > self.best_score
         if improved:
             self.best_score = score
             self.trace.append((iteration, score))
         return score, improved
-
-    def note_candidate(self, score: float, n: int, weights: tuple) -> None:
-        key = (n, weights)
-        if score > self.top.get(key, float("-inf")):
-            self.top[key] = score
-        if len(self.top) > 64:
-            self.top = dict(sorted(self.top.items(), key=_by_score)[:16])
 
     def to_json(self) -> dict:
         state = self.rng.getstate()
@@ -588,8 +628,8 @@ class _Chain:
             "index": self.index,
             "seed": self.seed,
             "d": self.d,
-            "n": self.n,
-            "weights": [vec_strs(w) for w in self.weights],
+            "n": len(self.state[1]),
+            "weights": _weight_strs(*self.state),
             "score": None if self.score == float("-inf") else self.score,
             "best_score": None if self.best_score == float("-inf") else self.best_score,
             "since_improve": self.since_improve,
@@ -597,8 +637,8 @@ class _Chain:
             "flagged": self.flagged,
             "rng_state": [state[0], list(state[1]), state[2]],
             "top": [
-                {"n": n, "weights": [vec_strs(w) for w in ws], "score": score}
-                for (n, ws), score in sorted(self.top.items(), key=_by_score)
+                {"n": len(points), "weights": _weight_strs(scale, points), "score": score}
+                for (scale, points), score in _ranked(self.top)
             ],
             "trace": [[it, score] for it, score in self.trace],
         }
@@ -615,12 +655,13 @@ class _Chain:
             **dict.fromkeys(("score", "best_score"), (int, float, _NULL)),
             **dict.fromkeys(("weights", "rng_state", "top", "trace"), (list,)),
         )
-        top = {}
-        for i, entry in enumerate(values["top"]):
+        top = []
+        for i, entry in enumerate(values.pop("top")):
             entry = _read_fields(
                 entry, f"top[{i}]", n=(int,), weights=(list,), score=(int, float)
             )
-            top[entry["n"], tuple(map(make_vec, entry["weights"]))] = entry["score"]
+            weights = list(map(make_vec, entry["weights"]))
+            top.append((entry["n"], weights, entry["score"]))
         for entry in values["trace"]:
             kinds = list(map(type, entry)) if type(entry) is list else None
             if kinds not in ([int, int], [int, float]):
@@ -638,30 +679,35 @@ class _Chain:
         for name in ("score", "best_score"):
             if values[name] is None:
                 values[name] = float("-inf")
-        values.update(
-            weights=[make_vec(w) for w in values["weights"]],
-            top=top,
-            trace=[tuple(entry) for entry in values["trace"]],
-        )
-        chain = cls(rng=rng, **values)
-        if chain.d not in problem.dimensions():
+        d, n = values["d"], values.pop("n")
+        if d not in problem.dimensions():
             raise ValueError(
-                f"has d = {chain.d}; the cell explores d in {list(problem.dimensions())}"
+                f"has d = {d}; the cell explores d in {list(problem.dimensions())}"
             )
-        _check_state(problem, chain.d, chain.n, chain.weights)
-        for n, weights in chain.top:
-            _check_state(problem, chain.d, n, weights)
+        weights = [make_vec(w) for w in values.pop("weights")]
+        values["trace"] = [tuple(entry) for entry in values["trace"]]
+        chain = cls(rng=rng, state=_checked_state(problem, d, n, weights), **values)
+        for n, weights, score in top:
+            chain.top[_checked_state(problem, d, n, weights)] = score
         return chain
 
 
-def _check_state(problem: SearchProblem, d: int, n: int, weights: Sequence[Vec]) -> None:
-    """Refuse n weights of length d that the walk could not reach in problem's cell."""
+def _weight_strs(scale: int, points: Sequence[tuple[int, ...]]) -> list[list[str]]:
+    return [[ratio_str(a, scale) for a in pt] for pt in points]
+
+
+def _checked_state(
+    problem: SearchProblem, d: int, n: int, weights: Sequence[Vec]
+) -> State:
+    """The state of n weights of length d, unless the walk could not reach it."""
     if not 1 <= n <= problem.n or n != len(weights):
         raise ValueError(
             f"has n = {n} and {len(weights)} weights; "
             f"the cell needs n = len(weights) in 1..{problem.n}"
         )
     _validate_config(problem, WeightConfig(d, tuple(weights), l2_unit_ball=False))
+    scale, points = lattice(weights)
+    return scale, tuple(points)
 
 
 def _best_atom(
@@ -694,89 +740,85 @@ def _best_atom(
     return best, flagged
 
 
-def _fast_margin(
-    problem: SearchProblem, weights: Sequence[Vec]
-) -> tuple[float, int]:
-    """The float of the exact best margin over eligible atoms, and the flag count.
-
-    The walk's integer excess feeds one correctly rounded division, so the
-    score has the sign of the exact margin; only an exact margin is claimed.
-    """
-    law = _law(weights, len(weights[0]), problem.law_spec())
+def _score(problem: SearchProblem, d: int, state: State) -> tuple[float, int]:
+    """The float of a state's best margin, one correctly rounded division of the
+    walk's integer excess, so of the exact margin's sign; and the flag count."""
+    law = lattice_law(*state, d, problem.law_spec())
     best, flagged = _best_atom(problem, law)
     return (float("-inf") if best is None else best[0] / law.denom, flagged)
 
 
 def _random_weight(
     rng: random.Random, problem: SearchProblem, settings: AnnealSettings, d: int
-) -> Vec:
+) -> tuple[tuple[int, ...], int]:
+    """A non-zero weight pt / s of the grid in the constraint ball, as (pt, s)."""
     grid = settings.grid_denominator
     ball = problem.weight_norm()
     for _ in range(200):
-        w = tuple(Fraction(rng.randint(-grid, grid), grid) for _ in range(d))
-        if not is_zero(w) and ball.leq_one(w):
-            return w
+        pt = tuple(rng.randint(-grid, grid) for _ in range(d))
+        if any(pt) and ball.contains(pt, grid):
+            return pt, grid
     # pathological balls (tiny diagonal coefficients aside, this is
-    # unreachable): shrink the first axis vector until it fits
-    w = (Fraction(1),) + (Fraction(0),) * (d - 1)
-    while not ball.leq_one(w):
-        w = tuple(c / 2 for c in w)
-    return w
+    # unreachable): halve the first axis vector until it fits
+    pt, s = (1,) + (0,) * (d - 1), 1
+    while not ball.contains(pt, s):
+        s *= 2
+    return pt, s
 
 
 def _initial_state(
     rng: random.Random, problem: SearchProblem, settings: AnnealSettings, d: int
-) -> tuple[int, list[Vec]]:
-    n = rng.randint(1, problem.n)
-    return n, [_random_weight(rng, problem, settings, d) for _ in range(n)]
+) -> State:
+    state: State = (1, ())
+    for i in range(rng.randint(1, problem.n)):
+        state = _placed(state, i, *_random_weight(rng, problem, settings, d))
+    return state
 
 
 def _propose(
     chain: _Chain, problem: SearchProblem, settings: AnnealSettings
-) -> Optional[tuple[int, list[Vec]]]:
+) -> Optional[State]:
     """One move: perturb a coordinate, push to the ball boundary, or resize n.
 
     Returns None when the proposal fails validity; the iteration is still
-    consumed, which keeps runs reproducible.
+    consumed, which keeps runs reproducible. Every float is an int
+    division, equal to the float of the Fraction it stands for.
     """
     rng = chain.rng
     ball = problem.weight_norm()
     grid = settings.grid_denominator
     kind = rng.random()
-    weights = list(chain.weights)
+    scale, points = chain.state
+    n = len(points)
     if kind < 0.70:
-        i = rng.randrange(chain.n)
+        i = rng.randrange(n)
         j = rng.randrange(chain.d)
-        step = Fraction(rng.choice((-2, -1, 1, 2)), grid)
-        w = list(weights[i])
-        w[j] += step
-        candidate = tuple(w)
-        if is_zero(candidate) or not ball.leq_one(candidate):
+        step = rng.choice((-2, -1, 1, 2))
+        # the step is step / grid: move weight i to the common scale
+        common = lcm(scale, grid)
+        pt = [a * (common // scale) for a in points[i]]
+        pt[j] += step * (common // grid)
+        if not any(pt) or not ball.contains(pt, common):
             return None
-        weights[i] = candidate
-        return chain.n, weights
+        return _placed(chain.state, i, pt, common)
     if kind < 0.85:
-        i = rng.randrange(chain.n)
-        value = ball.float_value(weights[i])
+        i = rng.randrange(n)
+        value = ball.float_value(points[i], scale)
         if value <= 0:
             return None
-        pushed = tuple(
-            Fraction(round(float(c) / value * grid), grid) for c in weights[i]
-        )
-        shrink = Fraction(grid - 1, grid)
+        pt, s = [round(a / scale / value * grid) for a in points[i]], grid
         for _ in range(4):
-            if not is_zero(pushed) and ball.leq_one(pushed):
-                weights[i] = pushed
-                return chain.n, weights
-            pushed = tuple(c * shrink for c in pushed)
+            if any(pt) and ball.contains(pt, s):
+                return _placed(chain.state, i, pt, s)
+            # shrink by (grid - 1) / grid
+            pt, s = [a * (grid - 1) for a in pt], s * grid
         return None
     grow = rng.random() < 0.5
-    if grow and chain.n < problem.n:
-        weights.append(_random_weight(rng, problem, settings, chain.d))
-        return chain.n + 1, weights
-    if not grow and chain.n > 1:
-        weights.pop(rng.randrange(chain.n))
-        return chain.n - 1, weights
+    if grow and n < problem.n:
+        return _placed(chain.state, n, *_random_weight(rng, problem, settings, chain.d))
+    if not grow and n > 1:
+        i = rng.randrange(n)
+        return _canonical(scale, points[:i] + points[i + 1 :])
     return None
 
 
@@ -786,18 +828,17 @@ def _new_chain(
     rng = random.Random(derived_seed(problem.seed, index))
     dims = problem.dimensions()
     d = dims[index % len(dims)]
-    n, weights = _initial_state(rng, problem, settings, d)
+    state = _initial_state(rng, problem, settings, d)
     chain = _Chain(
         index=index,
         seed=derived_seed(problem.seed, index),
         d=d,
         rng=rng,
-        n=n,
-        weights=weights,
+        state=state,
         score=float("-inf"),
         best_score=float("-inf"),
     )
-    chain.score, _ = chain.record(problem, n, weights, 0)
+    chain.score, _ = chain.record(problem, state, 0)
     return chain
 
 
@@ -813,26 +854,22 @@ def _run_chain(
     window = max(1, int(settings.stagnation_fraction * budget))
     while chain.done < budget:
         iteration = chain.done
-        proposal = _propose(chain, problem, settings)
-        if proposal is not None:
-            n, weights = proposal
-            score, improved = chain.record(problem, n, weights, iteration)
+        state = _propose(chain, problem, settings)
+        if state is not None:
+            score, improved = chain.record(problem, state, iteration)
             accept = score >= chain.score
             if not accept:
                 t = _temperature(settings, iteration)
                 accept = chain.rng.random() < math.exp((score - chain.score) / t)
             if accept:
-                chain.n = n
-                chain.weights = weights
+                chain.state = state
                 chain.score = score
             chain.since_improve = 0 if improved else chain.since_improve + 1
         else:
             chain.since_improve += 1
         if chain.since_improve >= window:
-            chain.n, chain.weights = _initial_state(
-                chain.rng, problem, settings, chain.d
-            )
-            chain.score, _ = chain.record(problem, chain.n, chain.weights, iteration)
+            chain.state = _initial_state(chain.rng, problem, settings, chain.d)
+            chain.score, _ = chain.record(problem, chain.state, iteration)
             chain.since_improve = 0
         chain.done += 1
     return chain
@@ -842,19 +879,12 @@ def _structured_bases(
     problem: SearchProblem, settings: AnnealSettings, d: int
 ) -> list[Vec]:
     grid = settings.grid_denominator
-    one = Fraction(1)
-    zero = Fraction(0)
-    e1 = (one,) + (zero,) * (d - 1)
-    cands = [
-        e1,
-        tuple(c * Fraction(grid - 1, grid) for c in e1),
-        tuple(c / 2 for c in e1),
-    ]
+    e1 = make_vec((1,) + (0,) * (d - 1))
+    cands = [e1, vec_scale(Fraction(grid - 1, grid), e1), vec_scale(Fraction(1, 2), e1)]
     if d >= 2:
-        ones = (one,) * d
-        cands.append(ones)
-        cands.append(tuple(c / 2 for c in ones))
-        cands.append((Fraction(3, 5), Fraction(4, 5)) + (zero,) * (d - 2))
+        ones = make_vec((1,) * d)
+        cands += [ones, vec_scale(Fraction(1, 2), ones)]
+        cands.append(make_vec(("3/5", "4/5") + (0,) * (d - 2)))
     ball = problem.weight_norm()
     return [w for w in dict.fromkeys(cands) if not is_zero(w) and ball.leq_one(w)]
 
@@ -873,26 +903,24 @@ class Candidate:
     rhs_zero_atoms: int
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "x": None if self.x is None else vec_strs(self.x),
-            "margin": None if self.margin is None else rat_str(self.margin),
-            "lhs": None if self.lhs is None else rat_str(self.lhs),
-            "rhs": None if self.rhs is None else rat_str(self.rhs),
-            "float_score": self.float_score,
-            "structured": self.structured,
-            "rhs_zero_atoms": self.rhs_zero_atoms,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["config"] = self.config.to_json()
+        obj["x"] = None if self.x is None else vec_strs(self.x)
+        for name in ("margin", "lhs", "rhs"):
+            obj[name] = None if obj[name] is None else rat_str(obj[name])
+        return obj
 
 
 def _exact_candidate(
     problem: SearchProblem,
     cfg: WeightConfig,
-    *,
     float_score: Optional[float],
     structured: bool,
+    law: Optional[AtomDistribution] = None,
 ) -> Candidate:
-    law = _exact_law(problem, cfg)
+    """The exact rescore of cfg, from its law when the caller has built it."""
+    if law is None:
+        law = _exact_law(problem, cfg)
     best, flagged = _best_atom(problem, law)
     if best is None:
         x = margin = lhs = rhs = None
@@ -900,16 +928,7 @@ def _exact_candidate(
         excess, _, pt, bound = best
         x, denom = law.atom(pt), law.denom
         margin, lhs, rhs = (Fraction(c, denom) for c in (excess, excess + bound, bound))
-    return Candidate(
-        config=cfg,
-        x=x,
-        margin=margin,
-        lhs=lhs,
-        rhs=rhs,
-        float_score=float_score,
-        structured=structured,
-        rhs_zero_atoms=flagged,
-    )
+    return Candidate(cfg, x, margin, lhs, rhs, float_score, structured, flagged)
 
 
 @dataclass
@@ -1057,11 +1076,9 @@ def anneal(
         raise CapExceeded("full-law summand", FULL_LAW_CAP, problem.n)
     if resume is not None:
         stored_problem, settings, chains = _load_checkpoint(resume)
-        mismatch = replace(stored_problem, budget=problem.budget) != problem
-        if mismatch:
-            raise ValueError(
-                "checkpoint was written for a different problem cell or seed"
-            )
+        if replace(stored_problem, budget=problem.budget) != problem:
+            message = "checkpoint was written for a different problem cell or seed"
+            raise ValueError(message)
         for chain in chains:
             share = _chain_budget(problem, settings, chain.index)
             if share < chain.done:
@@ -1070,23 +1087,21 @@ def anneal(
                     f"evaluations, but the checkpoint has done {chain.done}"
                 )
     else:
-        if settings is None:
-            settings = AnnealSettings()
+        settings = AnnealSettings() if settings is None else settings
         chains = [_new_chain(i, problem, settings) for i in range(settings.chains)]
 
     structured: list[Candidate] = []
-    structured_evals = 0
     if settings.structured_first and resume is None:
+        count = min(problem.n, settings.structured_n_max)
         for d in problem.dimensions():
             for base in _structured_bases(problem, settings, d):
-                for count in range(1, min(problem.n, settings.structured_n_max) + 1):
-                    cfg = WeightConfig(d, (base,) * count, l2_unit_ball=False)
-                    structured.append(
-                        _exact_candidate(
-                            problem, cfg, float_score=None, structured=True
-                        )
-                    )
-                    structured_evals += 1
+                # the laws of (base,) * 1..count, each one convolution step
+                # past the last; one config's validation holds for them all
+                _validate_config(problem, WeightConfig(d, (base,), l2_unit_ball=False))
+                scale, points = lattice([base] * count)
+                for law in lattice_laws(scale, points, d, problem.law_spec()):
+                    cfg = WeightConfig(d, (base,) * law.n, l2_unit_ball=False)
+                    structured.append(_exact_candidate(problem, cfg, None, True, law))
 
     chains = [_run_chain(chain, problem, settings) for chain in chains]
 
@@ -1095,18 +1110,17 @@ def anneal(
 
     merged: dict = {}
     for chain in chains:
-        for key, score in chain.top.items():
-            if score > merged.get(key, float("-inf")):
-                merged[key] = score
-    ranked = sorted(merged.items(), key=_by_score)[: settings.top_candidates]
+        for state, score in chain.top.items():
+            if score > merged.get(state, float("-inf")):
+                merged[state] = score
     annealed = [
         _exact_candidate(
             problem,
-            WeightConfig(dim=len(weights[0]), weights=weights, l2_unit_ball=False),
-            float_score=score,
-            structured=False,
+            WeightConfig(len(points[0]), _weights((scale, points)), l2_unit_ball=False),
+            score,
+            False,
         )
-        for (_, weights), score in ranked
+        for (scale, points), score in _ranked(merged, settings.top_candidates)
     ]
 
     unique: dict = {}
@@ -1124,33 +1138,23 @@ def anneal(
     discrepancies: list[dict] = []
     for cand in candidates:
         if cand.margin is not None and cand.margin > 0:
-            outcome = certify(
-                problem, cand.config, cand.x, float_score=cand.float_score
-            )
-            if isinstance(outcome, CounterexampleCertificate):
-                certificates.append(outcome)
-            else:
+            outcome = certify(problem, cand.config, cand.x, float_score=cand.float_score)
+            if not isinstance(outcome, CounterexampleCertificate):
                 raise AssertionError(
                     "exact margin positive but certification refused; "
                     "margin and certificate paths disagree"
                 )
-        if (
-            cand.float_score is not None
-            and cand.float_score > 0
-            and (cand.margin is None or cand.margin <= 0)
-        ):
-            discrepancies.append(
-                {
-                    "config": cand.config.to_json(),
-                    "float_score": cand.float_score,
-                    "exact_margin": (
-                        None if cand.margin is None else rat_str(cand.margin)
-                    ),
-                }
-            )
+            certificates.append(outcome)
+        float_score, margin = cand.float_score, cand.margin
+        if (float_score or 0) > 0 and (margin is None or margin <= 0):
+            discrepancies.append({
+                "config": cand.config.to_json(),
+                "float_score": float_score,
+                "exact_margin": None if margin is None else rat_str(margin),
+            })
 
     margins = [cand.margin for cand in candidates if cand.margin is not None]
-    best_margin = max(margins) if margins else None
+    best_margin = max(margins, default=None)
     candidates = candidates[: settings.top_candidates]
 
     result = AnnealResult(
@@ -1163,15 +1167,10 @@ def anneal(
         rhs_zero_flagged=sum(chain.flagged for chain in chains)
         + sum(cand.rhs_zero_atoms for cand in structured),
         anneal_evaluations=sum(chain.done for chain in chains),
-        structured_evaluations=structured_evals,
+        structured_evaluations=len(structured),
         chains=[
-            {
-                "chain": chain.index,
-                "seed": chain.seed,
-                "d": chain.d,
-                "trace": [[it, score] for it, score in chain.trace],
-            }
-            for chain in chains
+            {"chain": c.index, "seed": c.seed, "d": c.d, "trace": [*map(list, c.trace)]}
+            for c in chains
         ],
     )
     if ledger_path is not None:

@@ -7,6 +7,7 @@ convolution engine, so they can serve as independent ground truth.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,66 @@ def brute_ap_distribution(weights, m):
         )
         atoms[pt] = atoms.get(pt, 0) + 1
     return {pt: Fraction(c, m ** n) for pt, c in atoms.items()}
+
+
+def reference_norm(spec, v) -> Fraction:
+    """The norm of v as one exact Fraction, squared for the Euclidean kinds."""
+    if spec.kind == "L1":
+        return sum((abs(c) for c in v), Fraction(0))
+    if spec.kind == "Linf":
+        return max(abs(c) for c in v)
+    diag = spec.diag or (Fraction(1),) * len(v)
+    return sum((c * x * x for c, x in zip(diag, v)), Fraction(0))
+
+
+def fraction_proposal(rng, weights, d, n_max, spec, grid):
+    """One anneal move on Fraction weights, drawing from rng as the search
+    does: perturb a coordinate by a step of the grid, push a weight to the
+    boundary of spec's unit ball (shrinking by (grid - 1) / grid while it
+    lands outside), or add or drop a weight. The new weights, or None when
+    the move fails."""
+
+    def inside(w):
+        return any(w) and reference_norm(spec, w) <= 1
+
+    def random_weight():
+        for _ in range(200):
+            w = tuple(Fraction(rng.randint(-grid, grid), grid) for _ in range(d))
+            if inside(w):
+                return w
+        w = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        while not inside(w):
+            w = tuple(c / 2 for c in w)
+        return w
+
+    weights = list(weights)
+    kind = rng.random()
+    if kind < 0.70:
+        i, j = rng.randrange(len(weights)), rng.randrange(d)
+        w = list(weights[i])
+        w[j] += Fraction(rng.choice((-2, -1, 1, 2)), grid)
+        weights[i] = tuple(w)
+        return weights if inside(weights[i]) else None
+    if kind < 0.85:
+        i = rng.randrange(len(weights))
+        norm = float(reference_norm(spec, weights[i]))
+        value = norm if spec.kind in ("L1", "Linf") else math.sqrt(norm)
+        if value <= 0:
+            return None
+        w = tuple(Fraction(round(float(c) / value * grid), grid) for c in weights[i])
+        for _ in range(4):
+            if inside(w):
+                weights[i] = w
+                return weights
+            w = tuple(c * Fraction(grid - 1, grid) for c in w)
+        return None
+    grow = rng.random() < 0.5
+    if grow and len(weights) < n_max:
+        return weights + [random_weight()]
+    if not grow and len(weights) > 1:
+        weights.pop(rng.randrange(len(weights)))
+        return weights
+    return None
 
 
 def max_atom(law):

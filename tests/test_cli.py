@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import lolab
-from lolab.cli import main
+from lolab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -446,6 +448,34 @@ class TestSearch:
         assert out == ""
         assert "full-law summand cap is 24, request needs 26" in err
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ('{"t_start": 1e308, "t_end": 1e-308}', "got 1e-308 / 1e+308"),
+            ('{"t_start": Infinity}', "got 0.0001 / inf"),
+        ],
+        ids=("underflow", "infinite-start"),
+    )
+    def test_schedule_without_a_positive_temperature_is_bad_input(
+        self, capsys, tmp_path, schedule, message
+    ):
+        # the first once crashed with exit 1, the code of a certified
+        # violation, and the second ran at a temperature of nan
+        path = tmp_path / "settings.json"
+        path.write_text(schedule)
+        out_path, ckpt = tmp_path / "result.json", tmp_path / "state.json"
+        code, out, err = run_cli(
+            capsys, "search", "--conjecture", "2", "--n", "4", "--budget", "50",
+            "--seed", "1", "--anneal-config", str(path),
+            "--out", str(out_path), "--checkpoint", str(ckpt),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: anneal settings file {path}: need a finite t_start and a "
+            f"t_end / t_start that does not underflow to 0, {message}\n"
+        )
+        assert not out_path.exists() and not ckpt.exists()
+
     def test_rejects_format_flag(self, capsys, tmp_path):
         # search writes JSON only; --format csv once wrote JSON into r.csv
         path = tmp_path / "r.csv"
@@ -549,6 +579,25 @@ class TestExtremal:
 # A minimal valid command line per subcommand (per verify mode), and the
 # shared flags it reads besides --out; every other shared flag is a usage
 # error there
+class TestEarlyCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--weights", "1", "--ap-m", "100000000"],
+            ["search", "--conjecture", "1", "--m", "100000000", "--n", "3",
+             "--budget", "20"],
+        ],
+        ids=("dist", "search"),
+    )
+    def test_progression_past_the_atom_cap_exits_at_once(self, capsys, argv):
+        # m = 10^8 support points would take gigabytes; the cap fires first
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "law atom cap is 16777216, request needs 100000000" in err
+
+
 SHARED_FLAG_USE = {
     "bound": (["bound", "--n", "4", "--x", "1"], ()),
     "dist": (["dist", "--weights", "1,1"], ("--format", "--cap-full")),
@@ -784,6 +833,90 @@ class TestGoldenBytes:
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+# a hand-written one-chain checkpoint of the planar n = 4 sign cell, whose
+# state and stored candidate hold weights off the default grid of 16ths
+OFF_GRID_CHECKPOINT = {
+    "format": "lolab-anneal-checkpoint",
+    "version": 1,
+    "problem": {
+        "conjecture": 2, "n": 4, "d": 2, "budget": 0, "seed": 8, "m": None,
+        "norm": None, "constraint_norm": None,
+    },
+    "settings": {
+        "chains": 1, "t_start": 0.05, "t_end": 0.0001, "cooling_iters": 60,
+        "grid_denominator": 16, "top_candidates": 5, "stagnation_fraction": 0.1,
+        "structured_first": True, "structured_n_max": 12,
+    },
+    "chains": [
+        {
+            "index": 0, "seed": 8, "d": 2, "n": 2,
+            "weights": [["1/3", "2/7"], ["-3/5", "1/7"]],
+            "score": None, "best_score": None,
+            "since_improve": 0, "done": 0, "flagged": 0,
+            "rng_state": [3, list(Random(8).getstate()[1]), None],
+            "top": [{"n": 1, "weights": [["2/7", "-1/3"]], "score": -0.25}],
+            "trace": [],
+        }
+    ],
+}
+
+# sha256 of stdout, the --out file and the --checkpoint file (chain states,
+# stored candidates and RNG states), recorded before the anneal's states
+# were integer lattice points. {settings} holds SETTINGS_GRID_3 and
+# {resume} OFF_GRID_CHECKPOINT
+SETTINGS_GRID_3 = {"grid_denominator": 3, "chains": 2, "cooling_iters": 100}
+GOLDEN_CHECKPOINTS = {
+    # an L2 ball in three dimensions; pushes to its boundary that land
+    # outside it shrink by (grid - 1) / grid
+    "search_c2_l2_push_shrink": (
+        ["search", "--conjecture", "2", "--n", "5", "--d", "3", "--budget", "300",
+         "--seed", "12", "--chains", "2"],
+        "d175882540c9a3525567c2d1cfc4fd1024d162e820376a590a247cc1b6aed7b5",
+    ),
+    "search_c2_grid_3": (
+        ["search", "--conjecture", "2", "--n", "5", "--d", "2", "--budget", "200",
+         "--seed", "21", "--anneal-config", "{settings}"],
+        "827663bcf4a990e521f9ea003fafa6bcfc6aa48aad400af1fd2d704b6353d958",
+    ),
+    "search_c1_grid_3": (
+        ["search", "--conjecture", "1", "--m", "3", "--n", "4", "--d", "2",
+         "--budget", "150", "--seed", "22", "--anneal-config", "{settings}"],
+        "0f9cab5c76c8489357ecc8670aa3b9fa208e4183383ee85e63ef3b51d2b1dcae",
+    ),
+    # a ball that holds no non-zero point of the grid of 16ths: every random
+    # weight falls back to an axis vector halved until it fits, 1/32 e1
+    "search_c2_wl2_fallback": (
+        ["search", "--conjecture", "2", "--norm", "wl2", "--norm-diag",
+         "1000,1000", "--n", "4", "--d", "2", "--budget", "100", "--seed", "3",
+         "--chains", "2"],
+        "6f2c477403613925d42a18a19d9ba043ccbe995dd5909e4e4e05a7d0e645197f",
+    ),
+    "search_resume_off_grid": (
+        ["search", "--conjecture", "2", "--n", "4", "--d", "2", "--budget", "150",
+         "--seed", "8", "--resume", "{resume}"],
+        "d7cc9e04fa247999ff12cc3f9e3c50794aa0e0f75c7262f58bcc41cbc3e7c971",
+    ),
+}
+
+
+class TestGoldenCheckpoints:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHECKPOINTS))
+    def test_output_and_checkpoint_bytes_unchanged(self, capsys, tmp_path, name):
+        argv, digest = GOLDEN_CHECKPOINTS[name]
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(SETTINGS_GRID_3))
+        resume = tmp_path / "resume.json"
+        resume.write_text(json.dumps(OFF_GRID_CHECKPOINT))
+        out_path, ckpt = tmp_path / "out", tmp_path / "checkpoint.json"
+        argv = [arg.format(settings=settings, resume=resume) for arg in argv]
+        code, out, _ = run_cli(
+            capsys, *argv, "--out", str(out_path), "--checkpoint", str(ckpt)
+        )
+        assert code == 0
+        data = out.encode() + out_path.read_bytes() + ckpt.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 def run_module(*argv):
     """`python -m lolab.cli argv` on the lolab these tests import."""
     src = str(Path(lolab.__file__).resolve().parents[1])
@@ -806,6 +939,36 @@ class TestEntryPoint:
     def test_no_command_is_usage_error(self):
         proc = run_module()
         assert proc.returncode == 2
+
+
+class TestMainCallsInTurn:
+    # (argv, exit code, text its stdout or stderr holds)
+    CALLS = [
+        (["bound", "--n", "4", "--x", "1"], 0, '"bound": "1/4"'),
+        (["bound", "--n", "4"], 2, "one of the arguments --x --norm-sq --zero is required"),
+        (["--help"], 0, "usage: lolab"),
+        (["dist", "--weights", "1,1,1", "--cap-full", "2"], 3, "full-law summand cap is 2"),
+        (["search", "--help"], 0, "--anneal-config"),
+        (["dist", "--weights", "1,1,1"], 0, '"probability": "3/8"'),
+        (["bound", "--n", "x", "--x", "1"], 2, "invalid int value: 'x'"),
+        (["verify", "--theorem", "3", "--x", "2", "--n-max", "3", "--count", "2"], 0, "0 violations"),
+        (["verify", "--theorem", "2", "--n", "3", "--count", "2"], 0, "0 violations"),
+        (["verify", "--theorem", "2", "--x", "2"], 2, "--x is not read by theorem 2"),
+        (["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    ]
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; no parse leaves anything in
+        # it for the next call, so each argv keeps its own code and output
+        assert build_parser() is build_parser()
+        outputs = []
+        for _ in range(2):
+            for argv, code, text in self.CALLS:
+                got, out, err = run_cli(capsys, *argv)
+                assert got == code, argv
+                assert text in (out if code in (0, 1) else err), argv
+                outputs.append((out, err))
+        assert outputs[: len(self.CALLS)] == outputs[len(self.CALLS) :]
 
 
 def _chain_edit(**changes):
@@ -882,6 +1045,13 @@ MALFORMED_FILES = {
         [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
         '{"temperature": 1}',
         "'temperature'",
+    ),
+    # t_end / t_start is 0.0 in floats: temperature 0 once crashed the
+    # walk with a ZeroDivisionError, exit 1
+    "settings-schedule-underflow": (
+        [*SEARCH, "--budget", "50", "--seed", "1", "--anneal-config", "{path}"],
+        '{"t_start": 1e308, "t_end": 1e-308}',
+        "anneal settings file {path}: need a finite t_start and a t_end / t_start",
     ),
     "settings-bad-json": (
         [*SEARCH, "--budget", "10", "--anneal-config", "{path}"],
@@ -967,6 +1137,11 @@ MALFORMED_FILES = {
         [*SEARCH, "--budget", "40", "--resume", "{path}"],
         lambda ckpt: ckpt["settings"].update(structured_first="no"),
         "{path}: checkpoint settings",
+    ),
+    "checkpoint-schedule-underflow": (
+        [*SEARCH, "--budget", "40", "--resume", "{path}"],
+        lambda ckpt: ckpt["settings"].update(t_start=1e308, t_end=1e-308),
+        "{path}: checkpoint settings: need a finite t_start and a t_end / t_start",
     ),
     "checkpoint-problem-n-bool": (
         [*SEARCH, "--budget", "40", "--resume", "{path}"],

@@ -16,8 +16,11 @@ from hypothesis import example, given
 from conftest import (
     brute_ap_distribution,
     brute_sign_distribution,
+    fraction_proposal,
     full_counts,
+    reference_norm,
     weight_configs,
+    weight_vectors,
 )
 from lolab import (
     AnnealSettings,
@@ -39,22 +42,21 @@ from lolab import (
     norm_sq,
 )
 from lolab.engine import _law, lattice
-from lolab.search import NORM_KINDS, _exact_candidate, _fast_margin
+from lolab.search import (
+    NORM_KINDS,
+    _canonical,
+    _Chain,
+    _exact_candidate,
+    _propose,
+    _ranked,
+    _score,
+    _weights,
+)
 
 F = Fraction
 
 
 EUCLIDEAN = ("L2", "WeightedDiagonalL2")
-
-
-def reference_norm(spec: NormSpec, v) -> Fraction:
-    """The norm of v as one exact Fraction, squared for the Euclidean kinds."""
-    if spec.kind == "L1":
-        return sum((abs(c) for c in v), F(0))
-    if spec.kind == "Linf":
-        return max(abs(c) for c in v)
-    diag = spec.diag or (F(1),) * len(v)
-    return sum((c * x * x for c, x in zip(diag, v)), F(0))
 
 
 def triangle_holds(spec: NormSpec, u, v) -> bool:
@@ -213,7 +215,8 @@ class TestNormRule:
         assert k >= 0 and k ** power <= ref < (k + 1) ** power
         # bit-equal to the float of the exact norm, as the scorer once read it
         expected = math.sqrt(float(ref)) if power == 2 else float(ref)
-        assert spec.float_value(v) == expected
+        scale, (pt,) = lattice([v])
+        assert spec.float_value(pt, scale) == expected
 
     def test_diagonal_refuses_a_vector_of_another_length(self):
         spec = NormSpec("WeightedDiagonalL2", (F(1, 2), F(2)))
@@ -384,7 +387,8 @@ class TestMarginCore:
     def test_pinned_to_brute_force_oracles(self, cell):
         problem, cfg = cell
         assert margin_rows(problem, cfg) == oracle_rows(problem, cfg)
-        score, flagged = _fast_margin(problem, cfg.weights)
+        scale, points = lattice(cfg.weights)
+        score, flagged = _score(problem, cfg.dim, (scale, tuple(points)))
         cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
         assert flagged == cand.rhs_zero_atoms
         if cand.margin is None:
@@ -608,6 +612,78 @@ class TestAnnealSettings:
             AnnealSettings(t_start=0.01, t_end=0.1)
         with pytest.raises(ValueError):
             AnnealSettings(stagnation_fraction=0)
+
+
+@st.composite
+def walk_starts(draw):
+    """A cell, its grid, a seed and a chain state of weights on or off the grid."""
+    kind = draw(st.sampled_from(NORM_KINDS))
+    d = draw(st.integers(min_value=1, max_value=3))
+    diag = ()
+    if kind == "WeightedDiagonalL2":
+        coeff = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+        diag = tuple(draw(coeff) for _ in range(d))
+    n_max = draw(st.integers(min_value=1, max_value=5))
+    problem = l2_problem(n=n_max, d=d, norm=NormSpec(kind, diag))
+    weights = draw(
+        st.lists(weight_vectors(d, max_denominator=9), min_size=1, max_size=n_max)
+    )
+    grid = draw(st.sampled_from((1, 2, 3, 7, 16)))
+    return problem, grid, draw(st.integers(min_value=0, max_value=2**32)), weights
+
+
+def planar_start(norm, grid, weights):
+    problem = l2_problem(n=4, d=2, norm=norm)
+    return problem, grid, 5, [tuple(map(F, w)) for w in weights]
+
+
+class TestProposal:
+    @given(walk_starts())
+    @example(planar_start(NormSpec("L2"), 16, [("1/3", "2/7"), ("-3/5", "1/7")]))
+    @example(planar_start(NormSpec("L1"), 3, [("1/2", "-1/2")]))
+    # a ball that holds no point of the grid but 0: weights fall back to 1/32 e1
+    @example(planar_start(NormSpec("WeightedDiagonalL2", (1000, 1000)), 16, [("1/32", 0)]))
+    def test_integer_walk_is_the_fraction_walk(self, start):
+        # the same RNG draws give the same moves: each integer proposal is
+        # the lattice of the Fraction reference's, None where it is None
+        problem, grid, seed, weights = start
+        settings = AnnealSettings(grid_denominator=grid)
+        scale, points = lattice(weights)
+        chain = _Chain(0, seed, problem.d, Random(seed), (scale, tuple(points)), 0.0, 0.0)
+        reference = Random(seed)
+        for _ in range(30):
+            state = _propose(chain, problem, settings)
+            expected = fraction_proposal(
+                reference, weights, problem.d, problem.n, problem.weight_norm(), grid
+            )
+            assert chain.rng.getstate() == reference.getstate()
+            if expected is None:
+                assert state is None
+                continue
+            scale, points = lattice(expected)
+            assert state == (scale, tuple(points))
+            chain.state, weights = state, expected
+
+
+class TestRanked:
+    def test_a_limit_keeps_the_first_items_of_the_full_order(self):
+        # scores and n tie often, as in a chain's stored candidates; the
+        # full order breaks ties by the repr of the Fraction weights, and a
+        # limit keeps the same first items, in any order
+        rng = Random(4)
+        top = {}
+        for _ in range(200):
+            n, scale = rng.randint(1, 3), rng.choice((1, 2, 3, 16))
+            points = tuple((rng.randint(-scale, scale),) for _ in range(n))
+            top[_canonical(scale, points)] = rng.choice((0.0, -0.25, -0.5, 0.125))
+        full = _ranked(top)
+        expected = sorted(
+            top.items(),
+            key=lambda item: (-item[1], len(item[0][1]), repr(_weights(item[0]))),
+        )
+        assert full == expected
+        for limit in (1, 5, 16, 64, len(top), 500):
+            assert sorted(_ranked(top, limit)) == sorted(full[:limit])
 
 
 FAST = AnnealSettings(chains=2, cooling_iters=50, structured_n_max=6)
