@@ -19,6 +19,7 @@ from .antichain import (
 )
 from .bounds import (
     BoundReport,
+    NormSpec,
     TheoremTag,
     ap_uniform_bound,
     bound_dispatch,
@@ -68,7 +69,6 @@ from .search import (
     Candidate,
     CounterexampleCertificate,
     MarginRow,
-    NormSpec,
     Refutation,
     SearchProblem,
     anneal,

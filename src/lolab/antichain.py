@@ -59,8 +59,9 @@ def build_family(
 
     Weights must be strictly positive rationals. The defining condition
     is equivalent to 2 * sum(A) = x + total, checked exactly on integers
-    after clearing denominators; a parity mismatch there means the family
-    is empty.
+    after clearing denominators; a parity mismatch there, or a half sum
+    outside [0, total], means the family is empty, and no subset sum is
+    listed.
     """
     ws = [rat(w) for w in weights]
     if not ws:
@@ -75,13 +76,13 @@ def build_family(
     scale = lcm(*[w.denominator for w in ws], target.denominator)
     iw = [(w * scale).numerator for w in ws]
     need = (target * scale).numerator + sum(iw)
+    half = need // 2
+    if need % 2 != 0 or not 0 <= half <= sum(iw):
+        return SubsetFamily(n=n, members=())
     # sums[mask] enumerates subset sums with bit i of mask selecting iw[i]
     sums = [0]
     for w in iw:
         sums += [s + w for s in sums]
-    if need % 2 != 0:
-        return SubsetFamily(n=n, members=())
-    half = need // 2
     return SubsetFamily(
         n=n, members=tuple(mask for mask, s in enumerate(sums) if s == half)
     )

@@ -4,26 +4,38 @@ Each bound is an exact Fraction computed from binomial closed forms, and
 each comes with the configuration that attains it, so equality can be
 certified rather than eyeballed. The one deliberate float in the module is
 the exponential comparison bound, kept for contrast with the exact ones.
+
+An atom's bound is read at its norm rounded to an integer k, and
+`atom_bounds` is the one lookup of it for lattice points, read by campaign
+rows, the search's scorer and `certify`: `NormSpec`'s integer rule gives
+the norms, `rounded_norms` their k, and `bound_counts` one table per (m, n).
 """
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Sequence
 
 from .engine import (
     APUniformSpec,
     WeightConfig,
     _law,
+    lattice,
     rademacher_atom,
 )
 from .rational import (
+    _NULL,
     RationalLike,
+    Vec,
+    _read_fields,
     ceil_sqrt,
-    floor_sqrt_ratio,
     is_zero,
     make_vec,
     norm_sq,
@@ -107,15 +119,20 @@ def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
     )
 
 
-def zero_odd_bound(n: int) -> Fraction:
-    """Bound on hitting 0 with an odd number of summands.
+def zero_odd_count(n: int) -> int:
+    """2^n times the bound on hitting 0 with an odd number n of summands.
 
-    Equals the probability that a half-weight sign pair pattern cancels,
-    which is the plain (n-1)-sign sum's chance of landing at 2.
+    That bound is the plain (n-1)-sign sum's chance of landing at 2, the
+    probability that a half-weight sign pair pattern cancels.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"summand count must be odd and >= 1, got {n}")
-    return rademacher_atom(n - 1, 2)
+    return 2 * math.comb(n - 1, (n + 1) // 2)
+
+
+def zero_odd_bound(n: int) -> Fraction:
+    """Bound on hitting 0 with an odd number of summands: `zero_odd_count` / 2^n."""
+    return Fraction(zero_odd_count(n), 2 ** n)
 
 
 def zero_weights_sup(squared_norm: RationalLike) -> Fraction:
@@ -204,30 +221,155 @@ def zero_weights_extremal(x) -> WeightConfig:
     return extremal_config(k * k, len(x), x)
 
 
-@lru_cache(maxsize=None)
-def _unit_ap_law(n: int, m: int) -> dict:
-    """Counts of the unit-weight progression sum over m^n draws, at points >= 0."""
-    return _law([(1,)] * n, 1, APUniformSpec(m)).counts
+NORM_KINDS = ("L1", "L2", "Linf", "WeightedDiagonalL2")
 
 
-def ap_uniform_count(n: int, m: int, k: int) -> int:
-    """m^n times the progression bound at a target whose norm has floor k.
+@dataclass(frozen=True)
+class NormSpec:
+    """A norm on the ambient space, evaluated exactly on rational vectors.
 
-    The bound point is k for odd m and k shifted to the reachable parity
-    for even m. The count is 0 when that point falls outside the support
-    parity or reach.
+    Each kind has one integer rule, `_rule`, that the unit-ball test, the
+    float and every rounding of a norm read. The Euclidean kinds give
+    squared values, so boundary cases like a norm of exactly k are exact.
     """
-    target = k if m % 2 == 1 else k + parity_correction(n, k)
-    return _unit_ap_law(n, m).get(target, 0)
+
+    kind: str = "L2"
+    diag: tuple[Fraction, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in NORM_KINDS:
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        diag = tuple(rat(c) for c in self.diag)
+        object.__setattr__(self, "diag", diag)
+        if self.kind == "WeightedDiagonalL2":
+            if not diag:
+                raise ValueError("diagonal norm needs at least one coefficient")
+            if any(c <= 0 for c in diag):
+                raise ValueError("diagonal coefficients must be positive")
+        elif diag:
+            raise ValueError(f"{self.kind} takes no diagonal coefficients")
+
+    def label(self) -> str:
+        if self.kind == "WeightedDiagonalL2":
+            return "WeightedDiagonalL2[" + ",".join(rat_str(c) for c in self.diag) + "]"
+        return self.kind
+
+    def _rule(
+        self, points: Sequence[tuple[int, ...]], scale: int
+    ) -> tuple[list[int], int, int]:
+        """(measures, unit, p) with each pt / scale of norm (measure / unit) ** (1 / p).
+
+        p is 2 for the Euclidean kinds, whose measures are squared, else 1.
+        """
+        if self.kind == "L1":
+            return [sum(map(abs, pt)) for pt in points], scale, 1
+        if self.kind == "Linf":
+            return [max(map(abs, pt)) for pt in points], scale, 1
+        if self.kind == "L2":
+            return [sum(map(mul, pt, pt)) for pt in points], scale * scale, 2
+        q, coeffs = self._diag_ints
+        lengths = {len(pt) for pt in points} - {len(coeffs)}
+        if lengths:
+            raise ValueError(
+                f"vector of length {lengths.pop()} "
+                f"against diagonal of length {len(coeffs)}"
+            )
+        squares = [sum(map(mul, coeffs, map(mul, pt, pt))) for pt in points]
+        return squares, q * scale * scale, 2
+
+    @cached_property
+    def _diag_ints(self) -> tuple[int, tuple[int, ...]]:
+        """(q, coefficients times q) for the lcm q of the diagonal's denominators."""
+        q = math.lcm(*(c.denominator for c in self.diag))
+        return q, tuple(c.numerator * (q // c.denominator) for c in self.diag)
+
+    def contains(self, pt: Sequence[int], scale: int) -> bool:
+        """Whether pt / scale lies in the unit ball."""
+        (measure,), unit, _ = self._rule([pt], scale)
+        return measure <= unit
+
+    def leq_one(self, v: Vec) -> bool:
+        scale, (pt,) = lattice([v])
+        return self.contains(pt, scale)
+
+    def float_value(self, pt: Sequence[int], scale: int) -> float:
+        """The float of the norm of pt / scale: one correctly rounded int division."""
+        (measure,), unit, p = self._rule([pt], scale)
+        return measure / unit if p == 1 else math.sqrt(measure / unit)
+
+    def to_json(self) -> dict:
+        obj: dict = {"kind": self.kind}
+        if self.kind == "WeightedDiagonalL2":
+            obj["diag"] = [rat_str(c) for c in self.diag]
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "NormSpec":
+        values = _read_fields(obj, "norm", kind=(str,), diag=(list, _NULL))
+        diag = values["diag"] or []
+        if any(type(c) not in (str, int) for c in diag):
+            raise ValueError(
+                f"norm field 'diag' must hold p/q strings, got {json.dumps(diag)}"
+            )
+        return cls(kind=values["kind"], diag=tuple(diag))
+
+
+# the paper's norm: the default target norm, and the only one of progression
+# bounds and of campaigns
+EUCLIDEAN = NormSpec("L2")
+
+
+def rounded_norms(
+    m: int, n: int, measures: Sequence[int], unit: int, p: int
+) -> list[int]:
+    """The k at which each norm (measure / unit) ** (1 / p) reads its bound.
+
+    The bound of n summands on m support points is read at the ceiling of
+    the norm for signs (m = 2) and at its floor for progressions (m >= 3).
+    Either bound is 0 from k = top on, one past the unit-weight sum's reach
+    (m - 1) * n, so k is read from the thresholds unit * k ** p for
+    k = 0..top: a norm is at most k exactly when its measure is at most
+    the k-th. A ceiling past them is top + 1, a floor at most top.
+    """
+    top = (m - 1) * n + 1
+    limits = [unit * k ** p for k in range(top + 1)]
+    if m == 2:
+        return [bisect_left(limits, a) for a in measures]
+    return [bisect_right(limits, a) - 1 for a in measures]
+
+
+@lru_cache(maxsize=None)
+def bound_counts(m: int, n: int) -> tuple[int, ...]:
+    """m^n times the bound at each k of `rounded_norms`, up to one past top.
+
+    For signs, the sign-sum count. For progressions, the count of the
+    unit-weight progression sum at k, shifted to the reachable parity for
+    even m; 0 where that point falls outside the sum's support.
+    """
+    ks = range((m - 1) * n + 3)
+    if m == 2:
+        return tuple(nonuniform_count(n, k) for k in ks)
+    law = _law([(1,)] * n, 1, APUniformSpec(m)).counts
+    return tuple(law.get(k if m % 2 else k + parity_correction(n, k), 0) for k in ks)
+
+
+def atom_bounds(
+    norm: NormSpec, m: int, n: int, points: Sequence[tuple[int, ...]], scale: int
+) -> tuple[list[int], list[int]]:
+    """The k and the bound count (over m^n) of n summands at each pt / scale."""
+    measures, unit, p = norm._rule(points, scale)
+    ks = rounded_norms(m, n, measures, unit, p)
+    table = bound_counts(m, n)
+    return ks, [table[k] for k in ks]
 
 
 def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     """Conjectured bound for progression-uniform sums at a non-zero target.
 
     With k = floor of the target norm, the value is the unit-weight
-    progression sum's probability at the bound point of `ap_uniform_count`.
-    It can be 0; callers that hunt for violations flag those cells instead
-    of claiming them.
+    progression sum's probability at k, shifted to the reachable parity
+    for even m (`bound_counts`). It can be 0; callers that hunt for
+    violations flag those cells instead of claiming them.
     """
     if m < 3:
         raise ValueError(f"support size must be >= 3 here, got {m}")
@@ -236,8 +378,8 @@ def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     q = rat(squared_norm)
     if q <= 0:
         raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    k = floor_sqrt_ratio(q.numerator, q.denominator)
-    return Fraction(ap_uniform_count(n, m, k), m ** n)
+    (k,) = rounded_norms(m, n, [q.numerator], q.denominator, 2)
+    return Fraction(bound_counts(m, n)[k], m ** n)
 
 
 def milner_bound(n: int, k: int) -> int:

@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 from .antichain import SubsetFamily, build_family, milner_report
 from .bounds import (
+    NormSpec,
     TheoremTag,
     bound_dispatch,
     extremal_config,
@@ -58,7 +59,6 @@ from .rational import (
 )
 from .search import (
     AnnealSettings,
-    NormSpec,
     SearchProblem,
     anneal,
 )

@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import csv
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bounds import (
+    EUCLIDEAN,
     TheoremTag,
-    erdos_kleitman_bound,
-    nonuniform_count,
-    zero_odd_bound,
+    atom_bounds,
+    bound_counts,
+    zero_odd_count,
     zero_weights_extremal,
     zero_weights_sup,
 )
@@ -175,39 +173,27 @@ def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
 Row = tuple[TheoremTag, tuple[int, ...], int, int, int]
 
 
-def _bound_count(bound: Fraction, denom: int) -> int:
-    """bound * denom, whole for every bound over 2^n and a sign law's 2^n."""
-    count = bound * denom
-    if count.denominator != 1:
-        raise AssertionError(f"bound {bound} is not a multiple of 1/{denom}")
-    return count.numerator
-
-
 def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterator[Row]:
-    """The campaign rows of one config's sign law, all in integers over law.denom."""
-    n, denom = law.n, law.denom
+    """The campaign rows of one config's sign law, all in integers over 2^n."""
+    n = law.n
     for check in checks:
         if check is TheoremTag.NON_UNIFORM:
-            # on the lattice, |x| = |pt| / scale, so k = ceil(|x|) is the least
-            # k with |pt|^2 <= (k * scale)^2; -pt has the norm of pt, so k and
-            # the bound of each atom above the origin serve its mirror below
+            # -pt has the norm of pt, so the k and the bound of each atom
+            # above the origin serve its mirror below
             atoms = law.sorted_atoms()
             half = len(atoms) // 2
             lower, upper = atoms[:half], atoms[len(atoms) - half:]
-            squares = [sum(map(mul, pt, pt)) for pt, _ in upper]
-            scale_sq = law.scale * law.scale
-            top = isqrt(max(squares, default=0) // scale_sq) + 1
-            limits = [k * k * scale_sq for k in range(top + 1)]
-            ks = [bisect_left(limits, q) for q in squares]
-            bound_at = [nonuniform_count(n, k) for k in range(top + 1)]
-            for (pt, count), k in zip(lower + upper, ks[::-1] + ks):
-                yield check, pt, k, count, bound_at[k]
+            ks, bounds = atom_bounds(EUCLIDEAN, 2, n, [pt for pt, _ in upper], law.scale)
+            rows = zip(lower + upper, ks[::-1] + ks, bounds[::-1] + bounds)
+            for (pt, count), k, bound in rows:
+                yield check, pt, k, count, bound
         elif check is TheoremTag.ERDOS_KLEITMAN:
+            # the theorem-2 count at k = 0 is binom(n, floor(n/2))
             pt, count = law.max_count()
-            yield check, pt, 0, count, _bound_count(erdos_kleitman_bound(n), denom)
+            yield check, pt, 0, count, bound_counts(2, n)[0]
         elif check is TheoremTag.ZERO_ODD:
             count = law.counts.get(0, 0)
-            yield check, (0,) * law.dim, 0, count, _bound_count(zero_odd_bound(n), denom)
+            yield check, (0,) * law.dim, 0, count, zero_odd_count(n)
 
 
 def verify_zero_weights_sup(

@@ -3,19 +3,47 @@
 Everything downstream (laws, bounds, families, certificates) rides on
 `fractions.Fraction`: lowest terms, positive denominator, and exact
 arithmetic come for free. Vectors are plain tuples of Fractions so they
-hash and order correctly as atom keys. Floats are rejected at the
-boundary; the only floating point in the package lives in the search
-module's exploratory scorer.
+hash and order correctly as atom keys. Floats and bools are rejected at
+the boundary (`rat`), and `_read_fields` never takes a bool for an int in
+a JSON object. The package's floats are the exponential comparison bound
+(`bounds.hoeffding_bound`) and the anneal's scores, which rank states by
+one correctly rounded int division each; no claim rests on either.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
+
+_NULL = type(None)
+
+
+def _read_fields(obj, where: str, *, partial=False, **types: tuple[type, ...]) -> dict:
+    """The named fields of a JSON object, each of one of its allowed types.
+
+    A bool is not an int. A missing field raises KeyError(name), unless
+    _NULL is among its types, in which case it reads as None, or `partial`
+    is set, in which case it is left out.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    values = {}
+    for name, allowed in types.items():
+        if partial and name not in obj:
+            continue
+        value = obj.get(name) if _NULL in allowed else obj[name]
+        if type(value) not in allowed:
+            kinds = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
+            raise ValueError(
+                f"{where} field {name!r} must be {kinds}, got {json.dumps(value)}"
+            )
+        values[name] = value
+    return values
 
 
 def rat(value: RationalLike) -> Fraction:

@@ -13,9 +13,9 @@ state is their lattice points over their least common denominator, and
 Fractions are made only at its edges (start, resume, checkpoints, ties of
 candidate scores, exact rescores). One integer walk over a law's points
 above the origin (`_best_atom`) scores both the annealed states and the
-exact candidates: it reads their bounds through one batch lookup
-(`SearchProblem.bounds_at`, which rounds each norm through its kind's one
-threshold list) and returns the best excess count - bound, its witness
+exact candidates: it reads their bounds through `SearchProblem.bounds_at`,
+a call into the one lookup of an atom's bound, `bounds.atom_bounds`, that
+campaigns read too, and returns the best excess count - bound, its witness
 and the flagged atoms. The anneal ranks states by the float of that
 excess over the law's denominator, which has the exact margin's sign;
 candidates carry the same integers as Fractions. Only an exactly positive
@@ -30,16 +30,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from operator import mul
 from typing import ClassVar, Optional, Sequence, Union
 
-from .bounds import ap_uniform_count, nonuniform_count
+from .bounds import EUCLIDEAN, NormSpec, atom_bounds
 from .engine import (
     FULL_LAW_CAP,
     APUniformSpec,
@@ -53,150 +50,16 @@ from .engine import (
 )
 from .oracle import derived_seed
 from .rational import (
+    _NULL,
     Vec,
+    _read_fields,
     is_zero,
     make_vec,
-    rat,
     rat_str,
     ratio_str,
     vec_scale,
     vec_strs,
 )
-
-NORM_KINDS = ("L1", "L2", "Linf", "WeightedDiagonalL2")
-
-
-_NULL = type(None)
-
-
-def _read_fields(obj, where: str, *, partial=False, **types: tuple[type, ...]) -> dict:
-    """The named fields of a JSON object, each of one of its allowed types.
-
-    A bool is not an int. A missing field raises KeyError(name), unless
-    _NULL is among its types, in which case it reads as None, or `partial`
-    is set, in which case it is left out.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    values = {}
-    for name, allowed in types.items():
-        if partial and name not in obj:
-            continue
-        value = obj.get(name) if _NULL in allowed else obj[name]
-        if type(value) not in allowed:
-            kinds = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
-            raise ValueError(
-                f"{where} field {name!r} must be {kinds}, got {json.dumps(value)}"
-            )
-        values[name] = value
-    return values
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A norm on the ambient space, evaluated exactly on rational vectors.
-
-    Each kind has one integer rule, `_rule`, that the unit-ball test, the
-    float and the thresholds behind every rounding of a norm read. The
-    Euclidean kinds give squared values, so boundary cases like a norm of
-    exactly k are exact.
-    """
-
-    kind: str = "L2"
-    diag: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        diag = tuple(rat(c) for c in self.diag)
-        object.__setattr__(self, "diag", diag)
-        if self.kind == "WeightedDiagonalL2":
-            if not diag:
-                raise ValueError("diagonal norm needs at least one coefficient")
-            if any(c <= 0 for c in diag):
-                raise ValueError("diagonal coefficients must be positive")
-        elif diag:
-            raise ValueError(f"{self.kind} takes no diagonal coefficients")
-
-    def label(self) -> str:
-        if self.kind == "WeightedDiagonalL2":
-            return "WeightedDiagonalL2[" + ",".join(rat_str(c) for c in self.diag) + "]"
-        return self.kind
-
-    def _rule(
-        self, points: Sequence[tuple[int, ...]], scale: int
-    ) -> tuple[list[int], int, int]:
-        """(measures, unit, p) with each pt / scale of norm (measure / unit) ** (1 / p).
-
-        p is 2 for the Euclidean kinds, whose measures are squared, else 1.
-        """
-        if self.kind == "L1":
-            return [sum(map(abs, pt)) for pt in points], scale, 1
-        if self.kind == "Linf":
-            return [max(map(abs, pt)) for pt in points], scale, 1
-        if self.kind == "L2":
-            return [sum(map(mul, pt, pt)) for pt in points], scale * scale, 2
-        q, coeffs = self._diag_ints
-        lengths = {len(pt) for pt in points} - {len(coeffs)}
-        if lengths:
-            raise ValueError(
-                f"vector of length {lengths.pop()} "
-                f"against diagonal of length {len(coeffs)}"
-            )
-        squares = [sum(map(mul, coeffs, map(mul, pt, pt))) for pt in points]
-        return squares, q * scale * scale, 2
-
-    @cached_property
-    def _diag_ints(self) -> tuple[int, tuple[int, ...]]:
-        """(q, coefficients times q) for the lcm q of the diagonal's denominators."""
-        q = lcm(*(c.denominator for c in self.diag))
-        return q, tuple(c.numerator * (q // c.denominator) for c in self.diag)
-
-    def thresholds(
-        self, points: Sequence[tuple[int, ...]], scale: int, top: int
-    ) -> tuple[list[int], list[int]]:
-        """The measures of points, and the thresholds unit * k ** p for k = 0..top.
-
-        The norm of pt / scale is at most k exactly when its measure is at
-        most the k-th threshold. So bisect_left gives the ceiling of a norm
-        (top + 1 past the list), and bisect_right - 1 its floor (at most top).
-        """
-        measures, unit, p = self._rule(points, scale)
-        return measures, [unit * k ** p for k in range(top + 1)]
-
-    def contains(self, pt: Sequence[int], scale: int) -> bool:
-        """Whether pt / scale lies in the unit ball."""
-        (measure,), unit, _ = self._rule([pt], scale)
-        return measure <= unit
-
-    def leq_one(self, v: Vec) -> bool:
-        scale, (pt,) = lattice([v])
-        return self.contains(pt, scale)
-
-    def float_value(self, pt: Sequence[int], scale: int) -> float:
-        """The float of the norm of pt / scale: one correctly rounded int division."""
-        (measure,), unit, p = self._rule([pt], scale)
-        return measure / unit if p == 1 else math.sqrt(measure / unit)
-
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == "WeightedDiagonalL2":
-            obj["diag"] = [rat_str(c) for c in self.diag]
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NormSpec":
-        values = _read_fields(obj, "norm", kind=(str,), diag=(list, _NULL))
-        diag = values["diag"] or []
-        if any(type(c) not in (str, int) for c in diag):
-            raise ValueError(
-                f"norm field 'diag' must hold p/q strings, got {json.dumps(diag)}"
-            )
-        return cls(kind=values["kind"], diag=tuple(diag))
-
-
-# the default target norm, and conjecture 1's only one
-EUCLIDEAN = NormSpec("L2")
 
 
 @dataclass(frozen=True)
@@ -253,22 +116,11 @@ class SearchProblem:
     ) -> list[int]:
         """The conjectured bound at each pt / scale, as a count over law_spec().m ** n.
 
-        Both conjectures round the target's norm to an integer k and read
-        the unit-weight law there: conjecture 2 rounds its norm up and
-        shifts k to the reachable parity; conjecture 1 rounds the Euclidean
-        norm down and shifts k only for even m. Every bound is 0 from
-        k = top on, one past the unit sum's reach, so k is read from the
-        thresholds up to top: a ceiling past them is top + 1, a floor at
-        most top.
+        Conjecture 2 reads the sign-sum bound at the ceiling of the target
+        norm, conjecture 1 the progression bound at the floor of the
+        Euclidean norm (`bounds.rounded_norms`).
         """
-        m = self.law_spec().m
-        top = (m - 1) * n + 1
-        table = _bound_counts(self.conjecture, m, n)
-        if self.conjecture == 2:
-            measures, limits = self.target_norm().thresholds(points, scale, top)
-            return [table[bisect_left(limits, a)] for a in measures]
-        measures, limits = EUCLIDEAN.thresholds(points, scale, top)
-        return [table[bisect_right(limits, a) - 1] for a in measures]
+        return atom_bounds(self.target_norm(), self.law_spec().m, n, points, scale)[1]
 
     def dimensions(self) -> tuple[int, ...]:
         """Dimensions the search explores.
@@ -276,7 +128,7 @@ class SearchProblem:
         A diagonal norm fixes the ambient dimension, so its cell explores
         only d; every other cell sweeps 1..d.
         """
-        if self.conjecture == 2 and any(
+        if any(
             spec.kind == "WeightedDiagonalL2"
             for spec in (self.target_norm(), self.weight_norm())
         ):
@@ -284,8 +136,6 @@ class SearchProblem:
         return tuple(range(1, self.d + 1))
 
     def weight_norm(self) -> NormSpec:
-        if self.conjecture == 1:
-            return EUCLIDEAN
         if self.constraint_norm is not None:
             return self.constraint_norm
         return self.target_norm()
@@ -319,14 +169,6 @@ class SearchProblem:
             if values[key] is not None:
                 values[key] = NormSpec.from_json(values[key])
         return cls(**values)
-
-
-@lru_cache(maxsize=None)
-def _bound_counts(conjecture: int, m: int, n: int) -> tuple[int, ...]:
-    """The bound count of bounds_at at each rounded norm k, up to one past top."""
-    if conjecture == 1:
-        return tuple(ap_uniform_count(n, m, k) for k in range((m - 1) * n + 3))
-    return tuple(nonuniform_count(n, k) for k in range((m - 1) * n + 3))
 
 
 @dataclass(frozen=True)
@@ -422,26 +264,19 @@ class CounterexampleCertificate(_Verdict):
 
 @dataclass(frozen=True)
 class Refutation(_Verdict):
-    """A candidate that did not survive exact recomputation.
+    """A claimed violation that did not survive exact recomputation.
 
-    Keeps the float score that nominated it (when there was one) next to
-    the exact numbers, so scorer drift is visible in the record. rhs_zero
-    marks flagged cells whose stated bound is exactly zero; those are
-    reported but never certified.
+    rhs_zero marks flagged cells whose stated bound is exactly zero; those
+    are reported but never certified.
     """
 
     certificate: ClassVar[bool] = False
 
-    float_score: Optional[float] = None
     rhs_zero: bool = False
 
 
 def certify(
-    problem: SearchProblem,
-    cfg: WeightConfig,
-    x,
-    *,
-    float_score: Optional[float] = None,
+    problem: SearchProblem, cfg: WeightConfig, x
 ) -> Union[CounterexampleCertificate, Refutation]:
     """Decide a claimed violation by exact recomputation from scratch.
 
@@ -460,7 +295,7 @@ def certify(
     margin = lhs - rhs
     if margin > 0 and rhs != 0:
         return CounterexampleCertificate(problem, cfg, x, lhs, rhs, margin)
-    return Refutation(problem, cfg, x, lhs, rhs, margin, float_score, rhs_zero=rhs == 0)
+    return Refutation(problem, cfg, x, lhs, rhs, margin, rhs_zero=rhs == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,7 +973,7 @@ def anneal(
     discrepancies: list[dict] = []
     for cand in candidates:
         if cand.margin is not None and cand.margin > 0:
-            outcome = certify(problem, cand.config, cand.x, float_score=cand.float_score)
+            outcome = certify(problem, cand.config, cand.x)
             if not isinstance(outcome, CounterexampleCertificate):
                 raise AssertionError(
                     "exact margin positive but certification refused; "

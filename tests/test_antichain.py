@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -86,6 +87,19 @@ class TestBuildFamily:
 
     def test_parity_mismatch_is_empty(self):
         assert len(build_family([1, 1], 1)) == 0
+
+    @pytest.mark.parametrize("x", (1, 100, -100))
+    def test_empty_families_list_no_subset_sums(self, x):
+        # the wrong parity and targets past the reach 20 either way are
+        # empty before any of the 2^20 subset sums is listed
+        tracemalloc.start()
+        try:
+            family = build_family([1] * 20, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 0
+        assert peak < 1 << 20
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):

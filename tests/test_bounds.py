@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import brute_sign_atom, max_atom, weight_vectors
@@ -29,6 +29,7 @@ from lolab import (
     zero_weights_extremal,
     zero_weights_sup,
 )
+from lolab.bounds import rounded_norms
 from lolab.rational import ceil_sqrt, floor_sqrt_ratio
 
 
@@ -294,6 +295,44 @@ class TestSquareRootRounding:
             assert k * k * den <= q < (k + 1) ** 2 * den
             c = ceil_sqrt(Fraction(q, den))
             assert c * c * den >= q and (c == 0 or (c - 1) ** 2 * den < q)
+
+
+@st.composite
+def norm_measures(draw):
+    """(m, n, measures, unit, p): random measures, the thresholds unit * k^p and
+    their neighbours, and measures past the last threshold."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=6))
+    unit = draw(st.integers(min_value=1, max_value=10 ** 6))
+    p = draw(st.sampled_from((1, 2)))
+    past = (m - 1) * n + 4
+    boundary = st.builds(
+        lambda k, e: max(0, unit * k ** p + e),
+        st.integers(min_value=0, max_value=past),
+        st.integers(min_value=-1, max_value=1),
+    )
+    anywhere = st.integers(min_value=0, max_value=unit * past ** p)
+    measures = draw(st.lists(st.one_of(boundary, anywhere), min_size=1, max_size=8))
+    return m, n, measures, unit, p
+
+
+class TestRoundedNorms:
+    @given(norm_measures())
+    @example((2, 3, [0, 1, 80, 81, 125, 10 ** 9], 5, 2))
+    @example((3, 2, [0, 34, 35, 36, 90, 10 ** 9], 7, 1))
+    def test_pinned_to_exact_ceilings_and_floors(self, case):
+        # ceilings for signs (m = 2), floors for progressions (m >= 3), both
+        # read no further than one past top = (m - 1) * n + 1
+        m, n, measures, unit, p = case
+        top = (m - 1) * n + 1
+        if m == 2:
+            ceil = ceil_sqrt if p == 2 else math.ceil
+            expected = [min(ceil(Fraction(a, unit)), top + 1) for a in measures]
+        elif p == 2:
+            expected = [min(floor_sqrt_ratio(a, unit), top) for a in measures]
+        else:
+            expected = [min(a // unit, top) for a in measures]
+        assert rounded_norms(m, n, measures, unit, p) == expected
 
 
 class TestMilnerBound:

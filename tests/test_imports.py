@@ -1,12 +1,70 @@
-"""The runtime is stdlib-only: importing lolab pulls in nothing else."""
+"""The runtime is stdlib-only, and its modules import one another in layers."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lolab
+
+# each module may import only the layers before its own
+LAYERS = (
+    ("rational",),
+    ("engine",),
+    ("bounds",),
+    ("antichain", "oracle"),
+    ("search",),
+    ("cli",),
+)
+RANK = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+
+
+def layer_breaches(name: str, source: str) -> list[str]:
+    """The lolab modules that module `name` imports from its own layer or a later one.
+
+    A name imported from the package itself counts as its __init__, which
+    comes after every layer.
+    """
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("lolab" if node.level else "", node.module)))
+            paths = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if parts[0] == "lolab" and len(parts) > 1:
+                imported.add(parts[1] if parts[1] in RANK else "__init__")
+    return sorted(m for m in imported if RANK.get(m, len(LAYERS)) >= RANK[name])
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(lolab.__file__).resolve().parent
+    names = sorted(path.stem for path in package.glob("*.py"))
+    assert set(names) - {"__init__"} == set(RANK), "a module has no place in LAYERS"
+    for name in RANK:
+        assert layer_breaches(name, (package / f"{name}.py").read_text()) == [], name
+
+
+@pytest.mark.parametrize(
+    "name, source, breaches",
+    [
+        ("bounds", "from .search import SearchProblem", ["search"]),
+        ("oracle", "from . import antichain", ["antichain"]),
+        ("engine", "import lolab.cli", ["cli"]),
+        ("search", "from lolab import NormSpec", ["__init__"]),
+        ("search", "from .bounds import NormSpec\nfrom .oracle import derived_seed", []),
+    ],
+)
+def test_the_layer_scan_sees_every_import_form(name, source, breaches):
+    assert layer_breaches(name, source) == breaches
 
 
 def test_every_module_imports_only_the_standard_library():

@@ -15,6 +15,7 @@ from lolab import (
     CAMPAIGN_CHECKS,
     AtomDistribution,
     ConfigGenerator,
+    SearchProblem,
     TheoremTag,
     WeightConfig,
     derived_seed,
@@ -27,7 +28,8 @@ from lolab import (
     verify_zero_weights_sup,
     zero_odd_bound,
 )
-from lolab import oracle
+from lolab import bounds, oracle
+from lolab.bounds import bound_counts
 from lolab.cli import main
 from lolab.oracle import ViolationRecord, _config_rows
 
@@ -163,6 +165,27 @@ class TestConfigRows:
             assert norm_sq(x) == k * k
             assert (x, k) in [(row_x, row_k) for row_x, row_k, _, _ in rows]
 
+    @pytest.mark.parametrize("shift", (0, 1))
+    def test_theorem_2_rows_read_the_search_lookup(self, monkeypatch, shift):
+        # at every atom above the origin, a row's bound is conjecture 2's at
+        # the L2 norm and its k indexes the one table; a shifted rounding
+        # moves rows and search alike, as both read the one lookup
+        rounding = bounds.rounded_norms
+        monkeypatch.setattr(
+            bounds, "rounded_norms", lambda *args: [k + shift for k in rounding(*args)]
+        )
+        configs = [PYTHAGOREAN_MIXED]
+        for n, d in ((5, 1), (6, 2), (7, 3)):
+            configs += ConfigGenerator(n=n, d=d, seed=n, count=3).configs()
+        for cfg in configs:
+            law = full_distribution(cfg)
+            rows = list(_config_rows(law, (TheoremTag.NON_UNIFORM,)))
+            upper = rows[len(rows) // 2:]
+            problem = SearchProblem(conjecture=2, n=cfg.n, d=cfg.dim, budget=0, seed=0)
+            expected = problem.bounds_at(cfg.n, [row[1] for row in upper], law.scale)
+            assert [bound for *_, bound in upper] == expected
+            assert [bound_counts(2, cfg.n)[k] for _, _, k, _, _ in upper] == expected
+
     def test_one_sorted_walk_per_law(self, monkeypatch):
         # the theorem-2 rows walk each config's law in the law's own order
         walked = []
@@ -267,8 +290,9 @@ class TestCampaignViolation:
     @pytest.fixture(autouse=True)
     def bound_of_one_draw(self, monkeypatch):
         # 1/2^n is attained by every law whose 2^n atoms are distinct, so
-        # only a law with a repeated atom exceeds it, at its most likely atom
-        monkeypatch.setattr(oracle, "erdos_kleitman_bound", lambda n: F(1, 2 ** n))
+        # only a law with a repeated atom exceeds it, at its most likely atom;
+        # the Erdos-Kleitman row reads its count from the table at k = 0
+        monkeypatch.setattr(oracle, "bound_counts", lambda m, n: (1,))
 
     def test_exact_record_report_and_csv(self, tmp_path):
         repeated = WeightConfig.from_scalars(["1", "1", "1/2"])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -41,9 +40,9 @@ from lolab import (
     margin_rows,
     norm_sq,
 )
+from lolab.bounds import NORM_KINDS, rounded_norms
 from lolab.engine import _law, lattice
 from lolab.search import (
-    NORM_KINDS,
     _canonical,
     _Chain,
     _exact_candidate,
@@ -81,22 +80,23 @@ def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
     return reference_norm(spec, w) == factor * reference_norm(spec, v)
 
 
-# past every norm the tests draw: |v| <= 3 per coordinate, d <= 3, diag <= 10
-TOP = 20
+# rounded_norms reads thresholds up to k = (m - 1) * N + 1, past every norm
+# the tests draw: |v| <= 3 per coordinate, d <= 3, diag <= 10
+N = 20
 
 
 def ceil_norm(spec: NormSpec, v) -> int:
-    """Smallest integer >= the norm of v, read from the threshold list."""
+    """Smallest integer >= the norm of v: the sign-sum rounding."""
     scale, points = lattice([v])
-    (measure,), limits = spec.thresholds(points, scale, TOP)
-    return bisect_left(limits, measure)
+    (k,) = rounded_norms(2, N, *spec._rule(points, scale))
+    return k
 
 
 def floor_norm(spec: NormSpec, v) -> int:
-    """Largest integer <= the norm of v, read from the threshold list."""
+    """Largest integer <= the norm of v: the progression rounding."""
     scale, points = lattice([v])
-    (measure,), limits = spec.thresholds(points, scale, TOP)
-    return bisect_right(limits, measure) - 1
+    (k,) = rounded_norms(3, N, *spec._rule(points, scale))
+    return k
 
 
 def witness(problem: SearchProblem, cfg: WeightConfig):
@@ -563,10 +563,9 @@ class TestCertify:
 
     def test_touching_the_bound_refutes(self):
         cfg = WeightConfig.from_scalars(["1", "1", "1"])
-        outcome = certify(l2_problem(n=3), cfg, (F(1),), float_score=0.25)
+        outcome = certify(l2_problem(n=3), cfg, (F(1),))
         assert isinstance(outcome, Refutation)
         assert outcome.margin == 0
-        assert outcome.float_score == 0.25
         assert not outcome.rhs_zero
 
     def test_zero_bound_refutes_without_certifying(self):
