@@ -35,6 +35,7 @@ from .bounds import (
 )
 from .engine import (
     ATOM_QUERY_CAP,
+    DRAW_CAP,
     FULL_LAW_CAP,
     LAW_ATOM_CAP,
     APUniformSpec,

@@ -170,7 +170,7 @@ def cmd_dist(args) -> int:
         if args.format == "csv":
             writer = csv.writer(handle)
             writer.writerow([f"x{i + 1}" for i in range(dist.dim)] + ["probability"])
-            writer.writerows(x + [p] for x, p in dist.formatted_atoms())
+            writer.writerows(dist.formatted_atoms())
         else:
             dist.to_json(handle)
     return 0

@@ -20,12 +20,15 @@ such folded half-sum tables. Points are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
 any step; at d = 1 a key is its point. A sum takes one convolution step
 per weight, so `lattice_laws` yields the law of each prefix of a sum on
-the way to the whole. Every walk in atom order
-(`sorted_atoms`, `to_json`) mirrors the law's one sorted upper half
-(`upper_half`).
+the way to the whole. Every walk in atom order mirrors the law's one
+sorted upper half (`upper_half`). The writers (`to_json`, and
+`formatted_atoms` for CSV) format only that half, one string per distinct
+count and coordinate, and write the mirrors below the origin from the same
+strings, joined WRITE_CHUNK atoms at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
-on the atoms of both halves, checked as a convolution step grows.
+on the atoms of both halves, checked as a convolution step grows, and
+`DRAW_CAP` bounds the coordinate draws of one campaign weight.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from itertools import chain, repeat
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
@@ -44,6 +48,14 @@ from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
 FULL_LAW_CAP = 24
 ATOM_QUERY_CAP = 40
 LAW_ATOM_CAP = 1 << 24
+# Coordinate draws one campaign weight may take before its draw is refused:
+# the share of grid points in the unit ball falls like V_d / 2^d, so a draw
+# by rejection never ends at high d. No weight plausibly needs this many up
+# to d = 12 at the default grid of 16ths.
+DRAW_CAP = 1 << 21
+# atoms (or campaign rows) a writer joins into one string per write, which
+# bounds the text held at once
+WRITE_CHUNK = 2048
 
 
 class CapExceeded(Exception):
@@ -170,7 +182,11 @@ class AtomDistribution:
         return tuple(Fraction(a, self.scale) for a in pt)
 
     def points(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
-        """The integer points of packed keys of either sign.
+        """The integer points of packed keys of either sign."""
+        return list(zip(*self._columns(keys)))
+
+    def _columns(self, keys: Iterable[int]) -> list[list[int]]:
+        """The coordinates of packed keys of either sign, one list per axis.
 
         Decodes column by column from the last coordinate: a balanced digit
         is the remainder of key + reach, less reach. At d = 1 a key is its
@@ -183,7 +199,7 @@ class AtomDistribution:
             rest = [(key - a) // radix for key, a in zip(rest, low)]
             columns.append(low)
         columns.append(rest)
-        return list(zip(*reversed(columns)))
+        return columns[::-1]
 
     def _key(self, x) -> Optional[int]:
         """The packed key of x * scale, or None when x is off the lattice or the box."""
@@ -219,25 +235,48 @@ class AtomDistribution:
         middle = [((0,) * self.dim, counts[0])] if 0 in counts else []
         return lower + middle + upper
 
-    def formatted_atoms(self) -> Iterator[tuple[list[str], str]]:
-        """("p/q" coordinates, "p/q" probability) of every atom, in atom order.
+    def _half_strings(
+        self,
+    ) -> tuple[list[str], list[list[str]], Optional[list[list[str]]], Optional[str]]:
+        """The "p/q" strings of the atoms above the origin, in upper_half() order.
 
-        Only the upper half is formatted; the atoms below are those in
-        reverse, with each coordinate string negated.
+        (probabilities, columns, mirrors, origin): each atom's probability;
+        its coordinates, one list per axis; the same lists for the mirrored
+        atoms -pt, or None at d = 1; and the origin's probability, or None
+        when the origin is no atom. One string is made per distinct count
+        and, at d >= 2, per distinct coordinate value. At d = 1 every point
+        above the origin is positive, so a mirror's string is its own with
+        "-" in front.
         """
-        scale, denom, counts = self.scale, self.denom, self.counts
-        # one "p/q" string per distinct count, shared by the atoms that have it
-        probs = {count: ratio_str(count, denom) for count in set(counts.values())}
+        counts, scale = self.counts, self.scale
+        ratios = {count: ratio_str(count, self.denom) for count in set(counts.values())}
         keys = self.upper_half()
-        upper = [
-            ([ratio_str(a, scale) for a in pt], probs[counts[key]])
-            for key, pt in zip(keys, self.points(keys))
-        ]
-        for x, p in reversed(upper):
-            yield [_negated(c) for c in x], p
-        if 0 in counts:
-            yield ["0/1"] * self.dim, probs[counts[0]]
-        yield from upper
+        probs = list(map(ratios.__getitem__, map(counts.__getitem__, keys)))
+        origin = ratios[counts[0]] if 0 in counts else None
+        if self.dim == 1:
+            gcds = map(gcd, keys, repeat(scale))
+            column = [f"{k // g}/{scale // g}" for k, g in zip(keys, gcds)]
+            return probs, [column], None, origin
+        ints = self._columns(keys)
+        values = set().union(*ints)
+        coords = {a: ratio_str(a, scale) for a in values.union(-a for a in values)}
+        columns = [list(map(coords.__getitem__, col)) for col in ints]
+        mirrors = [[coords[-a] for a in col] for col in ints]
+        return probs, columns, mirrors, origin
+
+    def formatted_atoms(self) -> Iterator[tuple[str, ...]]:
+        """Each atom's "p/q" coordinates, then its "p/q" probability, in atom order.
+
+        The strings are those of `_half_strings`: the atoms below the origin
+        are the mirrors of those above, in reverse.
+        """
+        probs, columns, mirrors, origin = self._half_strings()
+        if mirrors is None:
+            mirrors = [["-" + c for c in columns[0]]]
+        yield from zip(*(col[::-1] for col in mirrors), probs[::-1])
+        if origin is not None:
+            yield ("0/1",) * self.dim + (origin,)
+        yield from zip(*columns, probs)
 
     def max_count(self) -> tuple[tuple[int, ...], int]:
         """The most likely point and its count; ties go to the least point.
@@ -252,26 +291,39 @@ class AtomDistribution:
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
 
-        Atoms are written one at a time as they are formatted; their "p/q"
-        strings need no JSON escaping.
+        The atoms are written from the strings of `_half_strings`, their
+        JSON blocks made and joined WRITE_CHUNK at a time (`_json_chunks`):
+        the mirrors below the origin, last first, then the origin, then the
+        atoms above. Their "p/q" strings need no escaping.
         """
-        handle.write('{\n  "atoms": [')
-        sep = "\n"
-        for x, p in self.formatted_atoms():
-            handle.write(
-                f'{sep}    {{\n      "probability": "{p}",\n      "x": [\n        "'
-                + '",\n        "'.join(x)
-                + '"\n      ]\n    }'
-            )
+        probs, columns, mirrors, origin = self._half_strings()
+        if mirrors is None:  # d = 1: a mirror is its point with "-" in front
+            lower = _json_chunks(probs[::-1], [columns[0][::-1]], "-")
+        else:
+            lower = _json_chunks(probs[::-1], [col[::-1] for col in mirrors])
+        middle = [] if origin is None else _json_chunks([origin], [["0/1"]] * self.dim)
+        handle.write('{\n  "atoms": [\n')
+        sep = ""
+        for text in chain(lower, middle, _json_chunks(probs, columns)):
+            handle.write(sep)
+            handle.write(text)
             sep = ",\n"
         handle.write(f'\n  ],\n  "dim": {self.dim},\n  "n": {self.n}\n}}\n')
 
 
-def _negated(coord: str) -> str:
-    """The "p/q" string of minus a "p/q" coordinate; "0/1" stays "0/1"."""
-    if coord[0] == "-":
-        return coord[1:]
-    return coord if coord == "0/1" else "-" + coord
+def _json_chunks(
+    probs: Sequence[str], columns: Sequence[Sequence[str]], sign: str = ""
+) -> Iterator[str]:
+    """The JSON blocks of atoms of these "p/q" strings, WRITE_CHUNK blocks per text.
+
+    Every coordinate is written with `sign` in front.
+    """
+    head, mid = '    {\n      "probability": "', '",\n      "x": [\n        "' + sign
+    sep, tail = '",\n        "' + sign, '"\n      ]\n    }'
+    for start in range(0, len(probs), WRITE_CHUNK):
+        cut = slice(start, start + WRITE_CHUNK)
+        points = zip(probs[cut], zip(*(col[cut] for col in columns)))
+        yield ",\n".join([f"{head}{p}{mid}{sep.join(x)}{tail}" for p, x in points])
 
 
 class _AtomView(Mapping):

@@ -9,16 +9,18 @@ and serialize deterministically: same generator in, same bytes out.
 Campaigns run config by config. Each row compares a law count with the
 bound count over the law's one denominator, both integers; CSV cells are
 formatted from those integers, and `Fraction`s are made only for the
-equality and violation records.
+equality and violation records. A law and its theorem-2 bounds are
+symmetric under x -> -x, so that check reads only the atoms above the
+origin and mirrors its rows and records. Configs are drawn and tested in
+integers, and a weight's draw is capped by `DRAW_CAP` coordinate draws.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bounds import (
     EUCLIDEAN,
@@ -31,7 +33,9 @@ from .bounds import (
 )
 from .engine import (
     ATOM_QUERY_CAP,
+    DRAW_CAP,
     FULL_LAW_CAP,
+    WRITE_CHUNK,
     AtomDistribution,
     CapExceeded,
     WeightConfig,
@@ -70,6 +74,8 @@ class ConfigGenerator:
     Each coordinate is drawn uniformly from {-D..D}/D with D the grid
     denominator; a draw is rejected and retried while its squared norm
     exceeds 1 or it is zero without allow_zero. Same fields, same configs.
+    A weight that takes more than DRAW_CAP coordinate draws raises
+    `CapExceeded`, which at grid 16 happens from about d = 14 on.
     """
 
     n: int
@@ -96,20 +102,19 @@ class ConfigGenerator:
         return [self._draw(rng) for _ in range(self.count)]
 
     def _draw(self, rng: random.Random) -> WeightConfig:
-        grid = self.grid_denominator
+        grid, d, allow_zero = self.grid_denominator, self.d, self.allow_zero
+        randint, axes, top = rng.randint, range(d), grid * grid
         weights = []
         for _ in range(self.n):
-            while True:
-                w = tuple(
-                    Fraction(rng.randint(-grid, grid), grid) for _ in range(self.d)
-                )
-                q = norm_sq(w)
-                if q > 1:
-                    continue
-                if q == 0 and not self.allow_zero:
-                    continue
-                weights.append(w)
-                break
+            # a candidate is tested in integers; Fractions are made for the
+            # accepted one only
+            for _ in range(DRAW_CAP // d):
+                a = [randint(-grid, grid) for _ in axes]
+                if sum(c * c for c in a) <= top and (allow_zero or any(a)):
+                    weights.append(tuple(Fraction(c, grid) for c in a))
+                    break
+            else:
+                raise CapExceeded("weight draw", DRAW_CAP, (DRAW_CAP // d + 1) * d)
         return WeightConfig(
             dim=self.d, weights=tuple(weights), allow_zero=self.allow_zero
         )
@@ -168,32 +173,28 @@ def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
         raise ValueError(f"{what} requires non-zero weights")
 
 
-# A campaign row (check, pt, k, count, bound): the atom pt / law.scale has
-# probability count / law.denom and its bound is bound / law.denom
-Row = tuple[TheoremTag, tuple[int, ...], int, int, int]
+def _check_rows(
+    law: AtomDistribution, check: TheoremTag
+) -> tuple[list[tuple[int, ...]], list[int], list[int], list[int]]:
+    """One check's rows on a config's sign law, as columns (points, ks, counts, bounds).
 
-
-def _config_rows(law: AtomDistribution, checks: Sequence[TheoremTag]) -> Iterator[Row]:
-    """The campaign rows of one config's sign law, all in integers over 2^n."""
+    All are integers over 2^n: the atom pt / law.scale has probability
+    count / law.denom and its bound is bound / law.denom. Theorem 2 lists
+    the atoms above the origin only: -pt has the count and the norm of pt,
+    so each such row stands for its mirror below as well, with the same k
+    and bound.
+    """
     n = law.n
-    for check in checks:
-        if check is TheoremTag.NON_UNIFORM:
-            # -pt has the norm of pt, so the k and the bound of each atom
-            # above the origin serve its mirror below
-            atoms = law.sorted_atoms()
-            half = len(atoms) // 2
-            lower, upper = atoms[:half], atoms[len(atoms) - half:]
-            ks, bounds = atom_bounds(EUCLIDEAN, 2, n, [pt for pt, _ in upper], law.scale)
-            rows = zip(lower + upper, ks[::-1] + ks, bounds[::-1] + bounds)
-            for (pt, count), k, bound in rows:
-                yield check, pt, k, count, bound
-        elif check is TheoremTag.ERDOS_KLEITMAN:
-            # the theorem-2 count at k = 0 is binom(n, floor(n/2))
-            pt, count = law.max_count()
-            yield check, pt, 0, count, bound_counts(2, n)[0]
-        elif check is TheoremTag.ZERO_ODD:
-            count = law.counts.get(0, 0)
-            yield check, (0,) * law.dim, 0, count, zero_odd_count(n)
+    if check is TheoremTag.NON_UNIFORM:
+        keys = law.upper_half()
+        points = law.points(keys)
+        ks, bounds = atom_bounds(EUCLIDEAN, 2, n, points, law.scale)
+        return points, ks, list(map(law.counts.__getitem__, keys)), bounds
+    if check is TheoremTag.ERDOS_KLEITMAN:
+        # the theorem-2 count at k = 0 is binom(n, floor(n/2))
+        pt, count = law.max_count()
+        return [pt], [0], [count], [bound_counts(2, n)[0]]
+    return [(0,) * law.dim], [0], [law.counts.get(0, 0)], [zero_odd_count(n)]
 
 
 def verify_zero_weights_sup(
@@ -283,6 +284,13 @@ def run_campaign(
     witnesses can be pinned into a campaign. When `csv_path` is given,
     every comparison row lands there as (n, d, k, lhs, rhs, equality)
     for plotting; the report itself keeps only equalities and violations.
+
+    Theorem 2 is checked on each law's sorted upper half only, with one
+    `atom_bounds` call per law: an atom's mirror has its count, k and
+    bound. Its CSV rows are rendered once, as text, and written in reverse
+    for the atoms below the origin, then forward; its hits are mirrored into
+    records in atom order. `atoms_checked` counts both halves, without the
+    origin.
     """
     checks = tuple(checks)
     if not checks:
@@ -302,34 +310,43 @@ def run_campaign(
     atoms = 0
     equalities: list[EqualityRecord] = []
     violations: list[ViolationRecord] = []
-    writer = None
     handle = None
     if csv_path is not None:
         handle = open(csv_path, "w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(["n", "d", "k", "lhs", "rhs", "equality"])
+        handle.write("n,d,k,lhs,rhs,equality\r\n")
     try:
         for index, cfg in enumerate(configs):
             law = full_distribution(cfg, cap=cap)
-            n, dim, denom = law.n, law.dim, law.denom
-            cells: dict[int, str] = {}  # count -> its "p/q" over denom
-            for check, pt, k, count, bound in _config_rows(law, checks):
-                atoms += 1
-                if writer is not None:
-                    for c in (count, bound):
-                        if c not in cells:
-                            cells[c] = ratio_str(c, denom)
-                    equality = "true" if count == bound else "false"
-                    writer.writerow((n, dim, k, cells[count], cells[bound], equality))
-                if count < bound:
-                    continue
-                x = law.atom(pt)
-                lhs = Fraction(count, denom)
-                if count == bound:
-                    equalities.append(EqualityRecord(index, check, x, lhs))
-                else:
-                    rhs = Fraction(bound, denom)
-                    violations.append(ViolationRecord(cfg, x, lhs, rhs, check))
+            denom = law.denom
+            for check in checks:
+                points, ks, counts, bounds = _check_rows(law, check)
+                # a theorem-2 row stands for its atom and for that atom's
+                # mirror, which comes first in atom order
+                mirrored = check is TheoremTag.NON_UNIFORM
+                atoms += 2 * len(points) if mirrored else len(points)
+                if handle is not None:
+                    # a row carries no point, so a mirror's row is its own
+                    cells = {c: ratio_str(c, denom) for c in {*counts, *bounds}}
+                    head = f"{law.n},{law.dim},"
+                    rows = [
+                        f"{head}{k},{cells[c]},{cells[b]},{'true' if c == b else 'false'}\r\n"
+                        for k, c, b in zip(ks, counts, bounds)
+                    ]
+                    for part in (rows[::-1], rows) if mirrored else (rows,):
+                        for start in range(0, len(part), WRITE_CHUNK):
+                            handle.write("".join(part[start:start + WRITE_CHUNK]))
+                hits = [i for i, (c, b) in enumerate(zip(counts, bounds)) if c >= b]
+                found = [(points[i], i) for i in hits]
+                if mirrored:
+                    below = [(tuple(-a for a in points[i]), i) for i in reversed(hits)]
+                    found = below + found
+                for pt, i in found:
+                    x, lhs = law.atom(pt), Fraction(counts[i], denom)
+                    if counts[i] == bounds[i]:
+                        equalities.append(EqualityRecord(index, check, x, lhs))
+                    else:
+                        rhs = Fraction(bounds[i], denom)
+                        violations.append(ViolationRecord(cfg, x, lhs, rhs, check))
     finally:
         if handle is not None:
             handle.close()

@@ -7,15 +7,19 @@ convolution engine, so they can serve as independent ground truth.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from lolab import WeightConfig
-from lolab.rational import ceil_sqrt
+from lolab import EqualityRecord, TheoremTag, ViolationRecord, WeightConfig
+from lolab import bounds
+from lolab.rational import ceil_sqrt, norm_sq, rat_str
 
 settings.register_profile(
     "lolab",
@@ -117,6 +121,56 @@ def fraction_proposal(rng, weights, d, n_max, spec, grid):
         weights.pop(rng.randrange(len(weights)))
         return weights
     return None
+
+
+def reference_configs(gen):
+    """A generator's configs, each coordinate a Fraction drawn from
+    rng.randint and each weight redrawn while its Fraction squared norm
+    exceeds 1, or is 0 without allow_zero."""
+    rng = random.Random(gen.seed)
+    grid, configs = gen.grid_denominator, []
+    for _ in range(gen.count):
+        weights = []
+        while len(weights) < gen.n:
+            w = tuple(Fraction(rng.randint(-grid, grid), grid) for _ in range(gen.d))
+            q = norm_sq(w)
+            if q <= 1 and (q > 0 or gen.allow_zero):
+                weights.append(w)
+        configs.append(
+            WeightConfig(dim=gen.d, weights=tuple(weights), allow_zero=gen.allow_zero)
+        )
+    return configs
+
+
+def reference_campaign(configs):
+    """A theorem-2 campaign over configs, walking each brute-force law in full
+    atom order: (CSV text, atoms checked, equalities, violations).
+
+    Each atom's k is the ceiling of its Euclidean norm, and its bound is read
+    from `bounds.bound_counts` when called, so a patched table lowers it here
+    and in the campaign alike. Rows go through csv.writer.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["n", "d", "k", "lhs", "rhs", "equality"])
+    atoms, equalities, violations = 0, [], []
+    check = TheoremTag.NON_UNIFORM
+    for index, cfg in enumerate(configs):
+        origin = (Fraction(0),) * cfg.dim
+        table = bounds.bound_counts(2, cfg.n)
+        for x, lhs in sorted(brute_sign_distribution(cfg.weights).items()):
+            if x == origin:
+                continue
+            k = ceil_sqrt(norm_sq(x))
+            rhs = Fraction(table[k], 2 ** cfg.n)
+            atoms += 1
+            equality = "true" if lhs == rhs else "false"
+            writer.writerow([cfg.n, cfg.dim, k, rat_str(lhs), rat_str(rhs), equality])
+            if lhs == rhs:
+                equalities.append(EqualityRecord(index, check, x, lhs))
+            elif lhs > rhs:
+                violations.append(ViolationRecord(cfg, x, lhs, rhs, check))
+    return text.getvalue(), atoms, equalities, violations
 
 
 def max_atom(law):

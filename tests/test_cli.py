@@ -597,6 +597,25 @@ class TestEarlyCaps:
         assert (code, out) == (3, "")
         assert "law atom cap is 16777216, request needs 100000000" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "2", "--n", "1", "--d", "40", "--count", "1"],
+            ["verify", "--theorem", "3", "--x", ",".join(["1/8"] * 40),
+             "--n-max", "2", "--count", "1"],
+        ],
+        ids=("campaign", "sup"),
+    )
+    def test_campaign_draw_past_the_draw_cap_exits(self, capsys, argv):
+        # at d = 40 about one grid point in 10^20 lies in the unit ball, so a
+        # draw by rejection would never end; the draw cap fires in seconds
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 20.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: weight draw cap is 2097152, request needs ")
+        assert "Traceback" not in err
+
 
 SHARED_FLAG_USE = {
     "bound": (["bound", "--n", "4", "--x", "1"], ()),

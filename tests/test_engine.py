@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import tracemalloc
@@ -416,6 +417,39 @@ class TestLatticeSums:
         assert 2 ** ((ATOM_QUERY_CAP + 1) // 2) <= LAW_ATOM_CAP
 
 
+def law_and_brute(cfg, m):
+    """The engine's law of cfg on m support points and its brute-force law."""
+    if m == 2:
+        return full_distribution(cfg), brute_sign_distribution(cfg.weights)
+    law = ap_uniform_sum_distribution(APUniformSpec(m=m), cfg)
+    return law, brute_ap_distribution(cfg.weights, m)
+
+
+def writer_examples(test):
+    # a d = 1 progression law with an origin atom, a one-weight law, and two
+    # laws whose upper halves span more than one WRITE_CHUNK: 2^13 distinct
+    # signed sums of powers of 2, and 3^8 progression sums in the plane
+    # with one axis of mixed signs and zeros
+    examples = (
+        (WeightConfig.from_scalars(["1", "1/2", "1/2"]), 3),
+        (WeightConfig.from_scalars(["2/3"]), 2),
+        (WeightConfig(dim=2, weights=((Fraction(-1, 2), Fraction(1, 3)),)), 4),
+        (WeightConfig.from_scalars([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
+        (
+            WeightConfig(
+                dim=2,
+                weights=tuple(
+                    (Fraction(3 ** i, 3 ** 9), Fraction(i - 4, 16)) for i in range(8)
+                ),
+            ),
+            3,
+        ),
+    )
+    for cfg, m in reversed(examples):
+        test = example(cfg, m)(test)
+    return test
+
+
 class TestAtomDistribution:
     def test_max_probability_tie_break(self):
         dist = full_distribution(WeightConfig.from_scalars(["1", "1", "1"]))
@@ -507,23 +541,16 @@ class TestAtomDistribution:
         ]
 
     @given(
-        weight_configs(max_n=5, dims=(1, 2), max_denominator=3),
+        weight_configs(max_n=5, dims=(1, 2, 3), max_denominator=3),
         st.sampled_from((2, 3, 4)),
     )
+    @writer_examples
     def test_streamed_json_is_the_json_module_layout(self, cfg, m):
-        # the half-sorted, mirrored atoms must come out in full atom order
-        # with canonical strings, "0/1" on an axis included
-        if m == 2:
-            law, brute = full_distribution(cfg), brute_sign_distribution(cfg.weights)
-        else:
-            law = ap_uniform_sum_distribution(APUniformSpec(m=m), cfg)
-            brute = brute_ap_distribution(cfg.weights, m)
-        buffer = io.StringIO()
-        law.to_json(buffer)
-        text = buffer.getvalue()
-        blob = json.loads(text)
-        assert text == json.dumps(blob, indent=2, sort_keys=True) + "\n"
-        assert blob == {
+        # the half-formatted, mirrored atoms must come out in full atom order
+        # with canonical strings, "0/1" on an axis included, whichever chunks
+        # the blocks are written in
+        law, brute = law_and_brute(cfg, m)
+        expected = {
             "n": cfg.n,
             "dim": cfg.dim,
             "atoms": [
@@ -531,6 +558,27 @@ class TestAtomDistribution:
                 for x, p in sorted(brute.items())
             ],
         }
+        for chunk in (1, 3, engine.WRITE_CHUNK):
+            buffer = io.StringIO()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "WRITE_CHUNK", chunk)
+                law.to_json(buffer)
+            text = buffer.getvalue()
+            assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @given(
+        weight_configs(max_n=5, dims=(1, 2, 3), max_denominator=3),
+        st.sampled_from((2, 3, 4)),
+    )
+    @writer_examples
+    def test_csv_rows_are_the_csv_module_rows(self, cfg, m):
+        # dist --format csv writes formatted_atoms through csv.writer
+        law, brute = law_and_brute(cfg, m)
+        rows = [[*vec_strs(x), rat_str(p)] for x, p in sorted(brute.items())]
+        buffer, expected = io.StringIO(), io.StringIO()
+        csv.writer(buffer).writerows(law.formatted_atoms())
+        csv.writer(expected).writerows(rows)
+        assert buffer.getvalue() == expected.getvalue()
 
     def test_rat_parsing(self):
         assert rat("3/6") == Fraction(1, 2)

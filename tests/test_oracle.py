@@ -10,10 +10,16 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from conftest import brute_sign_distribution, weight_configs
+from conftest import (
+    brute_sign_distribution,
+    reference_campaign,
+    reference_configs,
+    weight_configs,
+)
 from lolab import (
     CAMPAIGN_CHECKS,
     AtomDistribution,
+    CapExceeded,
     ConfigGenerator,
     SearchProblem,
     TheoremTag,
@@ -31,7 +37,7 @@ from lolab import (
 from lolab import bounds, oracle
 from lolab.bounds import bound_counts
 from lolab.cli import main
-from lolab.oracle import ViolationRecord, _config_rows
+from lolab.oracle import ViolationRecord, _check_rows
 
 F = Fraction
 # atoms at whole multiples of (3/5, 4/5), and (-4/5, 3/5) alone, have
@@ -88,6 +94,28 @@ class TestConfigGenerator:
         with pytest.raises(ValueError):
             ConfigGenerator(n=1, d=0, seed=0)
 
+    @pytest.mark.parametrize("allow_zero", (False, True))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("grid", (1, 2, 16))
+    def test_integer_draws_are_the_fraction_draws(self, grid, d, allow_zero):
+        # the integer rejection test makes the same randint calls and keeps
+        # the same candidates as the Fraction one
+        for seed in range(3):
+            gen = ConfigGenerator(
+                n=4, d=d, seed=seed, grid_denominator=grid, allow_zero=allow_zero, count=6
+            )
+            assert gen.configs() == reference_configs(gen)
+
+    def test_draw_cap(self, monkeypatch):
+        # one weight may take DRAW_CAP coordinate draws: whole candidates of
+        # d draws each, one more of which would pass the cap
+        monkeypatch.setattr(oracle, "DRAW_CAP", 400)
+        gen = ConfigGenerator(n=1, d=40, seed=0, count=1)
+        with pytest.raises(CapExceeded, match="weight draw cap is 400, request needs 440"):
+            gen.configs()
+        gen = ConfigGenerator(n=8, d=2, seed=0, count=5)
+        assert gen.configs() == reference_configs(gen)
+
 
 def single_config_violations(cfg, check):
     """Violations of one check on one config, via a campaign of no draws."""
@@ -136,12 +164,16 @@ def brute_rows(cfg, check):
 
 
 def campaign_rows(cfg, check):
-    """(x, k, lhs, rhs) of a check, from the campaign's integer rows."""
+    """(x, k, lhs, rhs) of a check in atom order, from the campaign's integer
+    rows; a theorem-2 row above the origin stands for its mirror as well."""
     law = full_distribution(cfg)
-    return [
-        (tuple(F(a, law.scale) for a in pt), k, F(count, law.denom), F(bound, law.denom))
-        for _, pt, k, count, bound in _config_rows(law, (check,))
+    rows = [
+        (law.atom(pt), k, F(count, law.denom), F(bound, law.denom))
+        for pt, k, count, bound in zip(*_check_rows(law, check))
     ]
+    if check is TheoremTag.NON_UNIFORM:
+        rows = [(tuple(-c for c in x), *rest) for x, *rest in reversed(rows)] + rows
+    return rows
 
 
 class TestConfigRows:
@@ -179,20 +211,21 @@ class TestConfigRows:
             configs += ConfigGenerator(n=n, d=d, seed=n, count=3).configs()
         for cfg in configs:
             law = full_distribution(cfg)
-            rows = list(_config_rows(law, (TheoremTag.NON_UNIFORM,)))
-            upper = rows[len(rows) // 2:]
+            points, ks, _, row_bounds = _check_rows(law, TheoremTag.NON_UNIFORM)
             problem = SearchProblem(conjecture=2, n=cfg.n, d=cfg.dim, budget=0, seed=0)
-            expected = problem.bounds_at(cfg.n, [row[1] for row in upper], law.scale)
-            assert [bound for *_, bound in upper] == expected
-            assert [bound_counts(2, cfg.n)[k] for _, _, k, _, _ in upper] == expected
+            expected = problem.bounds_at(cfg.n, points, law.scale)
+            assert row_bounds == expected
+            assert [bound_counts(2, cfg.n)[k] for k in ks] == expected
 
     def test_one_sorted_walk_per_law(self, monkeypatch):
-        # the theorem-2 rows walk each config's law in the law's own order
+        # the theorem-2 rows read each config's sorted upper half once, and
+        # no check walks the mirrored law
         walked = []
-        walk = AtomDistribution.sorted_atoms
+        half = AtomDistribution.upper_half
         monkeypatch.setattr(
-            AtomDistribution, "sorted_atoms", lambda law: walked.append(law) or walk(law)
+            AtomDistribution, "upper_half", lambda law: walked.append(law) or half(law)
         )
+        monkeypatch.setattr(AtomDistribution, "sorted_atoms", None)
         gen = ConfigGenerator(n=5, d=2, seed=3, count=4)
         report = run_campaign(gen, CAMPAIGN_CHECKS)
         assert len({id(law) for law in walked}) == len(walked) == 4
@@ -282,6 +315,36 @@ class TestRunCampaign:
         assert blob["checks"] == ["ErdosKleitman"]
         assert blob["violations"] == []
         assert blob["configs_checked"] == 4
+
+
+class TestCampaignReference:
+    """Theorem-2 campaigns against brute-force laws walked in full atom order."""
+
+    @pytest.mark.parametrize("lowered", (False, True))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_matches_the_full_walk(self, monkeypatch, tmp_path, d, lowered):
+        if lowered:
+            # a third of each bound: violations on both sides of the origin
+            table = bounds.bound_counts
+            monkeypatch.setattr(
+                bounds, "bound_counts", lambda m, n: tuple(c // 3 for c in table(m, n))
+            )
+        extra = [extremal_config(5, d, (1,) + (0,) * (d - 1))]
+        gen = ConfigGenerator(n=5, d=d, seed=d, count=4)
+        text, atoms, equalities, violations = reference_campaign(extra + gen.configs())
+        path = tmp_path / "rows.csv"
+        for csv_path in (None, str(path)):
+            report = run_campaign(
+                gen, [TheoremTag.NON_UNIFORM], extra_configs=extra, csv_path=csv_path
+            )
+            assert report.atoms_checked == atoms
+            assert report.equalities == tuple(equalities)
+            assert report.violations == tuple(violations)
+        assert path.read_bytes() == text.encode()
+        origin = (F(0),) * d
+        sides = {record.x > origin for record in report.violations}
+        assert sides == ({False, True} if lowered else set())
+        assert report.equalities
 
 
 class TestCampaignViolation:
