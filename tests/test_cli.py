@@ -692,8 +692,10 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 # dist_ap3_origin cases before dist wrote a half-sorted law as a stream, and
 # the other antichain cases before the Milner check moved into the antichain
 # module, except antichain_three_bytes and antichain_empty_member, recorded
-# before the family report's members were written from per-byte tables.
-# Any change to law, campaign, search, certificate or family bytes
+# before the family report's members were written from per-byte tables,
+# and the bound, extremal, verify_theorem3_json and search_c2_l1_past_table
+# cases before every bound read its k from one rounding of the norm.
+# Any change to law, campaign, search, certificate, family or bound bytes
 # shows here
 GOLDEN_OUTPUTS = {
     "dist_sign_json": (
@@ -830,10 +832,80 @@ GOLDEN_OUTPUTS = {
         ["antichain", "--weights", "1,1", "--x", "-2"],
         "3950b18dccfd20efc64db93639b9cd28af6d1508d3c8ffd157c023de01ffc93a",
     ),
+    # bounds at exact integer norms (2, |(3, 4)| = 5 and sqrt(9) = 3) and one
+    # grid step of 1/16 either side of them, in --x and --norm-sq form
+    "bound_x_at_integer_norm": (
+        ["bound", "--n", "6", "--x", "2"],
+        "51a4bd2a887fb11763300f5079d9a34059c72758ac630641b3ab9215b95e9eb0",
+    ),
+    "bound_x_below_integer_norm": (
+        ["bound", "--n", "6", "--x", "31/16"],
+        "51a4bd2a887fb11763300f5079d9a34059c72758ac630641b3ab9215b95e9eb0",
+    ),
+    "bound_x_above_integer_norm": (
+        ["bound", "--n", "6", "--x", "33/16"],
+        "8965b5929243d0015ff6750ad408d3413ed42ed578dda9b4002e989060fbffb4",
+    ),
+    "bound_plane_at_integer_norm": (
+        ["bound", "--n", "7", "--x", "(3,4)"],
+        "5bd009ee6dfbba129ea157f3908c9df2b6b455c797a76d55fb220aa1560598d4",
+    ),
+    "bound_plane_below_integer_norm": (
+        ["bound", "--n", "7", "--x", "(3,63/16)"],
+        "5bd009ee6dfbba129ea157f3908c9df2b6b455c797a76d55fb220aa1560598d4",
+    ),
+    "bound_plane_above_integer_norm": (
+        ["bound", "--n", "7", "--x", "(3,65/16)"],
+        "ad0adaca180c37758f6660f4d9da93be0cbdaacfcc84768adad175f6128898b7",
+    ),
+    "bound_norm_sq_at_integer_norm": (
+        ["bound", "--n", "5", "--norm-sq", "9"],
+        "a21ce55bb753ea5bdcfb3968b06f143c8fde585fd5e53dda29a8bbf7ae38037b",
+    ),
+    "bound_norm_sq_below_integer_norm": (
+        ["bound", "--n", "5", "--norm-sq", "143/16"],
+        "a21ce55bb753ea5bdcfb3968b06f143c8fde585fd5e53dda29a8bbf7ae38037b",
+    ),
+    "bound_norm_sq_above_integer_norm": (
+        ["bound", "--n", "5", "--norm-sq", "145/16"],
+        "be9e374fe6b354118f630578305dfa57e7b51cade0736b5b1c2fa7d0c7b04fb1",
+    ),
+    "bound_origin_even": (
+        ["bound", "--n", "6", "--zero"],
+        "0f27b022658b19049d418c345fb8137cb15eb6b9592d8fe014f970ab381f5eb0",
+    ),
+    "bound_origin_odd": (
+        ["bound", "--n", "7", "--zero"],
+        "66fc678115a1867acef21c6c42cedc68e81763c5b0d1ce41155c35996c9784bc",
+    ),
+    # k = 10 and delta = 1 past the reach of 3 summands, bound 0/1
+    "bound_past_reach": (
+        ["bound", "--n", "3", "--x", "10"],
+        "3576b1ee9aa42569307fa3a78a9dffdfc7c4074a636f20e60f3c5d22e934236e",
+    ),
+    "extremal_sup": (
+        ["extremal", "--sup", "--x", "3/2"],
+        "5dbdf6c4f62a0431f9b1eed231107d2d48247b06bc53d886857e8f6d6bcb37c6",
+    ),
+    "extremal_plane": (
+        ["extremal", "--n", "6", "--d", "2", "--x", "(1,1)"],
+        "a97d74258f2f669391d3bc6af85d77c4d69569bca92c9784fee354b5403e86a0",
+    ),
+    "verify_theorem3_json": (
+        ["verify", "--theorem", "3", "--x", "2", "--n-max", "4", "--count", "3"],
+        "cb78fd2b87c3dc853ceeb08ece0378e4e72509ae08465fce6f23c7f00f15586f",
+    ),
+    # L1 targets of box-constrained weights, whose norms run past the
+    # count table of the sign bound: 2 certificates, 68 zero-bound atoms
+    "search_c2_l1_past_table": (
+        ["search", "--conjecture", "2", "--norm", "l1", "--constraint-norm", "linf",
+         "--n", "3", "--d", "2", "--budget", "50", "--seed", "1"],
+        "77cf538bb98c63ad959b60ad5b9a6c6f086f0a231311c57378614ffed13925a8",
+    ),
 }
 
 # a certified violation exits 1; every other case exits 0
-GOLDEN_EXIT_CODES = {"search_c2_box_certifies": 1}
+GOLDEN_EXIT_CODES = {"search_c2_box_certifies": 1, "search_c2_l1_past_table": 1}
 
 
 class TestGoldenBytes:
