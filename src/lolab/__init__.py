@@ -45,7 +45,6 @@ from .engine import (
     ap_uniform_sum_distribution,
     atom_probability,
     full_distribution,
-    rademacher_atom,
 )
 from .oracle import (
     CAMPAIGN_CHECKS,

@@ -5,17 +5,20 @@ each comes with the configuration that attains it, so equality can be
 certified rather than eyeballed. The one deliberate float in the module is
 the exponential comparison bound, kept for contrast with the exact ones.
 
-An atom's bound is read at its norm rounded to an integer k, and
-`atom_bounds` is the one lookup of it for lattice points, read by campaign
-rows, the search's scorer and `certify`: `NormSpec`'s integer rule gives
-the norms, `rounded_norms` their k, and `bound_counts` one table per (m, n).
+A bound is read at its norm rounded to an integer k, and `rounded_norms`
+is the one rounding: up for signs, down for progressions, by integer
+square roots or divisions of a measure over a unit. The closed forms read
+a squared norm p/q as measure p over unit q. `atom_bounds` is the one
+lookup of an atom's bound for lattice points, read by campaign rows, the
+search's scorer and `certify`: `NormSpec`'s integer rule gives the
+measures, `rounded_norms` their k, and `bound_counts` one table per (m, n).
+Every sign count is one binomial, `nonuniform_count`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,19 +26,12 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .engine import (
-    APUniformSpec,
-    WeightConfig,
-    _law,
-    lattice,
-    rademacher_atom,
-)
+from .engine import APUniformSpec, WeightConfig, _law, lattice
 from .rational import (
     _NULL,
     RationalLike,
     Vec,
     _read_fields,
-    ceil_sqrt,
     is_zero,
     make_vec,
     norm_sq,
@@ -83,7 +79,7 @@ def erdos_kleitman_bound(n: int) -> Fraction:
     """The uniform bound binom(n, floor(n/2)) / 2^n on any atom."""
     if n < 1:
         raise ValueError(f"summand count must be >= 1, got {n}")
-    return Fraction(math.comb(n, n // 2), 2 ** n)
+    return Fraction(nonuniform_count(n, 0), 2 ** n)
 
 
 def nonuniform_count(n: int, k: int) -> int:
@@ -96,6 +92,15 @@ def nonuniform_count(n: int, k: int) -> int:
     return math.comb(n, (n + t) // 2) if t <= n else 0
 
 
+def _target_k(m: int, squared_norm: RationalLike) -> int:
+    """`rounded_norms` of a non-zero target's squared norm p/q: measure p, unit q."""
+    q = rat(squared_norm)
+    if q <= 0:
+        raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
+    (k,) = rounded_norms(m, [q.numerator], q.denominator, 2)
+    return k
+
+
 def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
     """Distance-aware atom bound at a non-zero target.
 
@@ -105,10 +110,7 @@ def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
     """
     if n < 1:
         raise ValueError(f"summand count must be >= 1, got {n}")
-    q = rat(squared_norm)
-    if q <= 0:
-        raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    k = ceil_sqrt(q)
+    k = _target_k(2, squared_norm)
     delta = parity_correction(n, k)
     return BoundReport(
         n=n,
@@ -141,11 +143,8 @@ def zero_weights_sup(squared_norm: RationalLike) -> Fraction:
     With k = ceil of the target norm the supremum is the k*k-sign sum's
     probability of hitting k, attained by k*k aligned copies of x / k.
     """
-    q = rat(squared_norm)
-    if q <= 0:
-        raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    k = ceil_sqrt(q)
-    return rademacher_atom(k * k, k)
+    k = _target_k(2, squared_norm)
+    return Fraction(nonuniform_count(k * k, k), 2 ** (k * k))
 
 
 def hoeffding_bound(n: int, squared_norm: RationalLike) -> float:
@@ -217,7 +216,9 @@ def zero_weights_extremal(x) -> WeightConfig:
     same value, never exceed it.
     """
     x = make_vec(x)
-    k = ceil_sqrt(norm_sq(x))
+    if is_zero(x):
+        raise ValueError("extremal construction needs a non-zero target")
+    k = _target_k(2, norm_sq(x))
     return extremal_config(k * k, len(x), x)
 
 
@@ -319,34 +320,35 @@ class NormSpec:
 EUCLIDEAN = NormSpec("L2")
 
 
-def rounded_norms(
-    m: int, n: int, measures: Sequence[int], unit: int, p: int
-) -> list[int]:
+def rounded_norms(m: int, measures: Sequence[int], unit: int, p: int) -> list[int]:
     """The k at which each norm (measure / unit) ** (1 / p) reads its bound.
 
-    The bound of n summands on m support points is read at the ceiling of
-    the norm for signs (m = 2) and at its floor for progressions (m >= 3).
-    Either bound is 0 from k = top on, one past the unit-weight sum's reach
-    (m - 1) * n, so k is read from the thresholds unit * k ** p for
-    k = 0..top: a norm is at most k exactly when its measure is at most
-    the k-th. A ceiling past them is top + 1, a floor at most top.
+    A bound on m support points is read at the exact ceiling of the norm
+    for signs (m = 2) and at its exact floor for progressions (m >= 3), for
+    measures >= 0, unit > 0 and p = 1 or 2. For p = 2 the ceiling is the
+    smallest k with unit * k * k >= measure, so 1 past isqrt((measure - 1)
+    // unit) for a measure > 0, and the floor is isqrt(measure // unit).
     """
-    top = (m - 1) * n + 1
-    limits = [unit * k ** p for k in range(top + 1)]
+    if p == 1:
+        if m == 2:
+            return [-(-a // unit) for a in measures]
+        return [a // unit for a in measures]
     if m == 2:
-        return [bisect_left(limits, a) for a in measures]
-    return [bisect_right(limits, a) - 1 for a in measures]
+        return [math.isqrt((a - 1) // unit) + 1 if a else 0 for a in measures]
+    return [math.isqrt(a // unit) for a in measures]
 
 
 @lru_cache(maxsize=None)
 def bound_counts(m: int, n: int) -> tuple[int, ...]:
-    """m^n times the bound at each k of `rounded_norms`, up to one past top.
+    """m^n times the bound of n summands at k = 0..(m - 1) * n + 1.
 
     For signs, the sign-sum count. For progressions, the count of the
     unit-weight progression sum at k, shifted to the reachable parity for
-    even m; 0 where that point falls outside the sum's support.
+    even m; 0 where that point falls outside the sum's support. The last k
+    is one past the sum's reach (m - 1) * n, so the last entry is 0, as is
+    the bound at every larger k.
     """
-    ks = range((m - 1) * n + 3)
+    ks = range((m - 1) * n + 2)
     if m == 2:
         return tuple(nonuniform_count(n, k) for k in ks)
     law = _law([(1,)] * n, 1, APUniformSpec(m)).counts
@@ -357,10 +359,15 @@ def atom_bounds(
     norm: NormSpec, m: int, n: int, points: Sequence[tuple[int, ...]], scale: int
 ) -> tuple[list[int], list[int]]:
     """The k and the bound count (over m^n) of n summands at each pt / scale."""
-    measures, unit, p = norm._rule(points, scale)
-    ks = rounded_norms(m, n, measures, unit, p)
+    ks = rounded_norms(m, *norm._rule(points, scale))
+    return ks, _counts_at(m, n, ks)
+
+
+def _counts_at(m: int, n: int, ks: Sequence[int]) -> list[int]:
+    """`bound_counts(m, n)` at each k; a k past its end reads its last entry, 0."""
     table = bound_counts(m, n)
-    return ks, [table[k] for k in ks]
+    size = len(table)
+    return [table[k] if k < size else 0 for k in ks]
 
 
 def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
@@ -375,11 +382,8 @@ def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
         raise ValueError(f"support size must be >= 3 here, got {m}")
     if n < 1:
         raise ValueError(f"summand count must be >= 1, got {n}")
-    q = rat(squared_norm)
-    if q <= 0:
-        raise ValueError(f"squared norm must be > 0 at a non-zero target, got {q}")
-    (k,) = rounded_norms(m, n, [q.numerator], q.denominator, 2)
-    return Fraction(bound_counts(m, n)[k], m ** n)
+    (count,) = _counts_at(m, n, [_target_k(m, squared_norm)])
+    return Fraction(count, m ** n)
 
 
 def milner_bound(n: int, k: int) -> int:

@@ -140,19 +140,37 @@ def _parse_norm(args, dest: str) -> Optional[NormSpec]:
     return NormSpec(kind=kind, diag=coeffs)
 
 
+def _refuse_unprintable(exponent: int) -> None:
+    """Refuse a bound whose lowest terms are over 2^exponent if "p/q" is too long.
+
+    Python prints no int of more than sys.get_int_max_str_digits() digits
+    (0: no limit), and the denominator is the longer of the two.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = int(exponent * math.log10(2)) + 1
+    if limit and digits > limit:
+        raise CapExceeded("printed digit (sys.get_int_max_str_digits())", limit, digits)
+
+
 def cmd_bound(args) -> int:
+    n, x = args.n, None
     if args.norm_sq is not None:
         squared = rat(args.norm_sq)
         if squared == 0:
             raise ValueError("a zero target is requested with --zero")
-        report = nonuniform_bound(args.n, squared)
     else:
         x = parse_point(args.x) if args.x is not None else (Fraction(0),)
-        report = bound_dispatch(args.n, x)
         squared = norm_sq(x)
+    # past squared norm n^2 the bound is 0; any other bound is a count over
+    # 2^n, which keeps at least 2^(n - n.bit_length()) in lowest terms, so a
+    # bound that cannot print is refused before its binomial, or once known
+    if 0 <= squared <= n * n:
+        _refuse_unprintable(n - n.bit_length())
+    report = bound_dispatch(n, x) if x is not None else nonuniform_bound(n, squared)
+    _refuse_unprintable(report.bound.denominator.bit_length() - 1)
     payload = report.to_json()
     if args.hoeffding:
-        payload["hoeffding"] = hoeffding_bound(args.n, squared)
+        payload["hoeffding"] = hoeffding_bound(n, squared)
     _emit(args, payload)
     return 0
 
@@ -387,6 +405,14 @@ def cmd_extremal(args) -> int:
     return 0 if probability == bound else 1
 
 
+def summand_cap(text: str) -> int:
+    """A summand cap: an int >= 0, where 0 refuses every non-empty request."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"a summand cap must be >= 0, got {cap}")
+    return cap
+
+
 # Flags that several subcommands read; each subcommand takes --out and the
 # ones it names here, so a flag it would ignore is a usage error
 SHARED_FLAGS = {
@@ -394,10 +420,14 @@ SHARED_FLAGS = {
     "--format": dict(choices=("json", "csv"), default="json", help="output format"),
     "--out": dict(help="write output to this file"),
     "--cap-full": dict(
-        type=int, default=FULL_LAW_CAP, help="summand cap for full-law enumeration"
+        type=summand_cap,
+        default=FULL_LAW_CAP,
+        help="summand cap for full-law enumeration",
     ),
     "--cap-mitm": dict(
-        type=int, default=ATOM_QUERY_CAP, help="summand cap for single-atom queries"
+        type=summand_cap,
+        default=ATOM_QUERY_CAP,
+        help="summand cap for single-atom queries",
     ),
 }
 

@@ -37,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
@@ -515,20 +515,6 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
         if key
     )
     return Fraction(hits, 2 ** cfg.n)
-
-
-def rademacher_atom(n: int, j: int) -> Fraction:
-    """P(R_n = j) for the plain sum R_n of n independent signs.
-
-    Zero off the support or at the wrong parity. n = 0 is allowed and
-    gives the point mass at 0, which keeps downstream bounds valid at
-    their smallest cases.
-    """
-    if n < 0:
-        raise ValueError(f"summand count must be >= 0, got {n}")
-    if abs(j) > n or (n + j) % 2 != 0:
-        return Fraction(0)
-    return Fraction(comb(n, (n + j) // 2), 2 ** n)
 
 
 def ap_uniform_sum_distribution(spec: APUniformSpec, cfg: WeightConfig) -> AtomDistribution:

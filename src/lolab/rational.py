@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -107,26 +107,3 @@ def norm_sq(v: Vec) -> Fraction:
 
 def is_zero(v: Vec) -> bool:
     return all(c == 0 for c in v)
-
-
-def floor_sqrt_ratio(num: int, den: int) -> int:
-    """Largest integer k >= 0 with k*k <= num/den, for num >= 0 and den > 0.
-
-    floor(sqrt(num/den)) = isqrt(num // den), by integer arithmetic only,
-    which avoids the off-by-one a floating square root can produce at
-    boundary values like num/den = k*k.
-    """
-    return isqrt(num // den)
-
-
-def ceil_sqrt(q: RationalLike) -> int:
-    """Smallest integer k >= 0 with k*k >= q; 0 only when q = 0.
-
-    The ceiling is the floor or one more.
-    """
-    q = rat(q)
-    if q < 0:
-        raise ValueError(f"squared norm must be >= 0, got {q}")
-    num, den = q.numerator, q.denominator
-    k = floor_sqrt_ratio(num, den)
-    return k if k * k * den >= num else k + 1

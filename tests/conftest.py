@@ -19,7 +19,42 @@ from hypothesis import HealthCheck, settings
 
 from lolab import EqualityRecord, TheoremTag, ViolationRecord, WeightConfig
 from lolab import bounds
-from lolab.rational import ceil_sqrt, norm_sq, rat_str
+from lolab.rational import norm_sq, rat, rat_str
+
+def floor_sqrt_ratio(num, den):
+    """Largest integer k >= 0 with k*k <= num/den, for num >= 0 and den > 0.
+
+    isqrt(num // den), by integer arithmetic only, which avoids the off-by-one
+    a floating square root can produce at boundary values like num/den = k*k.
+    """
+    return math.isqrt(num // den)
+
+
+def ceil_sqrt(q):
+    """Smallest integer k >= 0 with k*k >= q; 0 only when q = 0.
+
+    The ceiling is the floor or one more.
+    """
+    q = rat(q)
+    if q < 0:
+        raise ValueError(f"squared norm must be >= 0, got {q}")
+    num, den = q.numerator, q.denominator
+    k = floor_sqrt_ratio(num, den)
+    return k if k * k * den >= num else k + 1
+
+
+def rademacher_atom(n, j):
+    """P(R_n = j) for the plain sum R_n of n independent signs.
+
+    Zero off the support or at the wrong parity. n = 0 gives the point mass
+    at 0.
+    """
+    if n < 0:
+        raise ValueError(f"summand count must be >= 0, got {n}")
+    if abs(j) > n or (n + j) % 2 != 0:
+        return Fraction(0)
+    return Fraction(math.comb(n, (n + j) // 2), 2 ** n)
+
 
 settings.register_profile(
     "lolab",

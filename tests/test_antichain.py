@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import brute_is_antichain, brute_is_k_intersecting
+from conftest import brute_is_antichain, brute_is_k_intersecting, ceil_sqrt
 
 from lolab import (
     CapExceeded,
@@ -26,7 +26,6 @@ from lolab import (
     rat,
 )
 from lolab.cli import _members_json
-from lolab.rational import ceil_sqrt
 
 
 def family_sets(family):

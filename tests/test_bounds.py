@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from conftest import brute_sign_atom, max_atom, weight_vectors
+from conftest import (
+    brute_sign_atom,
+    ceil_sqrt,
+    floor_sqrt_ratio,
+    max_atom,
+    rademacher_atom,
+    weight_vectors,
+)
 from lolab import (
     TheoremTag,
     WeightConfig,
@@ -24,13 +31,11 @@ from lolab import (
     nonuniform_bound,
     norm_sq,
     parity_correction,
-    rademacher_atom,
     zero_odd_bound,
     zero_weights_extremal,
     zero_weights_sup,
 )
-from lolab.bounds import rounded_norms
-from lolab.rational import ceil_sqrt, floor_sqrt_ratio
+from lolab.bounds import NormSpec, atom_bounds, bound_counts, rounded_norms
 
 
 class TestParityCorrection:
@@ -299,40 +304,70 @@ class TestSquareRootRounding:
 
 @st.composite
 def norm_measures(draw):
-    """(m, n, measures, unit, p): random measures, the thresholds unit * k^p and
-    their neighbours, and measures past the last threshold."""
+    """(m, measures, unit, p): 0, random measures, the thresholds unit * k^p and
+    their neighbours, and measures far past any sum's reach."""
     m = draw(st.integers(min_value=2, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=6))
     unit = draw(st.integers(min_value=1, max_value=10 ** 6))
     p = draw(st.sampled_from((1, 2)))
-    past = (m - 1) * n + 4
     boundary = st.builds(
         lambda k, e: max(0, unit * k ** p + e),
-        st.integers(min_value=0, max_value=past),
+        st.integers(min_value=0, max_value=10 ** 6),
         st.integers(min_value=-1, max_value=1),
     )
-    anywhere = st.integers(min_value=0, max_value=unit * past ** p)
-    measures = draw(st.lists(st.one_of(boundary, anywhere), min_size=1, max_size=8))
-    return m, n, measures, unit, p
+    anywhere = st.integers(min_value=0, max_value=unit * 10 ** 12)
+    measures = draw(
+        st.lists(st.one_of(st.just(0), boundary, anywhere), min_size=1, max_size=8)
+    )
+    return m, measures, unit, p
 
 
 class TestRoundedNorms:
     @given(norm_measures())
-    @example((2, 3, [0, 1, 80, 81, 125, 10 ** 9], 5, 2))
-    @example((3, 2, [0, 34, 35, 36, 90, 10 ** 9], 7, 1))
+    @example((2, [0, 1, 80, 81, 125, 10 ** 9, 10 ** 30], 5, 2))
+    @example((3, [0, 34, 35, 36, 90, 10 ** 9, 10 ** 30], 7, 1))
     def test_pinned_to_exact_ceilings_and_floors(self, case):
-        # ceilings for signs (m = 2), floors for progressions (m >= 3), both
-        # read no further than one past top = (m - 1) * n + 1
-        m, n, measures, unit, p = case
-        top = (m - 1) * n + 1
+        # ceilings for signs (m = 2), floors for progressions (m >= 3), at
+        # every size: no reach caps them
+        m, measures, unit, p = case
         if m == 2:
             ceil = ceil_sqrt if p == 2 else math.ceil
-            expected = [min(ceil(Fraction(a, unit)), top + 1) for a in measures]
+            expected = [ceil(Fraction(a, unit)) for a in measures]
         elif p == 2:
-            expected = [min(floor_sqrt_ratio(a, unit), top) for a in measures]
+            expected = [floor_sqrt_ratio(a, unit) for a in measures]
         else:
-            expected = [min(a // unit, top) for a in measures]
-        assert rounded_norms(m, n, measures, unit, p) == expected
+            expected = [a // unit for a in measures]
+        assert rounded_norms(m, measures, unit, p) == expected
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("unit", (2, 7, 10 ** 12))
+    def test_thresholds_and_their_neighbours(self, unit, p):
+        # a norm of exactly k rounds to k both ways; at unit >= 2 a measure
+        # one less rounds down to k - 1, and one more rounds up to k + 1
+        ks = [0, 1, 2, 3, 10, 99, 10 ** 6, 10 ** 15]
+        at = [unit * k ** p for k in ks]
+        assert rounded_norms(2, at, unit, p) == ks
+        assert rounded_norms(3, at, unit, p) == ks
+        above = [a + 1 for a in at]
+        assert rounded_norms(2, above, unit, p) == [k + 1 for k in ks]
+        assert rounded_norms(4, above, unit, p) == ks
+        below = [a - 1 for a in at[1:]]
+        assert rounded_norms(2, below, unit, p) == ks[1:]
+        assert rounded_norms(5, below, unit, p) == [k - 1 for k in ks[1:]]
+
+
+class TestAtomBounds:
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_k_past_the_table_reads_zero(self, m):
+        # L1 norms of box points run past the reach (m - 1) * n of n = 3
+        # summands and past the count table, where every bound is 0
+        n = 3
+        table = bound_counts(m, n)
+        far = len(table) + 5
+        points = [(far, far), (len(table), 0), (2, 0)]
+        ks, counts = atom_bounds(NormSpec("L1"), m, n, points, 1)
+        assert ks == [2 * far, len(table), 2]
+        assert counts == [0, 0, table[2]]
+        assert table[-1] == 0 and table[2] > 0
 
 
 class TestMilnerBound:

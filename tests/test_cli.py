@@ -617,6 +617,68 @@ class TestEarlyCaps:
         assert "Traceback" not in err
 
 
+class TestCapFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--weights", "1,1", "--cap-full"],
+            ["atom", "--weights", "1", "--x", "1", "--cap-mitm"],
+            ["verify", "--theorem", "2", "--n", "3", "--count", "1", "--cap-full"],
+            ["verify", "--theorem", "3", "--x", "1", "--n-max", "2", "--count", "1",
+             "--cap-mitm"],
+            ["antichain", "--weights", "1,1", "--x", "0", "--cap-full"],
+        ],
+        ids=("dist", "atom", "verify_campaign", "verify_sup", "antichain"),
+    )
+    def test_negative_cap_is_bad_input_and_zero_a_cap(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "-1")
+        assert (code, out) == (2, "")
+        assert f"argument {argv[-1]}: a summand cap must be >= 0, got -1" in err
+        code, out, err = run_cli(capsys, *argv, "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and " cap is 0, request needs " in err
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default limit of 4300 digits on int to str, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int to str")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+class TestBoundDigitLimit:
+    @pytest.mark.parametrize(
+        "n, x, needs",
+        [
+            ("15000", "1", 4512),  # refused by n alone
+            ("1000000", "1/2", 301024),  # refused before an 11 s binomial
+            ("14294", "1", 4301),  # refused once the bound is known
+        ],
+    )
+    def test_a_bound_too_long_to_print_is_a_cap(
+        self, capsys, default_int_digits, n, x, needs
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bound", "--n", n, "--x", x)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: printed digit (sys.get_int_max_str_digits()) "
+            f"cap is 4300, request needs {needs}\n"
+        )
+
+    @pytest.mark.parametrize("n, x", [("20000", "30000"), ("14000", "1")])
+    def test_a_zero_or_short_bound_prints(self, capsys, default_int_digits, n, x):
+        code, out, _ = run_cli(capsys, "bound", "--n", n, "--x", x)
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        assert (bound == "0/1") == (x == "30000")
+
+
 SHARED_FLAG_USE = {
     "bound": (["bound", "--n", "4", "--x", "1"], ()),
     "dist": (["dist", "--weights", "1,1"], ("--format", "--cap-full")),

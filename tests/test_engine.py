@@ -21,6 +21,7 @@ from conftest import (
     brute_sign_distribution,
     full_counts,
     max_atom,
+    rademacher_atom,
     rotate,
     weight_configs,
 )
@@ -34,7 +35,6 @@ from lolab import (
     ap_uniform_sum_distribution,
     atom_probability,
     full_distribution,
-    rademacher_atom,
     rat,
     rat_str,
 )

@@ -67,6 +67,58 @@ def test_the_layer_scan_sees_every_import_form(name, source, breaches):
     assert layer_breaches(name, source) == breaches
 
 
+# the one home of integer square roots and binomials, so that every norm is
+# rounded and every count is taken in one place
+ROUNDING_HOME = "bounds"
+ROUNDING_NAMES = {"isqrt", "comb"}
+
+
+def rounding_uses(source: str) -> list[str]:
+    """The math.isqrt and math.comb uses in a module's source: each import of
+    either name from math, and each math.<name> or <alias>.<name> where the
+    alias is math imported under another name."""
+    tree = ast.parse(source)
+    aliases = {"math"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "math" and a.asname}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math" and not node.level:
+            uses += [f"math.{a.name}" for a in node.names if a.name in ROUNDING_NAMES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ROUNDING_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            uses.append(f"math.{node.attr}")
+    return sorted(uses)
+
+
+def test_only_bounds_takes_integer_square_roots_and_binomials():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem != ROUNDING_HOME:
+            assert rounding_uses(path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("from math import gcd, isqrt", ["math.isqrt"]),
+        ("from math import comb as choose", ["math.comb"]),
+        ("import math\nk = math.isqrt(9)", ["math.isqrt"]),
+        ("import math as m\nc = m.comb(4, 2)", ["math.comb"]),
+        ("import math\nf = math.comb", ["math.comb"]),
+        ("import math\nk = math.ceil(1.5)\nfrom math import gcd", []),
+        ("from .bounds import rounded_norms", []),
+    ],
+)
+def test_the_rounding_scan_sees_every_use(source, uses):
+    assert rounding_uses(source) == uses
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(

@@ -80,22 +80,17 @@ def scaling_holds(spec: NormSpec, v, c: Fraction) -> bool:
     return reference_norm(spec, w) == factor * reference_norm(spec, v)
 
 
-# rounded_norms reads thresholds up to k = (m - 1) * N + 1, past every norm
-# the tests draw: |v| <= 3 per coordinate, d <= 3, diag <= 10
-N = 20
-
-
 def ceil_norm(spec: NormSpec, v) -> int:
     """Smallest integer >= the norm of v: the sign-sum rounding."""
     scale, points = lattice([v])
-    (k,) = rounded_norms(2, N, *spec._rule(points, scale))
+    (k,) = rounded_norms(2, *spec._rule(points, scale))
     return k
 
 
 def floor_norm(spec: NormSpec, v) -> int:
     """Largest integer <= the norm of v: the progression rounding."""
     scale, points = lattice([v])
-    (k,) = rounded_norms(3, N, *spec._rule(points, scale))
+    (k,) = rounded_norms(3, *spec._rule(points, scale))
     return k
 
 
