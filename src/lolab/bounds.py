@@ -5,14 +5,13 @@ each comes with the configuration that attains it, so equality can be
 certified rather than eyeballed. The one deliberate float in the module is
 the exponential comparison bound, kept for contrast with the exact ones.
 
-A bound is read at its norm rounded to an integer k, and `rounded_norms`
-is the one rounding: up for signs, down for progressions, by integer
-square roots or divisions of a measure over a unit. The closed forms read
-a squared norm p/q as measure p over unit q. `atom_bounds` is the one
+A bound is read at its norm rounded to an integer k by the one rounding,
+`rounded_norms` (up for signs, down for progressions), and the closed forms
+read a squared norm p/q as measure p over unit q. `atom_bounds` is the one
 lookup of an atom's bound for lattice points, read by campaign rows, the
-search's scorer and `certify`: `NormSpec`'s integer rule gives the
-measures, `rounded_norms` their k, and `bound_counts` one table per (m, n).
-Every sign count is one binomial, `nonuniform_count`.
+search's scorer and `certify`: `NormSpec`'s integer rule gives the measures,
+`rounded_norms` their k, and `bound_counts` one table per (m, n). Every sign
+count is one binomial, `nonuniform_count`.
 """
 
 from __future__ import annotations
@@ -358,7 +357,10 @@ def bound_counts(m: int, n: int) -> tuple[int, ...]:
 def atom_bounds(
     norm: NormSpec, m: int, n: int, points: Sequence[tuple[int, ...]], scale: int
 ) -> tuple[list[int], list[int]]:
-    """The k and the bound count (over m^n) of n summands at each pt / scale."""
+    """The k and the bound count (over m^n) of n summands at each pt / scale.
+
+    k is `rounded_norms` of the norm's measures; past `bound_counts` it reads 0.
+    """
     ks = rounded_norms(m, *norm._rule(points, scale))
     return ks, _counts_at(m, n, ks)
 
