@@ -745,6 +745,10 @@ SMALL_GRID = [
     "--n", "5", "--d", "2", "--count", "6", "--seed", "3", "--denominator", "2"
 ]
 PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
+GRID_20 = [
+    "3/4", "1", "1", "5/8", "7/8", "1/2", "15/16", "1/16", "7/8", "9/16",
+    "1/2", "1/2", "1/16", "5/8", "5/8", "11/16", "5/16", "5/8", "1/16", "1/2",
+]
 
 # sha256 of stdout followed by the --out file; the dist and verify cases
 # were recorded before laws kept their integer form, the search, atom_scalar,
@@ -757,8 +761,12 @@ PLANE_CAMPAIGN = ["--n", "6", "--d", "2", "--count", "6", "--seed", "3"]
 # the other antichain cases before the Milner check moved into the antichain
 # module, except antichain_three_bytes and antichain_empty_member, recorded
 # before the family report's members were written from per-byte tables,
-# and the bound, extremal, verify_theorem3_json and search_c2_l1_past_table
-# cases before every bound read its k from one rounding of the norm.
+# the bound, extremal_sup, extremal_plane, verify_theorem3_json and
+# search_c2_l1_past_table cases before every bound read its k from one
+# rounding of the norm, and the search_*_sweep_*, search_c2_no_sweep,
+# *_past_query_cap and antichain_grid_20 cases before every search
+# candidate was scored from a law built from its lattice state, aligned
+# configs got their own cap and families were built by meeting in the middle.
 # Any change to law, campaign, search, certificate, family or bound bytes
 # shows here
 GOLDEN_OUTPUTS = {
@@ -966,6 +974,41 @@ GOLDEN_OUTPUTS = {
          "--n", "3", "--d", "2", "--budget", "50", "--seed", "1"],
         "77cf538bb98c63ad959b60ad5b9a6c6f086f0a231311c57378614ffed13925a8",
     ),
+    # structured sweeps over 8 and 10 counts of each base
+    "search_c1_m5_sweep_8": (
+        ["search", "--conjecture", "1", "--m", "5", "--n", "8", "--budget", "100",
+         "--seed", "3", "--chains", "2"],
+        "8c634b97e7b7858d66d1921a025bc766bbbfd15cda97508091770ab81ad74194",
+    ),
+    "search_c2_sweep_10": (
+        ["search", "--conjecture", "2", "--n", "10", "--d", "2", "--budget", "100",
+         "--seed", "5", "--chains", "2"],
+        "c0770ba0d1ed0ccd22d9d1f46bb3d02f7485f12d72c537be443db905acce8b7d",
+    ),
+    # annealed candidates only: {no_sweep} turns the structured sweep off
+    "search_c2_no_sweep": (
+        ["search", "--conjecture", "2", "--n", "6", "--d", "2", "--budget", "100",
+         "--seed", "7", "--chains", "2", "--anneal-config", "{no_sweep}"],
+        "264a00a9c0163c0a998594d4eac3aa3512806b61a98043ddaa65977ca50441ed",
+    ),
+    # aligned configs of more summands (41 and 49) than ATOM_QUERY_CAP = 40
+    "extremal_n_past_query_cap": (
+        ["extremal", "--n", "41", "--x", "1"],
+        "3bf0fd2dc25e98c0dbb6b88b46cc46fe749a7e2e44ff858f287cc5f3cfddf50d",
+    ),
+    "extremal_sup_past_query_cap": (
+        ["extremal", "--sup", "--x", "7"],
+        "9a8bab6aef9bc64967a8391e1589254cb583e7e54f652cfcaf93e10a25409b0e",
+    ),
+    "verify_theorem3_past_query_cap": (
+        ["verify", "--theorem", "3", "--x", "7", "--n-max", "2", "--count", "1"],
+        "9942fa611795616c58bf55ad4ef78daba22191c7b040ef610b90462ff1fba8bf",
+    ),
+    # 20 weights of the grid of 16ths whose family has 300 members
+    "antichain_grid_20": (
+        ["antichain", "--weights", ",".join(GRID_20), "--x", "131/16"],
+        "67cd79f6edd3b06a59c539587d3de27dbaf84b8aafc662d3e906869053ad7bd6",
+    ),
 }
 
 # a certified violation exits 1; every other case exits 0
@@ -980,8 +1023,11 @@ class TestGoldenBytes:
         weights.write_text(json.dumps(PLANE_WEIGHTS))
         axes = tmp_path / "axes.json"
         axes.write_text(json.dumps(AXES_WEIGHTS))
+        no_sweep = tmp_path / "no_sweep.json"
+        no_sweep.write_text(json.dumps({"structured_first": False}))
         out_path = tmp_path / "out"
-        argv = [arg.format(weights=weights, axes=axes) for arg in argv]
+        files = dict(weights=weights, axes=axes, no_sweep=no_sweep)
+        argv = [arg.format(**files) for arg in argv]
         code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == GOLDEN_EXIT_CODES.get(name, 0)
         data = out.encode() + out_path.read_bytes()
