@@ -61,7 +61,8 @@ def build_family(
     is equivalent to 2 * sum(A) = x + total, checked exactly on integers
     after clearing denominators; a parity mismatch there, or a half sum
     outside [0, total], means the family is empty, and no subset sum is
-    listed.
+    listed. Otherwise the subset sums of each half of the weights are
+    listed and joined, so memory is O(2^(n/2)) besides the members.
     """
     ws = [rat(w) for w in weights]
     if not ws:
@@ -79,13 +80,26 @@ def build_family(
     half = need // 2
     if need % 2 != 0 or not 0 <= half <= sum(iw):
         return SubsetFamily(n=n, members=())
-    # sums[mask] enumerates subset sums with bit i of mask selecting iw[i]
+    # meet in the middle: the low masks grouped by subset sum, joined to each
+    # high mask on half - s, so the members come in ascending mask order
+    cut = n // 2
+    low: dict[int, list[int]] = {}
+    for mask, s in enumerate(_subset_sums(iw[:cut])):
+        low.setdefault(s, []).append(mask)
+    members = [
+        high << cut | mask
+        for high, s in enumerate(_subset_sums(iw[cut:]))
+        for mask in low.get(half - s, ())
+    ]
+    return SubsetFamily(n=n, members=tuple(members))
+
+
+def _subset_sums(ws: Sequence[int]) -> list[int]:
+    """The subset sums of ws, indexed by mask: bit i of a mask selects ws[i]."""
     sums = [0]
-    for w in iw:
+    for w in ws:
         sums += [s + w for s in sums]
-    return SubsetFamily(
-        n=n, members=tuple(mask for mask, s in enumerate(sums) if s == half)
-    )
+    return sums
 
 
 def _bitset(family: SubsetFamily) -> int:

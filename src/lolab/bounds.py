@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .engine import APUniformSpec, WeightConfig, _law, lattice
+from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, _law, lattice
 from .rational import (
     _NULL,
     RationalLike,
@@ -38,6 +38,12 @@ from .rational import (
     rat_str,
     vec_scale,
 )
+
+
+# An atom query over n aligned weights makes about n^2 / 8 table updates, so
+# an aligned config is refused when n * n > LAW_ATOM_CAP, and queried under
+# this cap: n = 4096 takes about a second
+ALIGNED_CAP = math.isqrt(LAW_ATOM_CAP)
 
 
 class TheoremTag(str, Enum):
@@ -189,13 +195,16 @@ def extremal_config(n: int, d: int, x) -> WeightConfig:
 
     All n weights equal x / (k + delta), so the sum hits x exactly when
     the plain sign sum hits k + delta. When k + delta > n the bound is 0
-    and no configuration attains it, which is reported as an error.
+    and no configuration attains it, which is reported as an error. An n
+    past ALIGNED_CAP is refused before the bound or any weight is computed.
     """
     x = make_vec(x)
     if len(x) != d:
         raise ValueError(f"target has length {len(x)}, expected dim {d}")
     if is_zero(x):
         raise ValueError("extremal construction needs a non-zero target")
+    if n > ALIGNED_CAP:
+        raise CapExceeded("aligned-config summand", ALIGNED_CAP, n)
     report = nonuniform_bound(n, norm_sq(x))
     t = report.k + report.delta
     if t > n:

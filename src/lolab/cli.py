@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 from .antichain import SubsetFamily, build_family, milner_report
 from .bounds import (
+    ALIGNED_CAP,
     NormSpec,
     TheoremTag,
     bound_dispatch,
@@ -337,7 +338,7 @@ def cmd_antichain(args) -> int:
     k = args.k if args.k is not None else max(0, math.ceil(x))
     report = milner_report(family, k)
     cfg = _config_from_weights(vectors, l2_unit_ball=False)
-    probability = atom_probability(cfg, (x,), cap=cfg.n)
+    probability = atom_probability(cfg, (x,), cap=args.cap_full)
     payload = {
         "family": {"members": [], "n": family.n},
         "size": len(family),
@@ -392,7 +393,7 @@ def cmd_extremal(args) -> int:
         cfg = extremal_config(args.n, 1 if args.d is None else args.d, x)
         bound = nonuniform_bound(args.n, norm_sq(x)).bound
         tag = TheoremTag.NON_UNIFORM
-    probability = atom_probability(cfg, x, cap=max(ATOM_QUERY_CAP, cfg.n))
+    probability = atom_probability(cfg, x, cap=ALIGNED_CAP)
     payload = {
         "theorem": tag.value,
         "config": cfg.to_json(),

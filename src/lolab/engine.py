@@ -18,9 +18,9 @@ packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
 below the origin is ever built by a convolution. The atom query joins two
 such folded half-sum tables. Points are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
-any step; at d = 1 a key is its point. A sum takes one convolution step
-per weight, so `lattice_laws` yields the law of each prefix of a sum on
-the way to the whole. Every walk in atom order mirrors the law's one
+any step; at d = 1 a key is its point. Every law is built by
+`lattice_law` from integer lattice points (`lattice`), one convolution
+step per weight. Every walk in atom order mirrors the law's one
 sorted upper half (`upper_half`). The writers (`to_json`, and
 `formatted_atoms` for CSV) format only that half, one string per distinct
 count and coordinate, and write the mirrors below the origin from the same
@@ -383,9 +383,7 @@ def _full_size(half: Mapping[int, int]) -> int:
     return 2 * len(half) - (0 in half)
 
 
-def _lattice_sums(
-    keys: Sequence[int], support: Sequence[int], start: Optional[dict[int, int]] = None
-) -> dict[int, int]:
+def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]:
     """Counts of sum_i u_i w_i over all draws of each u_i from support, keys >= 0.
 
     Each w_i comes packed into one int (`_pack`), and packing is linear, so
@@ -395,9 +393,8 @@ def _lattice_sums(
     to k + s and |k - s|, the folded images of k +- s and -k -+ s. Two
     corrections follow: the origin stands only for itself, so it reaches s
     once, not twice; and from k = s both k - s and -k + s land on the
-    origin, which the loop counted once. The sum starts from `start`, the
-    counts of an earlier sum (left as they are), or from the point mass at
-    the origin.
+    origin, which the loop counted once. The sum starts from the point mass
+    at the origin.
 
     It runs atom by atom in a hash map, so the cost tracks the number of
     distinct intermediate atoms rather than len(support)^n; that count, of
@@ -405,7 +402,7 @@ def _lattice_sums(
     step grows whenever the step could pass it.
     """
     cap = LAW_ATOM_CAP
-    acc = {0: 1} if start is None else start
+    acc = {0: 1}
     for w in keys:
         # a zero draw leaves every atom where it is: copy, then add the rest
         nxt = acc.copy() if 0 in support else {}
@@ -430,10 +427,10 @@ def _lattice_sums(
     return acc
 
 
-def _summands(
-    points: Sequence[tuple[int, ...]], dim: int, spec: APUniformSpec
-) -> tuple[tuple[int, ...], int, int]:
-    """(support, reach, radix) of a law of these points' spec multiples.
+def lattice_law(
+    scale: int, points: Sequence[tuple[int, ...]], dim: int, spec: APUniformSpec
+) -> AtomDistribution:
+    """Exact law of sum_i U_i pt_i / scale with U_i uniform on spec.support().
 
     A non-zero summand alone has m atoms, so m past LAW_ATOM_CAP is refused
     before the m support points are built.
@@ -441,32 +438,10 @@ def _summands(
     if spec.m > LAW_ATOM_CAP and any(map(any, points)):
         raise CapExceeded("law atom", LAW_ATOM_CAP, spec.m)
     support = spec.support()
-    return (support, *_packing(points, dim, support))
-
-
-def lattice_law(
-    scale: int, points: Sequence[tuple[int, ...]], dim: int, spec: APUniformSpec
-) -> AtomDistribution:
-    """Exact law of sum_i U_i pt_i / scale with U_i uniform on spec.support()."""
-    support, reach, radix = _summands(points, dim, spec)
+    reach, radix = _packing(points, dim, support)
     counts = _lattice_sums([_pack(pt, radix) for pt in points], support)
     n = len(points)
     return AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
-
-
-def lattice_laws(
-    scale: int, points: Sequence[tuple[int, ...]], dim: int, spec: APUniformSpec
-) -> Iterator[AtomDistribution]:
-    """The laws of lattice_law for the first 1, 2, ..., len(points) points.
-
-    Each law is one convolution step past the one before, and all are packed
-    at the reach of the whole sum.
-    """
-    support, reach, radix = _summands(points, dim, spec)
-    counts = None
-    for n, pt in enumerate(points, 1):
-        counts = _lattice_sums([_pack(pt, radix)], support, counts)
-        yield AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
 
 
 def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribution:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
+    ALIGNED_CAP,
     EUCLIDEAN,
     TheoremTag,
     atom_bounds,
@@ -217,9 +218,9 @@ def verify_zero_weights_sup(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > cap:
         raise CapExceeded("atom-query summand", cap, n_max)
+    extremal = zero_weights_extremal(x)  # refuses k * k past ALIGNED_CAP first
     sup = zero_weights_sup(norm_sq(x))
-    extremal = zero_weights_extremal(x)
-    attained = atom_probability(extremal, x, cap=max(cap, extremal.n))
+    attained = atom_probability(extremal, x, cap=ALIGNED_CAP)
     if attained != sup:
         raise AssertionError(
             f"extremal attainment failed: {attained} != {sup} at {x}"

@@ -46,7 +46,6 @@ from .engine import (
     _law,
     lattice,
     lattice_law,
-    lattice_laws,
 )
 from .oracle import derived_seed
 from .rational import (
@@ -751,11 +750,10 @@ def _exact_candidate(
     cfg: WeightConfig,
     float_score: Optional[float],
     structured: bool,
-    law: Optional[AtomDistribution] = None,
+    law: AtomDistribution,
 ) -> Candidate:
-    """The exact rescore of cfg, from its law when the caller has built it."""
-    if law is None:
-        law = _exact_law(problem, cfg)
+    """The exact rescore of cfg from its law, which the caller builds with
+    `lattice_law` from cfg's lattice points, validated where they entered."""
     best, flagged = _best_atom(problem, law)
     if best is None:
         x = margin = lhs = rhs = None
@@ -925,17 +923,19 @@ def anneal(
         settings = AnnealSettings() if settings is None else settings
         chains = [_new_chain(i, problem, settings) for i in range(settings.chains)]
 
+    spec = problem.law_spec()
     structured: list[Candidate] = []
     if settings.structured_first and resume is None:
         count = min(problem.n, settings.structured_n_max)
         for d in problem.dimensions():
             for base in _structured_bases(problem, settings, d):
-                # the laws of (base,) * 1..count, each one convolution step
-                # past the last; one config's validation holds for them all
+                # the laws of (base,) * 1..count; one config's validation
+                # holds for them all
                 _validate_config(problem, WeightConfig(d, (base,), l2_unit_ball=False))
                 scale, points = lattice([base] * count)
-                for law in lattice_laws(scale, points, d, problem.law_spec()):
-                    cfg = WeightConfig(d, (base,) * law.n, l2_unit_ball=False)
+                for n in range(1, count + 1):
+                    law = lattice_law(scale, points[:n], d, spec)
+                    cfg = WeightConfig(d, (base,) * n, l2_unit_ball=False)
                     structured.append(_exact_candidate(problem, cfg, None, True, law))
 
     chains = [_run_chain(chain, problem, settings) for chain in chains]
@@ -948,15 +948,12 @@ def anneal(
         for state, score in chain.top.items():
             if score > merged.get(state, float("-inf")):
                 merged[state] = score
-    annealed = [
-        _exact_candidate(
-            problem,
-            WeightConfig(len(points[0]), _weights((scale, points)), l2_unit_ball=False),
-            score,
-            False,
-        )
-        for (scale, points), score in _ranked(merged, settings.top_candidates)
-    ]
+    annealed = []
+    for (scale, points), score in _ranked(merged, settings.top_candidates):
+        # the integers _score walked: states were validated where they entered
+        cfg = WeightConfig(len(points[0]), _weights((scale, points)), l2_unit_ball=False)
+        law = lattice_law(scale, points, cfg.dim, spec)
+        annealed.append(_exact_candidate(problem, cfg, score, False, law))
 
     unique: dict = {}
     for cand in structured + annealed:

@@ -214,6 +214,15 @@ def max_atom(law):
     return tuple(Fraction(a, law.scale) for a in pt), Fraction(count, law.denom)
 
 
+def brute_family(weights, x):
+    """The masks A, ascending, whose weights minus the complement's sum to x."""
+    return [
+        mask
+        for mask in range(1 << len(weights))
+        if sum(w if mask >> i & 1 else -w for i, w in enumerate(weights)) == x
+    ]
+
+
 def brute_is_antichain(family):
     """No member strictly contains another, by comparing every pair."""
     by_size = {}

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import brute_is_antichain, brute_is_k_intersecting, ceil_sqrt
+from conftest import (
+    brute_family,
+    brute_is_antichain,
+    brute_is_k_intersecting,
+    ceil_sqrt,
+)
 
 from lolab import (
     CapExceeded,
@@ -99,6 +104,38 @@ class TestBuildFamily:
             tracemalloc.stop()
         assert len(family) == 0
         assert peak < 1 << 20
+
+    @given(st.lists(positive_scalars, min_size=1, max_size=10), st.data())
+    def test_members_are_the_brute_force_family(self, ws, data):
+        # targets the signs reach, so that most families are not empty, and
+        # any grid target
+        reached = {
+            sum(w if mask >> i & 1 else -w for i, w in enumerate(ws))
+            for mask in range(1 << len(ws))
+        }
+        x = data.draw(
+            st.sampled_from(sorted(reached))
+            | st.fractions(min_value=-4, max_value=4, max_denominator=8)
+        )
+        assert list(build_family(ws, x).members) == brute_family(ws, x)
+
+    def test_halves_are_listed_not_the_whole(self):
+        # 22 weights of the grid of 16ths: listing all 2^22 subset sums
+        # peaked at 48 MiB; two halves of 2^11 sums and 4,804 members fit
+        # in well under 8 MiB
+        rng = Random(22)
+        ws = [Fraction(rng.randint(1, 16), 16) for _ in range(22)]
+        x = Fraction(93, 16)
+        tracemalloc.start()
+        try:
+            family = build_family(ws, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 4804
+        cfg = WeightConfig.from_scalars(ws, l2_unit_ball=False)
+        assert Fraction(len(family), 2 ** 22) == atom_probability(cfg, (x,))
+        assert peak < 8 << 20
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):

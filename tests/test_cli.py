@@ -615,6 +615,38 @@ class TestEarlyCaps:
         assert "Traceback" not in err
 
 
+class TestAlignedCap:
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["extremal", "--n", "4097", "--x", "1"], 4097),
+            (["extremal", "--n", "6000", "--x", "1"], 6000),
+            (["extremal", "--n", "15000", "--x", "1"], 15000),
+            (["extremal", "--n", "100000", "--x", "1"], 100000),
+            (["extremal", "--sup", "--x", "100"], 10000),
+            (["extremal", "--sup", "--x", "300"], 90000),
+            (["verify", "--theorem", "3", "--x", "120", "--n-max", "2", "--count", "1"],
+             14400),
+            (["verify", "--theorem", "3", "--x", "10000", "--n-max", "2", "--count",
+              "1"], 10 ** 8),
+        ],
+    )
+    def test_an_aligned_config_past_the_cap_exits_at_once(self, capsys, argv, needs):
+        # n aligned weights cost about n^2 / 8 table updates: once seconds to
+        # minutes of work, or a bound too long to print after it
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: aligned-config summand cap is 4096, request needs {needs}\n"
+
+    def test_the_largest_aligned_config_is_checked(self, capsys):
+        # 4096 * 4096 = LAW_ATOM_CAP
+        code, out, _ = run_cli(capsys, "extremal", "--n", "4096", "--x", "1")
+        assert code == 0 and json.loads(out)["equality"] is True
+        assert lolab.bounds.ALIGNED_CAP ** 2 == lolab.LAW_ATOM_CAP
+
+
 class TestCapFlags:
     @pytest.mark.parametrize(
         "argv",

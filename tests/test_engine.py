@@ -39,7 +39,7 @@ from lolab import (
     rat_str,
 )
 from lolab import engine
-from lolab.engine import _law, _lattice_sums, lattice, lattice_laws
+from lolab.engine import _law, _lattice_sums, lattice
 from lolab.rational import vec_strs
 
 
@@ -373,25 +373,6 @@ class TestLatticeSums:
             assert brute == brute_sign_distribution(cfg.weights)
         assert_symmetric_law(law, brute)
         assert law.points(law.counts) == [pt for pt in full_counts(law) if pt >= (0,) * cfg.dim]
-
-    @given(
-        weight_configs(max_n=5, max_denominator=4),
-        st.integers(min_value=2, max_value=4),
-    )
-    @example(WeightConfig(dim=2, weights=(("1/2", "1/2"),) * 5), 3)
-    def test_grown_laws_are_the_laws_of_each_prefix(self, cfg, m):
-        # each law grows from the last by one step, packed at the whole
-        # sum's reach, and holds the same atoms as the prefix's own law
-        scale, points = lattice(cfg.weights)
-        laws = list(lattice_laws(scale, points, cfg.dim, APUniformSpec(m)))
-        assert [law.n for law in laws] == list(range(1, cfg.n + 1))
-        for law in laws:
-            own = _law(cfg.weights[: law.n], cfg.dim, APUniformSpec(m))
-            assert (law.scale, law.denom) == (scale, own.denom)
-            assert full_counts(law) == {
-                tuple(a * (scale // own.scale) for a in pt): c
-                for pt, c in full_counts(own).items()
-            }
 
     def test_atom_cap_fires_before_the_support_is_built(self, monkeypatch):
         # one non-zero weight alone has m atoms: m = 200,000 past a cap of

@@ -119,6 +119,46 @@ def test_the_rounding_scan_sees_every_use(source, uses):
     assert rounding_uses(source) == uses
 
 
+def computed_caps(source: str) -> list[str]:
+    """The calls in a module's source whose cap= is computed where it is passed:
+    a max(...) call, or a config's summand count .n, each of which would lift
+    a cap to fit the request. Each is named by its line and callee."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        for keyword in node.keywords:
+            value = keyword.value
+            if keyword.arg == "cap" and (
+                (isinstance(value, ast.Call) and ast.unparse(value.func) == "max")
+                or (isinstance(value, ast.Attribute) and value.attr == "n")
+            ):
+                found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_no_call_lifts_its_cap():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert computed_caps(path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("p = atom_probability(cfg, x, cap=max(cap, cfg.n))", ["line 1: atom_probability"]),
+        ("p = engine.atom_probability(cfg, x, cap=cfg.n)", ["line 1: engine.atom_probability"]),
+        ("f(\n  cap=max(ATOM_QUERY_CAP, extremal.n))", ["line 1: f"]),
+        ("p = atom_probability(cfg, x, cap=args.cap_full)", []),
+        ("p = atom_probability(cfg, x, cap=ALIGNED_CAP)", []),
+        ("p = atom_probability(cfg, x, limit=cfg.n)", []),
+        ("m = max(cap, cfg.n)", []),
+    ],
+)
+def test_the_cap_scan_sees_every_lift(source, found):
+    assert computed_caps(source) == found
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(

@@ -46,6 +46,7 @@ from lolab.search import (
     _canonical,
     _Chain,
     _exact_candidate,
+    _exact_law,
     _propose,
     _ranked,
     _score,
@@ -96,7 +97,8 @@ def floor_norm(spec: NormSpec, v) -> int:
 
 def witness(problem: SearchProblem, cfg: WeightConfig):
     """The exact rescore's witness atom and margin."""
-    cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+    law = _exact_law(problem, cfg)
+    cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
     return cand.x, cand.margin
 
 
@@ -384,7 +386,8 @@ class TestMarginCore:
         assert margin_rows(problem, cfg) == oracle_rows(problem, cfg)
         scale, points = lattice(cfg.weights)
         score, flagged = _score(problem, cfg.dim, (scale, tuple(points)))
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+        law = _exact_law(problem, cfg)
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
         assert flagged == cand.rhs_zero_atoms
         if cand.margin is None:
             assert score == float("-inf")
@@ -459,7 +462,8 @@ class TestScorerWalk:
         problem, cfg = cell
         rows = oracle_rows(problem, cfg)
         eligible = [row for row in rows if not row.rhs_zero]
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+        law = _exact_law(problem, cfg)
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
         assert cand.rhs_zero_atoms == len(rows) - len(eligible)
         if not eligible:
             assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (None,) * 4
