@@ -393,8 +393,7 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     to k + s and |k - s|, the folded images of k +- s and -k -+ s. Two
     corrections follow: the origin stands only for itself, so it reaches s
     once, not twice; and from k = s both k - s and -k + s land on the
-    origin, which the loop counted once. The sum starts from the point mass
-    at the origin.
+    origin, which the loop counted once.
 
     It runs atom by atom in a hash map, so the cost tracks the number of
     distinct intermediate atoms rather than len(support)^n; that count, of
