@@ -38,6 +38,7 @@ from .engine import (
     DRAW_CAP,
     FULL_LAW_CAP,
     LAW_ATOM_CAP,
+    LAW_PAIR_CAP,
     APUniformSpec,
     AtomDistribution,
     CapExceeded,

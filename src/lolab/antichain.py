@@ -22,7 +22,9 @@ n = 24 each 2^n-bit int is 2 MB, and the k-intersecting check keeps k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import lcm
+from operator import lt
 from typing import Iterator, Sequence
 
 from .bounds import milner_bound
@@ -34,7 +36,7 @@ FAMILY_CAP = FULL_LAW_CAP
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """A set family over ground set {1..n}, stored as sorted bitmasks."""
+    """A set family over ground set {1..n}, given as distinct ascending bitmasks."""
 
     n: int
     members: tuple[int, ...]
@@ -42,9 +44,10 @@ class SubsetFamily:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"ground set size must be >= 0, got {self.n}")
-        members = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", members)
-        for mask in members:
+        members = self.members
+        if not all(map(lt, members, islice(members, 1, None))):
+            raise ValueError("members must be distinct masks in ascending order")
+        for mask in members[:1] + members[-1:]:
             if mask < 0 or mask >= (1 << self.n):
                 raise ValueError(f"mask {mask} outside ground set of size {self.n}")
 
@@ -86,12 +89,12 @@ def build_family(
     low: dict[int, list[int]] = {}
     for mask, s in enumerate(_subset_sums(iw[:cut])):
         low.setdefault(s, []).append(mask)
-    members = [
+    members = tuple(
         high << cut | mask
         for high, s in enumerate(_subset_sums(iw[cut:]))
         for mask in low.get(half - s, ())
-    ]
-    return SubsetFamily(n=n, members=tuple(members))
+    )
+    return SubsetFamily(n=n, members=members)
 
 
 def _subset_sums(ws: Sequence[int]) -> list[int]:

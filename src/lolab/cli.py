@@ -37,6 +37,7 @@ from .bounds import (
 from .engine import (
     ATOM_QUERY_CAP,
     FULL_LAW_CAP,
+    WRITE_CHUNK,
     APUniformSpec,
     CapExceeded,
     WeightConfig,
@@ -96,11 +97,9 @@ def _emit(args, payload) -> None:
 
 
 def _load_weights(args) -> list[Vec]:
-    if getattr(args, "weights", None):
+    if args.weights is not None:
         return [(rat(part),) for part in args.weights.split(",")]
-    path = getattr(args, "weights_file", None)
-    if not path:
-        raise ValueError("provide --weights (scalars) or --weights-file")
+    path = args.weights_file
     with open(path) as handle:
         text = handle.read()
     try:
@@ -347,34 +346,44 @@ def cmd_antichain(args) -> int:
         "atom_probability": rat_str(probability),
         "cardinality_matches": Fraction(len(family), 2 ** family.n) == probability,
     }
-    # the members go in as text, in place of the one "members" key's []
+    # the members are written as text in place of the one "members" key's []
     text = json.dumps(payload, indent=2, sort_keys=True)
-    text = text.replace('"members": []', '"members": ' + _members_json(family), 1)
+    head, _, tail = text.partition('"members": []')
     with _output(args) as handle:
-        handle.write(text + "\n")
+        handle.write(head + '"members": ')
+        handle.writelines(_members_json(family))
+        handle.write(tail + "\n")
     return 1 if report["milner"]["holds"] is False else 0
 
 
-def _members_json(family: SubsetFamily) -> str:
+def _members_json(family: SubsetFamily) -> Iterator[str]:
     """The family's members as sorted 1-based element lists, laid out as
-    json.dumps(indent=2) lays out the report's "members" value.
+    json.dumps(indent=2) lays out the report's "members" value, in pieces of
+    WRITE_CHUNK members.
 
     The members are most of the report, and the json module indents with
     its pure-Python encoder, so each member's text is joined from tables of
     element strings indexed by the member's bytes.
     """
-    if not family.members:
-        return "[]"
-    columns = []
+    members = family.members
+    if not members:
+        yield "[]"
+        return
+    tables = []
     for shift in range(0, max(family.n, 1), 8):
         table = [""]
         for i in range(shift + 1, shift + 9):
             element = f",\n        {i}"
             table += [text + element for text in table]
-        columns.append([table[mask >> shift & 255] for mask in family.members])
-    texts = map("".join, zip(*columns))
-    items = [f"[{text[1:]}\n      ]" if text else "[]" for text in texts]
-    return "[\n      " + ",\n      ".join(items) + "\n    ]"
+        tables.append((shift, table))
+    sep = "[\n      "
+    for start in range(0, len(members), WRITE_CHUNK):
+        chunk = members[start : start + WRITE_CHUNK]
+        columns = [[table[mask >> shift & 255] for mask in chunk] for shift, table in tables]
+        texts = map("".join, zip(*columns))
+        yield sep + ",\n      ".join([f"[{t[1:]}\n      ]" if t else "[]" for t in texts])
+        sep = ",\n      "
+    yield "\n    ]"
 
 
 def cmd_extremal(args) -> int:
@@ -452,6 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def weights_source(p):  # exactly one of the two flags
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")
+        source.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
+
     p = command("bound", cmd_bound, "evaluate a bound at a target")
     p.add_argument("--n", type=int, required=True, help="summand count")
     target = p.add_mutually_exclusive_group(required=True)
@@ -467,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "dist", cmd_dist, "exact law of a weight config", ("--format", "--cap-full")
     )
-    p.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")
-    p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
+    weights_source(p)
     p.add_argument(
         "--ap-m",
         type=int,
@@ -477,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(cap_full=None)  # so that --cap-full with --ap-m is refused
 
     p = command("atom", cmd_atom, "P(sum = x) for one target", ("--cap-mitm",))
-    p.add_argument("--weights", help="inline scalar weights, e.g. 1,1/2,1/2")
-    p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
+    weights_source(p)
     p.add_argument("--x", required=True, help="target point")
 
     p = command(
@@ -551,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         "subset family behind a scalar atom",
         ("--cap-full",),
     )
-    p.add_argument("--weights", help="inline scalar weights, e.g. 1,1,1")
-    p.add_argument("--weights-file", help="JSON array of vectors, or CSV lines")
+    weights_source(p)
     p.add_argument("--x", required=True, help="scalar target")
     p.add_argument(
         "--k", type=int, help="intersection level to check (default ceil(x))"

@@ -28,7 +28,8 @@ strings, joined WRITE_CHUNK atoms at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
 on the atoms of both halves, checked as a convolution step grows, and
-`DRAW_CAP` bounds the coordinate draws of one campaign weight.
+`LAW_PAIR_CAP` on the (atom, step) pairs its steps visit, checked before
+each step; `DRAW_CAP` bounds the coordinate draws of one campaign weight.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
 FULL_LAW_CAP = 24
 ATOM_QUERY_CAP = 40
 LAW_ATOM_CAP = 1 << 24
+# (atom, step) pairs one law's convolution may visit: a step's cost is its
+# atoms times its positive support points, which a progression of many points
+# makes far larger than the atoms; about 5 s of steps on a 2-vCPU host
+LAW_PAIR_CAP = 1 << 24
 # Coordinate draws one campaign weight may take before its draw is refused:
 # the share of grid points in the unit ball falls like V_d / 2^d, so a draw
 # by rejection never ends at high d. No weight plausibly needs this many up
@@ -398,14 +403,18 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     It runs atom by atom in a hash map, so the cost tracks the number of
     distinct intermediate atoms rather than len(support)^n; that count, of
     both halves, is capped by LAW_ATOM_CAP, read per call, and checked as a
-    step grows whenever the step could pass it.
+    step grows whenever the step could pass it. The work, the (atom, step)
+    pairs the steps visit, is capped by LAW_PAIR_CAP before each step.
     """
-    cap = LAW_ATOM_CAP
+    cap, pairs = LAW_ATOM_CAP, 0
     acc = {0: 1}
     for w in keys:
+        steps = [u * abs(w) for u in support if u > 0]
+        pairs += len(acc) * len(steps)
+        if pairs > LAW_PAIR_CAP:
+            raise CapExceeded("law pair", LAW_PAIR_CAP, pairs)
         # a zero draw leaves every atom where it is: copy, then add the rest
         nxt = acc.copy() if 0 in support else {}
-        steps = [u * abs(w) for u in support if u > 0]
         get = nxt.get
         guarded = _full_size(acc) * len(support) > cap
         for key, mult in acc.items():

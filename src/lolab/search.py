@@ -43,7 +43,6 @@ from .engine import (
     AtomDistribution,
     CapExceeded,
     WeightConfig,
-    _law,
     lattice,
     lattice_law,
 )
@@ -187,26 +186,12 @@ class MarginRow:
         return self.rhs == 0
 
 
-def _validate_config(problem: SearchProblem, cfg: WeightConfig) -> None:
-    if cfg.n > problem.n:
-        raise ValueError(f"config has n = {cfg.n}; the cell allows n <= {problem.n}")
-    if cfg.dim not in problem.dimensions():
-        dims = list(problem.dimensions())
-        raise ValueError(f"config has d = {cfg.dim}; the cell explores d in {dims}")
-    ball = problem.weight_norm()
-    for w in cfg.weights:
-        if is_zero(w):
-            raise ValueError("search configs need non-zero weights")
-        if not ball.leq_one(w):
-            raise ValueError(f"weight {w} lies outside the {ball.label()} unit ball")
-
-
 def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
     """The config's law for an exact rescore or a certificate, under the caps."""
-    _validate_config(problem, cfg)
+    state = _checked_state(problem, cfg.dim, cfg.weights)
     if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
         raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
-    return _law(cfg.weights, cfg.dim, problem.law_spec())
+    return lattice_law(*state, cfg.dim, problem.law_spec())
 
 
 def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
@@ -441,15 +426,24 @@ class _Chain:
     trace: list = field(default_factory=list)
 
     def record(
-        self, problem: SearchProblem, state: State, iteration: int
+        self,
+        problem: SearchProblem,
+        settings: AnnealSettings,
+        state: State,
+        iteration: int,
     ) -> tuple[float, bool]:
-        """Score, flag and keep a state: its score, and whether it beat the best."""
+        """Score, flag and keep a state: its score, and whether it beat the best.
+
+        The kept states are pruned to the best `keep`, at least top_candidates
+        of them, so the final ranking is that of every state scored.
+        """
         score, flags = _score(problem, self.d, state)
         self.flagged += flags
         if score > self.top.get(state, float("-inf")):
             self.top[state] = score
-        if len(self.top) > 64:
-            self.top = dict(_ranked(self.top, 16))
+        keep = max(16, settings.top_candidates)
+        if len(self.top) > 4 * keep:
+            self.top = dict(_ranked(self.top, keep))
         improved = score > self.best_score
         if improved:
             self.best_score = score
@@ -513,16 +507,17 @@ class _Chain:
         for name in ("score", "best_score"):
             if values[name] is None:
                 values[name] = float("-inf")
-        d, n = values["d"], values.pop("n")
-        if d not in problem.dimensions():
-            raise ValueError(
-                f"has d = {d}; the cell explores d in {list(problem.dimensions())}"
-            )
-        weights = [make_vec(w) for w in values.pop("weights")]
         values["trace"] = [tuple(entry) for entry in values["trace"]]
-        chain = cls(rng=rng, state=_checked_state(problem, d, n, weights), **values)
+
+        def state(n: int, weights: list) -> State:
+            if n != len(weights):
+                raise ValueError(f"has n = {n} and {len(weights)} weights")
+            return _checked_state(problem, values["d"], weights)
+
+        n, weights = values.pop("n"), [make_vec(w) for w in values.pop("weights")]
+        chain = cls(rng=rng, state=state(n, weights), **values)
         for n, weights, score in top:
-            chain.top[_checked_state(problem, d, n, weights)] = score
+            chain.top[state(n, weights)] = score
         return chain
 
 
@@ -530,17 +525,23 @@ def _weight_strs(scale: int, points: Sequence[tuple[int, ...]]) -> list[list[str
     return [[ratio_str(a, scale) for a in pt] for pt in points]
 
 
-def _checked_state(
-    problem: SearchProblem, d: int, n: int, weights: Sequence[Vec]
-) -> State:
-    """The state of n weights of length d, unless the walk could not reach it."""
-    if not 1 <= n <= problem.n or n != len(weights):
-        raise ValueError(
-            f"has n = {n} and {len(weights)} weights; "
-            f"the cell needs n = len(weights) in 1..{problem.n}"
-        )
-    _validate_config(problem, WeightConfig(d, tuple(weights), l2_unit_ball=False))
+def _checked_state(problem: SearchProblem, d: int, weights: Sequence[Vec]) -> State:
+    """The one check of weights entering a search (to certify, rescore or resume):
+    their canonical state, unless the cell could not reach them."""
+    if not 1 <= len(weights) <= problem.n:
+        raise ValueError(f"config has n = {len(weights)}; the cell allows n in 1..{problem.n}")
+    if d not in problem.dimensions():
+        dims = list(problem.dimensions())
+        raise ValueError(f"config has d = {d}; the cell explores d in {dims}")
     scale, points = lattice(weights)
+    ball = problem.weight_norm()
+    for w, pt in zip(weights, points):
+        if len(pt) != d:
+            raise ValueError(f"weight {vec_strs(w)} has length {len(pt)}, not d = {d}")
+        if not any(pt):
+            raise ValueError("search configs need non-zero weights")
+        if not ball.contains(pt, scale):
+            raise ValueError(f"weight {vec_strs(w)} is outside the {ball.label()} unit ball")
     return scale, tuple(points)
 
 
@@ -672,7 +673,7 @@ def _new_chain(
         score=float("-inf"),
         best_score=float("-inf"),
     )
-    chain.score, _ = chain.record(problem, state, 0)
+    chain.score, _ = chain.record(problem, settings, state, 0)
     return chain
 
 
@@ -690,7 +691,7 @@ def _run_chain(
         iteration = chain.done
         state = _propose(chain, problem, settings)
         if state is not None:
-            score, improved = chain.record(problem, state, iteration)
+            score, improved = chain.record(problem, settings, state, iteration)
             accept = score >= chain.score
             if not accept:
                 t = _temperature(settings, iteration)
@@ -703,7 +704,7 @@ def _run_chain(
             chain.since_improve += 1
         if chain.since_improve >= window:
             chain.state = _initial_state(chain.rng, problem, settings, chain.d)
-            chain.score, _ = chain.record(problem, chain.state, iteration)
+            chain.score, _ = chain.record(problem, settings, chain.state, iteration)
             chain.since_improve = 0
         chain.done += 1
     return chain
@@ -929,9 +930,7 @@ def anneal(
         count = min(problem.n, settings.structured_n_max)
         for d in problem.dimensions():
             for base in _structured_bases(problem, settings, d):
-                # the laws of (base,) * 1..count; one config's validation
-                # holds for them all
-                _validate_config(problem, WeightConfig(d, (base,), l2_unit_ball=False))
+                # the laws of (base,) * 1..count, in the cell unchecked
                 scale, points = lattice([base] * count)
                 for n in range(1, count + 1):
                     law = lattice_law(scale, points[:n], d, spec)

@@ -31,6 +31,12 @@ from lolab import (
     rat,
 )
 from lolab.cli import _members_json
+from lolab.engine import WRITE_CHUNK
+
+
+def members_text(family):
+    """The report's "members" text, its chunks joined."""
+    return "".join(_members_json(family))
 
 
 def family_sets(family):
@@ -45,17 +51,19 @@ positive_scalars = st.fractions(
 
 
 class TestSubsetFamily:
-    def test_members_sorted_and_deduped(self):
-        fam = SubsetFamily(n=3, members=(5, 3, 5))
-        assert fam.members == (3, 5)
-        assert len(fam) == 2
+    @pytest.mark.parametrize("members", [(5, 3), (3, 5, 5), (5, 3, 5)])
+    def test_refuses_members_out_of_order_or_repeated(self, members):
+        # members come as build_family yields them, distinct and ascending;
+        # the family checks that order instead of sorting them again
+        with pytest.raises(ValueError, match="distinct masks in ascending order"):
+            SubsetFamily(n=3, members=members)
 
     def test_elements_one_based(self):
         # the report spells each member as its sorted 1-based elements
         fam = SubsetFamily(n=4, members=(0b1010,))
-        assert json.loads(_members_json(fam)) == [[2, 4]]
+        assert json.loads(members_text(fam)) == [[2, 4]]
         fam = SubsetFamily(n=3, members=(3, 5, 6))
-        assert json.loads(_members_json(fam)) == [[1, 2], [1, 3], [2, 3]]
+        assert json.loads(members_text(fam)) == [[1, 2], [1, 3], [2, 3]]
 
     @given(st.integers(min_value=0, max_value=26), st.data())
     @example(0, None)
@@ -63,13 +71,20 @@ class TestSubsetFamily:
     def test_members_text_is_the_json_module_layout(self, n, data):
         # at the report's depth, for masks of one to four bytes, the empty
         # set and the empty family included
-        masks = [0, (1 << n) - 1] if data is None else data.draw(
-            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12)
+        masks = {0, (1 << n) - 1} if data is None else data.draw(
+            st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12)
         )
-        fam = SubsetFamily(n=n, members=tuple(masks))
+        fam = SubsetFamily(n=n, members=tuple(sorted(masks)))
         lists = [[i + 1 for i in range(n) if mask >> i & 1] for mask in fam.members]
         text = json.dumps({"family": {"members": lists}}, indent=2)
-        assert text == '{\n  "family": {\n    "members": ' + _members_json(fam) + "\n  }\n}"
+        assert text == '{\n  "family": {\n    "members": ' + members_text(fam) + "\n  }\n}"
+
+    def test_members_text_across_chunks(self):
+        # the text comes WRITE_CHUNK members at a time, then the closing "]"
+        fam = SubsetFamily(n=13, members=tuple(range(2 * WRITE_CHUNK + 1)))
+        lists = [[i + 1 for i in range(13) if mask >> i & 1] for mask in fam.members]
+        assert len(list(_members_json(fam))) == 3 + 1
+        assert members_text(fam) == json.dumps(lists, indent=2).replace("\n", "\n    ")
 
     def test_rejects_mask_outside_ground_set(self):
         with pytest.raises(ValueError):
@@ -212,7 +227,7 @@ def subset_families(draw):
     if masks and draw(st.booleans()):
         size = masks[0].bit_count()
         masks = [m for m in masks if m.bit_count() == size]
-    return SubsetFamily(n=n, members=tuple(masks))
+    return SubsetFamily(n=n, members=tuple(sorted(set(masks))))
 
 
 class TestBitsetChecks:
@@ -224,7 +239,7 @@ class TestBitsetChecks:
     @example(SubsetFamily(n=0, members=(0,)))
     @example(SubsetFamily(n=3, members=()))
     @example(SubsetFamily(n=3, members=(0b011, 0b101, 0b110, 0b111)))
-    @example(SubsetFamily(n=8, members=(0b11110000, 0b00001111, 0b11111111)))
+    @example(SubsetFamily(n=8, members=(0b00001111, 0b11110000, 0b11111111)))
     def test_match_the_pair_loops(self, family):
         assert is_antichain(family) == brute_is_antichain(family)
         for k in range(family.n + 2):

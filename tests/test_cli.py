@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -540,6 +541,21 @@ class TestAntichain:
         )
         assert code == 2
 
+    def test_large_report_is_written_in_chunks(self, tmp_path):
+        # 48,620 members and a 5.4 MB report: the members' text is written
+        # WRITE_CHUNK members at a time, never held whole
+        out_path = tmp_path / "family.json"
+        argv = ["antichain", "--weights", ",".join(["1"] * 18), "--x", "0"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(out_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        report = json.loads(out_path.read_text())
+        assert report["size"] == len(report["family"]["members"]) == 48620
+
 
 class TestExtremal:
     def test_aligned_config(self, capsys):
@@ -594,6 +610,29 @@ class TestEarlyCaps:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert "law atom cap is 16777216, request needs 100000000" in err
+
+    @pytest.mark.parametrize(
+        "argv, needs, seconds",
+        [
+            (["search", "--conjecture", "1", "--m", "3001", "--n", "4", "--budget",
+              "100", "--chains", "1", "--seed", "1"], 49459500, 2.0),
+            (["dist", "--ap-m", "3001", "--weights", ",".join(["1"] * 8)],
+             22507500, 10.0),
+        ],
+        ids=("search", "dist"),
+    )
+    def test_progression_past_the_pair_cap_exits(self, capsys, argv, needs, seconds):
+        # a step of a 3001-point progression visits 1500 pairs per key: under
+        # the atom cap such laws took minutes, and the pair cap fires first
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < seconds
+        assert (code, out) == (3, "")
+        assert err == f"error: law pair cap is 16777216, request needs {needs}\n"
+
+    def test_progression_under_the_pair_cap_is_built(self, capsys):
+        code, out, _ = run_cli(capsys, "dist", "--ap-m", "3001", "--weights", "1,1,1")
+        assert code == 0 and len(json.loads(out)["atoms"]) == 3 * 3000 + 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -734,6 +773,19 @@ SHARED_FLAG_USE = {
 SHARED_FLAG_VALUES = {
     "--seed": "1", "--format": "json", "--cap-full": "30", "--cap-mitm": "30"
 }
+
+
+class TestWeightsSource:
+    @pytest.mark.parametrize("command", ("dist", "atom", "antichain"))
+    def test_exactly_one_weights_flag(self, capsys, command):
+        # --weights once won silently over --weights-file, even a missing one
+        argv, _ = SHARED_FLAG_USE[command]
+        rest = argv[3:]  # past the command and its --weights value
+        both = [command, "--weights", "1", "--weights-file", "/nonexistent", *rest]
+        for args in (both, [command, *rest]):
+            code, out, err = run_cli(capsys, *args)
+            assert (code, out) == (2, "")
+            assert "--weights" in err and "--weights-file" in err
 
 
 class TestSharedFlags:

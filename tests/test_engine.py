@@ -333,6 +333,17 @@ class TestLatticeSums:
         law = full_distribution(cfg)
         assert len(law.counts) == 3 and len(law.atoms) == 5
 
+    def test_pair_cap_counts_the_pairs_before_each_step(self, monkeypatch):
+        # three unit weights at m = 5 (support -4..4 by 2, positive steps 2
+        # and 4): the halves before the steps hold 1, 3 and 5 keys, so the
+        # steps visit 2 + 6 + 10 = 18 (key, step) pairs; the law has 13 atoms
+        spec, cfg = APUniformSpec(5), WeightConfig.from_scalars(["1"] * 3)
+        monkeypatch.setattr(engine, "LAW_PAIR_CAP", 17)
+        with pytest.raises(CapExceeded, match="law pair cap is 17, request needs 18"):
+            ap_uniform_sum_distribution(spec, cfg)
+        monkeypatch.setattr(engine, "LAW_PAIR_CAP", 18)
+        assert len(ap_uniform_sum_distribution(spec, cfg).atoms) == 13
+
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), max_size=5),
         st.integers(min_value=2, max_value=5),

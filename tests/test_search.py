@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -40,6 +41,7 @@ from lolab import (
     margin_rows,
     norm_sq,
 )
+import lolab.search
 from lolab.bounds import NORM_KINDS, rounded_norms
 from lolab.engine import _law, lattice
 from lolab.search import (
@@ -52,6 +54,7 @@ from lolab.search import (
     _score,
     _weights,
 )
+from lolab.rational import vec_strs
 
 F = Fraction
 
@@ -503,6 +506,57 @@ class TestCellBound:
             margin_rows(problem, cfg)
 
 
+# configs the n = 3, d = 1 sign cell refuses, and the one message for each
+BAD_CONFIGS = {
+    "too-many-weights": (
+        WeightConfig.from_scalars(["1/2"] * 4),
+        "config has n = 4; the cell allows n in 1..3",
+    ),
+    "d-outside-cell": (
+        WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),)),
+        "config has d = 2; the cell explores d in [1]",
+    ),
+    "zero-weight": (
+        WeightConfig.from_scalars(["0", "1/2"], allow_zero=True),
+        "search configs need non-zero weights",
+    ),
+    "weight-outside-ball": (
+        WeightConfig.from_scalars(["3/2"], l2_unit_ball=False),
+        "weight ['3/2'] is outside the L2 unit ball",
+    ),
+}
+
+
+class TestWeightGate:
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_one_refusal_for_certify_margins_and_resume(self, tmp_path, name):
+        # the weights of a config to certify or rescore and of a checkpoint
+        # pass one check, so each path refuses a config with the same message
+        cfg, message = BAD_CONFIGS[name]
+        problem = l2_problem(n=3, d=1, budget=20)
+        ckpt = tmp_path / "state.json"
+        anneal(problem, AnnealSettings(chains=1), checkpoint_path=str(ckpt))
+        payload = json.loads(ckpt.read_text())
+        weights = [vec_strs(w) for w in cfg.weights]
+        payload["chains"][0].update(d=cfg.dim, n=cfg.n, weights=weights)
+        ckpt.write_text(json.dumps(payload))
+        calls = {
+            "certify": lambda: certify(problem, cfg, (F(1),) * cfg.dim),
+            "margin_rows": lambda: margin_rows(problem, cfg),
+            "resume": lambda: anneal(problem, resume=str(ckpt)),
+        }
+        errors = {}
+        for path, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            errors[path] = str(exc.value)
+        assert errors == {
+            "certify": message,
+            "margin_rows": message,
+            "resume": f"{ckpt}: checkpoint chain 0: {message}",
+        }
+
+
 def two_point_law_is_sign_law(cfg) -> bool:
     """A two-point progression support is the sign pair {-1, +1}."""
     two_point = ap_uniform_sum_distribution(APUniformSpec(2), cfg)
@@ -778,6 +832,30 @@ class TestAnneal:
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="problem has no 'seed' field"):
             anneal(problem, resume=str(ckpt))
+
+    def test_kept_states_cover_more_than_16_candidates(self, monkeypatch):
+        # a chain keeps at least top_candidates states between prunings, so
+        # the report ranks the best of every state scored, as if unpruned
+        scores = {}
+        score = lolab.search._score
+
+        def recorded(problem, d, state):
+            scores[state], flags = score(problem, d, state)
+            return scores[state], flags
+
+        monkeypatch.setattr(lolab.search, "_score", recorded)
+        settings = replace(FAST, chains=1, top_candidates=40, structured_first=False)
+        result = anneal(l2_problem(n=6, d=2, budget=1000, seed=4), settings)
+
+        def key(cfg, float_score):
+            return json.dumps(cfg.to_json()), float_score
+
+        expected = [
+            key(WeightConfig(len(state[1][0]), _weights(state), l2_unit_ball=False), s)
+            for state, s in _ranked(scores, 40)
+        ]
+        got = [key(cand.config, cand.float_score) for cand in result.candidates]
+        assert len(got) == 40 and sorted(got) == sorted(expected)
 
     def test_ledger_appends_one_line_per_run(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
