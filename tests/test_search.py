@@ -620,6 +620,22 @@ class TestCertify:
         assert isinstance(outcome, Refutation)
         assert outcome.margin == 0
         assert not outcome.rhs_zero
+        assert outcome.to_json() == {
+            "certificate": False,
+            "problem": {
+                "conjecture": 2, "n": 3, "d": 1, "budget": 0, "seed": 0,
+                "m": None, "norm": None, "constraint_norm": None,
+            },
+            "config": {
+                "dim": 1, "allow_zero": False, "l2_unit_ball": True,
+                "weights": [["1/1"], ["1/1"], ["1/1"]],
+            },
+            "x": ["1/1"],
+            "lhs": "3/8",
+            "rhs": "3/8",
+            "margin": "0/1",
+            "rhs_zero": False,
+        }
 
     def test_zero_bound_refutes_without_certifying(self):
         # Odd m puts the unit progression sum on even integers, so the
@@ -632,6 +648,22 @@ class TestCertify:
         assert outcome.rhs_zero
         assert outcome.lhs == F(1, 3)
         assert outcome.rhs == 0
+        assert outcome.to_json() == {
+            "certificate": False,
+            "problem": {
+                "conjecture": 1, "n": 1, "d": 1, "budget": 0, "seed": 0,
+                "m": 3, "norm": None, "constraint_norm": None,
+            },
+            "config": {
+                "dim": 1, "allow_zero": False, "l2_unit_ball": True,
+                "weights": [["1/2"]],
+            },
+            "x": ["1/1"],
+            "lhs": "1/3",
+            "rhs": "0/1",
+            "margin": "1/3",
+            "rhs_zero": True,
+        }
 
     def test_progression_cell(self):
         problem = SearchProblem(conjecture=1, n=2, d=1, budget=0, seed=0, m=3)
