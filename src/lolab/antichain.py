@@ -22,6 +22,7 @@ n = 24 each 2^n-bit int is 2 MB, and the k-intersecting check keeps k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from math import lcm
 from operator import lt
@@ -53,6 +54,17 @@ class SubsetFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _bitset(self) -> int:
+        """The family as one int over the 2^n subsets: bit m is set iff m is a member.
+
+        Built once per family, for both hypothesis checks.
+        """
+        buf = bytearray(((1 << self.n) + 7) >> 3)
+        for mask in self.members:
+            buf[mask >> 3] |= 1 << (mask & 7)
+        return int.from_bytes(buf, "little")
 
 
 def build_family(
@@ -105,14 +117,6 @@ def _subset_sums(ws: Sequence[int]) -> list[int]:
     return sums
 
 
-def _bitset(family: SubsetFamily) -> int:
-    """The family as one int over the 2^n subsets: bit m is set iff m is a member."""
-    buf = bytearray(((1 << family.n) + 7) >> 3)
-    for mask in family.members:
-        buf[mask >> 3] |= 1 << (mask & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _index_steps(n: int) -> Iterator[tuple[int, int]]:
     """(s, L) for each index bit i < n: s = 1 << i, and L the masks with bit i clear.
 
@@ -136,7 +140,7 @@ def is_antichain(family: SubsetFamily) -> bool:
     non-empty set of indices <= i outside A, so at the end it is the set of
     strict supersets of members.
     """
-    members = _bitset(family)
+    members = family._bitset
     above = 0
     for s, clear in _index_steps(family.n):
         above |= ((above | members) & clear) << s
@@ -160,7 +164,7 @@ def is_k_intersecting(family: SubsetFamily, k: int) -> bool:
     # a member smaller than k fails, so past here k <= n and the layers are few
     if any(mask.bit_count() < k for mask in family.members):
         return False
-    members = _bitset(family)
+    members = family._bitset
     within = [members] * k
     for s, clear in _index_steps(family.n):
         has = clear << s

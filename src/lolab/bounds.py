@@ -29,6 +29,7 @@ from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, _law
 from .rational import (
     _NULL,
     RationalLike,
+    Record,
     Vec,
     _read_fields,
     is_zero,
@@ -37,6 +38,7 @@ from .rational import (
     rat,
     rat_str,
     vec_scale,
+    wire,
 )
 
 
@@ -56,7 +58,7 @@ class TheoremTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A bound value together with the integers that define it."""
 
     n: int
@@ -64,15 +66,6 @@ class BoundReport:
     delta: int
     bound: Fraction
     theorem: TheoremTag
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "delta": self.delta,
-            "bound": rat_str(self.bound),
-            "theorem": self.theorem.value,
-        }
 
 
 def parity_correction(n: int, k: int) -> int:
@@ -309,7 +302,7 @@ class NormSpec:
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
         if self.kind == "WeightedDiagonalL2":
-            obj["diag"] = [rat_str(c) for c in self.diag]
+            obj["diag"] = wire(self.diag)
         return obj
 
     @classmethod

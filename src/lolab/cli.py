@@ -56,8 +56,7 @@ from .rational import (
     norm_sq,
     parse_point,
     rat,
-    rat_str,
-    vec_strs,
+    wire,
 )
 from .search import (
     AnnealSettings,
@@ -197,7 +196,7 @@ def cmd_dist(args) -> int:
 def cmd_atom(args) -> int:
     cfg = _config_from_weights(_load_weights(args))
     probability = atom_probability(cfg, parse_point(args.x), cap=args.cap_mitm)
-    _emit(args, rat_str(probability))
+    _emit(args, wire(probability))
     return 0
 
 
@@ -256,12 +255,12 @@ def cmd_verify(args) -> int:
         violations = verify_zero_weights_sup(x, args.n_max, gen, cap=args.cap_mitm)
         report = {
             "theorem": tag.value,
-            "x": vec_strs(x),
+            "x": wire(x),
             "n_max": args.n_max,
             "configs_per_size": args.count,
-            "sup": rat_str(zero_weights_sup(norm_sq(x))),
-            "generator": gen.to_json(),
-            "violations": [v.to_json() for v in violations],
+            "sup": wire(zero_weights_sup(norm_sq(x))),
+            "generator": wire(gen),
+            "violations": wire(violations),
         }
         summary = (
             f"{tag.value}: sizes 1..{args.n_max}, {args.count} configs each, "
@@ -343,7 +342,7 @@ def cmd_antichain(args) -> int:
         "size": len(family),
         "k": k,
         **report,
-        "atom_probability": rat_str(probability),
+        "atom_probability": wire(probability),
         "cardinality_matches": Fraction(len(family), 2 ** family.n) == probability,
     }
     # the members are written as text in place of the one "members" key's []
@@ -405,10 +404,10 @@ def cmd_extremal(args) -> int:
     probability = atom_probability(cfg, x, cap=ALIGNED_CAP)
     payload = {
         "theorem": tag.value,
-        "config": cfg.to_json(),
-        "x": vec_strs(x),
-        "bound": rat_str(bound),
-        "probability": rat_str(probability),
+        "config": wire(cfg),
+        "x": wire(x),
+        "bound": wire(bound),
+        "probability": wire(probability),
         "equality": probability == bound,
     }
     _emit(args, payload)

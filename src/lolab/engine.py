@@ -41,7 +41,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .rational import RationalLike, Vec, make_vec, norm_sq, ratio_str, vec_strs
+from .rational import RationalLike, Record, Vec, _read_fields, make_vec, norm_sq, ratio_str
 
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
 # single-atom queries via half-sum tables cost O(2^(n/2)), and every law and
@@ -79,7 +79,7 @@ class CapExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class WeightConfig:
+class WeightConfig(Record):
     """An ordered tuple of rational weight vectors for one sum.
 
     Invariants checked at construction: every weight has length `dim`;
@@ -122,22 +122,15 @@ class WeightConfig:
     ) -> "WeightConfig":
         return cls(dim=1, weights=tuple((v,) for v in values), **kwargs)
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "allow_zero": self.allow_zero,
-            "l2_unit_ball": self.l2_unit_ball,
-            "weights": [vec_strs(w) for w in self.weights],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "WeightConfig":
-        return cls(
-            dim=obj["dim"],
-            weights=tuple(make_vec(w) for w in obj["weights"]),
-            allow_zero=obj.get("allow_zero", False),
-            l2_unit_ball=obj.get("l2_unit_ball", True),
-        )
+        """A config from its JSON object; an absent flag takes its default."""
+        values = _read_fields(obj, "config", dim=(int,), weights=(list,))
+        flags = dict.fromkeys(("allow_zero", "l2_unit_ball"), (bool,))
+        values |= _read_fields(obj, "config", partial=True, **flags)
+        if not all(type(w) is list for w in values["weights"]):
+            raise ValueError("config field 'weights' must hold one list per weight")
+        return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,7 @@ from .engine import (
     atom_probability,
     full_distribution,
 )
-from .rational import (
-    Vec,
-    is_zero,
-    make_vec,
-    norm_sq,
-    rat_str,
-    ratio_str,
-    vec_strs,
-)
+from .rational import Record, Vec, is_zero, make_vec, norm_sq, ratio_str
 
 # Campaign checks that run per-config against the full law. The
 # zero-weights supremum has its own sampling entry point because it
@@ -69,7 +61,7 @@ def derived_seed(seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class ConfigGenerator:
+class ConfigGenerator(Record):
     """Seeded stream of grid weight configurations.
 
     Each coordinate is drawn uniformly from {-D..D}/D with D the grid
@@ -120,19 +112,9 @@ class ConfigGenerator:
             dim=self.d, weights=tuple(weights), allow_zero=self.allow_zero
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "grid_denominator": self.grid_denominator,
-            "allow_zero": self.allow_zero,
-            "count": self.count,
-        }
-
 
 @dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(Record):
     """A bound exceeded, with everything needed to reproduce the check."""
 
     config: WeightConfig
@@ -141,32 +123,15 @@ class ViolationRecord:
     rhs: Fraction
     theorem: TheoremTag
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "x": vec_strs(self.x),
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "theorem": self.theorem.value,
-        }
-
 
 @dataclass(frozen=True)
-class EqualityRecord:
+class EqualityRecord(Record):
     """A bound attained exactly; kept as a regression fixture."""
 
     config_index: int
     theorem: TheoremTag
     x: Vec
     value: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "config_index": self.config_index,
-            "theorem": self.theorem.value,
-            "x": vec_strs(self.x),
-            "value": rat_str(self.value),
-        }
 
 
 def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
@@ -239,7 +204,7 @@ def verify_zero_weights_sup(
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Record):
     """Everything a campaign produced, serializable to stable bytes."""
 
     generator: ConfigGenerator
@@ -258,17 +223,6 @@ class CampaignReport:
             f"{len(self.equalities)} equalities, "
             f"{len(self.violations)} violations"
         )
-
-    def to_json(self) -> dict:
-        return {
-            "generator": self.generator.to_json(),
-            "checks": [tag.value for tag in self.checks],
-            "extra_configs": self.extra_configs,
-            "configs_checked": self.configs_checked,
-            "atoms_checked": self.atoms_checked,
-            "equalities": [record.to_json() for record in self.equalities],
-            "violations": [record.to_json() for record in self.violations],
-        }
 
 
 def run_campaign(

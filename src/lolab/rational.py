@@ -1,4 +1,4 @@
-"""Exact rational scalars and vectors.
+"""Exact rational scalars and vectors, and their JSON wire form.
 
 Everything downstream (laws, bounds, families, certificates) rides on
 `fractions.Fraction`: lowest terms, positive denominator, and exact
@@ -8,11 +8,17 @@ the boundary (`rat`), and `_read_fields` never takes a bool for an int in
 a JSON object. The package's floats are the exponential comparison bound
 (`bounds.hoeffding_bound`) and the anneal's scores, which rank states by
 one correctly rounded int division each; no claim rests on either.
+
+`wire` is the one rule for writing a value as JSON: a Fraction as "p/q",
+a point as a list of them, and a `Record` (reports, certificates, configs)
+as the object of its fields, each written by `wire`.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -75,6 +81,30 @@ def ratio_str(num: int, den: int) -> str:
 def rat_str(q: Fraction) -> str:
     """Canonical wire form "p/q" in lowest terms, sign on the numerator."""
     return ratio_str(q.numerator, q.denominator)
+
+
+def wire(value):
+    """The JSON value of `value`.
+
+    "p/q" for a Fraction, a list of wired items for a tuple or list, the
+    value of an Enum, the value's own to_json() if it has one, and anything
+    else unchanged.
+    """
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [wire(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
+
+
+class Record:
+    """A dataclass whose JSON object is its fields, each written by `wire`."""
+
+    def to_json(self) -> dict:
+        return {f.name: wire(getattr(self, f.name)) for f in fields(self)}
 
 
 def make_vec(coords: Iterable[RationalLike]) -> Vec:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
@@ -49,6 +49,7 @@ from .engine import (
 from .oracle import derived_seed
 from .rational import (
     _NULL,
+    Record,
     Vec,
     _read_fields,
     is_zero,
@@ -57,11 +58,12 @@ from .rational import (
     ratio_str,
     vec_scale,
     vec_strs,
+    wire,
 )
 
 
 @dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Record):
     """One search cell: which conjecture, how far, and with what budget."""
 
     conjecture: int
@@ -147,12 +149,6 @@ class SearchProblem:
             cell["constraint_norm"] = self.weight_norm().label()
         return cell
 
-    def to_json(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key in ("norm", "constraint_norm"):
-            obj[key] = None if obj[key] is None else obj[key].to_json()
-        return obj
-
     @classmethod
     def from_json(cls, obj: dict) -> "SearchProblem":
         values = _read_fields(
@@ -206,7 +202,7 @@ def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
 
 
 @dataclass(frozen=True)
-class _Verdict:
+class _Verdict(Record):
     """certify's exact numbers for one config and target."""
 
     certificate: ClassVar[bool]
@@ -219,19 +215,7 @@ class _Verdict:
     margin: Fraction
 
     def to_json(self) -> dict:
-        obj = {
-            "certificate": self.certificate,
-            "problem": self.problem.to_json(),
-            "config": self.config.to_json(),
-            "x": vec_strs(self.x),
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "margin": rat_str(self.margin),
-        }
-        # fields a subclass adds hold plain JSON values
-        for f in fields(self)[len(fields(_Verdict)):]:
-            obj[f.name] = getattr(self, f.name)
-        return obj
+        return {"certificate": self.certificate, **super().to_json()}
 
 
 @dataclass(frozen=True)
@@ -287,7 +271,7 @@ def certify(
 
 
 @dataclass(frozen=True)
-class AnnealSettings:
+class AnnealSettings(Record):
     """Knobs for the annealing walk. Defaults are the documented baseline.
 
     chains: independent seeded walkers; dimensions cycle 1..problem.d.
@@ -333,9 +317,6 @@ class AnnealSettings:
             raise ValueError("stagnation_fraction must be in (0, 1]")
         if self.structured_n_max < 1:
             raise ValueError("structured_n_max must be >= 1")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict, *, partial: bool = True) -> "AnnealSettings":
@@ -725,7 +706,7 @@ def _structured_bases(
 
 
 @dataclass
-class Candidate:
+class Candidate(Record):
     """One exact-scored state, annealed or structured."""
 
     config: WeightConfig
@@ -736,14 +717,6 @@ class Candidate:
     float_score: Optional[float]
     structured: bool
     rhs_zero_atoms: int
-
-    def to_json(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj["config"] = self.config.to_json()
-        obj["x"] = None if self.x is None else vec_strs(self.x)
-        for name in ("margin", "lhs", "rhs"):
-            obj[name] = None if obj[name] is None else rat_str(obj[name])
-        return obj
 
 
 def _exact_candidate(
@@ -766,7 +739,7 @@ def _exact_candidate(
 
 
 @dataclass
-class AnnealResult:
+class AnnealResult(Record):
     """Everything one search run produced, serializable to stable bytes."""
 
     problem: SearchProblem
@@ -792,22 +765,12 @@ class AnnealResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem.to_json(),
-            "settings": self.settings.to_json(),
-            "candidates": [cand.to_json() for cand in self.candidates],
-            "certificates": [cert.to_json() for cert in self.certificates],
-            "discrepancies": self.discrepancies,
-            "best_margin": (
-                None if self.best_margin is None else rat_str(self.best_margin)
-            ),
-            "rhs_zero_flagged": self.rhs_zero_flagged,
-            "evaluations": {
-                "anneal": self.anneal_evaluations,
-                "structured": self.structured_evaluations,
-            },
-            "chains": self.chains,
+        obj = super().to_json()
+        obj["evaluations"] = {
+            "anneal": obj.pop("anneal_evaluations"),
+            "structured": obj.pop("structured_evaluations"),
         }
+        return obj
 
 
 CHECKPOINT_FORMAT = "lolab-anneal-checkpoint"
@@ -876,9 +839,7 @@ def append_ledger(result: AnnealResult, path: str) -> None:
         "seed": result.problem.seed,
         "budget": result.problem.budget,
         "evaluations": result.anneal_evaluations + result.structured_evaluations,
-        "best_margin": (
-            None if result.best_margin is None else rat_str(result.best_margin)
-        ),
+        "best_margin": wire(result.best_margin),
         "certificates": len(result.certificates),
         "rhs_zero_flagged": result.rhs_zero_flagged,
     }
@@ -979,9 +940,9 @@ def anneal(
         float_score, margin = cand.float_score, cand.margin
         if (float_score or 0) > 0 and (margin is None or margin <= 0):
             discrepancies.append({
-                "config": cand.config.to_json(),
+                "config": wire(cand.config),
                 "float_score": float_score,
-                "exact_margin": None if margin is None else rat_str(margin),
+                "exact_margin": wire(margin),
             })
 
     margins = [cand.margin for cand in candidates if cand.margin is not None]

@@ -30,6 +30,7 @@ from lolab import (
     milner_report,
     rat,
 )
+from lolab import antichain
 from lolab.cli import _members_json
 from lolab.engine import WRITE_CHUNK
 
@@ -272,6 +273,19 @@ class TestVerifyMilner:
 
     def test_empty_family_holds(self):
         assert milner_holds(SubsetFamily(n=3, members=()), 1)
+
+    def test_one_bitset_per_report(self, monkeypatch):
+        # a family's bitset is built in one bytearray of its 2^n bits
+        sizes = []
+
+        def counted(size):
+            sizes.append(size)
+            return bytearray(size)
+
+        monkeypatch.setattr(antichain, "bytearray", counted, raising=False)
+        fam = build_family([1] * 10, 2)
+        assert milner_holds(fam, 2)
+        assert sizes == [(1 << 10) // 8]
 
     def test_hypothesis_failure_is_distinct(self):
         # a failed hypothesis reports which one, and no bound or verdict

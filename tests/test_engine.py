@@ -80,6 +80,23 @@ class TestWeightConfig:
         cfg = WeightConfig.from_scalars(["1/2", "-1/3"], allow_zero=False)
         again = WeightConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again == cfg
+        # an absent flag takes its default
+        assert WeightConfig.from_json({"dim": 1, "weights": [["1/2"], ["-1/3"]]}) == cfg
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"dim": True}, "dim"),
+            ({"allow_zero": "yes"}, "allow_zero"),
+            ({"weights": "11"}, "weights"),
+            ({"dim": 2, "weights": ["10"]}, "weights"),
+        ],
+        ids=["dim-bool", "allow_zero-str", "weights-str", "weight-str"],
+    )
+    def test_from_json_names_a_field_of_the_wrong_type(self, change, field):
+        obj = {"dim": 1, "weights": [["1/2"]], "allow_zero": False, "l2_unit_ball": True}
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
+            WeightConfig.from_json(obj | change)
 
 
 class TestFullDistribution:

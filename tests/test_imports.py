@@ -159,6 +159,51 @@ def test_the_cap_scan_sees_every_lift(source, found):
     assert computed_caps(source) == found
 
 
+# the one home of the wire form: every other to_json writes its values with
+# rational.wire, or as a Record, never through the "p/q" helpers
+WIRE_HOME = "rational"
+WIRE_HELPERS = {"rat_str", "ratio_str", "vec_strs"}
+
+
+def wire_helper_uses(source: str) -> list[str]:
+    """The uses of rat_str, ratio_str and vec_strs inside a to_json in a
+    module's source, by name or as an attribute, each named by its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name == "to_json"):
+            continue
+        for use in ast.walk(node):
+            name = use.id if isinstance(use, ast.Name) else getattr(use, "attr", None)
+            if name in WIRE_HELPERS:
+                found.append(f"line {use.lineno}: {name}")
+    return found
+
+
+def test_only_rational_writes_the_wire_form_in_a_to_json():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem != WIRE_HOME:
+            assert wire_helper_uses(path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def to_json(self):\n    return {'x': rat_str(self.x)}", ["line 2: rat_str"]),
+        ("def to_json(self):\n    return [*map(vec_strs, self.ws)]", ["line 2: vec_strs"]),
+        (
+            "class A:\n    def to_json(self):\n        return rational.ratio_str(1, 2)",
+            ["line 3: ratio_str"],
+        ),
+        ("def to_json(self):\n    return {'x': wire(self.x)}", []),
+        ("def summary(self):\n    return rat_str(self.x)", []),
+        ("def to_json(self):\n    return _weight_strs(*self.state)", []),
+    ],
+)
+def test_the_wire_scan_sees_every_use(source, found):
+    assert wire_helper_uses(source) == found
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(
