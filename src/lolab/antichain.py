@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import lcm
+from fractions import Fraction
 from operator import lt
 from typing import Iterator, Sequence
 
 from .bounds import milner_bound
-from .engine import FULL_LAW_CAP, CapExceeded
-from .rational import RationalLike, rat
+from .engine import FULL_LAW_CAP, CapExceeded, WeightConfig, lattice_target
+from .rational import RationalLike
 
 FAMILY_CAP = FULL_LAW_CAP
 
@@ -68,33 +68,32 @@ class SubsetFamily:
 
 
 def build_family(
-    weights: Sequence[RationalLike], x: RationalLike, *, cap: int = FAMILY_CAP
+    cfg: WeightConfig, x: RationalLike, *, cap: int = FAMILY_CAP
 ) -> SubsetFamily:
     """All index sets whose weight sum minus the complement's equals x.
 
-    Weights must be strictly positive rationals. The defining condition
-    is equivalent to 2 * sum(A) = x + total, checked exactly on integers
-    after clearing denominators; a parity mismatch there, or a half sum
-    outside [0, total], means the family is empty, and no subset sum is
-    listed. Otherwise the subset sums of each half of the weights are
-    listed and joined, so memory is O(2^(n/2)) besides the members.
+    The config's weights must be strictly positive scalars. The defining
+    condition is equivalent to 2 * sum(A) = x + total, checked exactly on
+    the config's integer points: x off their lattice, a parity mismatch, or
+    a half sum outside [0, total] means the family is empty, and no subset
+    sum is listed. Otherwise the subset sums of each half of the weights
+    are listed and joined, so memory is O(2^(n/2)) besides the members.
     """
-    ws = [rat(w) for w in weights]
-    if not ws:
-        raise ValueError("at least one weight required")
-    for w in ws:
-        if w <= 0:
+    if cfg.dim != 1:
+        raise ValueError("subset families are defined for scalar weights")
+    iw = [a for (a,) in cfg.points]
+    for a in iw:
+        if a <= 0:
+            w = Fraction(a, cfg.scale)
             raise ValueError(f"weights must be strictly positive, got {w}")
-    n = len(ws)
+    n = cfg.n
     if n > cap:
         raise CapExceeded("family ground-set", cap, n)
-    target = rat(x)
-    scale = lcm(*[w.denominator for w in ws], target.denominator)
-    iw = [(w * scale).numerator for w in ws]
-    need = (target * scale).numerator + sum(iw)
-    half = need // 2
-    if need % 2 != 0 or not 0 <= half <= sum(iw):
+    target = lattice_target((x,), cfg.scale, 1)
+    need = None if target is None else target[0] + sum(iw)
+    if need is None or need % 2 != 0 or not 0 <= need // 2 <= sum(iw):
         return SubsetFamily(n=n, members=())
+    half = need // 2
     # meet in the middle: the low masks grouped by subset sum, joined to each
     # high mask on half - s, so the members come in ascending mask order
     cut = n // 2

@@ -25,19 +25,17 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, _law, lattice
+from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, lattice_law
 from .rational import (
     _NULL,
     RationalLike,
     Record,
-    Vec,
     _read_fields,
     is_zero,
     make_vec,
     norm_sq,
     rat,
     rat_str,
-    vec_scale,
     wire,
 )
 
@@ -205,8 +203,8 @@ def extremal_config(n: int, d: int, x) -> WeightConfig:
             f"target needs {t} aligned summands but n = {n}; "
             "the bound there is 0 and nothing attains it"
         )
-    w = vec_scale(Fraction(1, t), x)
-    return WeightConfig(dim=d, weights=(w,) * n)
+    target = WeightConfig.of(d, [x], l2_unit_ball=False)
+    return WeightConfig(d, target.scale * t, target.points * n)
 
 
 def zero_weights_extremal(x) -> WeightConfig:
@@ -290,10 +288,6 @@ class NormSpec:
         (measure,), unit, _ = self._rule([pt], scale)
         return measure <= unit
 
-    def leq_one(self, v: Vec) -> bool:
-        scale, (pt,) = lattice([v])
-        return self.contains(pt, scale)
-
     def float_value(self, pt: Sequence[int], scale: int) -> float:
         """The float of the norm of pt / scale: one correctly rounded int division."""
         (measure,), unit, p = self._rule([pt], scale)
@@ -352,7 +346,7 @@ def bound_counts(m: int, n: int) -> tuple[int, ...]:
     ks = range((m - 1) * n + 2)
     if m == 2:
         return tuple(nonuniform_count(n, k) for k in ks)
-    law = _law([(1,)] * n, 1, APUniformSpec(m)).counts
+    law = lattice_law(1, [(1,)] * n, 1, APUniformSpec(m)).counts
     return tuple(law.get(k if m % 2 else k + parity_correction(n, k), 0) for k in ks)
 
 

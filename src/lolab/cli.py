@@ -121,7 +121,7 @@ def _config_from_weights(vectors: Sequence[Vec], **kwargs) -> WeightConfig:
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise ValueError(f"weights mix dimensions: {sorted(dims)}")
-    return WeightConfig(dim=dims.pop(), weights=tuple(vectors), **kwargs)
+    return WeightConfig.of(dims.pop(), vectors, **kwargs)
 
 
 def _parse_norm(args, dest: str) -> Optional[NormSpec]:
@@ -203,18 +203,16 @@ def cmd_atom(args) -> int:
 def _extremal_fixtures(tag: TheoremTag, n: int, d: int) -> list[WeightConfig]:
     """Configurations that attain the bound, pinned into a campaign."""
     fixtures: list[WeightConfig] = []
+    zeros = (0,) * (d - 1)
     if tag is TheoremTag.ERDOS_KLEITMAN:
-        e1 = (Fraction(1),) + (Fraction(0),) * (d - 1)
-        fixtures.append(WeightConfig(dim=d, weights=(e1,) * n))
+        fixtures.append(WeightConfig(d, 1, ((1, *zeros),) * n))
     elif tag is TheoremTag.NON_UNIFORM:
         for k in (1, 2):
-            x = (Fraction(k),) + (Fraction(0),) * (d - 1)
             if nonuniform_count(n, k) > 0:
-                fixtures.append(extremal_config(n, d, x))
+                fixtures.append(extremal_config(n, d, (k, *zeros)))
     elif tag is TheoremTag.ZERO_ODD and n >= 3:
-        half = (Fraction(1, 2),) + (Fraction(0),) * (d - 1)
-        e1 = (Fraction(1),) + (Fraction(0),) * (d - 1)
-        fixtures.append(WeightConfig(dim=d, weights=(e1,) + (half,) * (n - 1)))
+        # e1, then n - 1 copies of e1 / 2
+        fixtures.append(WeightConfig(d, 2, ((2, *zeros),) + ((1, *zeros),) * (n - 1)))
     return fixtures
 
 
@@ -327,15 +325,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_antichain(args) -> int:
-    vectors = _load_weights(args)
-    if any(len(v) != 1 for v in vectors):
-        raise ValueError("subset families are defined for scalar weights")
-    weights = [v[0] for v in vectors]
+    # zero weights pass here, for build_family to refuse with the others
+    flags = dict(allow_zero=True, l2_unit_ball=False)
+    cfg = _config_from_weights(_load_weights(args), **flags)
     x = rat(args.x)
-    family = build_family(weights, x, cap=args.cap_full)
+    family = build_family(cfg, x, cap=args.cap_full)
     k = args.k if args.k is not None else max(0, math.ceil(x))
     report = milner_report(family, k)
-    cfg = _config_from_weights(vectors, l2_unit_ball=False)
     probability = atom_probability(cfg, (x,), cap=args.cap_full)
     payload = {
         "family": {"members": [], "n": family.n},

@@ -7,8 +7,9 @@ One lattice-sum kernel enumerates every law:
 * sign sums: S = sum_i eps_i v_i with eps_i independent uniform on
   {-1, +1}, which is the progression sum with m = 2.
 
-Weights (and an atom query's target) go on one integer `lattice`, scaled
-by their least common denominator. Each lattice point is packed into one
+A `WeightConfig` is its weights' integer lattice state, points over their
+least common denominator, made from rationals once (`WeightConfig.of`); a
+target goes on the same lattice (`lattice_target`). Each point is packed into one
 int (balanced digits of radix 2 * reach + 1, with reach bounding every
 coordinate of every partial sum), so a convolution step is one int add,
 and packed keys order as their points do. Every summand's support is
@@ -19,8 +20,8 @@ below the origin is ever built by a convolution. The atom query joins two
 such folded half-sum tables. Points are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
 any step; at d = 1 a key is its point. Every law is built by
-`lattice_law` from integer lattice points (`lattice`), one convolution
-step per weight. Every walk in atom order mirrors the law's one
+`lattice_law` from a config's lattice points, one convolution step per
+weight. Every walk in atom order mirrors the law's one
 sorted upper half (`upper_half`). The writers (`to_json`, and
 `formatted_atoms` for CSV) format only that half, one string per distinct
 count and coordinate, and write the mirrors below the origin from the same
@@ -29,7 +30,8 @@ Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
 on the atoms of both halves, checked as a convolution step grows, and
 `LAW_PAIR_CAP` on the (atom, step) pairs its steps visit, checked before
-each step; `DRAW_CAP` bounds the coordinate draws of one campaign weight.
+each step, firing once the steps to come must pass it; `DRAW_CAP` bounds the
+coordinate draws of one campaign weight.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .rational import RationalLike, Record, Vec, _read_fields, make_vec, norm_sq, ratio_str
+from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_str, wire
 
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
 # single-atom queries via half-sum tables cost O(2^(n/2)), and every law and
@@ -51,7 +54,9 @@ ATOM_QUERY_CAP = 40
 LAW_ATOM_CAP = 1 << 24
 # (atom, step) pairs one law's convolution may visit: a step's cost is its
 # atoms times its positive support points, which a progression of many points
-# makes far larger than the atoms; about 5 s of steps on a 2-vCPU host
+# makes far larger than the atoms. On a 2-vCPU host (CPython 3.11) a large
+# d = 2 sign law, the slowest kernel, took 24 s and 119 MB for 16.5M pairs
+# (0.7M pairs/s), and a progression law of 6.8M pairs 2.3-3.5 s
 LAW_PAIR_CAP = 1 << 24
 # Coordinate draws one campaign weight may take before its draw is refused:
 # the share of grid points in the unit ball falls like V_d / 2^d, so a draw
@@ -79,48 +84,68 @@ class CapExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class WeightConfig(Record):
-    """An ordered tuple of rational weight vectors for one sum.
+class WeightConfig:
+    """An ordered tuple of rational weight vectors for one sum, as its lattice state.
 
-    Invariants checked at construction: every weight has length `dim`;
-    weights are non-zero unless `allow_zero`; and unless `l2_unit_ball`
-    is disabled, every weight satisfies norm_sq(w) <= 1 exactly. The
-    escape hatch exists for searches constrained in a non-Euclidean
-    norm, whose ball is not contained in the Euclidean one; those
-    callers validate weights in their own norm.
+    Weight i is points[i] / scale. Construction divides out gcd(scale, every
+    coordinate), so configs are equal, and hash equal, exactly when their
+    weights and flags are. Rationals enter through `of`; `weights` makes the
+    Fractions for the wire and for messages. Checked in integers: every
+    weight has length `dim`; weights are non-zero unless `allow_zero`; and
+    unless `l2_unit_ball` is off, sum(a * a) <= scale * scale, so
+    norm_sq(w) <= 1. The escape hatch is for searches in a non-Euclidean
+    norm, whose ball is not inside the Euclidean one; they check their own.
     """
 
     dim: int
-    weights: tuple[Vec, ...]
+    scale: int
+    points: tuple[tuple[int, ...], ...]
     allow_zero: bool = False
     l2_unit_ball: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        weights = tuple(make_vec(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if not weights:
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        points = tuple(map(tuple, self.points))
+        if not points:
             raise ValueError("a config needs at least one weight")
-        for w in weights:
-            if len(w) != self.dim:
-                raise ValueError(
-                    f"weight {w} has length {len(w)}, expected dim {self.dim}"
-                )
-            if self.l2_unit_ball and norm_sq(w) > 1:
+        g = gcd(self.scale, *chain.from_iterable(points))
+        if g > 1:
+            points = tuple(tuple(a // g for a in pt) for pt in points)
+            object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "points", points)
+        dim, ball, zero = self.dim, self.l2_unit_ball, self.allow_zero
+        top = self.scale * self.scale
+        for pt in points:
+            if len(pt) != dim:
+                raise ValueError(f"weight {self._vec(pt)} has length {len(pt)}, expected dim {dim}")
+            if ball and sum(map(mul, pt, pt)) > top:
+                w = self._vec(pt)
                 raise ValueError(f"weight {w} has squared norm {norm_sq(w)} > 1")
-            if not self.allow_zero and not any(w):
+            if not (zero or any(pt)):
                 raise ValueError("zero weight in a config with allow_zero=False")
+
+    def _vec(self, pt: tuple[int, ...]) -> Vec:
+        return tuple(Fraction(a, self.scale) for a in pt)
+
+    @property
+    def weights(self) -> tuple[Vec, ...]:
+        return tuple(map(self._vec, self.points))
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.points)
 
     @classmethod
-    def from_scalars(
-        cls, values: Iterable[RationalLike], **kwargs
-    ) -> "WeightConfig":
-        return cls(dim=1, weights=tuple((v,) for v in values), **kwargs)
+    def of(cls, dim: int, weights: Iterable[Iterable[RationalLike]], **flags) -> "WeightConfig":
+        """The config of these rational weight vectors: the one entry of rationals."""
+        return cls(dim, *lattice([make_vec(w) for w in weights]), **flags)
+
+    @classmethod
+    def from_scalars(cls, values: Iterable[RationalLike], **flags) -> "WeightConfig":
+        return cls.of(1, [(v,) for v in values], **flags)
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightConfig":
@@ -130,7 +155,11 @@ class WeightConfig(Record):
         values |= _read_fields(obj, "config", partial=True, **flags)
         if not all(type(w) is list for w in values["weights"]):
             raise ValueError("config field 'weights' must hold one list per weight")
-        return cls(**values)
+        return cls.of(**values)
+
+    def to_json(self) -> dict:
+        flags = {"allow_zero": self.allow_zero, "l2_unit_ball": self.l2_unit_ball}
+        return {"dim": self.dim, "weights": wire(self.weights), **flags}
 
 
 @dataclass(frozen=True)
@@ -201,15 +230,9 @@ class AtomDistribution:
 
     def _key(self, x) -> Optional[int]:
         """The packed key of x * scale, or None when x is off the lattice or the box."""
-        x = make_vec(x)
-        if len(x) != self.dim:
-            raise ValueError(f"target has length {len(x)}, expected dim {self.dim}")
-        pt = []
-        for c in x:
-            a, rem = divmod(c.numerator * self.scale, c.denominator)
-            if rem or abs(a) > self.reach:
-                return None
-            pt.append(a)
+        pt = lattice_target(x, self.scale, self.dim)
+        if pt is None or any(abs(a) > self.reach for a in pt):
+            return None
         return _pack(pt, self.radix)
 
     def probability(self, x) -> Fraction:
@@ -354,6 +377,21 @@ def lattice(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, ...]]]:
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
 
 
+def lattice_target(x, scale: int, dim: int) -> Optional[tuple[int, ...]]:
+    """x * scale as an integer point of length dim, or None when x is off the
+    lattice of 1 / scale, where no sum of weights pt / scale lies."""
+    x = make_vec(x)
+    if len(x) != dim:
+        raise ValueError(f"target has length {len(x)}, expected dim {dim}")
+    pt = []
+    for c in x:
+        a, rem = divmod(c.numerator * scale, c.denominator)
+        if rem:
+            return None
+        pt.append(a)
+    return tuple(pt)
+
+
 def _packing(
     points: Sequence[tuple[int, ...]], dim: int, support: Sequence[int]
 ) -> tuple[int, int]:
@@ -397,15 +435,21 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     distinct intermediate atoms rather than len(support)^n; that count, of
     both halves, is capped by LAW_ATOM_CAP, read per call, and checked as a
     step grows whenever the step could pass it. The work, the (atom, step)
-    pairs the steps visit, is capped by LAW_PAIR_CAP before each step.
+    pairs the steps visit, is capped by LAW_PAIR_CAP before each step, as
+    soon as the overrun is certain: a step never shrinks the table (a zero
+    weight keeps its keys, and (A + s) | (A - s) has more points than A for
+    s != 0), so each step still to come visits at least the pairs this one
+    does, and the request is the pairs spent with this step plus those.
     """
     cap, pairs = LAW_ATOM_CAP, 0
     acc = {0: 1}
-    for w in keys:
+    for i, w in enumerate(keys):
         steps = [u * abs(w) for u in support if u > 0]
-        pairs += len(acc) * len(steps)
-        if pairs > LAW_PAIR_CAP:
-            raise CapExceeded("law pair", LAW_PAIR_CAP, pairs)
+        visits = len(acc) * len(steps)
+        pairs += visits
+        need = pairs + visits * (len(keys) - 1 - i)
+        if need > LAW_PAIR_CAP:
+            raise CapExceeded("law pair", LAW_PAIR_CAP, need)
         # a zero draw leaves every atom where it is: copy, then add the rest
         nxt = acc.copy() if 0 in support else {}
         get = nxt.get
@@ -445,16 +489,11 @@ def lattice_law(
     return AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
 
 
-def _law(weights: Sequence[Vec], dim: int, spec: APUniformSpec) -> AtomDistribution:
-    """Exact law of sum_i U_i w_i with U_i uniform on spec.support()."""
-    return lattice_law(*lattice(weights), dim, spec)
-
-
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
     """Exact law of the sign sum over all 2^n sign vectors."""
     if cfg.n > cap:
         raise CapExceeded("full-law summand", cap, cfg.n)
-    return _law(cfg.weights, cfg.dim, APUniformSpec(2))
+    return lattice_law(cfg.scale, cfg.points, cfg.dim, APUniformSpec(2))
 
 
 def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
@@ -464,19 +503,16 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     each half's signed sums once, and joins on the complement, so a single
     atom query costs O(2^(n/2)) instead of O(2^n).
     """
-    x = make_vec(x)
-    if len(x) != cfg.dim:
-        raise ValueError(f"target has length {len(x)}, expected dim {cfg.dim}")
+    target = lattice_target(x, cfg.scale, cfg.dim)
     if cfg.n > cap:
         raise CapExceeded("atom-query summand", cap, cfg.n)
-    _, (*scaled, target) = lattice([*cfg.weights, x])
     signs = APUniformSpec(2).support()
-    reach, radix = _packing(scaled, cfg.dim, signs)
-    if any(abs(t) > reach for t in target):
+    reach, radix = _packing(cfg.points, cfg.dim, signs)
+    if target is None or any(abs(t) > reach for t in target):
         return Fraction(0)
     # a join hit a + b = target has a + b in the box of radius reach, where
     # packing is one to one, so joining packed keys is exact
-    keys = [_pack(pt, radix) for pt in scaled]
+    keys = [_pack(pt, radix) for pt in cfg.points]
     cut = (cfg.n + 1) // 2
     front = _lattice_sums(keys[:cut], signs)
     back = _lattice_sums(keys[cut:], signs)
@@ -495,4 +531,4 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
 
 def ap_uniform_sum_distribution(spec: APUniformSpec, cfg: WeightConfig) -> AtomDistribution:
     """Exact law of sum_i U_i v_i with U_i uniform on spec.support()."""
-    return _law(cfg.weights, cfg.dim, spec)
+    return lattice_law(cfg.scale, cfg.points, cfg.dim, spec)

@@ -11,8 +11,9 @@ bound count over the law's one denominator, both integers; CSV cells are
 formatted from those integers, and `Fraction`s are made only for the
 equality and violation records. A law and its theorem-2 bounds are
 symmetric under x -> -x, so that check reads only the atoms above the
-origin and mirrors its rows and records. Configs are drawn and tested in
-integers, and a weight's draw is capped by `DRAW_CAP` coordinate draws.
+origin and mirrors its rows and records. Configs are drawn, tested and kept
+in integers, as grid points over the grid denominator, and a weight's draw is
+capped by `DRAW_CAP` coordinate draws.
 """
 
 from __future__ import annotations
@@ -97,20 +98,16 @@ class ConfigGenerator(Record):
     def _draw(self, rng: random.Random) -> WeightConfig:
         grid, d, allow_zero = self.grid_denominator, self.d, self.allow_zero
         randint, axes, top = rng.randint, range(d), grid * grid
-        weights = []
+        points = []
         for _ in range(self.n):
-            # a candidate is tested in integers; Fractions are made for the
-            # accepted one only
             for _ in range(DRAW_CAP // d):
                 a = [randint(-grid, grid) for _ in axes]
                 if sum(c * c for c in a) <= top and (allow_zero or any(a)):
-                    weights.append(tuple(Fraction(c, grid) for c in a))
+                    points.append(a)
                     break
             else:
                 raise CapExceeded("weight draw", DRAW_CAP, (DRAW_CAP // d + 1) * d)
-        return WeightConfig(
-            dim=self.d, weights=tuple(weights), allow_zero=self.allow_zero
-        )
+        return WeightConfig(d, grid, points, allow_zero=allow_zero)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ class EqualityRecord(Record):
 
 
 def _require_nonzero_weights(cfg: WeightConfig, what: str) -> None:
-    if any(is_zero(w) for w in cfg.weights):
+    if not all(map(any, cfg.points)):
         raise ValueError(f"{what} requires non-zero weights")
 
 

@@ -126,10 +126,6 @@ def parse_point(text: str) -> Vec:
     return make_vec(parts)
 
 
-def vec_scale(factor: Fraction, v: Vec) -> Vec:
-    return tuple(factor * c for c in v)
-
-
 def norm_sq(v: Vec) -> Fraction:
     """Squared Euclidean norm, exact, no square roots anywhere."""
     return sum((c * c for c in v), Fraction(0))

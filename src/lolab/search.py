@@ -9,9 +9,13 @@ replaced by another norm; by default the weight constraint uses the same
 norm, with an independent constraint norm available as an explicit switch.
 
 The explorer anneals over grid-rational weights in integers: a chain's
-state is their lattice points over their least common denominator, and
-Fractions are made only at its edges (start, resume, checkpoints, ties of
-candidate scores, exact rescores). One integer walk over a law's points
+state is a `WeightConfig` (with the Euclidean-ball check off, since the
+chain keeps its weights in the weight norm's ball), so lattice points over
+their least common denominator, and so is every candidate. A config from
+outside (to certify, to rescore, or a checkpoint's) passes one gate,
+`_checked_state`, and is then a state. Fractions appear only at the edges:
+checkpoints, ties of candidate scores and the reported candidates,
+witnesses and margins. One integer walk over a law's points
 above the origin (`_best_atom`) scores both the annealed states and the
 exact candidates: it reads their bounds through `SearchProblem.bounds_at`,
 a call into the one lookup of an atom's bound, `bounds.atom_bounds`, that
@@ -33,7 +37,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import lcm
 from typing import ClassVar, Optional, Sequence, Union
 
 from .bounds import EUCLIDEAN, NormSpec, atom_bounds
@@ -55,8 +59,6 @@ from .rational import (
     is_zero,
     make_vec,
     rat_str,
-    ratio_str,
-    vec_scale,
     vec_strs,
     wire,
 )
@@ -184,10 +186,10 @@ class MarginRow:
 
 def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
     """The config's law for an exact rescore or a certificate, under the caps."""
-    state = _checked_state(problem, cfg.dim, cfg.weights)
+    _checked_state(problem, cfg)
     if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
         raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
-    return lattice_law(*state, cfg.dim, problem.law_spec())
+    return lattice_law(cfg.scale, cfg.points, cfg.dim, problem.law_spec())
 
 
 def margin_rows(problem: SearchProblem, cfg: WeightConfig) -> list[MarginRow]:
@@ -342,43 +344,32 @@ class AnnealSettings(Record):
             raise ValueError(f"anneal settings file {path}: {exc}") from None
 
 
-# A chain's state (scale, points) holds its weights pt / scale over their least
-# common denominator: gcd(scale, every coordinate) == 1, so equal weights agree.
-State = tuple[int, tuple[tuple[int, ...], ...]]
+def _state(dim: int, scale: int, points: Sequence[tuple[int, ...]]) -> WeightConfig:
+    """A chain's state: the config of weights pt / scale, each non-zero and inside
+    the weight ball, which the chain's moves and the gate check in its own norm."""
+    return WeightConfig(dim, scale, points, l2_unit_ball=False)
 
 
-def _canonical(scale: int, points: Sequence[tuple[int, ...]]) -> State:
-    g = gcd(scale, *(a for pt in points for a in pt))
-    if g == 1:
-        return scale, tuple(points)
-    return scale // g, tuple(tuple(a // g for a in pt) for pt in points)
-
-
-def _placed(state: State, i: int, pt: Sequence[int], s: int) -> State:
+def _placed(state: WeightConfig, i: int, pt: Sequence[int], s: int) -> WeightConfig:
     """The state with weight i set to pt / s, or with pt / s appended at i = n."""
-    scale, points = state
+    scale, points = state.scale, state.points
     common = lcm(scale, s)
     f, g = common // scale, common // s
     points = [tuple(a * f for a in p) for p in points] if f > 1 else list(points)
     points[i : i + 1] = [tuple(a * g for a in pt)]
-    return _canonical(common, points)
+    return _state(state.dim, common, points)
 
 
-def _weights(state: State) -> tuple[Vec, ...]:
-    scale, points = state
-    return tuple(tuple(Fraction(a, scale) for a in pt) for pt in points)
-
-
-def _ranked(top: dict, limit: Optional[int] = None) -> list[tuple[State, float]]:
+def _ranked(top: dict, limit: Optional[int] = None) -> list[tuple[WeightConfig, float]]:
     """The one candidate order of (state, score) items: score down, then n, then the
     repr of the Fraction weights where those tie. With a limit, the first items, a
     set to the callers: only the tied group that the limit cuts is put in order."""
     ranked = []
-    items = sorted(top.items(), key=lambda item: (-item[1], len(item[0][1])))
-    for _, group in groupby(items, key=lambda item: (item[1], len(item[0][1]))):
+    items = sorted(top.items(), key=lambda item: (-item[1], item[0].n))
+    for _, group in groupby(items, key=lambda item: (item[1], item[0].n)):
         group = list(group)
         if group[1:] and (limit is None or len(ranked) + len(group) > limit):
-            group.sort(key=lambda item: repr(_weights(item[0])))
+            group.sort(key=lambda item: repr(item[0].weights))
         ranked += group
         if limit is not None and len(ranked) >= limit:
             break
@@ -396,7 +387,7 @@ class _Chain:
     seed: int
     d: int
     rng: random.Random
-    state: State
+    state: WeightConfig
     score: float
     best_score: float
     since_improve: int = 0
@@ -410,7 +401,7 @@ class _Chain:
         self,
         problem: SearchProblem,
         settings: AnnealSettings,
-        state: State,
+        state: WeightConfig,
         iteration: int,
     ) -> tuple[float, bool]:
         """Score, flag and keep a state: its score, and whether it beat the best.
@@ -418,7 +409,7 @@ class _Chain:
         The kept states are pruned to the best `keep`, at least top_candidates
         of them, so the final ranking is that of every state scored.
         """
-        score, flags = _score(problem, self.d, state)
+        score, flags = _score(problem, state)
         self.flagged += flags
         if score > self.top.get(state, float("-inf")):
             self.top[state] = score
@@ -437,8 +428,8 @@ class _Chain:
             "index": self.index,
             "seed": self.seed,
             "d": self.d,
-            "n": len(self.state[1]),
-            "weights": _weight_strs(*self.state),
+            "n": self.state.n,
+            "weights": wire(self.state.weights),
             "score": None if self.score == float("-inf") else self.score,
             "best_score": None if self.best_score == float("-inf") else self.best_score,
             "since_improve": self.since_improve,
@@ -446,8 +437,8 @@ class _Chain:
             "flagged": self.flagged,
             "rng_state": [state[0], list(state[1]), state[2]],
             "top": [
-                {"n": len(points), "weights": _weight_strs(scale, points), "score": score}
-                for (scale, points), score in _ranked(self.top)
+                {"n": state.n, "weights": wire(state.weights), "score": score}
+                for state, score in _ranked(self.top)
             ],
             "trace": [[it, score] for it, score in self.trace],
         }
@@ -469,8 +460,7 @@ class _Chain:
             entry = _read_fields(
                 entry, f"top[{i}]", n=(int,), weights=(list,), score=(int, float)
             )
-            weights = list(map(make_vec, entry["weights"]))
-            top.append((entry["n"], weights, entry["score"]))
+            top.append((entry["n"], entry["weights"], entry["score"]))
         for entry in values["trace"]:
             kinds = list(map(type, entry)) if type(entry) is list else None
             if kinds not in ([int, int], [int, float]):
@@ -490,40 +480,35 @@ class _Chain:
                 values[name] = float("-inf")
         values["trace"] = [tuple(entry) for entry in values["trace"]]
 
-        def state(n: int, weights: list) -> State:
+        def state(n: int, weights: list) -> WeightConfig:
             if n != len(weights):
                 raise ValueError(f"has n = {n} and {len(weights)} weights")
-            return _checked_state(problem, values["d"], weights)
+            # zero weights reach the gate, which names them
+            flags = dict(allow_zero=True, l2_unit_ball=False)
+            return _checked_state(problem, WeightConfig.of(values["d"], weights, **flags))
 
-        n, weights = values.pop("n"), [make_vec(w) for w in values.pop("weights")]
+        n, weights = values.pop("n"), values.pop("weights")
         chain = cls(rng=rng, state=state(n, weights), **values)
         for n, weights, score in top:
             chain.top[state(n, weights)] = score
         return chain
 
 
-def _weight_strs(scale: int, points: Sequence[tuple[int, ...]]) -> list[list[str]]:
-    return [[ratio_str(a, scale) for a in pt] for pt in points]
-
-
-def _checked_state(problem: SearchProblem, d: int, weights: Sequence[Vec]) -> State:
-    """The one check of weights entering a search (to certify, rescore or resume):
-    their canonical state, unless the cell could not reach them."""
-    if not 1 <= len(weights) <= problem.n:
-        raise ValueError(f"config has n = {len(weights)}; the cell allows n in 1..{problem.n}")
-    if d not in problem.dimensions():
+def _checked_state(problem: SearchProblem, cfg: WeightConfig) -> WeightConfig:
+    """The one check of a config entering a search (to certify, rescore or resume):
+    its chain state, unless the cell could not reach it."""
+    if not 1 <= cfg.n <= problem.n:
+        raise ValueError(f"config has n = {cfg.n}; the cell allows n in 1..{problem.n}")
+    if cfg.dim not in problem.dimensions():
         dims = list(problem.dimensions())
-        raise ValueError(f"config has d = {d}; the cell explores d in {dims}")
-    scale, points = lattice(weights)
+        raise ValueError(f"config has d = {cfg.dim}; the cell explores d in {dims}")
     ball = problem.weight_norm()
-    for w, pt in zip(weights, points):
-        if len(pt) != d:
-            raise ValueError(f"weight {vec_strs(w)} has length {len(pt)}, not d = {d}")
+    for pt, w in zip(cfg.points, cfg.weights):
         if not any(pt):
             raise ValueError("search configs need non-zero weights")
-        if not ball.contains(pt, scale):
+        if not ball.contains(pt, cfg.scale):
             raise ValueError(f"weight {vec_strs(w)} is outside the {ball.label()} unit ball")
-    return scale, tuple(points)
+    return _state(cfg.dim, cfg.scale, cfg.points)
 
 
 def _best_atom(
@@ -556,10 +541,10 @@ def _best_atom(
     return best, flagged
 
 
-def _score(problem: SearchProblem, d: int, state: State) -> tuple[float, int]:
+def _score(problem: SearchProblem, state: WeightConfig) -> tuple[float, int]:
     """The float of a state's best margin, one correctly rounded division of the
     walk's integer excess, so of the exact margin's sign; and the flag count."""
-    law = lattice_law(*state, d, problem.law_spec())
+    law = lattice_law(state.scale, state.points, state.dim, problem.law_spec())
     best, flagged = _best_atom(problem, law)
     return (float("-inf") if best is None else best[0] / law.denom, flagged)
 
@@ -584,16 +569,16 @@ def _random_weight(
 
 def _initial_state(
     rng: random.Random, problem: SearchProblem, settings: AnnealSettings, d: int
-) -> State:
-    state: State = (1, ())
-    for i in range(rng.randint(1, problem.n)):
-        state = _placed(state, i, *_random_weight(rng, problem, settings, d))
-    return state
+) -> WeightConfig:
+    n = rng.randint(1, problem.n)
+    drawn = [_random_weight(rng, problem, settings, d) for _ in range(n)]
+    scale = lcm(*(s for _, s in drawn))
+    return _state(d, scale, [tuple(a * (scale // s) for a in pt) for pt, s in drawn])
 
 
 def _propose(
     chain: _Chain, problem: SearchProblem, settings: AnnealSettings
-) -> Optional[State]:
+) -> Optional[WeightConfig]:
     """One move: perturb a coordinate, push to the ball boundary, or resize n.
 
     Returns None when the proposal fails validity; the iteration is still
@@ -604,7 +589,7 @@ def _propose(
     ball = problem.weight_norm()
     grid = settings.grid_denominator
     kind = rng.random()
-    scale, points = chain.state
+    scale, points = chain.state.scale, chain.state.points
     n = len(points)
     if kind < 0.70:
         i = rng.randrange(n)
@@ -634,7 +619,7 @@ def _propose(
         return _placed(chain.state, n, *_random_weight(rng, problem, settings, chain.d))
     if not grow and n > 1:
         i = rng.randrange(n)
-        return _canonical(scale, points[:i] + points[i + 1 :])
+        return _state(chain.d, scale, points[:i] + points[i + 1 :])
     return None
 
 
@@ -693,16 +678,17 @@ def _run_chain(
 
 def _structured_bases(
     problem: SearchProblem, settings: AnnealSettings, d: int
-) -> list[Vec]:
+) -> list[WeightConfig]:
+    """The one-weight states, each once, whose copies the structured sweep scores."""
     grid = settings.grid_denominator
-    e1 = make_vec((1,) + (0,) * (d - 1))
-    cands = [e1, vec_scale(Fraction(grid - 1, grid), e1), vec_scale(Fraction(1, 2), e1)]
+    e1, ones = (1,) + (0,) * (d - 1), (1,) * d
+    cands = [(e1, 1), ((grid - 1,) + e1[1:], grid), (e1, 2)]
     if d >= 2:
-        ones = make_vec((1,) * d)
-        cands += [ones, vec_scale(Fraction(1, 2), ones)]
-        cands.append(make_vec(("3/5", "4/5") + (0,) * (d - 2)))
+        cands += [(ones, 1), (ones, 2), ((3, 4) + (0,) * (d - 2), 5)]
     ball = problem.weight_norm()
-    return [w for w in dict.fromkeys(cands) if not is_zero(w) and ball.leq_one(w)]
+    # at grid 1, (grid - 1) * e1 is zero, which no state holds
+    bases = [_state(d, s, [pt]) for pt, s in cands if any(pt) and ball.contains(pt, s)]
+    return list(dict.fromkeys(bases))
 
 
 @dataclass
@@ -724,10 +710,10 @@ def _exact_candidate(
     cfg: WeightConfig,
     float_score: Optional[float],
     structured: bool,
-    law: AtomDistribution,
 ) -> Candidate:
-    """The exact rescore of cfg from its law, which the caller builds with
-    `lattice_law` from cfg's lattice points, validated where they entered."""
+    """The exact rescore of a state from its law; states are validated where
+    they enter, and the structured sweep's bases are inside the ball."""
+    law = lattice_law(cfg.scale, cfg.points, cfg.dim, problem.law_spec())
     best, flagged = _best_atom(problem, law)
     if best is None:
         x = margin = lhs = rhs = None
@@ -885,18 +871,14 @@ def anneal(
         settings = AnnealSettings() if settings is None else settings
         chains = [_new_chain(i, problem, settings) for i in range(settings.chains)]
 
-    spec = problem.law_spec()
     structured: list[Candidate] = []
     if settings.structured_first and resume is None:
         count = min(problem.n, settings.structured_n_max)
         for d in problem.dimensions():
             for base in _structured_bases(problem, settings, d):
-                # the laws of (base,) * 1..count, in the cell unchecked
-                scale, points = lattice([base] * count)
                 for n in range(1, count + 1):
-                    law = lattice_law(scale, points[:n], d, spec)
-                    cfg = WeightConfig(d, (base,) * n, l2_unit_ball=False)
-                    structured.append(_exact_candidate(problem, cfg, None, True, law))
+                    cfg = _state(d, base.scale, base.points * n)
+                    structured.append(_exact_candidate(problem, cfg, None, True))
 
     chains = [_run_chain(chain, problem, settings) for chain in chains]
 
@@ -908,12 +890,10 @@ def anneal(
         for state, score in chain.top.items():
             if score > merged.get(state, float("-inf")):
                 merged[state] = score
-    annealed = []
-    for (scale, points), score in _ranked(merged, settings.top_candidates):
-        # the integers _score walked: states were validated where they entered
-        cfg = WeightConfig(len(points[0]), _weights((scale, points)), l2_unit_ball=False)
-        law = lattice_law(scale, points, cfg.dim, spec)
-        annealed.append(_exact_candidate(problem, cfg, score, False, law))
+    annealed = [
+        _exact_candidate(problem, state, score, False)
+        for state, score in _ranked(merged, settings.top_candidates)
+    ]
 
     unique: dict = {}
     for cand in structured + annealed:

@@ -84,6 +84,22 @@ def brute_sign_atom(weights, x):
     return brute_sign_distribution(weights).get(x, Fraction(0))
 
 
+def brute_pair_total(keys, support):
+    """The (key, step) pairs the half-law kernel visits on these packed keys.
+
+    Before each step the kernel holds the distinct |sums| of the keys so
+    far, found here by enumerating every draw, and visits each once per
+    positive support point.
+    """
+    positive = sum(1 for u in support if u > 0)
+    total = 0
+    for i in range(len(keys)):
+        draws = product(support, repeat=i)
+        half = {abs(sum(u * k for u, k in zip(draw, keys))) for draw in draws}
+        total += len(half) * positive
+    return total
+
+
 def brute_ap_distribution(weights, m):
     """Law of sum u_i w_i with u_i over the m symmetric progression points."""
     n = len(weights)
@@ -171,9 +187,7 @@ def reference_configs(gen):
             q = norm_sq(w)
             if q <= 1 and (q > 0 or gen.allow_zero):
                 weights.append(w)
-        configs.append(
-            WeightConfig(dim=gen.d, weights=tuple(weights), allow_zero=gen.allow_zero)
-        )
+        configs.append(WeightConfig.of(gen.d, weights, allow_zero=gen.allow_zero))
     return configs
 
 
@@ -331,4 +345,4 @@ def weight_configs(draw, max_n=6, dims=(1, 2, 3), max_denominator=6):
     weights = tuple(
         draw(weight_vectors(dim, max_denominator=max_denominator)) for _ in range(n)
     )
-    return WeightConfig(dim=dim, weights=weights)
+    return WeightConfig.of(dim, weights)

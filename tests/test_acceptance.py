@@ -74,7 +74,7 @@ def criterion(number: int, label: str):
 
 def e1_copies(n: int, d: int) -> WeightConfig:
     w = (Fraction(1),) + (Fraction(0),) * (d - 1)
-    return WeightConfig(dim=d, weights=(w,) * n)
+    return WeightConfig.of(d, [w] * n)
 
 
 def _json_str(report) -> str:
@@ -294,7 +294,7 @@ def test_criterion_7_atom_families():
                 if not positive:
                     break
                 x = positive[idx]
-                fam = build_family(ws, x)
+                fam = build_family(cfg, x)
                 k = math.ceil(x)
                 assert is_antichain(fam)
                 assert is_k_intersecting(fam, k)

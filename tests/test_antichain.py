@@ -35,6 +35,12 @@ from lolab.cli import _members_json
 from lolab.engine import WRITE_CHUNK
 
 
+def family_of(ws, x, **kwargs):
+    """build_family of these scalar weights; zero and negative ones reach its check."""
+    cfg = WeightConfig.from_scalars(ws, allow_zero=True, l2_unit_ball=False)
+    return build_family(cfg, x, **kwargs)
+
+
 def members_text(family):
     """The report's "members" text, its chunks joined."""
     return "".join(_members_json(family))
@@ -94,19 +100,19 @@ class TestSubsetFamily:
 
 class TestBuildFamily:
     def test_unit_triple(self):
-        fam = build_family([1, 1, 1], 1)
+        fam = family_of([1, 1, 1], 1)
         assert family_sets(fam) == {(1, 2), (1, 3), (2, 3)}
 
     def test_unit_pair_at_zero(self):
-        fam = build_family([1, 1], 0)
+        fam = family_of([1, 1], 0)
         assert family_sets(fam) == {(1,), (2,)}
 
     def test_mixed_weights(self):
-        fam = build_family([Fraction(1, 2), 1], Fraction(3, 2))
+        fam = family_of([Fraction(1, 2), 1], Fraction(3, 2))
         assert family_sets(fam) == {(1, 2)}
 
     def test_parity_mismatch_is_empty(self):
-        assert len(build_family([1, 1], 1)) == 0
+        assert len(family_of([1, 1], 1)) == 0
 
     @pytest.mark.parametrize("x", (1, 100, -100))
     def test_empty_families_list_no_subset_sums(self, x):
@@ -114,7 +120,7 @@ class TestBuildFamily:
         # empty before any of the 2^20 subset sums is listed
         tracemalloc.start()
         try:
-            family = build_family([1] * 20, x)
+            family = family_of([1] * 20, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -133,7 +139,7 @@ class TestBuildFamily:
             st.sampled_from(sorted(reached))
             | st.fractions(min_value=-4, max_value=4, max_denominator=8)
         )
-        assert list(build_family(ws, x).members) == brute_family(ws, x)
+        assert list(family_of(ws, x).members) == brute_family(ws, x)
 
     def test_halves_are_listed_not_the_whole(self):
         # 22 weights of the grid of 16ths: listing all 2^22 subset sums
@@ -144,7 +150,7 @@ class TestBuildFamily:
         x = Fraction(93, 16)
         tracemalloc.start()
         try:
-            family = build_family(ws, x)
+            family = family_of(ws, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -154,21 +160,21 @@ class TestBuildFamily:
         assert peak < 8 << 20
 
     def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            build_family([1, 0], 1)
-        with pytest.raises(ValueError):
-            build_family([1, Fraction(-1, 2)], 1)
+        with pytest.raises(ValueError, match="strictly positive, got 0"):
+            family_of([1, 0], 1)
+        with pytest.raises(ValueError, match="strictly positive, got -1/2"):
+            family_of([1, Fraction(-1, 2)], 1)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            build_family([1] * 5, 1, cap=4)
+            family_of([1] * 5, 1, cap=4)
 
     @given(
         st.lists(positive_scalars, min_size=1, max_size=8),
         st.fractions(min_value=0, max_value=4, max_denominator=8),
     )
     def test_cardinality_matches_atom_probability(self, ws, x):
-        fam = build_family(ws, x)
+        fam = family_of(ws, x)
         cfg = WeightConfig.from_scalars(ws, l2_unit_ball=False)
         assert Fraction(len(fam), 2 ** len(ws)) == atom_probability(cfg, (x,))
 
@@ -181,7 +187,7 @@ class TestBuildFamily:
     def test_structure_for_positive_targets(self, ws, x):
         # Positive target, weights in (0, 1]: antichain, and any two
         # members share at least ceil(x) indices.
-        fam = build_family(ws, x)
+        fam = family_of(ws, x)
         assert is_antichain(fam)
         k = ceil_sqrt(x * x)
         assert is_k_intersecting(fam, min(k, len(ws)))
@@ -248,7 +254,7 @@ class TestBitsetChecks:
 
     def test_largest_unit_family_checked_quickly(self):
         # 43,758 members: a pair loop over them took about a minute
-        fam = build_family([1] * 18, 2)
+        fam = family_of([1] * 18, 2)
         assert len(fam) == 43758
         assert is_antichain(fam)
         assert is_k_intersecting(fam, 2)
@@ -267,7 +273,7 @@ class TestVerifyMilner:
     """milner_report, the one check of the size bound."""
 
     def test_holds_on_built_family(self):
-        fam = build_family([1, 1, 1, 1], 2)
+        fam = family_of([1, 1, 1, 1], 2)
         assert milner_holds(fam, 2)
         assert len(fam) <= milner_bound(4, 2)
 
@@ -283,7 +289,7 @@ class TestVerifyMilner:
             return bytearray(size)
 
         monkeypatch.setattr(antichain, "bytearray", counted, raising=False)
-        fam = build_family([1] * 10, 2)
+        fam = family_of([1] * 10, 2)
         assert milner_holds(fam, 2)
         assert sizes == [(1 << 10) // 8]
 
@@ -329,7 +335,7 @@ class TestVerifyMilner:
             x = rat(rng.choice([1, 2, Fraction(1, 2), Fraction(3, 2)]))
             if x > total:
                 continue
-            fam = build_family(ws, x)
+            fam = family_of(ws, x)
             k = min(ceil_sqrt(x * x), n)
             assert milner_holds(fam, k)
             assert len(fam) <= milner_bound(n, k)

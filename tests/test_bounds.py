@@ -79,7 +79,7 @@ class TestErdosKleitman:
 
     @given(weight_vectors(dim=2), st.integers(min_value=1, max_value=5))
     def test_dominates_max_atom(self, w, n):
-        cfg = WeightConfig(dim=2, weights=(w,) * n)
+        cfg = WeightConfig.of(2, (w,) * n)
         _, p = max_atom(full_distribution(cfg))
         assert p <= erdos_kleitman_bound(n)
 
@@ -179,9 +179,9 @@ class TestZeroWeightsSup:
     def test_padding_with_zeros_cannot_exceed(self, extra):
         x = (Fraction(2),)
         base = zero_weights_extremal(x)
-        padded = WeightConfig(
-            dim=1,
-            weights=base.weights + ((Fraction(0),),) * extra,
+        padded = WeightConfig.of(
+            1,
+            base.weights + ((Fraction(0),),) * extra,
             allow_zero=True,
         )
         assert atom_probability(padded, x) == zero_weights_sup(4)
@@ -281,8 +281,8 @@ class TestAPUniformBound:
             return
         from lolab import APUniformSpec, ap_uniform_sum_distribution
 
-        cfg = WeightConfig(
-            dim=1, weights=((Fraction(k, t),),) * n, l2_unit_ball=(k <= t)
+        cfg = WeightConfig.of(
+            1, ((Fraction(k, t),),) * n, l2_unit_ball=(k <= t)
         )
         dist = ap_uniform_sum_distribution(APUniformSpec(m), cfg)
         assert dist.probability((k,)) == bound

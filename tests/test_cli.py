@@ -617,13 +617,15 @@ class TestEarlyCaps:
             (["search", "--conjecture", "1", "--m", "3001", "--n", "4", "--budget",
               "100", "--chains", "1", "--seed", "1"], 49459500, 2.0),
             (["dist", "--ap-m", "3001", "--weights", ",".join(["1"] * 8)],
-             22507500, 10.0),
+             29262000, 2.0),
         ],
         ids=("search", "dist"),
     )
     def test_progression_past_the_pair_cap_exits(self, capsys, argv, needs, seconds):
         # a step of a 3001-point progression visits 1500 pairs per key: under
-        # the atom cap such laws took minutes, and the pair cap fires first
+        # the atom cap such laws took minutes, and the pair cap fires first,
+        # as soon as the steps to come must pass it: the dist law at its
+        # fifth step, after 7.5M pairs spent, needing at least 29.3M
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < seconds

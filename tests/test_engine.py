@@ -8,7 +8,9 @@ import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +19,7 @@ import hypothesis.strategies as st
 from conftest import (
     assert_symmetric_law,
     brute_ap_distribution,
+    brute_pair_total,
     brute_sign_atom,
     brute_sign_distribution,
     full_counts,
@@ -24,6 +27,7 @@ from conftest import (
     rademacher_atom,
     rotate,
     weight_configs,
+    weight_vectors,
 )
 from lolab import (
     ATOM_QUERY_CAP,
@@ -39,8 +43,8 @@ from lolab import (
     rat_str,
 )
 from lolab import engine
-from lolab.engine import _law, _lattice_sums, lattice
-from lolab.rational import vec_strs
+from lolab.engine import _lattice_sums, lattice_law
+from lolab.rational import make_vec, vec_strs
 
 
 class TestWeightConfig:
@@ -52,29 +56,63 @@ class TestWeightConfig:
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
-            WeightConfig(dim=1, weights=((Fraction(0),),))
+            WeightConfig.of(1, ((Fraction(0),),))
 
     def test_allow_zero_flag(self):
-        cfg = WeightConfig(dim=1, weights=((Fraction(0),),), allow_zero=True)
+        cfg = WeightConfig.of(1, ((Fraction(0),),), allow_zero=True)
         assert cfg.n == 1
 
     def test_rejects_norm_above_one(self):
-        with pytest.raises(ValueError):
-            WeightConfig(dim=2, weights=((Fraction(1), Fraction(1)),))
+        # the messages name the weight as Fractions
+        message = r"\(Fraction\(1, 1\), Fraction\(1, 1\)\) has squared norm 2 > 1"
+        with pytest.raises(ValueError, match=message):
+            WeightConfig.of(2, ((Fraction(1), Fraction(1)),))
 
     def test_unit_ball_escape_hatch(self):
-        cfg = WeightConfig(
-            dim=2, weights=((Fraction(1), Fraction(1)),), l2_unit_ball=False
+        cfg = WeightConfig.of(
+            2, ((Fraction(1), Fraction(1)),), l2_unit_ball=False
         )
         assert cfg.n == 1
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightConfig(dim=2, weights=((Fraction(1),),))
+        message = r"\(Fraction\(1, 1\),\) has length 1, expected dim 2"
+        with pytest.raises(ValueError, match=message):
+            WeightConfig.of(2, ((Fraction(1),),))
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(weight_vectors(d, allow_zero=True), min_size=1, max_size=4),
+            )
+        ),
+        st.integers(min_value=2, max_value=12),
+    )
+    def test_holds_the_canonical_lattice_state(self, case, c):
+        # weights pt / scale over their least common denominator, so configs
+        # are equal, and hash equal, exactly when their rational weights are
+        d, ws = case
+        cfg = WeightConfig.of(d, ws, allow_zero=True)
+        assert cfg.weights == tuple(map(make_vec, ws))
+        assert gcd(cfg.scale, *chain.from_iterable(cfg.points)) == 1
+        points = [tuple(c * a for a in pt) for pt in cfg.points]
+        scaled = WeightConfig(d, c * cfg.scale, points, allow_zero=True)
+        assert scaled == cfg and hash(scaled) == hash(cfg)
+        assert scaled.scale == cfg.scale and scaled.points == cfg.points
+        reordered = WeightConfig.of(d, ws[::-1], allow_zero=True)
+        assert (reordered == cfg) == (reordered.weights == cfg.weights)
+        again = WeightConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        assert again == cfg and again.to_json() == cfg.to_json()
+
+    def test_equal_to_its_rational_weights(self):
+        half = WeightConfig.of(1, [["1/2"]])
+        assert WeightConfig(1, 4, [(2,)]) == half
+        assert hash(WeightConfig(1, 4, [(2,)])) == hash(half)
+        assert WeightConfig(1, 4, [(2,)], l2_unit_ball=False) != half
 
     def test_rejects_float_coordinates(self):
         with pytest.raises(TypeError):
-            WeightConfig(dim=1, weights=((0.5,),))
+            WeightConfig.of(1, ((0.5,),))
 
     def test_json_round_trip(self):
         cfg = WeightConfig.from_scalars(["1/2", "-1/3"], allow_zero=False)
@@ -110,9 +148,9 @@ class TestFullDistribution:
         }
 
     def test_planar_pair(self):
-        cfg = WeightConfig(
-            dim=2,
-            weights=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        cfg = WeightConfig.of(
+            2,
+            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
         )
         dist = full_distribution(cfg)
         assert dist.probability((1, 1)) == Fraction(1, 4)
@@ -148,9 +186,9 @@ class TestFullDistribution:
 
     @given(weight_configs(max_n=5))
     def test_sign_flip_invariance(self, cfg):
-        flipped = WeightConfig(
-            dim=cfg.dim,
-            weights=(tuple(-c for c in cfg.weights[0]),) + cfg.weights[1:],
+        flipped = WeightConfig.of(
+            cfg.dim,
+            (tuple(-c for c in cfg.weights[0]),) + cfg.weights[1:],
         )
         assert full_distribution(flipped).atoms == full_distribution(cfg).atoms
 
@@ -177,14 +215,14 @@ class TestAtomProbability:
 
     @given(weight_configs(max_n=6), st.integers(min_value=0, max_value=2))
     @example(WeightConfig.from_scalars(["1", "1", "1", "1"]), 0)  # both halves hit 0
-    @example(WeightConfig(dim=2, weights=(("-1/2", "1/3"), ("1/2", "1/4"))), 1)  # key < 0
+    @example(WeightConfig.of(2, (("-1/2", "1/3"), ("1/2", "1/4"))), 1)  # key < 0
     def test_folded_join_matches_brute_force(self, cfg, zeros):
         # the join reads two tables of keys >= 0, each front key a > 0
         # standing for a and -a: at every atom, above and below the origin,
         # and at the origin, with zero weights (which only scale the law) in
         # either half
         weights = cfg.weights + ((Fraction(0),) * cfg.dim,) * zeros
-        cfg = WeightConfig(dim=cfg.dim, weights=weights, allow_zero=True)
+        cfg = WeightConfig.of(cfg.dim, weights, allow_zero=True)
         brute = brute_sign_distribution(cfg.weights)
         for x in [*brute, (Fraction(0),) * cfg.dim]:
             assert atom_probability(cfg, x) == brute.get(x, 0)
@@ -207,16 +245,16 @@ class TestAtomProbability:
             atom_probability(cfg, (0,), cap=5)
 
     @given(weight_configs(max_n=5))
-    @example(WeightConfig(dim=2, weights=((1, 0), (0, 1))))
-    @example(WeightConfig(dim=2, weights=(("1/2", "-1/3"), ("-1/4", "2/3"))))
-    @example(WeightConfig(dim=3, weights=((0, 0, 1), (0, "1/2", "-1/2"), (1, 0, 0))))
+    @example(WeightConfig.of(2, ((1, 0), (0, 1))))
+    @example(WeightConfig.of(2, (("1/2", "-1/3"), ("-1/4", "2/3"))))
+    @example(WeightConfig.of(3, ((0, 0, 1), (0, "1/2", "-1/2"), (1, 0, 0))))
     def test_packed_join_at_and_past_the_reach(self, cfg):
         # reach is the largest coordinate sum of |w|; the query packs points
         # with radix 2 * reach + 1. Targets: every atom; the aligned atom on
         # the reach and one lattice step past it; and each point that the
         # radix, or a radix one too small, packs onto an atom's key (one up
         # in a coordinate, radix down in the next), inside the box or not
-        scale, points = lattice(cfg.weights)
+        scale, points = cfg.scale, cfg.points
         sums = [sum(abs(pt[j]) for pt in points) for j in range(cfg.dim)]
         reach = max(sums)
         j = sums.index(reach)
@@ -242,8 +280,8 @@ class TestAtomProbability:
 
     @given(weight_configs(dims=(2,), max_n=5))
     def test_rotation_invariance(self, cfg):
-        rotated = WeightConfig(
-            dim=2, weights=tuple(rotate(w) for w in cfg.weights)
+        rotated = WeightConfig.of(
+            2, tuple(rotate(w) for w in cfg.weights)
         )
         for pt, p in full_distribution(cfg).atoms.items():
             assert atom_probability(rotated, rotate(pt)) == p
@@ -361,6 +399,32 @@ class TestLatticeSums:
         monkeypatch.setattr(engine, "LAW_PAIR_CAP", 18)
         assert len(ap_uniform_sum_distribution(spec, cfg).atoms) == 13
 
+    def test_pair_cap_fires_once_the_overrun_is_certain(self, monkeypatch):
+        # the same law: before its second step 2 pairs are spent, and that
+        # step visits 3 keys times 2 steps; a step never shrinks the table, so
+        # the last step visits at least 6 more, and 2 + 6 + 6 = 14 pass 13
+        spec, cfg = APUniformSpec(5), WeightConfig.from_scalars(["1"] * 3)
+        monkeypatch.setattr(engine, "LAW_PAIR_CAP", 13)
+        with pytest.raises(CapExceeded, match="law pair cap is 13, request needs 14"):
+            ap_uniform_sum_distribution(spec, cfg)
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5),
+        st.integers(min_value=2, max_value=5),
+    )
+    @example([0, 0, 3], 3)  # zero weights keep the table's size
+    @example([2, 0, -2, 0], 4)
+    @example([3, -3, 3], 2)  # partial sums land on the origin
+    def test_pair_cap_refuses_exactly_the_laws_past_it(self, keys, m):
+        # a cap of the law's exact pair total builds it, and one below refuses
+        support = APUniformSpec(m).support()
+        total = brute_pair_total(keys, support)
+        with patch.object(engine, "LAW_PAIR_CAP", total):
+            assert _lattice_sums(keys, support)
+        with patch.object(engine, "LAW_PAIR_CAP", total - 1):
+            with pytest.raises(CapExceeded, match="law pair"):
+                _lattice_sums(keys, support)
+
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), max_size=5),
         st.integers(min_value=2, max_value=5),
@@ -385,17 +449,17 @@ class TestLatticeSums:
         st.integers(min_value=2, max_value=5),
     )
     @example(
-        WeightConfig(dim=2, weights=(("1/2", "-1/3"), ("-1/4", "2/3"), ("-1/3", "-1/3"))), 3
+        WeightConfig.of(2, (("1/2", "-1/3"), ("-1/4", "2/3"), ("-1/3", "-1/3"))), 3
     )
-    @example(WeightConfig(dim=3, weights=(("-1/2", 0, "1/2"), (0, "-3/4", "1/4"))), 4)
-    @example(WeightConfig(dim=2, weights=(("-1/2", "1/3"), ("1/2", "-1/3"))), 2)  # back to 0
-    @example(WeightConfig(dim=3, weights=((0, 0, "-1/2"), (0, "1/2", 0), (0, 0, "1/2"))), 5)
+    @example(WeightConfig.of(3, (("-1/2", 0, "1/2"), (0, "-3/4", "1/4"))), 4)
+    @example(WeightConfig.of(2, (("-1/2", "1/3"), ("1/2", "-1/3"))), 2)  # back to 0
+    @example(WeightConfig.of(3, ((0, 0, "-1/2"), (0, "1/2", 0), (0, 0, "1/2"))), 5)
     def test_packed_kernel_matches_brute_force(self, cfg, m):
         # points go through the kernel packed into ints, the half at or
         # above the origin only, and are decoded at the law; mixed-sign
         # coordinates give negative digits, and a weight whose first non-zero
         # coordinate is negative a negative key
-        law = _law(cfg.weights, cfg.dim, APUniformSpec(m))
+        law = lattice_law(cfg.scale, cfg.points, cfg.dim, APUniformSpec(m))
         brute = brute_ap_distribution(cfg.weights, m)
         if m == 2:
             assert brute == brute_sign_distribution(cfg.weights)
@@ -442,12 +506,12 @@ def writer_examples(test):
     examples = (
         (WeightConfig.from_scalars(["1", "1/2", "1/2"]), 3),
         (WeightConfig.from_scalars(["2/3"]), 2),
-        (WeightConfig(dim=2, weights=((Fraction(-1, 2), Fraction(1, 3)),)), 4),
+        (WeightConfig.of(2, ((Fraction(-1, 2), Fraction(1, 3)),)), 4),
         (WeightConfig.from_scalars([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
         (
-            WeightConfig(
-                dim=2,
-                weights=tuple(
+            WeightConfig.of(
+                2,
+                tuple(
                     (Fraction(3 ** i, 3 ** 9), Fraction(i - 4, 16)) for i in range(8)
                 ),
             ),
@@ -480,7 +544,7 @@ class TestAtomDistribution:
             assert law.probability(off) == 0 and off not in law.atoms
 
     def test_probability_rejects_a_target_of_the_wrong_dimension(self):
-        law = full_distribution(WeightConfig(dim=2, weights=((1, 0), (0, 1))))
+        law = full_distribution(WeightConfig.of(2, ((1, 0), (0, 1))))
         assert law.probability((1, 1)) == Fraction(1, 4)
         for x in ((2,), (1, 1, 0)):
             with pytest.raises(ValueError, match="expected dim 2"):
@@ -495,7 +559,7 @@ class TestAtomDistribution:
     @example(WeightConfig.from_scalars(["1"]), 3)  # -1, 0 and 1 tie: -1
     @example(WeightConfig.from_scalars(["1"]), 4)  # all four tie: -3
     @example(WeightConfig.from_scalars(["1", "1"]), 3)  # the origin alone: 0
-    @example(WeightConfig(dim=2, weights=((1, 0), (0, 1))), 2)  # four tie: (-1, -1)
+    @example(WeightConfig.of(2, ((1, 0), (0, 1))), 2)  # four tie: (-1, -1)
     def test_max_probability_is_the_least_argmax(self, cfg, m):
         for law, brute in (
             (full_distribution(cfg), brute_sign_distribution(cfg.weights)),
@@ -512,7 +576,7 @@ class TestAtomDistribution:
     @example(WeightConfig.from_scalars(["1"]), 2)  # no origin atom
     @example(WeightConfig.from_scalars(["1", "1"]), 2)  # an origin atom
     @example(WeightConfig.from_scalars(["1/2"]), 4)  # no origin atom
-    @example(WeightConfig(dim=3, weights=((1, 0, 0), (0, 0, 1))), 3)  # d = 3, origin
+    @example(WeightConfig.of(3, ((1, 0, 0), (0, 0, 1))), 3)  # d = 3, origin
     def test_sorted_atoms_mirror_the_one_sorted_half(self, cfg, m):
         # upper_half is the one sort of a law's points; sorted_atoms mirrors
         # it and must read as a sort of the whole law

@@ -204,6 +204,56 @@ def test_the_wire_scan_sees_every_use(source, found):
     assert wire_helper_uses(source) == found
 
 
+# rationals enter the integer lattice once: a config's weights in its one
+# rational entry, WeightConfig.of, and a target where certify reads its
+# bound; every other path reads a config's lattice state
+LATTICE_CALLERS = {("engine", "of"), ("search", "certify")}
+
+
+def lattice_calls(source: str) -> list[str]:
+    """The calls of lattice in a module's source, by name or as an attribute,
+    each named by the innermost function that makes it, or <module>."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "lattice":
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_rationals_enter_the_lattice_once():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        calls = {(path.stem, owner) for owner in lattice_calls(path.read_text())}
+        assert calls <= LATTICE_CALLERS, path.name
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(cfg):\n    return lattice(cfg.weights)", ["f"]),
+        ("scale, points = engine.lattice(ws)", ["<module>"]),
+        ("class C:\n    def g(self):\n        return [lattice([w]) for w in self.ws]", ["g"]),
+        ("def of(ws):\n    def inner():\n        return lattice(ws)\n    return inner()", ["inner"]),
+        ("def f(a, b):\n    return g(lattice(a), lattice(b))", ["f", "f"]),
+        ("def f(cfg):\n    return lattice_law(cfg.scale, cfg.points, 1, spec)", []),
+        ("def f(x):\n    return lattice_target(x, 4, 1)", []),
+    ],
+)
+def test_the_lattice_scan_sees_every_call(source, found):
+    assert lattice_calls(source) == found
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(

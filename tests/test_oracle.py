@@ -42,9 +42,9 @@ from lolab.oracle import ViolationRecord, _check_rows
 F = Fraction
 # atoms at whole multiples of (3/5, 4/5), and (-4/5, 3/5) alone, have
 # integer Euclidean norm, where the ceiling must not round up
-PYTHAGOREAN = WeightConfig(dim=2, weights=((F(3, 5), F(4, 5)),) * 4)
-PYTHAGOREAN_MIXED = WeightConfig(
-    dim=2, weights=((F(3, 5), F(4, 5)),) * 4 + ((F(-4, 5), F(3, 5)),)
+PYTHAGOREAN = WeightConfig.of(2, ((F(3, 5), F(4, 5)),) * 4)
+PYTHAGOREAN_MIXED = WeightConfig.of(
+    2, ((F(3, 5), F(4, 5)),) * 4 + ((F(-4, 5), F(3, 5)),)
 )
 
 

@@ -43,16 +43,13 @@ from lolab import (
 )
 import lolab.search
 from lolab.bounds import NORM_KINDS, rounded_norms
-from lolab.engine import _law, lattice
+from lolab.engine import lattice, lattice_law
 from lolab.search import (
-    _canonical,
     _Chain,
     _exact_candidate,
-    _exact_law,
     _propose,
     _ranked,
     _score,
-    _weights,
 )
 from lolab.rational import vec_strs
 
@@ -98,10 +95,15 @@ def floor_norm(spec: NormSpec, v) -> int:
     return k
 
 
+def leq_one(spec: NormSpec, v) -> bool:
+    """Whether v lies in spec's unit ball, by its integer rule."""
+    scale, (pt,) = lattice([v])
+    return spec.contains(pt, scale)
+
+
 def witness(problem: SearchProblem, cfg: WeightConfig):
     """The exact rescore's witness atom and margin."""
-    law = _exact_law(problem, cfg)
-    cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
+    cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
     return cand.x, cand.margin
 
 
@@ -128,14 +130,14 @@ class TestNormSpec:
         # Squared comparisons must not round 3/5,4/5 away from norm 1.
         v = (F(3, 5), F(4, 5))
         assert ceil_norm(NormSpec("L2"), v) == 1
-        assert NormSpec("L2").leq_one(v)
-        assert not NormSpec("L2").leq_one((F(3, 5), F(4, 5), F(1, 1000)))
+        assert leq_one(NormSpec("L2"), v)
+        assert not leq_one(NormSpec("L2"), (F(3, 5), F(4, 5), F(1, 1000)))
 
     def test_unit_balls(self):
         v = (F(1), F(1))
-        assert NormSpec("Linf").leq_one(v)
-        assert not NormSpec("L2").leq_one(v)
-        assert not NormSpec("L1").leq_one(v)
+        assert leq_one(NormSpec("Linf"), v)
+        assert not leq_one(NormSpec("L2"), v)
+        assert not leq_one(NormSpec("L1"), v)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,7 +209,7 @@ class TestNormRule:
         spec, v = case
         ref = reference_norm(spec, v)
         power = 2 if spec.kind in EUCLIDEAN else 1
-        assert spec.leq_one(v) == (ref <= 1)
+        assert leq_one(spec, v) == (ref <= 1)
         k = ceil_norm(spec, v)
         assert k >= 0 and k ** power >= ref
         assert k == 0 or (k - 1) ** power < ref
@@ -221,7 +223,7 @@ class TestNormRule:
     def test_diagonal_refuses_a_vector_of_another_length(self):
         spec = NormSpec("WeightedDiagonalL2", (F(1, 2), F(2)))
         with pytest.raises(ValueError, match="length 1 against diagonal of length 2"):
-            spec.leq_one((F(1, 2),))
+            leq_one(spec, (F(1, 2),))
 
     @given(st.lists(st.lists(COORDS, min_size=1, max_size=3), min_size=1, max_size=4))
     def test_scaled_matches_fraction_products(self, vectors):
@@ -288,7 +290,7 @@ class TestMargins:
         problem = l2_problem(
             n=1, d=2, norm=NormSpec("Linf"), constraint_norm=NormSpec("Linf")
         )
-        cfg = WeightConfig(dim=2, weights=((F(1), F(1)),), l2_unit_ball=False)
+        cfg = WeightConfig.of(2, ((F(1), F(1)),), l2_unit_ball=False)
         x, margin = witness(problem, cfg)
         assert x == (F(1), F(1))
         assert margin == 0
@@ -309,7 +311,7 @@ class TestMargins:
 
     def test_ball_constraint_enforced(self):
         problem = l2_problem(n=1, d=2)
-        cfg = WeightConfig(dim=2, weights=((F(1), F(1)),), l2_unit_ball=False)
+        cfg = WeightConfig.of(2, ((F(1), F(1)),), l2_unit_ball=False)
         with pytest.raises(ValueError):
             margin_rows(problem, cfg)
 
@@ -387,10 +389,8 @@ class TestMarginCore:
     def test_pinned_to_brute_force_oracles(self, cell):
         problem, cfg = cell
         assert margin_rows(problem, cfg) == oracle_rows(problem, cfg)
-        scale, points = lattice(cfg.weights)
-        score, flagged = _score(problem, cfg.dim, (scale, tuple(points)))
-        law = _exact_law(problem, cfg)
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
+        score, flagged = _score(problem, cfg)
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
         assert flagged == cand.rhs_zero_atoms
         if cand.margin is None:
             assert score == float("-inf")
@@ -418,8 +418,8 @@ class TestMarginCore:
 
 def each_kind(test):
     """test with a planar cell of each norm kind, and of conjecture 1 at m = 3, 4."""
-    planar = WeightConfig(
-        dim=2, weights=((F(1, 2), F(-1, 3)), (F(-2, 3), F(1, 4)), (F(1, 3), F(1, 3)))
+    planar = WeightConfig.of(
+        2, ((F(1, 2), F(-1, 3)), (F(-2, 3), F(1, 4)), (F(1, 3), F(1, 3)))
     )
     box = NormSpec("Linf")
     norms = [NormSpec(kind) for kind in ("L1", "L2", "Linf")]
@@ -439,7 +439,7 @@ class TestScorerWalk:
         # at every atom, the origin included, and at far points, past the
         # last threshold, where every bound is 0
         problem, cfg = cell
-        law = _law(cfg.weights, cfg.dim, problem.law_spec())
+        law = lattice_law(cfg.scale, cfg.points, cfg.dim, problem.law_spec())
         total = problem.law_spec().m ** cfg.n
         for c in (1, 3, 20):
             points = [tuple(c * a for a in pt) for pt in full_counts(law)]
@@ -465,8 +465,7 @@ class TestScorerWalk:
         problem, cfg = cell
         rows = oracle_rows(problem, cfg)
         eligible = [row for row in rows if not row.rhs_zero]
-        law = _exact_law(problem, cfg)
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False, law=law)
+        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
         assert cand.rhs_zero_atoms == len(rows) - len(eligible)
         if not eligible:
             assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (None,) * 4
@@ -483,7 +482,7 @@ class TestCellBound:
         [
             (
                 l2_problem(n=3, d=1),
-                WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),) * 3),
+                WeightConfig.of(2, ((F(1, 2), F(1, 2)),) * 3),
                 "config has d = 2",
             ),
             (
@@ -513,7 +512,7 @@ BAD_CONFIGS = {
         "config has n = 4; the cell allows n in 1..3",
     ),
     "d-outside-cell": (
-        WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),)),
+        WeightConfig.of(2, ((F(1, 2), F(1, 2)),)),
         "config has d = 2; the cell explores d in [1]",
     ),
     "zero-weight": (
@@ -597,15 +596,15 @@ class TestCertify:
                 assert outcome.rhs_zero == (rhs == 0)
 
     def test_rejects_a_target_of_the_wrong_dimension(self):
-        cfg = WeightConfig(dim=2, weights=((F(1, 2), F(1, 2)),) * 3)
+        cfg = WeightConfig.of(2, ((F(1, 2), F(1, 2)),) * 3)
         for problem in (l2_problem(n=3, d=2), SearchProblem(conjecture=1, n=3, d=2, budget=0, seed=0, m=3)):
             with pytest.raises(ValueError, match="expected dim 2"):
                 certify(problem, cfg, (F(2),))
 
     def test_mixed_norm_certificate(self):
         problem = l2_problem(n=3, d=2, constraint_norm=NormSpec("Linf"))
-        cfg = WeightConfig(
-            dim=2, weights=((F(1), F(1)),) * 3, l2_unit_ball=False
+        cfg = WeightConfig.of(
+            2, ((F(1), F(1)),) * 3, l2_unit_ball=False
         )
         outcome = certify(problem, cfg, (F(1), F(1)))
         assert isinstance(outcome, CounterexampleCertificate)
@@ -732,8 +731,8 @@ class TestProposal:
         # the lattice of the Fraction reference's, None where it is None
         problem, grid, seed, weights = start
         settings = AnnealSettings(grid_denominator=grid)
-        scale, points = lattice(weights)
-        chain = _Chain(0, seed, problem.d, Random(seed), (scale, tuple(points)), 0.0, 0.0)
+        state = WeightConfig.of(problem.d, weights, l2_unit_ball=False)
+        chain = _Chain(0, seed, problem.d, Random(seed), state, 0.0, 0.0)
         reference = Random(seed)
         for _ in range(30):
             state = _propose(chain, problem, settings)
@@ -744,8 +743,7 @@ class TestProposal:
             if expected is None:
                 assert state is None
                 continue
-            scale, points = lattice(expected)
-            assert state == (scale, tuple(points))
+            assert state == WeightConfig.of(problem.d, expected, l2_unit_ball=False)
             chain.state, weights = state, expected
 
 
@@ -759,15 +757,15 @@ class TestRanked:
         for _ in range(200):
             n, scale = rng.randint(1, 3), rng.choice((1, 2, 3, 16))
             points = tuple((rng.randint(-scale, scale),) for _ in range(n))
-            top[_canonical(scale, points)] = rng.choice((0.0, -0.25, -0.5, 0.125))
+            state = WeightConfig(1, scale, points, allow_zero=True, l2_unit_ball=False)
+            top[state] = rng.choice((0.0, -0.25, -0.5, 0.125))
         full = _ranked(top)
         expected = sorted(
-            top.items(),
-            key=lambda item: (-item[1], len(item[0][1]), repr(_weights(item[0]))),
+            top.items(), key=lambda item: (-item[1], item[0].n, repr(item[0].weights))
         )
         assert full == expected
         for limit in (1, 5, 16, 64, len(top), 500):
-            assert sorted(_ranked(top, limit)) == sorted(full[:limit])
+            assert dict(_ranked(top, limit)) == dict(full[:limit])
 
 
 FAST = AnnealSettings(chains=2, cooling_iters=50, structured_n_max=6)
@@ -871,8 +869,8 @@ class TestAnneal:
         scores = {}
         score = lolab.search._score
 
-        def recorded(problem, d, state):
-            scores[state], flags = score(problem, d, state)
+        def recorded(problem, state):
+            scores[state], flags = score(problem, state)
             return scores[state], flags
 
         monkeypatch.setattr(lolab.search, "_score", recorded)
@@ -883,8 +881,7 @@ class TestAnneal:
             return json.dumps(cfg.to_json()), float_score
 
         expected = [
-            key(WeightConfig(len(state[1][0]), _weights(state), l2_unit_ball=False), s)
-            for state, s in _ranked(scores, 40)
+            key(state, s) for state, s in _ranked(scores, 40)
         ]
         got = [key(cand.config, cand.float_score) for cand in result.candidates]
         assert len(got) == 40 and sorted(got) == sorted(expected)
