@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, lattice_law
+from .engine import LAW_ATOM_CAP, APUniformSpec, CapExceeded, WeightConfig, lattice, lattice_law
 from .rational import (
     _NULL,
     RationalLike,
@@ -203,8 +203,8 @@ def extremal_config(n: int, d: int, x) -> WeightConfig:
             f"target needs {t} aligned summands but n = {n}; "
             "the bound there is 0 and nothing attains it"
         )
-    target = WeightConfig.of(d, [x], l2_unit_ball=False)
-    return WeightConfig(d, target.scale * t, target.points * n)
+    scale, (pt,) = lattice([x])
+    return WeightConfig(d, scale * t, (pt,) * n)
 
 
 def zero_weights_extremal(x) -> WeightConfig:

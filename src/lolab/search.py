@@ -503,11 +503,12 @@ def _checked_state(problem: SearchProblem, cfg: WeightConfig) -> WeightConfig:
         dims = list(problem.dimensions())
         raise ValueError(f"config has d = {cfg.dim}; the cell explores d in {dims}")
     ball = problem.weight_norm()
-    for pt, w in zip(cfg.points, cfg.weights):
+    for pt in cfg.points:
         if not any(pt):
             raise ValueError("search configs need non-zero weights")
         if not ball.contains(pt, cfg.scale):
-            raise ValueError(f"weight {vec_strs(w)} is outside the {ball.label()} unit ball")
+            w = vec_strs(cfg._vec(pt))
+            raise ValueError(f"weight {w} is outside the {ball.label()} unit ball")
     return _state(cfg.dim, cfg.scale, cfg.points)
 
 

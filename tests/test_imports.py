@@ -206,8 +206,9 @@ def test_the_wire_scan_sees_every_use(source, found):
 
 # rationals enter the integer lattice once: a config's weights in its one
 # rational entry, WeightConfig.of, and a target where certify reads its
-# bound; every other path reads a config's lattice state
-LATTICE_CALLERS = {("engine", "of"), ("search", "certify")}
+# bound or extremal_config aligns its weights; every other path reads a
+# config's lattice state
+LATTICE_CALLERS = {("engine", "of"), ("search", "certify"), ("bounds", "extremal_config")}
 
 
 def lattice_calls(source: str) -> list[str]:
