@@ -17,7 +17,8 @@ symmetric, so every law is its own mirror, P(x) = P(-x): the kernel
 builds, and a law keeps, only the half at or above the origin, a count per
 packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
 below the origin is ever built by a convolution. The atom query joins two
-such folded half-sum tables. Points are decoded, and `Fraction`s and their
+such folded half-sum tables, or counts subsets in one integer when that is
+cheaper. Points are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
 any step; at d = 1 a key is its point. Every law is built by
 `lattice_law` from a config's lattice points, one convolution step per
@@ -58,6 +59,10 @@ LAW_ATOM_CAP = 1 << 24
 # d = 2 sign law, the slowest kernel, took 24 s and 119 MB for 16.5M pairs
 # (0.7M pairs/s), and a progression law of 6.8M pairs 2.3-3.5 s
 LAW_PAIR_CAP = 1 << 24
+# An atom query counts subsets in one integer while it has at most this many
+# bits per key a half-sum table could hold (about 0.1 ns a bit against 100 ns
+# a key, CPython 3.11 on a 2-vCPU host)
+SUBSET_BITS_PER_KEY = 256
 # Coordinate draws one campaign weight may take before its draw is refused:
 # the share of grid points in the unit ball falls like V_d / 2^d, so a draw
 # by rejection never ends at high d. No weight plausibly needs this many up
@@ -496,12 +501,28 @@ def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDist
     return lattice_law(cfg.scale, cfg.points, cfg.dim, APUniformSpec(2))
 
 
-def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
-    """P(sign sum = x) by meeting half-sum tables in the middle.
+def _subset_count(keys: Sequence[int], s: int) -> int:
+    """The number of subsets of keys (ints >= 0) that sum to s: prod (1 + z^k)
+    in one integer, a slot of n + 1 bits (a count is at most 2^n) per power of
+    z up to s, so each factor is one shift and add."""
+    width = len(keys) + 1
+    mask = (1 << width * (s + 1)) - 1
+    acc = 1
+    for k in keys:
+        if k <= s:
+            acc = (acc + (acc << width * k)) & mask
+    return acc >> width * s
 
-    Splits the weights into the first ceil(n/2) and the rest, enumerates
-    each half's signed sums once, and joins on the complement, so a single
-    atom query costs O(2^(n/2)) instead of O(2^n).
+
+def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
+    """P(sign sum = x) by counting subsets or meeting half-sum tables in the middle.
+
+    With keys k_i >= 0 (flipping a weight keeps the law) summing to K, a sign
+    sum is t >= 0 exactly when the -1 signs pick keys summing to s = (K - t) / 2,
+    which `_subset_count` counts in (n + 1) * (s + 1) bits. Past SUBSET_BITS_PER_KEY
+    the weights split into the first ceil(n/2) and the rest, each half's signed
+    sums are enumerated once and joined on the complement, so a single atom
+    query costs O(2^(n/2)) instead of O(2^n).
     """
     target = lattice_target(x, cfg.scale, cfg.dim)
     if cfg.n > cap:
@@ -510,19 +531,24 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     reach, radix = _packing(cfg.points, cfg.dim, signs)
     if target is None or any(abs(t) > reach for t in target):
         return Fraction(0)
-    # a join hit a + b = target has a + b in the box of radius reach, where
-    # packing is one to one, so joining packed keys is exact
-    keys = [_pack(pt, radix) for pt in cfg.points]
-    cut = (cfg.n + 1) // 2
+    # a sum hitting the target lies in the box of radius reach, where packing
+    # is one to one, so counting or joining packed keys is exact
+    keys = [abs(_pack(pt, radix)) for pt in cfg.points]
+    t, total = abs(_pack(target, radix)), sum(keys)
+    if t > total or (total - t) % 2:
+        return Fraction(0)
+    s, cut = (total - t) // 2, (cfg.n + 1) // 2
+    if (cfg.n + 1) * (s + 1) <= SUBSET_BITS_PER_KEY * min(2 ** cut, total // 2 + 1):
+        return Fraction(_subset_count(keys, s), 2 ** cfg.n)
     front = _lattice_sums(keys[:cut], signs)
     back = _lattice_sums(keys[cut:], signs)
     if len(back) < len(front):
         front, back = back, front
     # both tables hold keys >= 0 of symmetric laws: a front key a > 0 stands
     # for a and -a, and a back count at b is the count at -b
-    t, get = _pack(target, radix), back.get
-    hits = front.get(0, 0) * get(abs(t), 0) + sum(
-        mult * (get(abs(t - key), 0) + get(abs(t + key), 0))
+    get = back.get
+    hits = front.get(0, 0) * get(t, 0) + sum(
+        mult * (get(abs(t - key), 0) + get(t + key, 0))
         for key, mult in front.items()
         if key
     )

@@ -286,6 +286,52 @@ class TestAtomProbability:
         for pt, p in full_distribution(cfg).atoms.items():
             assert atom_probability(rotated, rotate(pt)) == p
 
+    @pytest.mark.parametrize("bits_per_key", [0, 1 << 64], ids=["tables", "subsets"])
+    @given(weight_configs(max_n=6), st.integers(min_value=0, max_value=2))
+    @example(WeightConfig.of(2, (("-1/2", "1/3"), ("1/2", "1/4"))), 1)  # key < 0
+    @example(WeightConfig.of(1, ((0,),), allow_zero=True), 2)  # 2^n at the origin
+    def test_each_query_path_matches_brute_force(self, bits_per_key, cfg, zeros):
+        # SUBSET_BITS_PER_KEY 0 forces the half-sum tables, a huge one the
+        # subset count: every atom, the origin and a point off the support
+        weights = cfg.weights + ((Fraction(0),) * cfg.dim,) * zeros
+        cfg = WeightConfig.of(cfg.dim, weights, allow_zero=True)
+        brute = brute_sign_distribution(cfg.weights)
+        targets = [*brute, (Fraction(0),) * cfg.dim, (Fraction(7),) * cfg.dim]
+        with patch.object(engine, "SUBSET_BITS_PER_KEY", bits_per_key):
+            for x in targets:
+                assert atom_probability(cfg, x) == brute.get(x, 0)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=8),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_subset_count_matches_brute_force(self, keys, s):
+        expected = sum(
+            sum(k for k, b in zip(keys, bits) if b) == s
+            for bits in product((0, 1), repeat=len(keys))
+        )
+        assert engine._subset_count(keys, s) == expected
+
+    @pytest.mark.parametrize(
+        "cfg, x, tables",
+        [
+            # 301/1000 .. 330/1000: a 31 * 4,733-bit integer against half
+            # tables of up to 2^15 keys
+            (WeightConfig(1, 1000, [(k,) for k in range(301, 331)]), ("1/1000",), False),
+            # 1,024 aligned unit weights: a 1,025 * 513-bit integer against
+            # tables of at most 513 keys
+            (WeightConfig(1, 1, [(1,)] * 1024), (0,), True),
+        ],
+        ids=["thousandths", "aligned"],
+    )
+    def test_the_cheaper_path_answers(self, cfg, x, tables):
+        with patch.object(engine, "_lattice_sums", wraps=_lattice_sums) as spy:
+            got = atom_probability(cfg, x, cap=cfg.n)
+        assert spy.called == tables and got > 0
+        other = 1 << 64 if tables else 0
+        with patch.object(engine, "SUBSET_BITS_PER_KEY", other):
+            assert atom_probability(cfg, x, cap=cfg.n) == got
+
 
 class TestRademacherAtom:
     def test_small_values(self):
