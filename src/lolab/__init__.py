@@ -10,7 +10,6 @@ exponential comparison bound.
 """
 
 from .antichain import (
-    FAMILY_CAP,
     SubsetFamily,
     build_family,
     is_antichain,

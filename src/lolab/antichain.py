@@ -32,8 +32,6 @@ from .bounds import milner_bound
 from .engine import FULL_LAW_CAP, CapExceeded, WeightConfig, lattice_target
 from .rational import RationalLike
 
-FAMILY_CAP = FULL_LAW_CAP
-
 
 @dataclass(frozen=True)
 class SubsetFamily:
@@ -68,7 +66,7 @@ class SubsetFamily:
 
 
 def build_family(
-    cfg: WeightConfig, x: RationalLike, *, cap: int = FAMILY_CAP
+    cfg: WeightConfig, x: RationalLike, *, cap: int = FULL_LAW_CAP
 ) -> SubsetFamily:
     """All index sets whose weight sum minus the complement's equals x.
 

@@ -11,7 +11,9 @@ read a squared norm p/q as measure p over unit q. `atom_bounds` is the one
 lookup of an atom's bound for lattice points, read by campaign rows, the
 search's scorer and `certify`: `NormSpec`'s integer rule gives the measures,
 `rounded_norms` their k, and `bound_counts` one table per (m, n). Every sign
-count is one binomial, `nonuniform_count`.
+bound is one probability of the plain sign sum R_N, `_sign_bound`: the one
+sign count, the binomial `nonuniform_count`, over 2^N, and 0 past the reach
+without building 2^N. `_summands` is the one summand check.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ def parity_correction(n: int, k: int) -> int:
     return (n + k) % 2
 
 
-def erdos_kleitman_bound(n: int) -> Fraction:
-    """The uniform bound binom(n, floor(n/2)) / 2^n on any atom."""
-    if n < 1:
-        raise ValueError(f"summand count must be >= 1, got {n}")
-    return Fraction(nonuniform_count(n, 0), 2 ** n)
+def _summands(n: int, odd: bool = False) -> int:
+    """n, once it passes the one summand check: n >= 1, and odd if asked."""
+    if n < 1 or odd and n % 2 == 0:
+        need = "odd and >= 1" if odd else ">= 1"
+        raise ValueError(f"summand count must be {need}, got {n}")
+    return n
 
 
 def nonuniform_count(n: int, k: int) -> int:
@@ -86,6 +89,20 @@ def nonuniform_count(n: int, k: int) -> int:
     """
     t = k + parity_correction(n, k)
     return math.comb(n, (n + t) // 2) if t <= n else 0
+
+
+def _sign_bound(n: int, k: int) -> Fraction:
+    """The plain n-sign sum's probability at k shifted to the reachable parity.
+
+    `nonuniform_count` over 2^n; a count of 0 is 0 without building 2^n.
+    """
+    count = nonuniform_count(n, k)
+    return Fraction(count, 2 ** n) if count else Fraction(0)
+
+
+def erdos_kleitman_bound(n: int) -> Fraction:
+    """The uniform bound binom(n, floor(n/2)) / 2^n on any atom."""
+    return _sign_bound(_summands(n), 0)
 
 
 def _target_k(m: int, squared_norm: RationalLike) -> int:
@@ -104,15 +121,13 @@ def nonuniform_bound(n: int, squared_norm: RationalLike) -> BoundReport:
     sign sum's probability of hitting k shifted to the reachable parity.
     Targets beyond the maximal reach get bound 0.
     """
-    if n < 1:
-        raise ValueError(f"summand count must be >= 1, got {n}")
+    _summands(n)
     k = _target_k(2, squared_norm)
-    delta = parity_correction(n, k)
     return BoundReport(
         n=n,
         k=k,
-        delta=delta,
-        bound=Fraction(nonuniform_count(n, k), 2 ** n),
+        delta=parity_correction(n, k),
+        bound=_sign_bound(n, k),
         theorem=TheoremTag.NON_UNIFORM,
     )
 
@@ -123,14 +138,12 @@ def zero_odd_count(n: int) -> int:
     That bound is the plain (n-1)-sign sum's chance of landing at 2, the
     probability that a half-weight sign pair pattern cancels.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"summand count must be odd and >= 1, got {n}")
-    return 2 * math.comb(n - 1, (n + 1) // 2)
+    return 2 * nonuniform_count(_summands(n, odd=True) - 1, 2)
 
 
 def zero_odd_bound(n: int) -> Fraction:
-    """Bound on hitting 0 with an odd number of summands: `zero_odd_count` / 2^n."""
-    return Fraction(zero_odd_count(n), 2 ** n)
+    """Bound on hitting 0 with an odd number n of summands: P(R_{n-1} = 2)."""
+    return _sign_bound(_summands(n, odd=True) - 1, 2)
 
 
 def zero_weights_sup(squared_norm: RationalLike) -> Fraction:
@@ -140,44 +153,38 @@ def zero_weights_sup(squared_norm: RationalLike) -> Fraction:
     probability of hitting k, attained by k*k aligned copies of x / k.
     """
     k = _target_k(2, squared_norm)
-    return Fraction(nonuniform_count(k * k, k), 2 ** (k * k))
+    return _sign_bound(k * k, k)
 
 
 def hoeffding_bound(n: int, squared_norm: RationalLike) -> float:
     """The exponential tail comparison exp(-|x|^2 / (2n)), in floats."""
-    if n < 1:
-        raise ValueError(f"summand count must be >= 1, got {n}")
+    _summands(n)
     q = rat(squared_norm)
     if q < 0:
         raise ValueError(f"squared norm must be >= 0, got {q}")
-    return math.exp(-float(q) / (2.0 * n))
+    try:
+        return math.exp(-float(q) / (2.0 * n))
+    except OverflowError:
+        # q or n past float range: exp of the exact ratio, 0.0 past 746
+        return math.exp(-min(q / (2 * n), 746))
 
 
 def bound_dispatch(n: int, x) -> BoundReport:
     """Route a target to the sharpest applicable bound.
 
     Non-zero targets get the distance-aware bound; the origin gets the
-    uniform bound for even n and the odd-summand zero bound otherwise.
+    uniform bound P(R_n = 0) for even n and P(R_{n-1} = 2) for odd n.
     """
     x = make_vec(x)
     if not is_zero(x):
         return nonuniform_bound(n, norm_sq(x))
-    if n < 1:
-        raise ValueError(f"summand count must be >= 1, got {n}")
-    if n % 2 == 0:
-        return BoundReport(
-            n=n,
-            k=0,
-            delta=0,
-            bound=erdos_kleitman_bound(n),
-            theorem=TheoremTag.ERDOS_KLEITMAN,
-        )
+    delta = _summands(n) % 2
     return BoundReport(
         n=n,
         k=0,
-        delta=1,
-        bound=zero_odd_bound(n),
-        theorem=TheoremTag.ZERO_ODD,
+        delta=delta,
+        bound=_sign_bound(n - delta, 2 * delta),
+        theorem=TheoremTag.ZERO_ODD if delta else TheoremTag.ERDOS_KLEITMAN,
     )
 
 
@@ -378,10 +385,9 @@ def ap_uniform_bound(n: int, m: int, squared_norm: RationalLike) -> Fraction:
     """
     if m < 3:
         raise ValueError(f"support size must be >= 3 here, got {m}")
-    if n < 1:
-        raise ValueError(f"summand count must be >= 1, got {n}")
+    _summands(n)
     (count,) = _counts_at(m, n, [_target_k(m, squared_norm)])
-    return Fraction(count, m ** n)
+    return Fraction(count, m ** n) if count else Fraction(0)
 
 
 def milner_bound(n: int, k: int) -> int:

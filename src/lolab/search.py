@@ -105,6 +105,9 @@ class SearchProblem(Record):
                         f"diagonal norm has {len(spec.diag)} coefficients "
                         f"but the cell's dimension is d = {self.d}"
                     )
+            # a certificate's law is a full sign law of up to n summands
+            if self.n > FULL_LAW_CAP:
+                raise CapExceeded("full-law summand", FULL_LAW_CAP, self.n)
 
     def target_norm(self) -> NormSpec:
         return self.norm if self.norm is not None else EUCLIDEAN
@@ -187,8 +190,6 @@ class MarginRow:
 def _exact_law(problem: SearchProblem, cfg: WeightConfig) -> AtomDistribution:
     """The config's law for an exact rescore or a certificate, under the caps."""
     _checked_state(problem, cfg)
-    if problem.conjecture == 2 and cfg.n > FULL_LAW_CAP:
-        raise CapExceeded("full-law summand", FULL_LAW_CAP, cfg.n)
     return lattice_law(cfg.scale, cfg.points, cfg.dim, problem.law_spec())
 
 
@@ -853,9 +854,6 @@ def anneal(
     chains' candidates. `checkpoint_path` writes the final chain states so
     a later call can extend the run.
     """
-    if problem.conjecture == 2 and problem.n > FULL_LAW_CAP:
-        # every exact rescore is a full sign law, so refuse before annealing
-        raise CapExceeded("full-law summand", FULL_LAW_CAP, problem.n)
     if resume is not None:
         stored_problem, settings, chains = _load_checkpoint(resume)
         if replace(stored_problem, budget=problem.budget) != problem:

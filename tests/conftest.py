@@ -21,6 +21,12 @@ from lolab import EqualityRecord, TheoremTag, ViolationRecord, WeightConfig
 from lolab import bounds
 from lolab.rational import norm_sq, rat, rat_str
 
+
+def scalar_config(values, **flags):
+    """The config of these scalar weights, each a rational or its string."""
+    return WeightConfig.of(1, [(v,) for v in values], **flags)
+
+
 def floor_sqrt_ratio(num, den):
     """Largest integer k >= 0 with k*k <= num/den, for num >= 0 and den > 0.
 

@@ -15,6 +15,8 @@ from random import Random
 
 import pytest
 
+from conftest import scalar_config
+
 from lolab import (
     APUniformSpec,
     ConfigGenerator,
@@ -240,7 +242,7 @@ def test_criterion_5_odd_summand_zero_bound():
                 extra = []
                 if d == 1 and n >= 3:
                     extra.append(
-                        WeightConfig.from_scalars(["1"] + ["1/2"] * (n - 1))
+                        scalar_config(["1"] + ["1/2"] * (n - 1))
                     )
                 report = run_campaign(
                     gen, (TheoremTag.ZERO_ODD,), extra_configs=extra
@@ -254,7 +256,7 @@ def test_criterion_5_odd_summand_zero_bound():
                     )
         assert hit_the_known_equality
         assert atom_probability(
-            WeightConfig.from_scalars(["1", "1/2", "1/2"]), (0,)
+            scalar_config(["1", "1/2", "1/2"]), (0,)
         ) == zero_odd_bound(3) == Fraction(1, 4)
 
 
@@ -285,7 +287,7 @@ def test_criterion_7_atom_families():
         for i in range(1000):
             n = 1 + i % 14
             ws = [Fraction(rng.randint(1, 16), 16) for _ in range(n)]
-            cfg = WeightConfig.from_scalars(ws)
+            cfg = scalar_config(ws)
             law = full_distribution(cfg)
             # at d = 1 a law's key is its point
             positive = [Fraction(key, law.scale) for key in law.upper_half()]

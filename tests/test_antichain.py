@@ -16,12 +16,12 @@ from conftest import (
     brute_is_antichain,
     brute_is_k_intersecting,
     ceil_sqrt,
+    scalar_config,
 )
 
 from lolab import (
     CapExceeded,
     SubsetFamily,
-    WeightConfig,
     atom_probability,
     build_family,
     is_antichain,
@@ -37,7 +37,7 @@ from lolab.engine import WRITE_CHUNK
 
 def family_of(ws, x, **kwargs):
     """build_family of these scalar weights; zero and negative ones reach its check."""
-    cfg = WeightConfig.from_scalars(ws, allow_zero=True, l2_unit_ball=False)
+    cfg = scalar_config(ws, allow_zero=True, l2_unit_ball=False)
     return build_family(cfg, x, **kwargs)
 
 
@@ -155,7 +155,7 @@ class TestBuildFamily:
         finally:
             tracemalloc.stop()
         assert len(family) == 4804
-        cfg = WeightConfig.from_scalars(ws, l2_unit_ball=False)
+        cfg = scalar_config(ws, l2_unit_ball=False)
         assert Fraction(len(family), 2 ** 22) == atom_probability(cfg, (x,))
         assert peak < 8 << 20
 
@@ -175,7 +175,7 @@ class TestBuildFamily:
     )
     def test_cardinality_matches_atom_probability(self, ws, x):
         fam = family_of(ws, x)
-        cfg = WeightConfig.from_scalars(ws, l2_unit_ball=False)
+        cfg = scalar_config(ws, l2_unit_ball=False)
         assert Fraction(len(fam), 2 ** len(ws)) == atom_probability(cfg, (x,))
 
     @given(

@@ -15,6 +15,7 @@ from conftest import (
     floor_sqrt_ratio,
     max_atom,
     rademacher_atom,
+    scalar_config,
     weight_vectors,
 )
 from lolab import (
@@ -142,7 +143,7 @@ class TestZeroOdd:
     def test_extremal_family_attains(self, n):
         # One unit weight and n-1 copies of 1/2: the origin needs the
         # halves to cancel in pairs except two opposing the unit.
-        cfg = WeightConfig.from_scalars(["1"] + ["1/2"] * (n - 1))
+        cfg = scalar_config(["1"] + ["1/2"] * (n - 1))
         assert atom_probability(cfg, (0,)) == zero_odd_bound(n)
 
     @given(st.integers(min_value=1, max_value=6))
@@ -193,6 +194,11 @@ class TestHoeffding:
 
     def test_monotone_in_distance(self):
         assert hoeffding_bound(10, 9) < hoeffding_bound(10, 4)
+
+    def test_past_float_range_reads_the_exact_ratio(self):
+        assert hoeffding_bound(5, 10 ** 400) == 0.0
+        assert hoeffding_bound(10 ** 400, 10 ** 400) == math.exp(-0.5)
+        assert hoeffding_bound(10 ** 400, 1) == 1.0
 
 
 class TestBoundDispatch:

@@ -53,6 +53,20 @@ class TestBound:
         blob = json.loads(out)
         assert 0 < blob["hoeffding"] < 1
 
+    def test_hoeffding_past_float_range(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--n", "5", "--norm-sq", "1" + "0" * 400, "--hoeffding"
+        )
+        blob = json.loads(out)
+        assert (code, blob["hoeffding"], blob["bound"]) == (0, 0.0, "0/1")
+
+    def test_a_zero_bound_builds_no_power_of_two(self, capsys):
+        # past the reach n the sign count is 0, and 0/1 needs no 2^n
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "bound", "--n", "1000000000", "--x", "10000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)["bound"]) == (0, "0/1")
+
     def test_planar_target(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "3", "--x", "(1,1)")
         assert code == 0

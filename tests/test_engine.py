@@ -26,6 +26,7 @@ from conftest import (
     max_atom,
     rademacher_atom,
     rotate,
+    scalar_config,
     weight_configs,
     weight_vectors,
 )
@@ -48,8 +49,8 @@ from lolab.rational import make_vec, vec_strs
 
 
 class TestWeightConfig:
-    def test_from_scalars(self):
-        cfg = WeightConfig.from_scalars(["1", "1/2"])
+    def test_of_scalar_weights(self):
+        cfg = WeightConfig.of(1, [("1",), ("1/2",)])
         assert cfg.dim == 1
         assert cfg.n == 2
         assert cfg.weights == ((Fraction(1),), (Fraction(1, 2),))
@@ -115,7 +116,7 @@ class TestWeightConfig:
             WeightConfig.of(1, ((0.5,),))
 
     def test_json_round_trip(self):
-        cfg = WeightConfig.from_scalars(["1/2", "-1/3"], allow_zero=False)
+        cfg = scalar_config(["1/2", "-1/3"], allow_zero=False)
         again = WeightConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again == cfg
         # an absent flag takes its default
@@ -139,7 +140,7 @@ class TestWeightConfig:
 
 class TestFullDistribution:
     def test_three_unit_weights(self):
-        dist = full_distribution(WeightConfig.from_scalars(["1", "1", "1"]))
+        dist = full_distribution(scalar_config(["1", "1", "1"]))
         assert dist.atoms == {
             (Fraction(-3),): Fraction(1, 8),
             (Fraction(-1),): Fraction(3, 8),
@@ -157,12 +158,12 @@ class TestFullDistribution:
         assert dist.probability((0, 0)) == Fraction(0)
 
     def test_cancelling_weights(self):
-        dist = full_distribution(WeightConfig.from_scalars(["1/2", "1/2"]))
+        dist = full_distribution(scalar_config(["1/2", "1/2"]))
         assert dist.probability((0,)) == Fraction(1, 2)
         assert max_atom(dist) == ((Fraction(0),), Fraction(1, 2))
 
     def test_cap(self):
-        cfg = WeightConfig.from_scalars(["1"] * 5)
+        cfg = scalar_config(["1"] * 5)
         with pytest.raises(CapExceeded) as exc:
             full_distribution(cfg, cap=4)
         assert exc.value.requested == 5
@@ -194,7 +195,7 @@ class TestFullDistribution:
 
     @given(st.integers(min_value=1, max_value=8))
     def test_unit_weight_support_parity(self, n):
-        dist = full_distribution(WeightConfig.from_scalars(["1"] * n))
+        dist = full_distribution(scalar_config(["1"] * n))
         for (coord,), p in dist.atoms.items():
             assert coord.denominator == 1
             assert (coord.numerator - n) % 2 == 0
@@ -203,7 +204,7 @@ class TestFullDistribution:
 
 class TestAtomProbability:
     def test_three_unit_weights(self):
-        cfg = WeightConfig.from_scalars(["1", "1", "1"])
+        cfg = scalar_config(["1", "1", "1"])
         assert atom_probability(cfg, (1,)) == Fraction(3, 8)
         assert atom_probability(cfg, (0,)) == Fraction(0)
 
@@ -214,7 +215,7 @@ class TestAtomProbability:
             assert atom_probability(cfg, pt) == p
 
     @given(weight_configs(max_n=6), st.integers(min_value=0, max_value=2))
-    @example(WeightConfig.from_scalars(["1", "1", "1", "1"]), 0)  # both halves hit 0
+    @example(scalar_config(["1", "1", "1", "1"]), 0)  # both halves hit 0
     @example(WeightConfig.of(2, (("-1/2", "1/3"), ("1/2", "1/4"))), 1)  # key < 0
     def test_folded_join_matches_brute_force(self, cfg, zeros):
         # the join reads two tables of keys >= 0, each front key a > 0
@@ -235,12 +236,12 @@ class TestAtomProbability:
 
     def test_wide_instance(self):
         # n = 16 exceeds what the hypothesis profile exercises.
-        cfg = WeightConfig.from_scalars(["1"] * 16)
+        cfg = scalar_config(["1"] * 16)
         assert atom_probability(cfg, (0,)) == rademacher_atom(16, 0)
         assert atom_probability(cfg, (2,)) == rademacher_atom(16, 2)
 
     def test_cap(self):
-        cfg = WeightConfig.from_scalars(["1"] * 6)
+        cfg = scalar_config(["1"] * 6)
         with pytest.raises(CapExceeded):
             atom_probability(cfg, (0,), cap=5)
 
@@ -349,7 +350,7 @@ class TestRademacherAtom:
         if n == 0:
             assert rademacher_atom(n, j) == (1 if j == 0 else 0)
             return
-        cfg = WeightConfig.from_scalars(["1"] * n)
+        cfg = scalar_config(["1"] * n)
         assert rademacher_atom(n, j) == atom_probability(cfg, (j,))
 
     def test_rejects_negative_size(self):
@@ -367,7 +368,7 @@ class TestAPUniformSum:
             APUniformSpec(m=1)
 
     def test_three_point_pair(self):
-        cfg = WeightConfig.from_scalars(["1", "1"])
+        cfg = scalar_config(["1", "1"])
         dist = ap_uniform_sum_distribution(APUniformSpec(m=3), cfg)
         assert dist.atoms == {
             (Fraction(-4),): Fraction(1, 9),
@@ -386,12 +387,12 @@ class TestAPUniformSum:
         assert dist.atoms == brute_ap_distribution(cfg.weights, m)
 
     def test_two_point_case_is_sign_sum(self):
-        cfg = WeightConfig.from_scalars(["1/4", "1/4"])
+        cfg = scalar_config(["1/4", "1/4"])
         dist = ap_uniform_sum_distribution(APUniformSpec(m=2), cfg)
         assert dist.atoms == full_distribution(cfg).atoms
 
     def test_atom_cap(self, monkeypatch):
-        cfg = WeightConfig.from_scalars(
+        cfg = scalar_config(
             [str(Fraction(1, 2 ** i)) for i in range(1, 9)]
         )
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
@@ -426,7 +427,7 @@ class TestLatticeSums:
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", (1 << 12) - 1)
         with pytest.raises(CapExceeded, match="request needs 4096"):
             _lattice_sums(self.GENERIC, signs)
-        cfg = WeightConfig.from_scalars(["1"] * 4)
+        cfg = scalar_config(["1"] * 4)
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 4)
         with pytest.raises(CapExceeded, match="request needs 5"):
             full_distribution(cfg)
@@ -438,7 +439,7 @@ class TestLatticeSums:
         # three unit weights at m = 5 (support -4..4 by 2, positive steps 2
         # and 4): the halves before the steps hold 1, 3 and 5 keys, so the
         # steps visit 2 + 6 + 10 = 18 (key, step) pairs; the law has 13 atoms
-        spec, cfg = APUniformSpec(5), WeightConfig.from_scalars(["1"] * 3)
+        spec, cfg = APUniformSpec(5), scalar_config(["1"] * 3)
         monkeypatch.setattr(engine, "LAW_PAIR_CAP", 17)
         with pytest.raises(CapExceeded, match="law pair cap is 17, request needs 18"):
             ap_uniform_sum_distribution(spec, cfg)
@@ -449,7 +450,7 @@ class TestLatticeSums:
         # the same law: before its second step 2 pairs are spent, and that
         # step visits 3 keys times 2 steps; a step never shrinks the table, so
         # the last step visits at least 6 more, and 2 + 6 + 6 = 14 pass 13
-        spec, cfg = APUniformSpec(5), WeightConfig.from_scalars(["1"] * 3)
+        spec, cfg = APUniformSpec(5), scalar_config(["1"] * 3)
         monkeypatch.setattr(engine, "LAW_PAIR_CAP", 13)
         with pytest.raises(CapExceeded, match="law pair cap is 13, request needs 14"):
             ap_uniform_sum_distribution(spec, cfg)
@@ -516,7 +517,7 @@ class TestLatticeSums:
         # one non-zero weight alone has m atoms: m = 200,000 past a cap of
         # 1,000 is refused before the 200,000 support points exist
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1000)
-        cfg = WeightConfig.from_scalars(["1/2"])
+        cfg = scalar_config(["1/2"])
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded, match="law atom cap is 1000, request needs 200000"):
@@ -550,10 +551,10 @@ def writer_examples(test):
     # signed sums of powers of 2, and 3^8 progression sums in the plane
     # with one axis of mixed signs and zeros
     examples = (
-        (WeightConfig.from_scalars(["1", "1/2", "1/2"]), 3),
-        (WeightConfig.from_scalars(["2/3"]), 2),
+        (scalar_config(["1", "1/2", "1/2"]), 3),
+        (scalar_config(["2/3"]), 2),
         (WeightConfig.of(2, ((Fraction(-1, 2), Fraction(1, 3)),)), 4),
-        (WeightConfig.from_scalars([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
+        (scalar_config([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
         (
             WeightConfig.of(
                 2,
@@ -571,7 +572,7 @@ def writer_examples(test):
 
 class TestAtomDistribution:
     def test_max_probability_tie_break(self):
-        dist = full_distribution(WeightConfig.from_scalars(["1", "1", "1"]))
+        dist = full_distribution(scalar_config(["1", "1", "1"]))
         # +-1 tie at 3/8; the lexicographically least point wins.
         assert max_atom(dist) == ((Fraction(-1),), Fraction(3, 8))
 
@@ -602,9 +603,9 @@ class TestAtomDistribution:
         st.integers(min_value=2, max_value=4),
     )
     # the least argmax is the mirror of the largest tied key above the origin
-    @example(WeightConfig.from_scalars(["1"]), 3)  # -1, 0 and 1 tie: -1
-    @example(WeightConfig.from_scalars(["1"]), 4)  # all four tie: -3
-    @example(WeightConfig.from_scalars(["1", "1"]), 3)  # the origin alone: 0
+    @example(scalar_config(["1"]), 3)  # -1, 0 and 1 tie: -1
+    @example(scalar_config(["1"]), 4)  # all four tie: -3
+    @example(scalar_config(["1", "1"]), 3)  # the origin alone: 0
     @example(WeightConfig.of(2, ((1, 0), (0, 1))), 2)  # four tie: (-1, -1)
     def test_max_probability_is_the_least_argmax(self, cfg, m):
         for law, brute in (
@@ -619,9 +620,9 @@ class TestAtomDistribution:
             assert max_atom(law) == (argmax, best)
 
     @given(weight_configs(max_n=5), st.sampled_from((2, 3, 4)))
-    @example(WeightConfig.from_scalars(["1"]), 2)  # no origin atom
-    @example(WeightConfig.from_scalars(["1", "1"]), 2)  # an origin atom
-    @example(WeightConfig.from_scalars(["1/2"]), 4)  # no origin atom
+    @example(scalar_config(["1"]), 2)  # no origin atom
+    @example(scalar_config(["1", "1"]), 2)  # an origin atom
+    @example(scalar_config(["1/2"]), 4)  # no origin atom
     @example(WeightConfig.of(3, ((1, 0, 0), (0, 0, 1))), 3)  # d = 3, origin
     def test_sorted_atoms_mirror_the_one_sorted_half(self, cfg, m):
         # upper_half is the one sort of a law's points; sorted_atoms mirrors
@@ -639,7 +640,7 @@ class TestAtomDistribution:
         ] == sorted(brute.items())
 
     def test_atom_view_is_a_read_only_mapping(self):
-        law = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
+        law = full_distribution(scalar_config(["1", "1/2"]))
         assert len(law.atoms) == len(full_counts(law)) == 4 and len(law.counts) == 2
         assert law.atoms[(Fraction(-3, 2),)] == Fraction(1, 4)
         assert (Fraction(1, 3),) not in law.atoms
@@ -649,7 +650,7 @@ class TestAtomDistribution:
             law.atoms[(Fraction(1, 2),)] = Fraction(1)
 
     def test_json_shape(self):
-        dist = full_distribution(WeightConfig.from_scalars(["1", "1/2"]))
+        dist = full_distribution(scalar_config(["1", "1/2"]))
         buffer = io.StringIO()
         dist.to_json(buffer)
         blob = json.loads(buffer.getvalue())

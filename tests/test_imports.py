@@ -119,6 +119,61 @@ def test_the_rounding_scan_sees_every_use(source, uses):
     assert rounding_uses(source) == uses
 
 
+# inside bounds, every sign count is nonuniform_count's binomial, and the
+# antichain size bound milner_bound's
+BINOMIAL_HOMES = {"nonuniform_count", "milner_bound"}
+
+
+def comb_callers(source: str) -> list[str]:
+    """The functions in a module's source that take math.comb, by name: a
+    math.comb or <alias>.comb where the alias is math, or a name imported
+    as comb from math. A use outside every function is named "<module>"."""
+    tree = ast.parse(source)
+    aliases, names = {"math"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "math" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and not node.level:
+            names |= {a.asname or a.name for a in node.names if a.name == "comb"}
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "comb"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in aliases
+            ) or (isinstance(child, ast.Name) and child.id in names):
+                found.add(owner)
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            visit(child, child.name if isinstance(child, functions) else owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_the_sign_count_and_milner_bound_take_binomials():
+    source = (Path(lolab.__file__).resolve().parent / f"{ROUNDING_HOME}.py").read_text()
+    assert sorted(set(comb_callers(source)) - BINOMIAL_HOMES) == []
+
+
+@pytest.mark.parametrize(
+    "source, callers",
+    [
+        ("import math\ndef f(n):\n    return math.comb(n, 2)", ["f"]),
+        ("from math import comb as choose\ndef g(n):\n    return choose(n, 1)", ["g"]),
+        ("import math as m\nclass A:\n    def h(self):\n        return m.comb(4, 2)", ["h"]),
+        ("import math\ndef f(n):\n    def g():\n        return math.comb(n, 1)", ["g"]),
+        ("import math\nc = math.comb(4, 2)", ["<module>"]),
+        ("import math\ndef f(n):\n    return math.isqrt(n)", []),
+        ("def comb(n):\n    return n\ndef f(n):\n    return comb(n)", []),
+    ],
+)
+def test_the_binomial_scan_names_every_caller(source, callers):
+    assert comb_callers(source) == callers
+
+
 def computed_caps(source: str) -> list[str]:
     """The calls in a module's source whose cap= is computed where it is passed:
     a max(...) call, or a config's summand count .n, each of which would lift

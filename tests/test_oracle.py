@@ -14,6 +14,7 @@ from conftest import (
     brute_sign_distribution,
     reference_campaign,
     reference_configs,
+    scalar_config,
     weight_configs,
 )
 from lolab import (
@@ -130,12 +131,12 @@ class TestSingleConfigVerifiers:
                 assert single_config_violations(cfg, check) == ()
 
     def test_zero_odd_needs_odd_n(self):
-        cfg = WeightConfig.from_scalars(["1", "1"])
+        cfg = scalar_config(["1", "1"])
         with pytest.raises(ValueError, match="odd n"):
             single_config_violations(cfg, TheoremTag.ZERO_ODD)
 
     def test_zero_weights_rejected(self):
-        cfg = WeightConfig.from_scalars(["1", "0"], allow_zero=True)
+        cfg = scalar_config(["1", "0"], allow_zero=True)
         with pytest.raises(ValueError, match="non-zero weights"):
             single_config_violations(cfg, TheoremTag.ERDOS_KLEITMAN)
 
@@ -358,8 +359,8 @@ class TestCampaignViolation:
         monkeypatch.setattr(oracle, "bound_counts", lambda m, n: (1,))
 
     def test_exact_record_report_and_csv(self, tmp_path):
-        repeated = WeightConfig.from_scalars(["1", "1", "1/2"])
-        distinct = WeightConfig.from_scalars(["1", "1/2", "1/4"])
+        repeated = scalar_config(["1", "1", "1/2"])
+        distinct = scalar_config(["1", "1/2", "1/4"])
         gen = ConfigGenerator(n=3, d=1, seed=0, count=0)
         path = tmp_path / "rows.csv"
         report = run_campaign(

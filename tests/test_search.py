@@ -20,6 +20,7 @@ from conftest import (
     fraction_proposal,
     full_counts,
     reference_norm,
+    scalar_config,
     weight_configs,
     weight_vectors,
 )
@@ -27,8 +28,10 @@ from lolab import (
     AnnealSettings,
     AtomDistribution,
     APUniformSpec,
+    CapExceeded,
     ConfigGenerator,
     CounterexampleCertificate,
+    FULL_LAW_CAP,
     NormSpec,
     Refutation,
     SearchProblem,
@@ -251,6 +254,14 @@ class TestSearchProblem:
         with pytest.raises(ValueError):
             SearchProblem(conjecture=2, n=4, d=1, budget=10, seed=0, m=3)
 
+    def test_norm_cell_past_the_summand_cap_is_refused(self):
+        # a certificate's law is a full sign law of up to n summands
+        n = FULL_LAW_CAP + 1
+        with pytest.raises(CapExceeded, match=f"full-law summand cap is 24, request needs {n}"):
+            l2_problem(n=n)
+        assert l2_problem(n=FULL_LAW_CAP).n == FULL_LAW_CAP
+        assert SearchProblem(conjecture=1, n=n, d=1, budget=1, seed=0, m=3).n == n
+
     def test_default_norms(self):
         problem = l2_problem()
         assert problem.target_norm() == NormSpec("L2")
@@ -284,7 +295,7 @@ class TestSearchProblem:
 
 class TestMargins:
     def test_unit_triple_touches_the_bound(self):
-        cfg = WeightConfig.from_scalars(["1", "1", "1"])
+        cfg = scalar_config(["1", "1", "1"])
         x, margin = witness(l2_problem(n=3), cfg)
         assert (x, margin) == ((F(1),), F(0))
 
@@ -299,7 +310,7 @@ class TestMargins:
 
     def test_zero_bound_rows_are_excluded(self):
         problem = SearchProblem(conjecture=1, n=1, d=1, budget=0, seed=0, m=3)
-        cfg = WeightConfig.from_scalars(["1/2"])
+        cfg = scalar_config(["1/2"])
         rows = margin_rows(problem, cfg)
         assert rows and all(row.rhs_zero for row in rows)
         assert witness(problem, cfg) == (None, None)
@@ -489,12 +500,12 @@ class TestCellBound:
             ),
             (
                 l2_problem(n=3, d=1),
-                WeightConfig.from_scalars(["1/2"] * 6),
+                scalar_config(["1/2"] * 6),
                 "config has n = 6",
             ),
             (
                 SearchProblem(conjecture=1, n=3, d=1, budget=0, seed=0, m=3),
-                WeightConfig.from_scalars(["1/2"] * 6),
+                scalar_config(["1/2"] * 6),
                 "config has n = 6",
             ),
         ],
@@ -510,7 +521,7 @@ class TestCellBound:
 # configs the n = 3, d = 1 sign cell refuses, and the one message for each
 BAD_CONFIGS = {
     "too-many-weights": (
-        WeightConfig.from_scalars(["1/2"] * 4),
+        scalar_config(["1/2"] * 4),
         "config has n = 4; the cell allows n in 1..3",
     ),
     "d-outside-cell": (
@@ -518,11 +529,11 @@ BAD_CONFIGS = {
         "config has d = 2; the cell explores d in [1]",
     ),
     "zero-weight": (
-        WeightConfig.from_scalars(["0", "1/2"], allow_zero=True),
+        scalar_config(["0", "1/2"], allow_zero=True),
         "search configs need non-zero weights",
     ),
     "weight-outside-ball": (
-        WeightConfig.from_scalars(["3/2"], l2_unit_ball=False),
+        scalar_config(["3/2"], l2_unit_ball=False),
         "weight ['3/2'] is outside the L2 unit ball",
     ),
 }
@@ -566,7 +577,7 @@ def two_point_law_is_sign_law(cfg) -> bool:
 
 class TestTwoPointReduction:
     def test_known_pair(self):
-        assert two_point_law_is_sign_law(WeightConfig.from_scalars(["1/4", "1/4"]))
+        assert two_point_law_is_sign_law(scalar_config(["1/4", "1/4"]))
 
     def test_random_configs(self):
         for cfg in ConfigGenerator(n=4, d=2, seed=41, count=25).configs():
@@ -616,7 +627,7 @@ class TestCertify:
         assert outcome.to_json()["certificate"] is True
 
     def test_touching_the_bound_refutes(self):
-        cfg = WeightConfig.from_scalars(["1", "1", "1"])
+        cfg = scalar_config(["1", "1", "1"])
         outcome = certify(l2_problem(n=3), cfg, (F(1),))
         assert isinstance(outcome, Refutation)
         assert outcome.margin == 0
@@ -643,7 +654,7 @@ class TestCertify:
         # stated bound at odd k is 0; a positive lhs there is flagged,
         # never certified.
         problem = SearchProblem(conjecture=1, n=1, d=1, budget=0, seed=0, m=3)
-        cfg = WeightConfig.from_scalars(["1/2"])
+        cfg = scalar_config(["1/2"])
         outcome = certify(problem, cfg, (F(1),))
         assert isinstance(outcome, Refutation)
         assert outcome.rhs_zero
@@ -668,7 +679,7 @@ class TestCertify:
 
     def test_progression_cell(self):
         problem = SearchProblem(conjecture=1, n=2, d=1, budget=0, seed=0, m=3)
-        cfg = WeightConfig.from_scalars(["1", "1"])
+        cfg = scalar_config(["1", "1"])
         outcome = certify(problem, cfg, (F(2),))
         assert isinstance(outcome, Refutation)
         assert outcome.lhs == F(2, 9)
