@@ -188,8 +188,8 @@ def bound_dispatch(n: int, x) -> BoundReport:
     )
 
 
-def extremal_config(n: int, d: int, x) -> WeightConfig:
-    """The aligned configuration attaining the distance-aware bound at x.
+def extremal_config(n: int, d: int, x) -> tuple[WeightConfig, Fraction]:
+    """The aligned configuration attaining the distance-aware bound at x, and that bound.
 
     All n weights equal x / (k + delta), so the sum hits x exactly when
     the plain sign sum hits k + delta. When k + delta > n the bound is 0
@@ -211,15 +211,16 @@ def extremal_config(n: int, d: int, x) -> WeightConfig:
             "the bound there is 0 and nothing attains it"
         )
     scale, (pt,) = lattice([x])
-    return WeightConfig(d, scale * t, (pt,) * n)
+    return WeightConfig(d, scale * t, (pt,) * n), report.bound
 
 
-def zero_weights_extremal(x) -> WeightConfig:
-    """The k*k aligned copies of x / k attaining the zero-weights supremum.
+def zero_weights_extremal(x) -> tuple[WeightConfig, Fraction]:
+    """The k*k aligned copies of x / k attaining the zero-weights supremum, and
+    the supremum, `zero_weights_sup`.
 
-    That is the extremal config at n = k*k, where the parity shift is 0.
-    All weights are non-zero; allowing zeros only lets other n reach the
-    same value, never exceed it.
+    That is the extremal config at n = k*k, where the parity shift is 0, so
+    its bound is the supremum. All weights are non-zero; allowing zeros only
+    lets other n reach the same value, never exceed it.
     """
     x = make_vec(x)
     if is_zero(x):

@@ -32,7 +32,6 @@ from .bounds import (
     nonuniform_bound,
     nonuniform_count,
     zero_weights_extremal,
-    zero_weights_sup,
 )
 from .engine import (
     ATOM_QUERY_CAP,
@@ -209,7 +208,7 @@ def _extremal_fixtures(tag: TheoremTag, n: int, d: int) -> list[WeightConfig]:
     elif tag is TheoremTag.NON_UNIFORM:
         for k in (1, 2):
             if nonuniform_count(n, k) > 0:
-                fixtures.append(extremal_config(n, d, (k, *zeros)))
+                fixtures.append(extremal_config(n, d, (k, *zeros))[0])
     elif tag is TheoremTag.ZERO_ODD and n >= 3:
         # e1, then n - 1 copies of e1 / 2
         fixtures.append(WeightConfig(d, 2, ((2, *zeros),) + ((1, *zeros),) * (n - 1)))
@@ -250,13 +249,13 @@ def cmd_verify(args) -> int:
             allow_zero=True,
             count=args.count,
         )
-        violations = verify_zero_weights_sup(x, args.n_max, gen, cap=args.cap_mitm)
+        sup, violations = verify_zero_weights_sup(x, args.n_max, gen, cap=args.cap_mitm)
         report = {
             "theorem": tag.value,
             "x": wire(x),
             "n_max": args.n_max,
             "configs_per_size": args.count,
-            "sup": wire(zero_weights_sup(norm_sq(x))),
+            "sup": wire(sup),
             "generator": wire(gen),
             "violations": wire(violations),
         }
@@ -388,14 +387,12 @@ def cmd_extremal(args) -> int:
         for flag, value in (("--n", args.n), ("--d", args.d)):
             if value is not None:
                 raise ValueError(f"{flag} is not read with --sup")
-        cfg = zero_weights_extremal(x)
-        bound = zero_weights_sup(norm_sq(x))
+        cfg, bound = zero_weights_extremal(x)
         tag = TheoremTag.ZERO_WEIGHTS_SUP
     else:
         if args.n is None:
             raise ValueError("--n is required without --sup")
-        cfg = extremal_config(args.n, 1 if args.d is None else args.d, x)
-        bound = nonuniform_bound(args.n, norm_sq(x)).bound
+        cfg, bound = extremal_config(args.n, 1 if args.d is None else args.d, x)
         tag = TheoremTag.NON_UNIFORM
     probability = atom_probability(cfg, x, cap=ALIGNED_CAP)
     payload = {

@@ -18,7 +18,10 @@ builds, and a law keeps, only the half at or above the origin, a count per
 packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
 below the origin is ever built by a convolution. The atom query joins two
 such folded half-sum tables, or counts subsets in one integer when that is
-cheaper. Points are decoded, and `Fraction`s and their
+cheaper; that integer, the product of the summands' generating polynomials
+(`_poly_counts`), also holds the half of a d = 1 law (`line_half_law`),
+which the search reads where it is cheaper and no cap could fire. Points
+are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
 any step; at d = 1 a key is its point. Every law is built by
 `lattice_law` from a config's lattice points, one convolution step per
@@ -37,6 +40,7 @@ coordinate draws of one campaign weight.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,9 +65,10 @@ LAW_ATOM_CAP = 1 << 24
 # d = 2 sign law, the slowest kernel, took 24 s and 119 MB for 16.5M pairs
 # (0.7M pairs/s), and a progression law of 6.8M pairs 2.3-3.5 s
 LAW_PAIR_CAP = 1 << 24
-# An atom query counts subsets in one integer while it has at most this many
-# bits per key a half-sum table could hold (about 0.1 ns a bit against 100 ns
-# a key, CPython 3.11 on a 2-vCPU host)
+# An atom query counts subsets, and the search a d = 1 law, in one integer
+# while it has at most this many bits per key a half-sum table or half law
+# could hold: one shift and add costs 0.05-0.5 ns a bit, and the sparse
+# kernel 0.45-0.65 us an (atom, step) pair (CPython 3.11.7, 2-vCPU host)
 SUBSET_BITS_PER_KEY = 256
 # Coordinate draws one campaign weight may take before its draw is refused:
 # the share of grid points in the unit ball falls like V_d / 2^d, so a draw
@@ -499,17 +504,71 @@ def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDist
     return lattice_law(cfg.scale, cfg.points, cfg.dim, APUniformSpec(2))
 
 
-def _subset_count(keys: Sequence[int], s: int) -> int:
-    """The number of subsets of keys (ints >= 0) that sum to s: prod (1 + z^k)
-    in one integer, a slot of n + 1 bits (a count is at most 2^n) per power of
-    z up to s, so each factor is one shift and add."""
-    width = len(keys) + 1
-    mask = (1 << width * (s + 1)) - 1
+def _poly_counts(keys: Sequence[int], m: int, width: int, top: int) -> int:
+    """prod_i sum_{j<m} z^(j * k_i) for ints k_i >= 0, truncated after z^top: one
+    integer with a slot of `width` bits per power of z, which every coefficient
+    must fit. A factor is applied by doubling its run of powers, so each weight
+    takes about 2 log2(m) shifts and adds; a key past top leaves the product as
+    it is. For m = 2 and width n + 1 the slot s counts the subsets summing to s.
+    """
+    mask = (1 << width * (top + 1)) - 1
+    bits = bin(m)[3:]  # m's binary digits after the leading 1
     acc = 1
     for k in keys:
-        if k <= s:
-            acc = (acc + (acc << width * k)) & mask
-    return acc >> width * s
+        if k > top:
+            continue
+        shift, part, run = width * k, acc, 1
+        for bit in bits:
+            part = (part + (part << shift * run)) & mask
+            run *= 2
+            if bit == "1":
+                part = (acc + (part << shift)) & mask
+                run += 1
+        acc = part
+    return acc
+
+
+# the struct format of a memoryview slot of each byte width
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def line_half_law(
+    points: Sequence[tuple[int, ...]], dim: int, m: int
+) -> Optional[tuple[int, list[int]]]:
+    """The law of sum_i U_i p_i, U_i uniform on m progression points, from one integer.
+
+    Returns (reach, counts): with reach = (m - 1) * sum |p_i|, counts[j] is the
+    count (over m^n) of the sum reach - 2j and of its mirror, for j up to
+    reach // 2, so of every point at or above the origin in the sum's parity;
+    a count of 0 is no atom. A sum is sum_i (2 j_i - m + 1) |p_i|, so the counts
+    of sums at or below the origin are the slots of `_poly_counts` up to the
+    middle degree, read as one `memoryview` cast of byte-aligned slots.
+
+    None where `lattice_law` is the kernel to run: dim >= 2, m^n of
+    64 bits or more, more than SUBSET_BITS_PER_KEY bits per key the half law
+    could hold (min(m^n // 2 + 1, reach // 2 + 1)), or a box whose worst case,
+    n steps over reach + 1 keys of m // 2 positive steps each and 2 * reach + 1
+    atoms, could reach LAW_PAIR_CAP or LAW_ATOM_CAP. So the kernel could not
+    have refused any law this returns, and every cap fires where it does.
+    """
+    total = m ** len(points)
+    if dim != 1 or total.bit_length() > 64:
+        return None
+    keys = [abs(a) for (a,) in points]
+    reach = (m - 1) * sum(keys)
+    top = reach // 2
+    size = next(b for b in _SLOT_FORMATS if total.bit_length() <= 8 * b)
+    if (
+        8 * size * (top + 1) > SUBSET_BITS_PER_KEY * min(total // 2 + 1, top + 1)
+        or len(points) * (reach + 1) * (m // 2) > LAW_PAIR_CAP
+        or 2 * reach + 1 > LAW_ATOM_CAP
+    ):
+        return None
+    data = _poly_counts(keys, m, 8 * size, top).to_bytes(size * (top + 1), sys.byteorder)
+    counts = memoryview(data).cast(_SLOT_FORMATS[size]).tolist()
+    if sys.byteorder == "big":  # the last slot's bytes came first
+        counts.reverse()
+    return reach, counts
 
 
 def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Fraction:
@@ -517,7 +576,7 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
 
     With keys k_i >= 0 (flipping a weight keeps the law) summing to K, a sign
     sum is t >= 0 exactly when the -1 signs pick keys summing to s = (K - t) / 2,
-    which `_subset_count` counts in (n + 1) * (s + 1) bits. Past SUBSET_BITS_PER_KEY
+    which `_poly_counts` counts in (n + 1) * (s + 1) bits. Past SUBSET_BITS_PER_KEY
     the weights split into the first ceil(n/2) and the rest, each half's signed
     sums are enumerated once and joined on the complement, so a single atom
     query costs O(2^(n/2)) instead of O(2^n).
@@ -536,8 +595,9 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     if t > total or (total - t) % 2:
         return Fraction(0)
     s, cut = (total - t) // 2, (cfg.n + 1) // 2
-    if (cfg.n + 1) * (s + 1) <= SUBSET_BITS_PER_KEY * min(2 ** cut, total // 2 + 1):
-        return Fraction(_subset_count(keys, s), 2 ** cfg.n)
+    width = cfg.n + 1
+    if width * (s + 1) <= SUBSET_BITS_PER_KEY * min(2 ** cut, total // 2 + 1):
+        return Fraction(_poly_counts(keys, 2, width, s) >> width * s, 2 ** cfg.n)
     front = _lattice_sums(keys[:cut], signs)
     back = _lattice_sums(keys[cut:], signs)
     if len(back) < len(front):

@@ -31,7 +31,6 @@ from .bounds import (
     bound_counts,
     zero_odd_count,
     zero_weights_extremal,
-    zero_weights_sup,
 )
 from .engine import (
     ATOM_QUERY_CAP,
@@ -44,7 +43,7 @@ from .engine import (
     atom_probability,
     full_distribution,
 )
-from .rational import Record, Vec, is_zero, make_vec, norm_sq, ratio_str
+from .rational import Record, Vec, is_zero, make_vec, ratio_str
 
 # Campaign checks that run per-config against the full law. The
 # zero-weights supremum has its own sampling entry point because it
@@ -162,8 +161,9 @@ def _check_rows(
 
 def verify_zero_weights_sup(
     x, n_max: int, gen: ConfigGenerator, *, cap: int = ATOM_QUERY_CAP
-) -> list[ViolationRecord]:
-    """Sample zero-allowed configs of every size up to n_max against the sup.
+) -> tuple[Fraction, list[ViolationRecord]]:
+    """Sample zero-allowed configs of every size up to n_max against the sup:
+    the supremum, and the violations.
 
     Also certifies that the aligned extremal configuration attains the
     supremum exactly; that is an engine identity, so a failure raises
@@ -180,8 +180,7 @@ def verify_zero_weights_sup(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > cap:
         raise CapExceeded("atom-query summand", cap, n_max)
-    extremal = zero_weights_extremal(x)  # refuses k * k past ALIGNED_CAP first
-    sup = zero_weights_sup(norm_sq(x))
+    extremal, sup = zero_weights_extremal(x)  # refuses k * k past ALIGNED_CAP first
     attained = atom_probability(extremal, x, cap=ALIGNED_CAP)
     if attained != sup:
         raise AssertionError(
@@ -197,7 +196,7 @@ def verify_zero_weights_sup(
                 found.append(
                     ViolationRecord(cfg, x, lhs, sup, TheoremTag.ZERO_WEIGHTS_SUP)
                 )
-    return found
+    return sup, found
 
 
 @dataclass

@@ -15,12 +15,17 @@ their least common denominator, and so is every candidate. A config from
 outside (to certify, to rescore, or a checkpoint's) passes one gate,
 `_checked_state`, and is then a state. Fractions appear only at the edges:
 checkpoints, ties of candidate scores and the reported candidates,
-witnesses and margins. One integer walk over a law's points
-above the origin (`_best_atom`) scores both the annealed states and the
-exact candidates: it reads their bounds through `SearchProblem.bounds_at`,
-a call into the one lookup of an atom's bound, `bounds.atom_bounds`, that
-campaigns read too, and returns the best excess count - bound, its witness
-and the flagged atoms. The anneal ranks states by the float of that
+witnesses and margins. One choice of path, `_walk`, scores both the
+annealed states and the exact candidates, and returns the best excess
+count - bound, its witness and the flagged atoms. A d = 1 state whose law
+`engine.line_half_law` counts in one integer is walked by norm bands
+(`_best_band`): the points of one k are one slice of that integer's
+slots, and each band's k and bound are read once per (n, scale) from
+`bounds.atom_bounds` (`_bands`). Any other state is walked atom by atom
+over its sparse `lattice_law` above the origin (`_best_atom`), reading
+its bounds through `SearchProblem.bounds_at`, the same lookup that
+campaigns read. `certify` keeps the sparse law as its independent
+recomputation. The anneal ranks states by the float of that
 excess over the law's denominator, which has the exact margin's sign;
 candidates carry the same integers as Fractions. Only an exactly positive
 margin, recomputed from scratch by `certify`, becomes a certificate.
@@ -36,11 +41,12 @@ import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import lcm
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
-from .bounds import EUCLIDEAN, NormSpec, atom_bounds
+from .bounds import EUCLIDEAN, NormSpec, atom_bounds, bound_counts
 from .engine import (
     FULL_LAW_CAP,
     APUniformSpec,
@@ -49,6 +55,7 @@ from .engine import (
     WeightConfig,
     lattice,
     lattice_law,
+    line_half_law,
 )
 from .oracle import derived_seed
 from .rational import (
@@ -361,20 +368,30 @@ def _placed(state: WeightConfig, i: int, pt: Sequence[int], s: int) -> WeightCon
     return _state(state.dim, common, points)
 
 
-def _ranked(top: dict, limit: Optional[int] = None) -> list[tuple[WeightConfig, float]]:
-    """The one candidate order of (state, score) items: score down, then n, then the
-    repr of the Fraction weights where those tie. With a limit, the first items, a
-    set to the callers: only the tied group that the limit cuts is put in order."""
+def _tie_sorted(items, key, tie, limit: Optional[int] = None) -> list:
+    """The items in key order, and in tie order within a run of equal keys; tie is
+    read only in runs of more than one item. With a limit, the first items, a set
+    to the callers: only the run that the limit cuts is put in tie order."""
     ranked = []
-    items = sorted(top.items(), key=lambda item: (-item[1], item[0].n))
-    for _, group in groupby(items, key=lambda item: (item[1], item[0].n)):
+    for _, group in groupby(sorted(items, key=key), key=key):
         group = list(group)
         if group[1:] and (limit is None or len(ranked) + len(group) > limit):
-            group.sort(key=lambda item: repr(item[0].weights))
+            group.sort(key=tie)
         ranked += group
         if limit is not None and len(ranked) >= limit:
             break
     return ranked[:limit]
+
+
+def _ranked(top: dict, limit: Optional[int] = None) -> list[tuple[WeightConfig, float]]:
+    """The one order of (state, score) items: score down, then n, then the repr of
+    the Fraction weights where those tie; with a limit, as `_tie_sorted`."""
+    return _tie_sorted(
+        top.items(),
+        key=lambda item: (-item[1], item[0].n),
+        tie=lambda item: repr(item[0].weights),
+        limit=limit,
+    )
 
 
 def _temperature(settings: AnnealSettings, iteration: int) -> float:
@@ -513,10 +530,12 @@ def _checked_state(problem: SearchProblem, cfg: WeightConfig) -> WeightConfig:
     return _state(cfg.dim, cfg.scale, cfg.points)
 
 
-def _best_atom(
-    problem: SearchProblem, law: AtomDistribution
-) -> tuple[Optional[tuple[int, int, tuple[int, ...], int]], int]:
-    """The one scorer walk: the witness (excess, -|pt|^2, pt, bound), and the flags.
+# a scorer walk's witness: (excess, -|pt|^2, pt, bound)
+Witness = tuple[int, int, tuple[int, ...], int]
+
+
+def _best_atom(problem: SearchProblem, law: AtomDistribution) -> tuple[Optional[Witness], int]:
+    """The scorer walk of a sparse law: the witness (excess, -|pt|^2, pt, bound), and the flags.
 
     Over the atoms with a non-zero bound, the witness has the largest
     excess count - bound, then the least squared norm, then the largest
@@ -543,12 +562,94 @@ def _best_atom(
     return best, flagged
 
 
+@lru_cache(maxsize=256)
+def _bands(
+    norm: NormSpec, m: int, n: int, scale: int
+) -> tuple[tuple[int, Optional[int], int], ...]:
+    """The norm bands of n summands on a line: (lo, hi, bound) for each run of
+    points t / scale, t >= 1, that read one k, with the bound count `atom_bounds`
+    gives them. The last band has hi None: it starts at the k where
+    `bound_counts(m, n)` ends, and every larger t reads 0 there too. k never
+    falls as t grows, so each band's end is found on single points by
+    doubling a step and then halving it."""
+
+    def k_at(t: int) -> tuple[int, int]:
+        (k,), (bound,) = atom_bounds(norm, m, n, [(t,)], scale)
+        return k, bound
+
+    last = len(bound_counts(m, n)) - 1
+    bands, lo = [], 1
+    while True:
+        k, bound = k_at(lo)
+        if k >= last:
+            bands.append((lo, None, 0))
+            return tuple(bands)
+        good, bad = lo, lo + 1
+        while k_at(bad)[0] == k:
+            good, bad = bad, 2 * bad - lo
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if k_at(mid)[0] == k:
+                good = mid
+            else:
+                bad = mid
+        bands.append((lo, good, bound))
+        lo = good + 1
+
+
+def _best_band(
+    problem: SearchProblem, state: WeightConfig, reach: int, counts: list[int]
+) -> tuple[Optional[Witness], int]:
+    """The scorer walk of a d = 1 law from `line_half_law`, band by band: the same
+    witness and flags as `_best_atom`.
+
+    counts[j] is the count at t = reach - 2j >= 0, so the points of a band
+    lo..hi are one slice of counts, t falling as j grows. Its largest count
+    gives the band's best excess and its last index the least t of that
+    count; a zero-bound band flags its non-zero counts, twice each.
+    """
+    norm, m = problem.target_norm(), problem.law_spec().m
+    best = None
+    flagged = 0
+    for lo, hi, bound in _bands(norm, m, state.n, state.scale):
+        if lo > reach:
+            break
+        first = 0 if hi is None or hi > reach else (reach - hi + 1) // 2
+        band = counts[first : (reach - lo) // 2 + 1]
+        if not band:
+            continue
+        if bound == 0:
+            flagged += 2 * (len(band) - band.count(0))
+            continue
+        most = max(band)
+        if most and (best is None or most - bound >= best[0]):
+            t = reach - 2 * (first + len(band) - 1 - band[::-1].index(most))
+            key = (most - bound, -t * t, (t,), bound)
+            if best is None or key > best:
+                best = key
+    return best, flagged
+
+
+def _walk(problem: SearchProblem, state: WeightConfig) -> tuple[Optional[Witness], int, int]:
+    """The one choice of scorer for a state: (witness, flags, denominator).
+
+    A state `engine.line_half_law` takes (d = 1, under its bit and box
+    limits) is walked band by band from one integer; any other is walked
+    atom by atom from its sparse `lattice_law`.
+    """
+    spec = problem.law_spec()
+    line = line_half_law(state.points, state.dim, spec.m)
+    if line is not None:
+        return (*_best_band(problem, state, *line), spec.m ** state.n)
+    law = lattice_law(state.scale, state.points, state.dim, spec)
+    return (*_best_atom(problem, law), law.denom)
+
+
 def _score(problem: SearchProblem, state: WeightConfig) -> tuple[float, int]:
     """The float of a state's best margin, one correctly rounded division of the
     walk's integer excess, so of the exact margin's sign; and the flag count."""
-    law = lattice_law(state.scale, state.points, state.dim, problem.law_spec())
-    best, flagged = _best_atom(problem, law)
-    return (float("-inf") if best is None else best[0] / law.denom, flagged)
+    best, flagged, denom = _walk(problem, state)
+    return (float("-inf") if best is None else best[0] / denom, flagged)
 
 
 def _random_weight(
@@ -713,17 +814,27 @@ def _exact_candidate(
     float_score: Optional[float],
     structured: bool,
 ) -> Candidate:
-    """The exact rescore of a state from its law; states are validated where
-    they enter, and the structured sweep's bases are inside the ball."""
-    law = lattice_law(cfg.scale, cfg.points, cfg.dim, problem.law_spec())
-    best, flagged = _best_atom(problem, law)
+    """The exact rescore of a state from its scorer walk; states are validated
+    where they enter, and the structured sweep's bases are inside the ball."""
+    best, flagged, denom = _walk(problem, cfg)
     if best is None:
         x = margin = lhs = rhs = None
     else:
         excess, _, pt, bound = best
-        x, denom = law.atom(pt), law.denom
+        x = cfg._vec(pt)
         margin, lhs, rhs = (Fraction(c, denom) for c in (excess, excess + bound, bound))
     return Candidate(cfg, x, margin, lhs, rhs, float_score, structured, flagged)
+
+
+def _ranked_candidates(candidates: Iterable[Candidate]) -> list[Candidate]:
+    """The report's order: exact margin down (no margin last), then n, then the
+    config's JSON, which is written only where margin and n tie."""
+    def key(cand: Candidate) -> tuple[Fraction, int]:
+        return (-(Fraction(-2) if cand.margin is None else cand.margin), cand.config.n)
+
+    return _tie_sorted(
+        candidates, key, tie=lambda cand: json.dumps(cand.config.to_json(), sort_keys=True)
+    )
 
 
 @dataclass
@@ -897,13 +1008,7 @@ def anneal(
     unique: dict = {}
     for cand in structured + annealed:
         unique.setdefault(cand.config, cand)
-    candidates = list(unique.values())
-
-    def rank_key(cand: Candidate):
-        margin = cand.margin if cand.margin is not None else Fraction(-2)
-        return (-margin, cand.config.n, json.dumps(cand.config.to_json(), sort_keys=True))
-
-    candidates.sort(key=rank_key)
+    candidates = _ranked_candidates(unique.values())
 
     certificates: list[CounterexampleCertificate] = []
     discrepancies: list[dict] = []

@@ -207,8 +207,8 @@ def test_criterion_3_extremal_configs_attain_the_bound():
                         raise AssertionError(
                             f"expected out-of-reach error at n={n}, x={x}"
                         )
-                    cfg = extremal_config(n, d, x)
-                    assert atom_probability(cfg, x) == report.bound
+                    cfg, bound = extremal_config(n, d, x)
+                    assert atom_probability(cfg, x) == bound == report.bound
                     checked += 1
         assert checked > 180
 
@@ -270,14 +270,14 @@ def test_criterion_6_zero_weights_supremum():
         assert frozen[3] == Fraction(21, 128)
         for k, value in frozen.items():
             assert zero_weights_sup(k * k) == value
-            cfg = zero_weights_extremal((k,))
+            cfg, sup = zero_weights_extremal((k,))
             assert cfg.n == k * k
-            assert atom_probability(cfg, (k,)) == value
+            assert atom_probability(cfg, (k,)) == sup == value
             gen = ConfigGenerator(
                 n=1, d=1, seed=derived_seed(ACCEPT_SEED, 300 + k),
                 allow_zero=True, count=40,
             )
-            assert verify_zero_weights_sup((k,), 12, gen) == []
+            assert verify_zero_weights_sup((k,), 12, gen) == (value, [])
 
 
 def test_criterion_7_atom_families():

@@ -164,13 +164,13 @@ class TestZeroWeightsSup:
 
     def test_extremal_attains(self):
         for x in ((1,), (2,), (Fraction(3, 2),)):
-            cfg = zero_weights_extremal(x)
+            cfg, sup = zero_weights_extremal(x)
             k = math.isqrt(cfg.n)
             assert cfg.n == k * k
-            assert atom_probability(cfg, x) == zero_weights_sup(norm_sq(x))
+            assert atom_probability(cfg, x) == sup == zero_weights_sup(norm_sq(x))
 
     def test_planar_extremal(self):
-        cfg = zero_weights_extremal((Fraction(3, 5), Fraction(4, 5)))
+        cfg, _ = zero_weights_extremal((Fraction(3, 5), Fraction(4, 5)))
         assert cfg.n == 1
         assert atom_probability(
             cfg, (Fraction(3, 5), Fraction(4, 5))
@@ -179,7 +179,7 @@ class TestZeroWeightsSup:
     @given(st.integers(min_value=1, max_value=10))
     def test_padding_with_zeros_cannot_exceed(self, extra):
         x = (Fraction(2),)
-        base = zero_weights_extremal(x)
+        base, _ = zero_weights_extremal(x)
         padded = WeightConfig.of(
             1,
             base.weights + ((Fraction(0),),) * extra,
@@ -220,9 +220,9 @@ class TestBoundDispatch:
 
 class TestExtremalConfig:
     def test_unit_target(self):
-        cfg = extremal_config(4, 1, (1,))
+        cfg, bound = extremal_config(4, 1, (1,))
         assert cfg.weights == ((Fraction(1, 2),),) * 4
-        assert atom_probability(cfg, (1,)) == Fraction(1, 4)
+        assert atom_probability(cfg, (1,)) == bound == Fraction(1, 4)
 
     def test_out_of_reach_target_is_an_error(self):
         with pytest.raises(ValueError, match="nothing attains it"):
@@ -238,8 +238,8 @@ class TestExtremalConfig:
             with pytest.raises(ValueError):
                 extremal_config(n, 1, (k,))
             return
-        cfg = extremal_config(n, 1, (k,))
-        assert atom_probability(cfg, (k,)) == report.bound
+        cfg, bound = extremal_config(n, 1, (k,))
+        assert atom_probability(cfg, (k,)) == bound == report.bound
         assert brute_sign_atom(cfg.weights, (Fraction(k),)) == report.bound
 
     @given(weight_vectors(dim=2, max_denominator=4))
@@ -248,8 +248,8 @@ class TestExtremalConfig:
         t = report.k + report.delta
         if t > 6:
             return
-        cfg = extremal_config(6, 2, x)
-        assert atom_probability(cfg, x) == report.bound
+        cfg, bound = extremal_config(6, 2, x)
+        assert atom_probability(cfg, x) == bound == report.bound
 
 
 class TestAPUniformBound:

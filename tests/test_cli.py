@@ -237,6 +237,27 @@ class TestVerify:
         assert code == 0
         assert "0 violations" in out
 
+    @pytest.mark.parametrize(
+        "argv, binomial",
+        [
+            (["verify", "--theorem", "3", "--x", "2", "--n-max", "4", "--count", "2"], (4, 2)),
+            (["extremal", "--n", "9", "--x", "2"], (9, 2)),
+            (["extremal", "--sup", "--x", "2"], (4, 2)),
+        ],
+        ids=("verify-sup", "extremal", "extremal-sup"),
+    )
+    def test_each_sup_and_extremal_bound_is_taken_once(
+        self, capsys, monkeypatch, argv, binomial
+    ):
+        # the extremal config's bound is the bound the command reports
+        calls = []
+        count = lolab.bounds.nonuniform_count
+        monkeypatch.setattr(
+            lolab.bounds, "nonuniform_count", lambda *args: calls.append(args) or count(*args)
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and calls == [binomial]
+
     def test_zero_weights_sup_rejects_csv(self, capsys, tmp_path):
         # it has no CSV rows; --format csv once exited 0 and wrote nothing
         path = tmp_path / "r.csv"

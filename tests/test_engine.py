@@ -307,11 +307,13 @@ class TestAtomProbability:
         st.integers(min_value=0, max_value=40),
     )
     def test_subset_count_matches_brute_force(self, keys, s):
+        # at m = 2 and n + 1 bits a slot, slot s counts the subsets summing to s
         expected = sum(
             sum(k for k, b in zip(keys, bits) if b) == s
             for bits in product((0, 1), repeat=len(keys))
         )
-        assert engine._subset_count(keys, s) == expected
+        width = len(keys) + 1
+        assert engine._poly_counts(keys, 2, width, s) >> width * s == expected
 
     @pytest.mark.parametrize(
         "cfg, x, tables",
@@ -512,6 +514,70 @@ class TestLatticeSums:
             assert brute == brute_sign_distribution(cfg.weights)
         assert_symmetric_law(law, brute)
         assert law.points(law.counts) == [pt for pt in full_counts(law) if pt >= (0,) * cfg.dim]
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=40),
+    )
+    @example([0, 0, 3], 3, 3)  # zero keys multiply every slot by m
+    @example([6, 6, 6, 6, 6], 5, 40)  # the top degree past the middle
+    def test_poly_counts_are_the_brute_force_law(self, keys, m, top):
+        # slot j of prod sum_{u<m} z^(u k) counts the sums 2j - (m - 1) K of
+        # the progression law, K = sum k, up to the top degree
+        n, reach = len(keys), (m - 1) * sum(keys)
+        brute = brute_ap_distribution([(k,) for k in keys], m)
+        width = (m ** n).bit_length()
+        acc = engine._poly_counts(keys, m, width, top)
+        assert acc >> width * (top + 1) == 0
+        for j in range(top + 1):
+            count = acc >> width * j & (1 << width) - 1
+            assert count == brute.get((2 * j - reach,), 0) * m ** n
+
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+        st.integers(min_value=2, max_value=6),
+    )
+    @example([1] * 3, 2)  # 1-byte slots
+    @example([1, -2, 3, 5, 7], 5)  # 3125: 2-byte slots
+    @example([1, 2, 3] * 4, 3)  # 3^12: 4-byte slots
+    @example([1] * 63, 2)  # 2^63: 8-byte slots
+    @example([0, 0], 3)  # zero weights: one slot, at the origin
+    def test_line_half_law_is_the_kernel_law(self, keys, m):
+        points = [(k,) for k in keys]
+        line = engine.line_half_law(points, 1, m)
+        assert line is not None
+        reach, counts = line
+        law = lattice_law(1, points, 1, APUniformSpec(m))
+        assert len(counts) == reach // 2 + 1 and reach == law.reach
+        assert {reach - 2 * j: c for j, c in enumerate(counts) if c} == law.counts
+
+    def test_line_half_law_refuses_what_the_kernel_reads(self):
+        # d >= 2, and m^n of 65 bits, go to the sparse kernel
+        assert engine.line_half_law([(1, 0)], 2, 3) is None
+        assert engine.line_half_law([(1,)] * 64, 1, 2) is None
+        assert engine.line_half_law([(1,)] * 63, 1, 2) is not None
+
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5),
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=120),
+    )
+    @example([9, 9, 9], 7, 1, 120)  # the pair cap fires
+    @example([1, 2, 3, 4], 2, 120, 10)  # the atom cap fires
+    def test_a_law_the_kernel_refuses_is_never_one_integer(self, keys, m, pairs, atoms):
+        # under any caps, a law the sparse kernel would refuse goes to it,
+        # so every cap fires where it did; one it builds may be an integer
+        points = [(k,) for k in keys]
+        with patch.object(engine, "LAW_PAIR_CAP", pairs), patch.object(
+            engine, "LAW_ATOM_CAP", atoms
+        ):
+            line = engine.line_half_law(points, 1, m)
+            try:
+                lattice_law(1, points, 1, APUniformSpec(m))
+            except CapExceeded:
+                assert line is None
 
     def test_atom_cap_fires_before_the_support_is_built(self, monkeypatch):
         # one non-zero weight alone has m atoms: m = 200,000 past a cap of

@@ -266,8 +266,8 @@ def test_the_wire_scan_sees_every_use(source, found):
 LATTICE_CALLERS = {("engine", "of"), ("search", "certify"), ("bounds", "extremal_config")}
 
 
-def lattice_calls(source: str) -> list[str]:
-    """The calls of lattice in a module's source, by name or as an attribute,
+def calls_of(source: str, callee: str) -> list[str]:
+    """The calls of callee in a module's source, by name or as an attribute,
     each named by the innermost function that makes it, or <module>."""
     found = []
 
@@ -279,7 +279,7 @@ def lattice_calls(source: str) -> list[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "lattice":
+                if name == callee:
                     found.append(owner)
             visit(child, owner)
 
@@ -290,7 +290,7 @@ def lattice_calls(source: str) -> list[str]:
 def test_rationals_enter_the_lattice_once():
     package = Path(lolab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
-        calls = {(path.stem, owner) for owner in lattice_calls(path.read_text())}
+        calls = {(path.stem, owner) for owner in calls_of(path.read_text(), "lattice")}
         assert calls <= LATTICE_CALLERS, path.name
 
 
@@ -307,7 +307,31 @@ def test_rationals_enter_the_lattice_once():
     ],
 )
 def test_the_lattice_scan_sees_every_call(source, found):
-    assert lattice_calls(source) == found
+    assert calls_of(source, "lattice") == found
+
+
+# the search builds a sparse law in two places: the one choice of scorer path,
+# `_walk`, and `_exact_law`, the independent recomputation `certify` reads
+LAW_CALLERS = {"_exact_law", "_walk"}
+
+
+def test_the_search_builds_sparse_laws_in_two_places():
+    source = Path(lolab.search.__file__).read_text()
+    assert set(calls_of(source, "lattice_law")) <= LAW_CALLERS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def _score(problem, state):\n    return lattice_law(*state, 1, spec)", ["_score"]),
+        ("def _walk(p, s):\n    law = engine.lattice_law(s.scale, s.points, 1, m)", ["_walk"]),
+        ("def f(cfg):\n    return [lattice_law(*a) for a in cfg]", ["f"]),
+        ("def f(cfg):\n    return lattice(cfg.weights)", []),
+        ("def f(state):\n    return line_half_law(state.points, 1, 3)", []),
+    ],
+)
+def test_the_law_scan_sees_every_call(source, found):
+    assert calls_of(source, "lattice_law") == found
 
 
 def test_every_module_imports_only_the_standard_library():

@@ -236,7 +236,7 @@ class TestConfigRows:
 class TestZeroWeightsSup:
     def test_clean_run(self):
         gen = ConfigGenerator(n=1, d=1, seed=9, allow_zero=True, count=20)
-        assert verify_zero_weights_sup((1,), 8, gen) == []
+        assert verify_zero_weights_sup((1,), 8, gen) == (Fraction(1, 2), [])
 
     def test_requires_allow_zero(self):
         gen = ConfigGenerator(n=1, d=1, seed=9, count=5)
@@ -265,7 +265,7 @@ class TestRunCampaign:
 
     def test_extremal_configs_pin_equalities(self):
         gen = ConfigGenerator(n=4, d=1, seed=1, count=2)
-        extremal = extremal_config(4, 1, (1,))
+        extremal, _ = extremal_config(4, 1, (1,))
         report = run_campaign(
             gen, [TheoremTag.NON_UNIFORM], extra_configs=[extremal]
         )
@@ -330,7 +330,7 @@ class TestCampaignReference:
             monkeypatch.setattr(
                 bounds, "bound_counts", lambda m, n: tuple(c // 3 for c in table(m, n))
             )
-        extra = [extremal_config(5, d, (1,) + (0,) * (d - 1))]
+        extra = [extremal_config(5, d, (1,) + (0,) * (d - 1))[0]]
         gen = ConfigGenerator(n=5, d=d, seed=d, count=4)
         text, atoms, equalities, violations = reference_campaign(extra + gen.configs())
         path = tmp_path / "rows.csv"

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -46,6 +47,7 @@ from lolab import (
     norm_sq,
 )
 import lolab.search
+from lolab import engine
 from lolab.bounds import NORM_KINDS, rounded_norms
 from lolab.engine import lattice, lattice_law
 from lolab.search import (
@@ -348,7 +350,7 @@ def search_cells(draw):
         cfg = draw(weight_configs(max_n=4))
         problem = SearchProblem(
             conjecture=1, n=cfg.n, d=cfg.dim, budget=0, seed=0,
-            m=draw(st.sampled_from((3, 4))),
+            m=draw(st.sampled_from((3, 4, 5))),
         )
     return problem, cfg
 
@@ -397,18 +399,48 @@ def oracle_rows(problem, cfg) -> list[MarginRow]:
     ]
 
 
+def each_kind(test):
+    """test with a planar and a line cell of each norm kind and of conjecture 1 at
+    m = 3, 4 (and 5 on the line), and a line cell whose best excess ties across
+    two norm bands. Zero-bound atoms come at odd k for m = 3 and past the reach
+    of the line's diagonal norm 3|x|."""
+    planar = WeightConfig.of(
+        2, ((F(1, 2), F(-1, 3)), (F(-2, 3), F(1, 4)), (F(1, 3), F(1, 3)))
+    )
+    line = scalar_config(["1/2", "-1/3", "3/4"])
+    box = NormSpec("Linf")
+    norms = [NormSpec(kind) for kind in ("L1", "L2", "Linf")]
+    diagonals = {2: (F(1, 2), 3), 1: (9,)}
+    for d, cfg in ((2, planar), (1, line)):
+        for norm in norms + [NormSpec("WeightedDiagonalL2", diagonals[d])]:
+            test = example((l2_problem(n=3, d=d, norm=norm, constraint_norm=box), cfg))(test)
+        for m in (3, 4, 5)[: 5 - d]:
+            problem = SearchProblem(conjecture=1, n=3, d=d, budget=0, seed=0, m=m)
+            test = example((problem, cfg))(test)
+    # margin 0 at 1/3 (k = 1) and at 5/3 (k = 2): the least point is the witness
+    return example((l2_problem(n=2, d=1), scalar_config(["-2/3", "1"])))(test)
+
+
+# SUBSET_BITS_PER_KEY forcing each scorer path: 0 the sparse law, a huge one the
+# one integer of a d = 1 state
+SCORER_PATHS = (0, 1 << 64)
+
+
 class TestMarginCore:
     @given(search_cells())
+    @each_kind
     def test_pinned_to_brute_force_oracles(self, cell):
         problem, cfg = cell
         assert margin_rows(problem, cfg) == oracle_rows(problem, cfg)
-        score, flagged = _score(problem, cfg)
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
-        assert flagged == cand.rhs_zero_atoms
-        if cand.margin is None:
-            assert score == float("-inf")
-        else:
-            assert score == float(cand.margin)
+        for bits_per_key in SCORER_PATHS:
+            with patch.object(engine, "SUBSET_BITS_PER_KEY", bits_per_key):
+                score, flagged = _score(problem, cfg)
+                cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+            assert flagged == cand.rhs_zero_atoms
+            if cand.margin is None:
+                assert score == float("-inf")
+            else:
+                assert score == float(cand.margin)
 
     def test_one_sorted_walk_per_law(self, monkeypatch):
         walked = []
@@ -427,22 +459,6 @@ class TestMarginCore:
             for cfg in configs:
                 margin_rows(problem, cfg)
         assert len({id(law) for law in walked}) == len(walked) == 5
-
-
-def each_kind(test):
-    """test with a planar cell of each norm kind, and of conjecture 1 at m = 3, 4."""
-    planar = WeightConfig.of(
-        2, ((F(1, 2), F(-1, 3)), (F(-2, 3), F(1, 4)), (F(1, 3), F(1, 3)))
-    )
-    box = NormSpec("Linf")
-    norms = [NormSpec(kind) for kind in ("L1", "L2", "Linf")]
-    norms.append(NormSpec("WeightedDiagonalL2", (F(1, 2), 3)))
-    for norm in norms:
-        test = example((l2_problem(n=3, d=2, norm=norm, constraint_norm=box), planar))(test)
-    for m in (3, 4):
-        problem = SearchProblem(conjecture=1, n=3, d=2, budget=0, seed=0, m=m)
-        test = example((problem, planar))(test)
-    return test
 
 
 class TestScorerWalk:
@@ -478,15 +494,43 @@ class TestScorerWalk:
         problem, cfg = cell
         rows = oracle_rows(problem, cfg)
         eligible = [row for row in rows if not row.rhs_zero]
-        cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
-        assert cand.rhs_zero_atoms == len(rows) - len(eligible)
-        if not eligible:
-            assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (None,) * 4
-            return
-        best = max(eligible, key=lambda row: (row.margin, -norm_sq(row.x), row.x))
-        assert (cand.x, cand.margin, cand.lhs, cand.rhs) == (
-            best.x, best.margin, best.lhs, best.rhs
-        )
+        expected = (None,) * 4
+        if eligible:
+            best = max(eligible, key=lambda row: (row.margin, -norm_sq(row.x), row.x))
+            expected = (best.x, best.margin, best.lhs, best.rhs)
+        for bits_per_key in SCORER_PATHS:
+            with patch.object(engine, "SUBSET_BITS_PER_KEY", bits_per_key):
+                cand = _exact_candidate(problem, cfg, float_score=None, structured=False)
+            assert cand.rhs_zero_atoms == len(rows) - len(eligible)
+            assert (cand.x, cand.margin, cand.lhs, cand.rhs) == expected
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=4),
+        st.sampled_from((2, 3, 4, 5)),
+        st.integers(min_value=1, max_value=80),
+        st.integers(min_value=1, max_value=80),
+    )
+    @example([16, 16, 16, 16], 5, 80, 80)  # the pair cap fires
+    @example([1, 2, 3, 4], 2, 80, 10)  # the atom cap fires
+    def test_each_path_scores_alike_or_fires_the_same_cap(self, keys, m, pairs, atoms):
+        # a d = 1 state goes to the one integer only where the sparse kernel
+        # could not refuse it, so under any caps both paths give the same
+        # score or the same refusal
+        if m == 2:
+            problem = l2_problem(n=4, d=1, norm=NormSpec("Linf"))
+        else:
+            problem = SearchProblem(conjecture=1, n=4, d=1, budget=0, seed=0, m=m)
+        state = lolab.search._state(1, 16, [(k,) for k in keys])
+        outcomes = []
+        for bits_per_key in SCORER_PATHS:
+            with patch.object(engine, "SUBSET_BITS_PER_KEY", bits_per_key), patch.object(
+                engine, "LAW_PAIR_CAP", pairs
+            ), patch.object(engine, "LAW_ATOM_CAP", atoms):
+                try:
+                    outcomes.append(lolab.search._walk(problem, state))
+                except CapExceeded as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCellBound:
@@ -779,6 +823,36 @@ class TestRanked:
         assert full == expected
         for limit in (1, 5, 16, 64, len(top), 500):
             assert Counter(_ranked(top, limit)) == Counter(full[:limit])
+
+
+class TestRankedCandidates:
+    def test_tied_candidates_are_ordered_by_their_json_alone(self, monkeypatch):
+        # margin down (no margin last), then n, then the config's JSON, as one
+        # sort on all three; the JSON is written only where margin and n tie
+        rng = Random(9)
+        cands = {}
+        for _ in range(60):
+            n = rng.randint(1, 2)
+            cfg = scalar_config([F(rng.randint(1, 8), 8) for _ in range(n)])
+            margin = rng.choice((F(0), F(-1, 8), F(-rng.randint(1, 40), 64), None))
+            cands[cfg] = lolab.search.Candidate(cfg, None, margin, None, None, None, False, 0)
+        cands = list(cands.values())
+
+        def full_key(cand):
+            margin = cand.margin if cand.margin is not None else F(-2)
+            return (-margin, cand.config.n, json.dumps(cand.config.to_json(), sort_keys=True))
+
+        expected = sorted(cands, key=full_key)
+        sizes = Counter(full_key(cand)[:2] for cand in cands)
+        tied = [cand.config for cand in cands if sizes[full_key(cand)[:2]] > 1]
+        written = []
+        to_json = WeightConfig.to_json
+        monkeypatch.setattr(
+            WeightConfig, "to_json", lambda cfg: written.append(cfg) or to_json(cfg)
+        )
+        got = lolab.search._ranked_candidates(cands)
+        assert [id(cand) for cand in got] == [id(cand) for cand in expected]
+        assert Counter(written) == Counter(tied) and 0 < len(tied) < len(cands)
 
 
 FAST = AnnealSettings(chains=2, cooling_iters=50, structured_n_max=6)
