@@ -544,8 +544,8 @@ def line_half_law(
     of sums at or below the origin are the slots of `_poly_counts` up to the
     middle degree, read as one `memoryview` cast of byte-aligned slots.
 
-    None where `lattice_law` is the kernel to run: dim >= 2, m^n of
-    64 bits or more, more than SUBSET_BITS_PER_KEY bits per key the half law
+    None where `lattice_law` is the kernel to run: dim >= 2, m^n of at
+    least 2^64, more than SUBSET_BITS_PER_KEY bits per key the half law
     could hold (min(m^n // 2 + 1, reach // 2 + 1)), or a box whose worst case,
     n steps over reach + 1 keys of m // 2 positive steps each and 2 * reach + 1
     atoms, could reach LAW_PAIR_CAP or LAW_ATOM_CAP. So the kernel could not

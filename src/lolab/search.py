@@ -598,20 +598,19 @@ def _bands(
 
 
 def _best_band(
-    problem: SearchProblem, state: WeightConfig, reach: int, counts: list[int]
+    bands: Sequence[tuple[int, Optional[int], int]], reach: int, counts: list[int]
 ) -> tuple[Optional[Witness], int]:
-    """The scorer walk of a d = 1 law from `line_half_law`, band by band: the same
-    witness and flags as `_best_atom`.
+    """The scorer walk of a d = 1 law from `line_half_law`, band by band (`_bands`):
+    the same witness and flags as `_best_atom`.
 
     counts[j] is the count at t = reach - 2j >= 0, so the points of a band
     lo..hi are one slice of counts, t falling as j grows. Its largest count
     gives the band's best excess and its last index the least t of that
     count; a zero-bound band flags its non-zero counts, twice each.
     """
-    norm, m = problem.target_norm(), problem.law_spec().m
     best = None
     flagged = 0
-    for lo, hi, bound in _bands(norm, m, state.n, state.scale):
+    for lo, hi, bound in bands:
         if lo > reach:
             break
         first = 0 if hi is None or hi > reach else (reach - hi + 1) // 2
@@ -640,7 +639,8 @@ def _walk(problem: SearchProblem, state: WeightConfig) -> tuple[Optional[Witness
     spec = problem.law_spec()
     line = line_half_law(state.points, state.dim, spec.m)
     if line is not None:
-        return (*_best_band(problem, state, *line), spec.m ** state.n)
+        bands = _bands(problem.target_norm(), spec.m, state.n, state.scale)
+        return (*_best_band(bands, *line), spec.m ** state.n)
     law = lattice_law(state.scale, state.points, state.dim, spec)
     return (*_best_atom(problem, law), law.denom)
 
