@@ -1,6 +1,6 @@
 """Exact laws of weighted sums of random signs and of progression uniforms.
 
-One lattice-sum kernel enumerates every law:
+Two lattice-sum builders enumerate every law:
 
 * progression-uniform sums: S = sum_i U_i v_i with U_i independent uniform
   on the m symmetric support points {-m+1, -m+3, ..., m-1};
@@ -13,8 +13,8 @@ target goes on the same lattice (`lattice_target`). Each point is packed into on
 int (balanced digits of radix 2 * reach + 1, with reach bounding every
 coordinate of every partial sum), so a convolution step is one int add,
 and packed keys order as their points do. Every summand's support is
-symmetric, so every law is its own mirror, P(x) = P(-x): the kernel
-builds, and a law keeps, only the half at or above the origin, a count per
+symmetric, so every law is its own mirror, P(x) = P(-x): a builder
+makes, and a law keeps, only the half at or above the origin, a count per
 packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
 below the origin is ever built by a convolution. The atom query joins two
 such folded half-sum tables, or counts subsets in one integer when that is
@@ -24,15 +24,19 @@ which the search reads where it is cheaper and no cap could fire. Points
 are decoded, and `Fraction`s and their
 "p/q" strings made, only where a law is read, so there is no rounding at
 any step; at d = 1 a key is its point. Every law is built by
-`lattice_law` from a config's lattice points, one convolution step per
-weight. Every walk in atom order mirrors the law's one
-sorted upper half (`upper_half`). The writers (`to_json`, and
-`formatted_atoms` for CSV) format only that half, one string per distinct
-count and coordinate, and write the mirrors below the origin from the same
-strings, joined WRITE_CHUNK atoms at a time.
+`lattice_law` from a config's lattice points. A sign law whose 2^n sums
+seldom collide in the packing box, and that no cap could refuse, is made
+from the sorted list of its signed sums (`_sorted_sign_sums`), its keys
+counted in ascending order; every other law by the hash kernel
+(`_lattice_sums`), one convolution step per weight. `_takes_sorted_sums`
+is the rule between them, read from the input and the caps alone. Every
+walk in atom order mirrors the law's one sorted upper half (`upper_half`).
+The writers (`to_json`, and `formatted_atoms` for CSV) format only that
+half, one string per distinct count and coordinate, and write the mirrors
+below the origin from the same strings, joined WRITE_CHUNK atoms at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
-on the atoms of both halves, checked as a convolution step grows, and
+on the atoms of both halves, checked as a hash-kernel step grows, and
 `LAW_PAIR_CAP` on the (atom, step) pairs its steps visit, checked before
 each step, firing once the steps to come must pass it; `DRAW_CAP` bounds the
 coordinate draws of one campaign weight.
@@ -41,6 +45,8 @@ coordinate draws of one campaign weight.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +55,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_str, wire
+from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_str, wire_points
 
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
 # single-atom queries via half-sum tables cost O(2^(n/2)), and every law and
@@ -167,7 +173,7 @@ class WeightConfig:
 
     def to_json(self) -> dict:
         flags = {"allow_zero": self.allow_zero, "l2_unit_ball": self.l2_unit_ball}
-        return {"dim": self.dim, "weights": wire(self.weights), **flags}
+        return {"dim": self.dim, "weights": wire_points(self.scale, self.points), **flags}
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,9 @@ class AtomDistribution:
         """The keys above the origin, sorted: the one sort of a law's points.
 
         Negation reverses the order of points, so the points below the
-        origin are these negated, in reverse.
+        origin are these negated, in reverse. A law from the sorted signed
+        sums (`_sorted_sign_sums`) holds its keys in ascending order, so
+        this sort is one linear pass; the hash kernel's are in no order.
         """
         keys = sorted(self.counts)
         return keys[1:] if keys[0] == 0 else keys
@@ -282,9 +290,10 @@ class AtomDistribution:
         keys = self.upper_half()
         probs = list(map(ratios.__getitem__, map(counts.__getitem__, keys)))
         origin = ratios[counts[0]] if 0 in counts else None
-        if self.dim == 1:
-            gcds = map(gcd, keys, repeat(scale))
-            column = [f"{k // g}/{scale // g}" for k, g in zip(keys, gcds)]
+        if self.dim == 1:  # one "/q" string per reduced denominator
+            gcds = list(map(gcd, keys, repeat(scale)))
+            dens = {g: f"/{scale // g}" for g in set(gcds)}
+            column = [f"{k // g}{dens[g]}" for k, g in zip(keys, gcds)]
             return probs, [column], None, origin
         ints = self._columns(keys)
         values = set().union(*ints)
@@ -440,9 +449,12 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     origin, which the loop counted once.
 
     It runs atom by atom in a hash map, so the cost tracks the number of
-    distinct intermediate atoms rather than len(support)^n; that count, of
-    both halves, is capped by LAW_ATOM_CAP, read per call, and checked as a
-    step grows whenever the step could pass it. The work, the (atom, step)
+    distinct intermediate atoms rather than len(support)^n. It builds every
+    law but the sign laws whose sums seldom collide, which `lattice_law`
+    takes from `_sorted_sign_sums` (the rule is `_takes_sorted_sums`), and
+    the atom query's half-sum tables. The atom count, of both halves, is
+    capped by LAW_ATOM_CAP, read per call, and checked as a step grows
+    whenever the step could pass it. The work, the (atom, step)
     pairs the steps visit, is capped by LAW_PAIR_CAP before each step, as
     soon as the overrun is certain: a step never shrinks the table (a zero
     weight keeps its keys, and (A + s) | (A - s) has more points than A for
@@ -480,6 +492,47 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     return acc
 
 
+def _sorted_sign_sums(keys: Sequence[int]) -> dict[int, int]:
+    """The counts `_lattice_sums` builds at m = 2, from the sorted list of the signed sums.
+
+    With the first sign fixed to +, the 2^(n-1) sums are |w_1| - R + 2 s, for
+    R the sum of the other |w_i| and s any subset sum of them, so each
+    further weight merges the sorted list with itself shifted by 2 |w_i|: one
+    sort of two ascending runs, which takes linear time. The other draws give
+    these sums negated, so the sums at or above the origin are the list's and
+    the mirrors of those at or below it, the origin in both. Merged the same
+    way, they are counted in ascending key order, so `upper_half`'s sort of
+    this law is one linear pass.
+    """
+    first, *rest = map(abs, keys)
+    sums = [first - sum(rest)]
+    for w in rest:
+        step = 2 * w
+        sums += [s + step for s in sums]
+        sums.sort()
+    half = sums[bisect_left(sums, 0) :]
+    half += [-s for s in reversed(sums[: bisect_right(sums, 0)])]
+    del sums  # each list is dropped once read: the peak stays below the hash kernel's
+    half.sort()
+    counts = Counter(half)
+    del half
+    return dict(counts)  # a Counter would read a missing key as 0
+
+
+def _takes_sorted_sums(m: int, n: int, dim: int, radix: int) -> bool:
+    """Whether `lattice_law` builds its law by `_sorted_sign_sums`, not `_lattice_sums`.
+
+    Only a sign law (m = 2) whose 2^n sums are at most half of the
+    (radix^dim + 1) / 2 points of the packing box at or above the origin,
+    so that they seldom collide, and with 2^n within LAW_ATOM_CAP and
+    LAW_PAIR_CAP, read per call. The hash kernel builds at most 2^n atoms
+    and visits at most 2^(n-1) + n - 1 pairs for such a law, so it could
+    not have refused any law this path takes, and every cap fires where it
+    does.
+    """
+    return m == 2 and 4 << n <= radix**dim + 1 and 1 << n <= min(LAW_ATOM_CAP, LAW_PAIR_CAP)
+
+
 def lattice_law(
     scale: int, points: Sequence[tuple[int, ...]], dim: int, spec: APUniformSpec
 ) -> AtomDistribution:
@@ -492,8 +545,12 @@ def lattice_law(
         raise CapExceeded("law atom", LAW_ATOM_CAP, spec.m)
     support = spec.support()
     reach, radix = _packing(points, dim, support)
-    counts = _lattice_sums([_pack(pt, radix) for pt in points], support)
+    keys = [_pack(pt, radix) for pt in points]
     n = len(points)
+    if _takes_sorted_sums(spec.m, n, dim, radix):
+        counts = _sorted_sign_sums(keys)
+    else:
+        counts = _lattice_sums(keys, support)
     return AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
 
 

@@ -11,7 +11,9 @@ one correctly rounded int division each; no claim rests on either.
 
 `wire` is the one rule for writing a value as JSON: a Fraction as "p/q",
 a point as a list of them, and a `Record` (reports, certificates, configs)
-as the object of its fields, each written by `wire`.
+as the object of its fields, each written by `wire`. `wire_points` writes
+integer points over a scale, a config's lattice state, as `wire` writes
+their Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -98,6 +100,13 @@ def wire(value):
         return value.value
     to_json = getattr(value, "to_json", None)
     return value if to_json is None else to_json()
+
+
+def wire_points(scale: int, points: Sequence[tuple[int, ...]]) -> list[list[str]]:
+    """wire of the vectors pt / scale, from their integers: one "p/q" per
+    distinct coordinate, and no Fraction made."""
+    strs = {a: ratio_str(a, scale) for a in set().union(*points)}
+    return [[strs[a] for a in pt] for pt in points]
 
 
 class Record:

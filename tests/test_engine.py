@@ -44,8 +44,8 @@ from lolab import (
     rat_str,
 )
 from lolab import engine
-from lolab.engine import _lattice_sums, lattice_law
-from lolab.rational import make_vec, vec_strs
+from lolab.engine import AtomDistribution, _lattice_sums, _sorted_sign_sums, lattice_law
+from lolab.rational import make_vec, vec_strs, wire, wire_points
 
 
 class TestWeightConfig:
@@ -104,6 +104,15 @@ class TestWeightConfig:
         assert (reordered == cfg) == (reordered.weights == cfg.weights)
         again = WeightConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again == cfg and again.to_json() == cfg.to_json()
+
+    @given(weight_configs(max_n=8, max_denominator=12))
+    @example(WeightConfig(2, 6, [(3, -2), (3, 0), (-4, 2)]))  # repeats, a zero and a 1
+    @example(scalar_config(["1", "-1"]))  # scale 1
+    def test_to_json_writes_its_integer_points_in_the_wire_form(self, cfg):
+        # wire_points writes pt / scale from the integers, as wire writes
+        # the Fractions, so the search's JSON tie keys keep their bytes
+        assert wire_points(cfg.scale, cfg.points) == wire(cfg.weights)
+        assert cfg.to_json()["weights"] == wire(cfg.weights)
 
     def test_equal_to_its_rational_weights(self):
         half = WeightConfig.of(1, [["1/2"]])
@@ -603,6 +612,94 @@ class TestLatticeSums:
         assert 2 ** ((ATOM_QUERY_CAP + 1) // 2) <= LAW_ATOM_CAP
 
 
+def sign_points(dim):
+    # up to 8 integer points of one dimension, with negative coordinates,
+    # repeats and zero points
+    point = st.tuples(*[st.integers(min_value=-6, max_value=6)] * dim)
+    return st.lists(point, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.sampled_from(pool + [(0,) * dim]), min_size=1, max_size=8
+        )
+    )
+
+
+class TestSortedSignSums:
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(sign_points),
+        st.integers(min_value=1, max_value=7),
+        st.booleans(),
+    )
+    @example([(3,), (-3,), (3,), (0,)], 1, True)  # sums back at the origin
+    @example([(0, 0), (0, 0)], 2, True)  # zero keys only
+    @example([(1, -6, 2), (-5, 0, 6), (1, -6, 2)], 3, True)
+    @example([(5,)], 1, True)  # one weight, no origin atom
+    def test_either_builder_is_the_brute_force_law(self, points, scale, sorted_path):
+        # the rule patched to each side: both builders give the brute-force
+        # law in a plain dict, and the sorted one in ascending key order
+        dim = len(points[0])
+        rule = patch.object(engine, "_takes_sorted_sums", return_value=sorted_path)
+        with rule, patch.object(engine, "_sorted_sign_sums", wraps=_sorted_sign_sums) as spy:
+            law = lattice_law(scale, points, dim, APUniformSpec(2))
+        assert spy.called == sorted_path
+        assert type(law.counts) is dict
+        weights = [tuple(Fraction(a, scale) for a in pt) for pt in points]
+        assert_symmetric_law(law, brute_sign_distribution(weights))
+        if sorted_path:
+            assert list(law.counts) == sorted(law.counts)
+
+    @pytest.mark.parametrize(
+        "points, dim, m, sorted_path",
+        [
+            # 3^i: all 2^10 sums distinct, in a box of 59,049 points
+            ([(3**i,) for i in range(10)], 1, 2, True),
+            ([(3**i, -(2**i)) for i in range(10)], 2, 2, True),
+            # unit weights: 2^10 sums on 21 points
+            ([(1,)] * 10, 1, 2, False),
+            # the same weights at m = 3: a progression law
+            ([(3**i,) for i in range(10)], 1, 3, False),
+            # 2^3 sums need a box of at least 4 * 2^3 - 1 points: 13 are too
+            # few, 43 enough
+            ([(1,), (2,), (3,)], 1, 2, False),
+            ([(1,), (4,), (16,)], 1, 2, True),
+        ],
+    )
+    def test_the_rule_reads_the_input(self, points, dim, m, sorted_path):
+        with patch.object(engine, "_sorted_sign_sums", wraps=_sorted_sign_sums) as sums:
+            with patch.object(engine, "_lattice_sums", wraps=_lattice_sums) as kernel:
+                lattice_law(1, points, dim, APUniformSpec(m))
+        assert (sums.called, kernel.called) == (sorted_path, not sorted_path)
+
+    @given(
+        st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=7),
+        st.integers(min_value=1, max_value=140),
+        st.integers(min_value=1, max_value=140),
+    )
+    @example([3**i for i in range(6)], 63, 1 << 24)  # 2^6 atoms: the atom cap fires
+    @example([3**i for i in range(6)], 64, 1 << 24)  # the sorted path
+    @example([3**i for i in range(6)], 1 << 24, 63)  # 32 pairs: built by the kernel
+    @example([3**i for i in range(7)], 1 << 24, 63)  # 2^6 pairs: the pair cap fires
+    def test_the_sorted_path_is_never_taken_where_the_kernel_refuses(self, keys, atoms, pairs):
+        # under any caps the law is the kernel's, or its cap fires with the
+        # kernel's message, and then the sorted builder never ran
+        signs = APUniformSpec(2).support()
+        caps = patch.object(engine, "LAW_ATOM_CAP", atoms), patch.object(
+            engine, "LAW_PAIR_CAP", pairs
+        )
+        with caps[0], caps[1]:
+            try:
+                expected = _lattice_sums(keys, signs)
+            except CapExceeded as exc:
+                expected = str(exc)
+            with patch.object(engine, "_sorted_sign_sums", wraps=_sorted_sign_sums) as spy:
+                try:
+                    got = lattice_law(1, [(k,) for k in keys], 1, APUniformSpec(2)).counts
+                except CapExceeded as exc:
+                    got = str(exc)
+        assert got == expected
+        if isinstance(expected, str):
+            assert not spy.called
+
+
 def law_and_brute(cfg, m):
     """The engine's law of cfg on m support points and its brute-force law."""
     if m == 2:
@@ -704,6 +801,20 @@ class TestAtomDistribution:
         assert [
             (law.atom(pt), Fraction(count, law.denom)) for pt, count in law.sorted_atoms()
         ] == sorted(brute.items())
+
+    @given(
+        st.sets(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @example({1, 2, 3}, 1)  # scale 1: every denominator is 1
+    @example({5, 10, 12, 60, 120}, 60)  # repeated denominators, and whole numbers
+    def test_line_column_is_each_keys_wire_form(self, keys, scale):
+        # at d = 1 each key k above the origin is written as k / scale, one
+        # "/q" string per reduced denominator
+        law = AtomDistribution(dict.fromkeys(keys, 1), scale, 2 * len(keys), 1, 1, max(keys))
+        _, columns, mirrors, origin = law._half_strings()
+        assert mirrors is None and origin is None
+        assert columns == [[rat_str(Fraction(k, scale)) for k in sorted(keys)]]
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(scalar_config(["1", "1/2"]))

@@ -334,6 +334,72 @@ def test_the_law_scan_sees_every_call(source, found):
     assert calls_of(source, "lattice_law") == found
 
 
+# lattice_law is the one choice of law builder: only it makes a law from the
+# sorted signed sums, and the hash kernel runs there and for the atom query's
+# half-sum tables
+BUILDER_CALLERS = {
+    "_sorted_sign_sums": {("engine", "lattice_law")},
+    "_lattice_sums": {("engine", "lattice_law"), ("engine", "atom_probability")},
+}
+
+
+def builder_breaches(module: str, source: str) -> list[str]:
+    """The calls of a law builder in module `module`'s source from a function
+    not among its callers, each as "<builder> in <function>"."""
+    return sorted(
+        f"{builder} in {owner}"
+        for builder, callers in BUILDER_CALLERS.items()
+        for owner in calls_of(source, builder)
+        if (module, owner) not in callers
+    )
+
+
+def test_only_lattice_law_chooses_a_law_builder():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert builder_breaches(path.stem, path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "module, source, found",
+    [
+        (
+            "engine",
+            "def full_distribution(cfg):\n    return _sorted_sign_sums(keys)",
+            ["_sorted_sign_sums in full_distribution"],
+        ),
+        (
+            "engine",
+            "def atom_probability(cfg, x):\n    return _sorted_sign_sums(keys)",
+            ["_sorted_sign_sums in atom_probability"],
+        ),
+        (
+            "search",
+            "def _walk(p, s):\n    return engine._lattice_sums(keys, (-1, 1))",
+            ["_lattice_sums in _walk"],
+        ),
+        (
+            "search",
+            "def lattice_law(s, p, d, spec):\n    return engine._sorted_sign_sums(p)",
+            ["_sorted_sign_sums in lattice_law"],
+        ),
+        ("engine", "half = _lattice_sums([1], (-1, 1))", ["_lattice_sums in <module>"]),
+        (
+            "engine",
+            "def lattice_law(s, p, d, m):\n    return _sorted_sign_sums(p) or _lattice_sums(p, m)",
+            [],
+        ),
+        (
+            "engine",
+            "def atom_probability(cfg, x):\n    return _lattice_sums(a, u), _lattice_sums(b, u)",
+            [],
+        ),
+    ],
+)
+def test_the_builder_scan_sees_every_call(module, source, found):
+    assert builder_breaches(module, source) == found
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(
