@@ -106,7 +106,7 @@ class TestWeightConfig:
         assert again == cfg and again.to_json() == cfg.to_json()
 
     @given(weight_configs(max_n=8, max_denominator=12))
-    @example(WeightConfig(2, 6, [(3, -2), (3, 0), (-4, 2)]))  # repeats, a zero and a 1
+    @example(WeightConfig(2, 6, [(3, -2), (3, 0), (-4, 2)]))  # repeated and zero coordinates
     @example(scalar_config(["1", "-1"]))  # scale 1
     def test_to_json_writes_its_integer_points_in_the_wire_form(self, cfg):
         # wire_points writes pt / scale from the integers, as wire writes
@@ -682,10 +682,9 @@ class TestSortedSignSums:
         # under any caps the law is the kernel's, or its cap fires with the
         # kernel's message, and then the sorted builder never ran
         signs = APUniformSpec(2).support()
-        caps = patch.object(engine, "LAW_ATOM_CAP", atoms), patch.object(
+        with patch.object(engine, "LAW_ATOM_CAP", atoms), patch.object(
             engine, "LAW_PAIR_CAP", pairs
-        )
-        with caps[0], caps[1]:
+        ):
             try:
                 expected = _lattice_sums(keys, signs)
             except CapExceeded as exc:
