@@ -32,8 +32,11 @@ counted in ascending order; every other law by the hash kernel
 is the rule between them, read from the input and the caps alone. Every
 walk in atom order mirrors the law's one sorted upper half (`upper_half`).
 The writers (`to_json`, and `formatted_atoms` for CSV) format only that
-half, one string per distinct count and coordinate, and write the mirrors
-below the origin from the same strings, joined WRITE_CHUNK atoms at a time.
+half, from one string per distinct count and, at d >= 2, per distinct
+coordinate; at d = 1 a point is its reduced numerator's string and one
+"/q" string per distinct denominator, and the JSON writer joins shared
+pieces and numerators with no string per atom. The mirrors below the
+origin are written from the same strings, WRITE_CHUNK atoms at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
 on the atoms of both halves, checked as a hash-kernel step grows, and
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_str, wire_points
@@ -60,8 +63,9 @@ from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_
 # Default enumeration limits. Full laws cost O(2^n) work in the worst case,
 # single-atom queries via half-sum tables cost O(2^(n/2)), and every law and
 # half-sum table is capped by its intermediate atom count: a generic sign law
-# at that cap (24 scalar weights) took 9 s and peaked at 1,070 MB RSS, about
-# 64 B an atom (2-vCPU host, CPython 3.11.7).
+# at that cap (24 scalar weights, built from its sorted signed sums) took
+# 4.3 s and peaked at 1,024 MB RSS, about 63 B an atom (2-vCPU host, CPython
+# 3.11.7).
 FULL_LAW_CAP = 24
 ATOM_QUERY_CAP = 40
 LAW_ATOM_CAP = 1 << 24
@@ -82,7 +86,8 @@ SUBSET_BITS_PER_KEY = 256
 # to d = 12 at the default grid of 16ths.
 DRAW_CAP = 1 << 21
 # atoms (or campaign rows) a writer joins into one string per write, which
-# bounds the text held at once
+# bounds the text held at once; a d = 1 law's chunk is joined from 3 pieces
+# an atom, a numerator between two pieces shared by many atoms
 WRITE_CHUNK = 2048
 
 
@@ -272,35 +277,35 @@ class AtomDistribution:
         middle = [((0,) * self.dim, counts[0])] if 0 in counts else []
         return lower + middle + upper
 
-    def _half_strings(
-        self,
-    ) -> tuple[list[str], list[list[str]], Optional[list[list[str]]], Optional[str]]:
-        """The "p/q" strings of the atoms above the origin, in upper_half() order.
+    def _half_strings(self) -> tuple[dict[int, str], list[int], tuple, Optional[str]]:
+        """The strings of the atoms above the origin, in upper_half() order, as pieces.
 
-        (probabilities, columns, mirrors, origin): each atom's probability;
-        its coordinates, one list per axis; the same lists for the mirrored
-        atoms -pt, or None at d = 1; and the origin's probability, or None
-        when the origin is no atom. One string is made per distinct count
-        and, at d >= 2, per distinct coordinate value. At d = 1 every point
-        above the origin is positive, so a mirror's string is its own with
-        "-" in front.
+        (ratios, counts, axes, origin): one "p/q" string per distinct count;
+        each atom's count, so its probability is ratios[count]; its
+        coordinates; and the origin's probability, or None when the origin
+        is no atom. At d >= 2 axes is (columns, mirrors), the coordinates of
+        each atom and of its mirror -pt, one list per axis, from one string
+        per distinct value. At d = 1 a key k is its point, written in two
+        pieces: axes is (nums, gcds, dens), the str of each reduced
+        numerator k // g for g = gcd(k, scale), and one "/q" string per
+        distinct g, for q = scale // g. Every such point is positive, so a
+        mirror is "-" and then the same pieces.
         """
         counts, scale = self.counts, self.scale
         ratios = {count: ratio_str(count, self.denom) for count in set(counts.values())}
         keys = self.upper_half()
-        probs = list(map(ratios.__getitem__, map(counts.__getitem__, keys)))
         origin = ratios[counts[0]] if 0 in counts else None
-        if self.dim == 1:  # one "/q" string per reduced denominator
+        if self.dim == 1:
             gcds = list(map(gcd, keys, repeat(scale)))
-            dens = {g: f"/{scale // g}" for g in set(gcds)}
-            column = [f"{k // g}{dens[g]}" for k, g in zip(keys, gcds)]
-            return probs, [column], None, origin
-        ints = self._columns(keys)
-        values = set().union(*ints)
-        coords = {a: ratio_str(a, scale) for a in values.union(-a for a in values)}
-        columns = [list(map(coords.__getitem__, col)) for col in ints]
-        mirrors = [[coords[-a] for a in col] for col in ints]
-        return probs, columns, mirrors, origin
+            nums = list(map(str, map(floordiv, keys, gcds)))
+            axes = nums, gcds, {g: f"/{scale // g}" for g in set(gcds)}
+        else:
+            ints = self._columns(keys)
+            values = set().union(*ints)
+            coords = {a: ratio_str(a, scale) for a in values.union(-a for a in values)}
+            columns = [list(map(coords.__getitem__, col)) for col in ints]
+            axes = columns, [[coords[-a] for a in col] for col in ints]
+        return ratios, list(map(counts.__getitem__, keys)), axes, origin
 
     def formatted_atoms(self) -> Iterator[tuple[str, ...]]:
         """Each atom's "p/q" coordinates, then its "p/q" probability, in atom order.
@@ -308,9 +313,13 @@ class AtomDistribution:
         The strings are those of `_half_strings`: the atoms below the origin
         are the mirrors of those above, in reverse.
         """
-        probs, columns, mirrors, origin = self._half_strings()
-        if mirrors is None:
-            mirrors = [["-" + c for c in columns[0]]]
+        ratios, counts, axes, origin = self._half_strings()
+        probs = list(map(ratios.__getitem__, counts))
+        if self.dim == 1:
+            nums, gcds, dens = axes
+            column = list(map(add, nums, map(dens.__getitem__, gcds)))
+            axes = [column], [list(map("-".__add__, column))]
+        columns, mirrors = axes
         yield from zip(*(col[::-1] for col in mirrors), probs[::-1])
         if origin is not None:
             yield ("0/1",) * self.dim + (origin,)
@@ -329,37 +338,77 @@ class AtomDistribution:
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
 
-        The atoms are written from the strings of `_half_strings`, their
-        JSON blocks made and joined WRITE_CHUNK at a time (`_json_chunks`):
-        the mirrors below the origin, last first, then the origin, then the
-        atoms above. Their "p/q" strings need no escaping.
+        The atoms are written from the pieces of `_half_strings`, their JSON
+        blocks made and joined WRITE_CHUNK at a time: the mirrors below the
+        origin, last first, then the origin, then the atoms above. At d = 1
+        a block is a numerator between two shared pieces (`_line_chunks`),
+        at d >= 2 one string (`_json_chunks`). The "p/q" strings need no
+        escaping.
         """
-        probs, columns, mirrors, origin = self._half_strings()
-        if mirrors is None:  # d = 1: a mirror is its point with "-" in front
-            lower = _json_chunks(probs[::-1], [columns[0][::-1]], "-")
+        ratios, counts, axes, origin = self._half_strings()
+        if self.dim == 1:
+            lower = _line_chunks(ratios, counts, axes, "-", backward=True)
+            upper = _line_chunks(ratios, counts, axes, "")
         else:
-            lower = _json_chunks(probs[::-1], [col[::-1] for col in mirrors])
+            probs, (columns, mirrors) = list(map(ratios.__getitem__, counts)), axes
+            lower = _json_chunks(probs, mirrors, backward=True)
+            upper = _json_chunks(probs, columns)
         middle = [] if origin is None else _json_chunks([origin], [["0/1"]] * self.dim)
         handle.write('{\n  "atoms": [\n')
         sep = ""
-        for text in chain(lower, middle, _json_chunks(probs, columns)):
+        for text in chain(lower, middle, upper):
             handle.write(sep)
             handle.write(text)
             sep = ",\n"
         handle.write(f'\n  ],\n  "dim": {self.dim},\n  "n": {self.n}\n}}\n')
 
 
-def _json_chunks(
-    probs: Sequence[str], columns: Sequence[Sequence[str]], sign: str = ""
-) -> Iterator[str]:
-    """The JSON blocks of atoms of these "p/q" strings, WRITE_CHUNK blocks per text.
+# an atom's JSON block: _HEAD, its probability, _MID, its coordinates joined
+# by _SEP, and _TAIL
+_HEAD, _MID = '    {\n      "probability": "', '",\n      "x": [\n        "'
+_SEP, _TAIL = '",\n        "', '"\n      ]\n    }'
 
-    Every coordinate is written with `sign` in front.
+
+def _cuts(size: int, backward: bool) -> list[slice]:
+    """Slices of WRITE_CHUNK items covering range(size), backward from its end if asked."""
+    if not backward:
+        return [slice(start, start + WRITE_CHUNK) for start in range(0, size, WRITE_CHUNK)]
+    return [
+        slice(stop - 1, stop - 1 - WRITE_CHUNK if stop > WRITE_CHUNK else None, -1)
+        for stop in range(size, 0, -WRITE_CHUNK)
+    ]
+
+
+def _line_chunks(
+    ratios: Mapping[int, str], counts: Sequence[int], axes: tuple, sign: str, backward: bool = False
+) -> Iterator[str]:
+    """The JSON blocks of d = 1 atoms from their pieces (`_half_strings`), WRITE_CHUNK per text.
+
+    A block is three pieces: _HEAD, its probability, _MID and `sign`, made
+    once per distinct count; its numerator; and its "/q" with _TAIL and the
+    separator, made once per distinct gcd. A chunk interleaves them by slice
+    assignment and joins them once, so no string is made per atom; its last
+    block takes no separator.
     """
-    head, mid = '    {\n      "probability": "', '",\n      "x": [\n        "' + sign
-    sep, tail = '",\n        "' + sign, '"\n      ]\n    }'
-    for start in range(0, len(probs), WRITE_CHUNK):
-        cut = slice(start, start + WRITE_CHUNK)
+    nums, gcds, dens = axes
+    heads = {count: f"{_HEAD}{p}{_MID}{sign}" for count, p in ratios.items()}
+    tails = {g: f"{q}{_TAIL},\n" for g, q in dens.items()}
+    for cut in _cuts(len(nums), backward):
+        block = nums[cut]
+        parts = block * 3
+        parts[::3] = map(heads.__getitem__, counts[cut])
+        parts[1::3] = block
+        parts[2::3] = map(tails.__getitem__, gcds[cut])
+        parts[-1] = parts[-1][:-2]
+        yield "".join(parts)
+
+
+def _json_chunks(
+    probs: Sequence[str], columns: Sequence[Sequence[str]], backward: bool = False
+) -> Iterator[str]:
+    """The JSON blocks of atoms of these "p/q" strings, WRITE_CHUNK blocks per text."""
+    head, mid, sep, tail = _HEAD, _MID, _SEP, _TAIL
+    for cut in _cuts(len(probs), backward):
         points = zip(probs[cut], zip(*(col[cut] for col in columns)))
         yield ",\n".join([f"{head}{p}{mid}{sep.join(x)}{tail}" for p, x in points])
 

@@ -276,13 +276,17 @@ def run_campaign(
                 mirrored = check is TheoremTag.NON_UNIFORM
                 atoms += 2 * len(points) if mirrored else len(points)
                 if handle is not None:
-                    # a row carries no point, so a mirror's row is its own
-                    cells = {c: ratio_str(c, denom) for c in {*counts, *bounds}}
+                    # a row carries no point, so a mirror's row is its own,
+                    # and for fixed n the bound is a function of k: each
+                    # distinct (k, count) row's text is made once
+                    pairs, bound = list(zip(ks, counts)), dict(zip(ks, bounds))
                     head = f"{law.n},{law.dim},"
-                    rows = [
-                        f"{head}{k},{cells[c]},{cells[b]},{'true' if c == b else 'false'}\r\n"
-                        for k, c, b in zip(ks, counts, bounds)
-                    ]
+                    texts = {
+                        (k, c): f"{head}{k},{ratio_str(c, denom)},{ratio_str(bound[k], denom)},"
+                        f"{'true' if c == bound[k] else 'false'}\r\n"
+                        for k, c in set(pairs)
+                    }
+                    rows = list(map(texts.__getitem__, pairs))
                     for part in (rows[::-1], rows) if mirrored else (rows,):
                         for start in range(0, len(part), WRITE_CHUNK):
                             handle.write("".join(part[start:start + WRITE_CHUNK]))

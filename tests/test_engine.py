@@ -707,14 +707,28 @@ def law_and_brute(cfg, m):
     return law, brute_ap_distribution(cfg.weights, m)
 
 
+# d = 1 weights over 10^6 whose sums reduce to many denominators: keys
+# of many distinct gcds with the scale, none of whose signed sums is 0
+MILLIONTHS = [Fraction(k, 10**6) for k in (123456, 250000, 5, 640, 999999, 3125, 1)]
+
+
 def writer_examples(test):
     # a d = 1 progression law with an origin atom, a one-weight law, and two
     # laws whose upper halves span more than one WRITE_CHUNK: 2^13 distinct
     # signed sums of powers of 2, and 3^8 progression sums in the plane
-    # with one axis of mixed signs and zeros
+    # with one axis of mixed signs and zeros. At d = 1, weights over 10^6:
+    # a sign law with no origin atom, one with an origin atom (the last
+    # weight is a signed sum of the others) and a progression law; laws of
+    # scale 1, with and without an origin atom
     examples = (
         (scalar_config(["1", "1/2", "1/2"]), 3),
         (scalar_config(["2/3"]), 2),
+        (scalar_config(MILLIONTHS), 2),
+        (scalar_config([*MILLIONTHS[:5], Fraction(627188, 10**6)]), 2),
+        (scalar_config(MILLIONTHS[:6]), 3),
+        (scalar_config(["1", "1", "1"]), 2),
+        (scalar_config(["1", "-1"]), 2),
+        (scalar_config(["1", "1"]), 3),
         (WeightConfig.of(2, ((Fraction(-1, 2), Fraction(1, 3)),)), 4),
         (scalar_config([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
         (
@@ -808,12 +822,17 @@ class TestAtomDistribution:
     @example({1, 2, 3}, 1)  # scale 1: every denominator is 1
     @example({5, 10, 12, 60, 120}, 60)  # repeated denominators, and whole numbers
     def test_line_column_is_each_keys_wire_form(self, keys, scale):
-        # at d = 1 each key k above the origin is written as k / scale, one
-        # "/q" string per reduced denominator
+        # at d = 1 each key k above the origin is written as k / scale in two
+        # pieces, its reduced numerator and one "/q" string per reduced
+        # denominator, shared by every key of that denominator
         law = AtomDistribution(dict.fromkeys(keys, 1), scale, 2 * len(keys), 1, 1, max(keys))
-        _, columns, mirrors, origin = law._half_strings()
-        assert mirrors is None and origin is None
-        assert columns == [[rat_str(Fraction(k, scale)) for k in sorted(keys)]]
+        _, _, (nums, gcds, dens), origin = law._half_strings()
+        assert origin is None
+        points = [Fraction(k, scale) for k in sorted(keys)]
+        assert nums == [str(x.numerator) for x in points]
+        assert [dens[g] for g in gcds] == [f"/{x.denominator}" for x in points]
+        assert [a + dens[g] for a, g in zip(nums, gcds)] == list(map(rat_str, points))
+        assert len(dens) == len(set(dens.values()))
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(scalar_config(["1", "1/2"]))
@@ -861,6 +880,35 @@ class TestAtomDistribution:
                 law.to_json(buffer)
             text = buffer.getvalue()
             assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "cfg, m",
+        (
+            (scalar_config([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
+            (scalar_config(MILLIONTHS), 3),
+            (WeightConfig.of(2, [(Fraction(k, 10**6), Fraction(1, 3)) for k in (1, 2, 4, 8, 16)]), 2),
+            (WeightConfig.of(2, [(Fraction(3 ** i, 3 ** 9), Fraction(i - 4, 16)) for i in range(8)]), 3),
+        ),
+        ids=("line_sign", "line_ap3", "plane_sign", "plane_ap3"),
+    )
+    @pytest.mark.parametrize("chunk", (1, 5, engine.WRITE_CHUNK))
+    def test_no_write_carries_more_than_a_chunk_of_atoms(self, monkeypatch, cfg, m, chunk):
+        # the writer holds at most WRITE_CHUNK atom blocks of text at once:
+        # every write carries at most that many, and together they are the law
+        law, _ = law_and_brute(cfg, m)
+        monkeypatch.setattr(engine, "WRITE_CHUNK", chunk)
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+        law.to_json(Recorder())
+        blocks = [text.count('"probability"') for text in writes]
+        assert max(blocks) <= chunk
+        assert sum(blocks) == len(law.atoms)
+        buffer = io.StringIO()
+        law.to_json(buffer)
+        assert "".join(writes) == buffer.getvalue()
 
     @given(
         weight_configs(max_n=5, dims=(1, 2, 3), max_denominator=3),
