@@ -388,11 +388,25 @@ def _line_chunks(
     once per distinct count; its numerator; and its "/q" with _TAIL and the
     separator, made once per distinct gcd. A chunk interleaves them by slice
     assignment and joins them once, so no string is made per atom; its last
-    block takes no separator.
+    block takes no separator. When every atom has one count, as in a law
+    whose sums never collide, each tail takes the next block's head, and a
+    block is two pieces.
     """
     nums, gcds, dens = axes
     heads = {count: f"{_HEAD}{p}{_MID}{sign}" for count, p in ratios.items()}
     tails = {g: f"{q}{_TAIL},\n" for g, q in dens.items()}
+    if len(heads) == 1:
+        (head,) = heads.values()
+        links = {g: tail + head for g, tail in tails.items()}
+        for cut in _cuts(len(nums), backward):
+            block = nums[cut]
+            parts = block * 2
+            parts[::2] = block
+            parts[1::2] = map(links.__getitem__, gcds[cut])
+            parts[-1] = parts[-1][: -len(head) - 2]
+            parts.insert(0, head)
+            yield "".join(parts)
+        return
     for cut in _cuts(len(nums), backward):
         block = nums[cut]
         parts = block * 3

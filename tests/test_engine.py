@@ -886,10 +886,11 @@ class TestAtomDistribution:
         (
             (scalar_config([Fraction(2 ** i, 2 ** 13) for i in range(13)]), 2),
             (scalar_config(MILLIONTHS), 3),
+            (scalar_config([Fraction(1, k) for k in range(2, 9)]), 3),
             (WeightConfig.of(2, [(Fraction(k, 10**6), Fraction(1, 3)) for k in (1, 2, 4, 8, 16)]), 2),
             (WeightConfig.of(2, [(Fraction(3 ** i, 3 ** 9), Fraction(i - 4, 16)) for i in range(8)]), 3),
         ),
-        ids=("line_sign", "line_ap3", "plane_sign", "plane_ap3"),
+        ids=("line_sign", "line_ap3", "line_ap3_ties", "plane_sign", "plane_ap3"),
     )
     @pytest.mark.parametrize("chunk", (1, 5, engine.WRITE_CHUNK))
     def test_no_write_carries_more_than_a_chunk_of_atoms(self, monkeypatch, cfg, m, chunk):
