@@ -86,8 +86,8 @@ SUBSET_BITS_PER_KEY = 256
 # to d = 12 at the default grid of 16ths.
 DRAW_CAP = 1 << 21
 # atoms (or campaign rows) a writer joins into one string per write, which
-# bounds the text held at once; a d = 1 law's chunk is joined from 3 pieces
-# an atom, a numerator between two pieces shared by many atoms
+# bounds the text held at once; a d = 1 law's chunk is joined from two or
+# three pieces an atom: its numerator, and pieces shared by many atoms
 WRITE_CHUNK = 2048
 
 
@@ -341,8 +341,8 @@ class AtomDistribution:
         The atoms are written from the pieces of `_half_strings`, their JSON
         blocks made and joined WRITE_CHUNK at a time: the mirrors below the
         origin, last first, then the origin, then the atoms above. At d = 1
-        a block is a numerator between two shared pieces (`_line_chunks`),
-        at d >= 2 one string (`_json_chunks`). The "p/q" strings need no
+        a block is its numerator and shared pieces (`_line_chunks`), at
+        d >= 2 one string (`_json_chunks`). The "p/q" strings need no
         escaping.
         """
         ratios, counts, axes, origin = self._half_strings()
@@ -370,13 +370,11 @@ _SEP, _TAIL = '",\n        "', '"\n      ]\n    }'
 
 
 def _cuts(size: int, backward: bool) -> list[slice]:
-    """Slices of WRITE_CHUNK items covering range(size), backward from its end if asked."""
+    """Slices of WRITE_CHUNK items covering range(size), from its end down if backward."""
+    cuts = [slice(start, min(start + WRITE_CHUNK, size)) for start in range(0, size, WRITE_CHUNK)]
     if not backward:
-        return [slice(start, start + WRITE_CHUNK) for start in range(0, size, WRITE_CHUNK)]
-    return [
-        slice(stop - 1, stop - 1 - WRITE_CHUNK if stop > WRITE_CHUNK else None, -1)
-        for stop in range(size, 0, -WRITE_CHUNK)
-    ]
+        return cuts
+    return [slice(cut.stop - 1, cut.start - 1 if cut.start else None, -1) for cut in cuts[::-1]]
 
 
 def _line_chunks(
