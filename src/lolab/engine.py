@@ -350,7 +350,8 @@ class AtomDistribution:
             lower = _line_chunks(ratios, counts, axes, "-", backward=True)
             upper = _line_chunks(ratios, counts, axes, "")
         else:
-            probs, (columns, mirrors) = list(map(ratios.__getitem__, counts)), axes
+            probs = list(map(ratios.__getitem__, counts))
+            columns, mirrors = axes
             lower = _json_chunks(probs, mirrors, backward=True)
             upper = _json_chunks(probs, columns)
         middle = [] if origin is None else _json_chunks([origin], [["0/1"]] * self.dim)
