@@ -11,7 +11,6 @@ was exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -184,9 +183,7 @@ def cmd_dist(args) -> int:
         dist = ap_uniform_sum_distribution(APUniformSpec(args.ap_m), cfg)
     with _output(args) as handle:
         if args.format == "csv":
-            writer = csv.writer(handle)
-            writer.writerow([f"x{i + 1}" for i in range(dist.dim)] + ["probability"])
-            writer.writerows(dist.formatted_atoms())
+            dist.to_csv(handle)
         else:
             dist.to_json(handle)
     return 0

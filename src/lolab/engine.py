@@ -31,10 +31,10 @@ counted in ascending order; every other law by the hash kernel
 (`_lattice_sums`), one convolution step per weight. `_takes_sorted_sums`
 is the rule between them, read from the input and the caps alone. Every
 walk in atom order mirrors the law's one sorted upper half (`upper_half`).
-The writers (`to_json`, and `formatted_atoms` for CSV) format only that
+The writers (`to_json`, and `to_csv` for CSV rows) format only that
 half, from one string per distinct count and, at d >= 2, per distinct
 coordinate; at d = 1 a point is its reduced numerator's string and one
-"/q" string per distinct denominator, and the JSON writer joins shared
+"/q" string per distinct denominator, and both writers join shared
 pieces and numerators with no string per atom. The mirrors below the
 origin are written from the same strings, WRITE_CHUNK atoms at a time.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .rational import RationalLike, Vec, _read_fields, make_vec, norm_sq, ratio_str, wire_points
@@ -307,24 +307,6 @@ class AtomDistribution:
             axes = columns, [[coords[-a] for a in col] for col in ints]
         return ratios, list(map(counts.__getitem__, keys)), axes, origin
 
-    def formatted_atoms(self) -> Iterator[tuple[str, ...]]:
-        """Each atom's "p/q" coordinates, then its "p/q" probability, in atom order.
-
-        The strings are those of `_half_strings`: the atoms below the origin
-        are the mirrors of those above, in reverse.
-        """
-        ratios, counts, axes, origin = self._half_strings()
-        probs = list(map(ratios.__getitem__, counts))
-        if self.dim == 1:
-            nums, gcds, dens = axes
-            column = list(map(add, nums, map(dens.__getitem__, gcds)))
-            axes = [column], [list(map("-".__add__, column))]
-        columns, mirrors = axes
-        yield from zip(*(col[::-1] for col in mirrors), probs[::-1])
-        if origin is not None:
-            yield ("0/1",) * self.dim + (origin,)
-        yield from zip(*columns, probs)
-
     def max_count(self) -> tuple[tuple[int, ...], int]:
         """The most likely point and its count; ties go to the least point.
 
@@ -335,33 +317,53 @@ class AtomDistribution:
         key = max(key for key, count in self.counts.items() if count == best)
         return self.points([-key])[0], best
 
-    def to_json(self, handle: TextIO) -> None:
-        """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
+    def _texts(self, line, plane) -> Iterable[str]:
+        """The atoms' text in atom order, made WRITE_CHUNK atoms at a time.
 
-        The atoms are written from the pieces of `_half_strings`, their JSON
-        blocks made and joined WRITE_CHUNK at a time: the mirrors below the
-        origin, last first, then the origin, then the atoms above. At d = 1
-        a block is its numerator and shared pieces (`_line_chunks`), at
-        d >= 2 one string (`_json_chunks`). The "p/q" strings need no
-        escaping.
+        From the pieces of `_half_strings`: the mirrors below the origin,
+        last first, then the origin, then the atoms above. `line` makes a
+        half at d = 1 from its pieces, `plane` the halves at d >= 2 and the
+        origin from one string per atom.
         """
         ratios, counts, axes, origin = self._half_strings()
         if self.dim == 1:
-            lower = _line_chunks(ratios, counts, axes, "-", backward=True)
-            upper = _line_chunks(ratios, counts, axes, "")
+            lower = line(ratios, counts, axes, "-", backward=True)
+            upper = line(ratios, counts, axes, "")
         else:
             probs = list(map(ratios.__getitem__, counts))
             columns, mirrors = axes
-            lower = _json_chunks(probs, mirrors, backward=True)
-            upper = _json_chunks(probs, columns)
-        middle = [] if origin is None else _json_chunks([origin], [["0/1"]] * self.dim)
+            lower = plane(probs, mirrors, backward=True)
+            upper = plane(probs, columns)
+        middle = [] if origin is None else plane([origin], [["0/1"]] * self.dim)
+        return chain(lower, middle, upper)
+
+    def to_json(self, handle: TextIO) -> None:
+        """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
+
+        The atoms' blocks are made WRITE_CHUNK at a time (`_texts`): at
+        d = 1 from their numerators and shared pieces (`_line_chunks`), at
+        d >= 2 one string each (`_json_chunks`). The "p/q" strings need no
+        escaping.
+        """
         handle.write('{\n  "atoms": [\n')
         sep = ""
-        for text in chain(lower, middle, upper):
+        for text in self._texts(_line_chunks, _json_chunks):
             handle.write(sep)
             handle.write(text)
             sep = ",\n"
         handle.write(f'\n  ],\n  "dim": {self.dim},\n  "n": {self.n}\n}}\n')
+
+    def to_csv(self, handle: TextIO) -> None:
+        """Write the law as csv.writer would: the header x1,...,xd,probability, then the atoms.
+
+        An atom's row is its "p/q" coordinates and its "p/q" probability;
+        the rows are made WRITE_CHUNK at a time (`_texts`): at d = 1 from
+        their numerators and shared pieces (`_line_rows`), at d >= 2 one
+        string each (`_csv_chunks`). No field needs quoting.
+        """
+        handle.write(",".join([f"x{i + 1}" for i in range(self.dim)] + ["probability"]) + "\r\n")
+        for text in self._texts(_line_rows, _csv_chunks):
+            handle.write(text)
 
 
 # an atom's JSON block: _HEAD, its probability, _MID, its coordinates joined
@@ -378,42 +380,59 @@ def _cuts(size: int, backward: bool) -> list[slice]:
     return [slice(cut.stop - 1, cut.start - 1 if cut.start else None, -1) for cut in cuts[::-1]]
 
 
+def _interleave(lead: str, columns: Sequence[tuple], trim: int, backward: bool) -> Iterator[str]:
+    """`lead`, then each atom's pieces, WRITE_CHUNK atoms per text, less `trim` characters.
+
+    A column is (table, items): atom i's piece is items[i], or
+    table[items[i]] with a table. An atom's pieces are one from each column
+    in turn; a chunk places them by slice assignment and joins them once,
+    and `trim` characters are cut from its end.
+    """
+    width, atoms = len(columns), range(len(columns[0][1]))
+    for cut in _cuts(len(atoms), backward):
+        parts = [lead] * (width * len(atoms[cut]) + 1)
+        for i, (table, items) in enumerate(columns, 1):
+            parts[i::width] = items[cut] if table is None else map(table.__getitem__, items[cut])
+        parts[-1] = parts[-1][: len(parts[-1]) - trim]
+        yield "".join(parts)
+
+
 def _line_chunks(
     ratios: Mapping[int, str], counts: Sequence[int], axes: tuple, sign: str, backward: bool = False
 ) -> Iterator[str]:
     """The JSON blocks of d = 1 atoms from their pieces (`_half_strings`), WRITE_CHUNK per text.
 
-    A block is three pieces: _HEAD, its probability, _MID and `sign`, made
-    once per distinct count; its numerator; and its "/q" with _TAIL and the
-    separator, made once per distinct gcd. A chunk interleaves them by slice
-    assignment and joins them once, so no string is made per atom; its last
-    block takes no separator. When every atom has one count, as in a law
-    whose sums never collide, each tail takes the next block's head, and a
-    block is two pieces.
+    A block is three pieces (`_interleave`): _HEAD, its probability, _MID
+    and `sign`, made once per distinct count; its numerator; and its "/q"
+    with _TAIL and the separator, made once per distinct gcd. So no string
+    is made per atom, and the last block's separator is trimmed. When every
+    atom has one count, as in a law whose sums never collide, each tail
+    takes the next block's head, and a block is two pieces.
     """
     nums, gcds, dens = axes
     heads = {count: f"{_HEAD}{p}{_MID}{sign}" for count, p in ratios.items()}
     tails = {g: f"{q}{_TAIL},\n" for g, q in dens.items()}
-    if len(heads) == 1:
-        (head,) = heads.values()
-        links = {g: tail + head for g, tail in tails.items()}
-        for cut in _cuts(len(nums), backward):
-            block = nums[cut]
-            parts = block * 2
-            parts[::2] = block
-            parts[1::2] = map(links.__getitem__, gcds[cut])
-            parts[-1] = parts[-1][: -len(head) - 2]
-            parts.insert(0, head)
-            yield "".join(parts)
-        return
-    for cut in _cuts(len(nums), backward):
-        block = nums[cut]
-        parts = block * 3
-        parts[::3] = map(heads.__getitem__, counts[cut])
-        parts[1::3] = block
-        parts[2::3] = map(tails.__getitem__, gcds[cut])
-        parts[-1] = parts[-1][:-2]
-        yield "".join(parts)
+    if len(heads) > 1:
+        return _interleave("", [(heads, counts), (None, nums), (tails, gcds)], 2, backward)
+    (head,) = heads.values()
+    links = {g: tail + head for g, tail in tails.items()}
+    return _interleave(head, [(None, nums), (links, gcds)], len(head) + 2, backward)
+
+
+def _line_rows(
+    ratios: Mapping[int, str], counts: Sequence[int], axes: tuple, sign: str, backward: bool = False
+) -> Iterator[str]:
+    """The CSV rows of d = 1 atoms from their pieces (`_half_strings`), WRITE_CHUNK per text.
+
+    A row is `sign`, its numerator, its "/q" and "," (one per distinct
+    gcd), and its probability and "\\r\\n" (one per distinct count). That
+    last piece also carries the next row's `sign`, trimmed after a chunk's
+    last row.
+    """
+    nums, gcds, dens = axes
+    cells = {g: q + "," for g, q in dens.items()}
+    ends = {count: f"{p}\r\n{sign}" for count, p in ratios.items()}
+    return _interleave(sign, [(None, nums), (cells, gcds), (ends, counts)], len(sign), backward)
 
 
 def _json_chunks(
@@ -424,6 +443,15 @@ def _json_chunks(
     for cut in _cuts(len(probs), backward):
         points = zip(probs[cut], zip(*(col[cut] for col in columns)))
         yield ",\n".join([f"{head}{p}{mid}{sep.join(x)}{tail}" for p, x in points])
+
+
+def _csv_chunks(
+    probs: Sequence[str], columns: Sequence[Sequence[str]], backward: bool = False
+) -> Iterator[str]:
+    """The CSV rows of atoms of these "p/q" strings, WRITE_CHUNK rows per text."""
+    for cut in _cuts(len(probs), backward):
+        rows = zip(*(col[cut] for col in columns), probs[cut])
+        yield "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
 class _AtomView(Mapping):

@@ -893,9 +893,13 @@ class TestAtomDistribution:
         ids=("line_sign", "line_ap3", "line_ap3_ties", "plane_sign", "plane_ap3"),
     )
     @pytest.mark.parametrize("chunk", (1, 5, engine.WRITE_CHUNK))
-    def test_no_write_carries_more_than_a_chunk_of_atoms(self, monkeypatch, cfg, m, chunk):
-        # the writer holds at most WRITE_CHUNK atom blocks of text at once:
-        # every write carries at most that many, and together all of them
+    @pytest.mark.parametrize("writer, mark", (("to_json", '"probability"'), ("to_csv", "\r\n")))
+    def test_no_write_carries_more_than_a_chunk_of_atoms(
+        self, monkeypatch, cfg, m, chunk, writer, mark
+    ):
+        # the writers hold at most WRITE_CHUNK atoms' text at once: every
+        # write carries at most that many, and together all of them (the
+        # CSV header is a write of its own, one row)
         law = ap_uniform_sum_distribution(APUniformSpec(m), cfg)
         monkeypatch.setattr(engine, "WRITE_CHUNK", chunk)
         writes = []
@@ -903,23 +907,30 @@ class TestAtomDistribution:
         class Recorder:
             write = writes.append
 
-        law.to_json(Recorder())
-        blocks = [text.count('"probability"') for text in writes]
-        assert max(blocks) <= chunk and sum(blocks) == len(law.atoms)
-
+        getattr(law, writer)(Recorder())
+        atoms = [text.count(mark) for text in writes]
+        header = writer == "to_csv"
+        assert max(atoms) <= chunk and sum(atoms) == len(law.atoms) + header
     @given(
         weight_configs(max_n=5, dims=(1, 2, 3), max_denominator=3),
         st.sampled_from((2, 3, 4)),
     )
     @writer_examples
     def test_csv_rows_are_the_csv_module_rows(self, cfg, m):
-        # dist --format csv writes formatted_atoms through csv.writer
+        # dist --format csv writes to_csv: csv.writer's bytes for the header
+        # and the atoms in atom order, whichever chunks the rows are
+        # written in
         law, brute = law_and_brute(cfg, m)
+        header = [f"x{i + 1}" for i in range(cfg.dim)] + ["probability"]
         rows = [[*vec_strs(x), rat_str(p)] for x, p in sorted(brute.items())]
-        buffer, expected = io.StringIO(), io.StringIO()
-        csv.writer(buffer).writerows(law.formatted_atoms())
-        csv.writer(expected).writerows(rows)
-        assert buffer.getvalue() == expected.getvalue()
+        expected = io.StringIO()
+        csv.writer(expected).writerows([header, *rows])
+        for chunk in (1, 3, engine.WRITE_CHUNK):
+            buffer = io.StringIO()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "WRITE_CHUNK", chunk)
+                law.to_csv(buffer)
+            assert buffer.getvalue() == expected.getvalue()
 
     def test_rat_parsing(self):
         assert rat("3/6") == Fraction(1, 2)
