@@ -35,10 +35,10 @@ from .bounds import (
 from .engine import (
     ATOM_QUERY_CAP,
     FULL_LAW_CAP,
-    WRITE_CHUNK,
     APUniformSpec,
     CapExceeded,
     WeightConfig,
+    _cuts,
     ap_uniform_sum_distribution,
     atom_probability,
     full_distribution,
@@ -368,8 +368,8 @@ def _members_json(family: SubsetFamily) -> Iterator[str]:
             table += [text + element for text in table]
         tables.append((shift, table))
     sep = "[\n      "
-    for start in range(0, len(members), WRITE_CHUNK):
-        chunk = members[start : start + WRITE_CHUNK]
+    for cut in _cuts(range(len(members))):
+        chunk = members[cut]
         columns = [[table[mask >> shift & 255] for mask in chunk] for shift, table in tables]
         texts = map("".join, zip(*columns))
         yield sep + ",\n      ".join([f"[{t[1:]}\n      ]" if t else "[]" for t in texts])

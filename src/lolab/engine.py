@@ -32,11 +32,13 @@ counted in ascending order; every other law by the hash kernel
 is the rule between them, read from the input and the caps alone. Every
 walk in atom order mirrors the law's one sorted upper half (`upper_half`).
 The writers (`to_json`, and `to_csv` for CSV rows) format only that
-half, from one string per distinct count and, at d >= 2, per distinct
-coordinate; at d = 1 a point is its reduced numerator's string and one
-"/q" string per distinct denominator, and both writers join shared
-pieces and numerators with no string per atom. The mirrors below the
-origin are written from the same strings, WRITE_CHUNK atoms at a time.
+half and the origin, and write every law through one path,
+`_interleave`: an atom's text is pieces from tables of one string per
+distinct count and, at d >= 2, per distinct coordinate of an axis and
+half. At d = 1 a point is its reduced numerator's string and one "/q"
+string per distinct denominator, with "-" in front below the origin, so
+no string is made per atom but a numerator. The pieces of WRITE_CHUNK
+atoms are joined once a chunk.
 Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
 rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
 on the atoms of both halves, checked as a hash-kernel step grows, and
@@ -85,9 +87,11 @@ SUBSET_BITS_PER_KEY = 256
 # by rejection never ends at high d. No weight plausibly needs this many up
 # to d = 12 at the default grid of 16ths.
 DRAW_CAP = 1 << 21
-# atoms (or campaign rows) a writer joins into one string per write, which
-# bounds the text held at once; a d = 1 law's chunk is joined from two or
-# three pieces an atom: its numerator, and pieces shared by many atoms
+# atoms (or campaign rows, or antichain members) a writer joins into one
+# string per write, which bounds the text held at once; `_cuts` is its one
+# reader. A law's chunk is joined from a piece per column an atom
+# (`_interleave`): its count's, unless every atom has one count, and its
+# coordinates', at d = 1 a numerator and a "/q" piece
 WRITE_CHUNK = 2048
 
 
@@ -267,7 +271,9 @@ class AtomDistribution:
         this sort is one linear pass; the hash kernel's are in no order.
         """
         keys = sorted(self.counts)
-        return keys[1:] if keys[0] == 0 else keys
+        if keys[0] == 0:
+            del keys[0]
+        return keys
 
     def sorted_atoms(self) -> list[tuple[tuple[int, ...], int]]:
         """(point, count) of every atom, in atom order, mirrored from upper_half()."""
@@ -276,36 +282,6 @@ class AtomDistribution:
         lower = [(tuple(-a for a in pt), count) for pt, count in reversed(upper)]
         middle = [((0,) * self.dim, counts[0])] if 0 in counts else []
         return lower + middle + upper
-
-    def _half_strings(self) -> tuple[dict[int, str], list[int], tuple, Optional[str]]:
-        """The strings of the atoms above the origin, in upper_half() order, as pieces.
-
-        (ratios, counts, axes, origin): one "p/q" string per distinct count;
-        each atom's count, so its probability is ratios[count]; its
-        coordinates; and the origin's probability, or None when the origin
-        is no atom. At d >= 2 axes is (columns, mirrors), the coordinates of
-        each atom and of its mirror -pt, one list per axis, from one string
-        per distinct value. At d = 1 a key k is its point, written in two
-        pieces: axes is (nums, gcds, dens), the str of each reduced
-        numerator k // g for g = gcd(k, scale), and one "/q" string per
-        distinct g, for q = scale // g. Every such point is positive, so a
-        mirror is "-" and then the same pieces.
-        """
-        counts, scale = self.counts, self.scale
-        ratios = {count: ratio_str(count, self.denom) for count in set(counts.values())}
-        keys = self.upper_half()
-        origin = ratios[counts[0]] if 0 in counts else None
-        if self.dim == 1:
-            gcds = list(map(gcd, keys, repeat(scale)))
-            nums = list(map(str, map(floordiv, keys, gcds)))
-            axes = nums, gcds, {g: f"/{scale // g}" for g in set(gcds)}
-        else:
-            ints = self._columns(keys)
-            values = set().union(*ints)
-            coords = {a: ratio_str(a, scale) for a in values.union(-a for a in values)}
-            columns = [list(map(coords.__getitem__, col)) for col in ints]
-            axes = columns, [[coords[-a] for a in col] for col in ints]
-        return ratios, list(map(counts.__getitem__, keys)), axes, origin
 
     def max_count(self) -> tuple[tuple[int, ...], int]:
         """The most likely point and its count; ties go to the least point.
@@ -317,53 +293,81 @@ class AtomDistribution:
         key = max(key for key, count in self.counts.items() if count == best)
         return self.points([-key])[0], best
 
-    def _texts(self, line, plane) -> Iterable[str]:
-        """The atoms' text in atom order, made WRITE_CHUNK atoms at a time.
+    def _half_strings(self, ends: Sequence[str]) -> tuple[dict[int, str], list[int], list[tuple]]:
+        """The atoms' text as `_interleave` pieces: (ratios, counts, halves).
 
-        From the pieces of `_half_strings`: the mirrors below the origin,
-        last first, then the origin, then the atoms above. `line` makes a
-        half at d = 1 from its pieces, `plane` the halves at d >= 2 and the
-        origin from one string per atom.
+        ratios holds one "p/q" string per distinct count, and counts the
+        count of each key at or above the origin, in order, so that key's
+        probability is ratios[count]. A half is (sign, columns, atoms): its
+        text before the first axis, one column per axis over those keys, and
+        the range of them it writes, in order. The upper half writes every
+        key, the lower half the mirrors of those above the origin, last
+        first. ends[j], the text after axis j, ends each entry of that axis's
+        table. At d = 1 a key k is its point, in two columns that both halves
+        share: the str of each reduced numerator k // g for g = gcd(k, scale),
+        and one "/q" string per distinct g, for q = scale // g. Every point
+        above the origin is positive, so the lower half's sign is "-". At
+        d >= 2 each axis has a table per half over its distinct coordinates
+        a, of the string of a above and of -a below, and both halves read
+        the same coordinate lists.
         """
-        ratios, counts, axes, origin = self._half_strings()
+        counts, scale = self.counts, self.scale
+        ratios = {count: ratio_str(count, self.denom) for count in set(counts.values())}
+        keys, origin = self.upper_half(), 0 in counts
+        if origin:
+            keys.insert(0, 0)
         if self.dim == 1:
-            lower = line(ratios, counts, axes, "-", backward=True)
-            upper = line(ratios, counts, axes, "")
+            gcds = list(map(gcd, keys, repeat(scale)))
+            nums = list(map(str, map(floordiv, keys, gcds)))
+            dens = {g: f"/{scale // g}{ends[0]}" for g in set(gcds)}
+            above = below = [(None, nums), (dens, gcds)]
+            sign = "-"
         else:
-            probs = list(map(ratios.__getitem__, counts))
-            columns, mirrors = axes
-            lower = plane(probs, mirrors, backward=True)
-            upper = plane(probs, columns)
-        middle = [] if origin is None else plane([origin], [["0/1"]] * self.dim)
-        return chain(lower, middle, upper)
+            above, below, sign = [], [], ""
+            for col, end in zip(self._columns(keys), ends):
+                values = set(col)
+                above.append(({a: ratio_str(a, scale) + end for a in values}, col))
+                below.append(({a: ratio_str(-a, scale) + end for a in values}, col))
+        lower, upper = range(len(keys) - 1, origin - 1, -1), range(len(keys))
+        halves = [(sign, below, lower), ("", above, upper)]
+        return ratios, list(map(counts.__getitem__, keys)), halves
 
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
 
-        The atoms' blocks are made WRITE_CHUNK at a time (`_texts`): at
-        d = 1 from their numerators and shared pieces (`_line_chunks`), at
-        d >= 2 one string each (`_json_chunks`). The "p/q" strings need no
-        escaping.
+        An atom's block is its head, one per distinct count and half
+        (_HEAD, its "p/q" probability, _MID and the half's sign), then its
+        coordinates' pieces (`_half_strings`), each ending with _SEP, or with
+        _TAIL and the separator at the last axis. `_interleave` joins them
+        WRITE_CHUNK atoms at a time, each text less its last separator. The
+        "p/q" strings need no escaping.
         """
+        ratios, counts, halves = self._half_strings([_SEP] * (self.dim - 1) + [_TAIL + ",\n"])
         handle.write('{\n  "atoms": [\n')
         sep = ""
-        for text in self._texts(_line_chunks, _json_chunks):
-            handle.write(sep)
-            handle.write(text)
-            sep = ",\n"
+        for sign, columns, atoms in halves:
+            heads = {count: f"{_HEAD}{p}{_MID}{sign}" for count, p in ratios.items()}
+            for text in _interleave([(heads, counts), *columns], atoms, 2):
+                handle.write(sep)
+                handle.write(text)
+                sep = ",\n"
         handle.write(f'\n  ],\n  "dim": {self.dim},\n  "n": {self.n}\n}}\n')
 
     def to_csv(self, handle: TextIO) -> None:
         """Write the law as csv.writer would: the header x1,...,xd,probability, then the atoms.
 
-        An atom's row is its "p/q" coordinates and its "p/q" probability;
-        the rows are made WRITE_CHUNK at a time (`_texts`): at d = 1 from
-        their numerators and shared pieces (`_line_rows`), at d >= 2 one
-        string each (`_csv_chunks`). No field needs quoting.
+        A row is the half's sign, its coordinates' pieces (`_half_strings`),
+        each ending with ",", and its row end, one per distinct count (its
+        "p/q" probability and "\\r\\n"); `_interleave` joins them WRITE_CHUNK
+        rows at a time. No field needs quoting.
         """
         handle.write(",".join([f"x{i + 1}" for i in range(self.dim)] + ["probability"]) + "\r\n")
-        for text in self._texts(_line_rows, _csv_chunks):
-            handle.write(text)
+        ratios, counts, halves = self._half_strings([","] * self.dim)
+        rows = {count: f"{p}\r\n" for count, p in ratios.items()}
+        zeros = bytes(len(counts))  # every atom's key, 0, in its half's one-entry sign table
+        for sign, columns, atoms in halves:
+            for text in _interleave([({0: sign}, zeros), *columns, (rows, counts)], atoms, 0):
+                handle.write(text)
 
 
 # an atom's JSON block: _HEAD, its probability, _MID, its coordinates joined
@@ -372,86 +376,40 @@ _HEAD, _MID = '    {\n      "probability": "', '",\n      "x": [\n        "'
 _SEP, _TAIL = '",\n        "', '"\n      ]\n    }'
 
 
-def _cuts(size: int, backward: bool) -> list[slice]:
-    """Slices of WRITE_CHUNK items covering range(size), from its end down if backward."""
-    cuts = [slice(start, min(start + WRITE_CHUNK, size)) for start in range(0, size, WRITE_CHUNK)]
-    if not backward:
-        return cuts
-    return [slice(cut.stop - 1, cut.start - 1 if cut.start else None, -1) for cut in cuts[::-1]]
+def _cuts(atoms: range) -> list[slice]:
+    """Slices of WRITE_CHUNK items each that walk `atoms`, a range of step 1 or -1, in order."""
+    parts = [atoms[start : start + WRITE_CHUNK] for start in range(0, len(atoms), WRITE_CHUNK)]
+    return [slice(part.start, part.stop if part.stop >= 0 else None, part.step) for part in parts]
 
 
-def _interleave(lead: str, columns: Sequence[tuple], trim: int, backward: bool) -> Iterator[str]:
-    """`lead`, then each atom's pieces, WRITE_CHUNK atoms per text, less `trim` characters.
+def _interleave(columns: Sequence[tuple], atoms: range, trim: int) -> Iterator[str]:
+    """The text of `atoms`, WRITE_CHUNK atoms per text, each text less `trim` characters.
 
     A column is (table, items): atom i's piece is items[i], or
-    table[items[i]] with a table. An atom's pieces are one from each column
-    in turn; a chunk places them by slice assignment and joins them once,
-    and `trim` characters are cut from its end.
+    table[items[i]] with a table; the first column has one. An atom's
+    pieces are one from each column in turn; a chunk places them by slice
+    assignment and joins them once. When the first column's table has one
+    entry, as the heads of a law whose atoms all have one count, or a CSV
+    half's sign, and the last column's table has fewer entries than there
+    are atoms, that entry leads each text and ends each entry of the last
+    table instead, and is trimmed after a text's last atom: an atom is then
+    one piece fewer, and no table is rebuilt at the size of the atoms.
     """
-    width, atoms = len(columns), range(len(columns[0][1]))
-    for cut in _cuts(len(atoms), backward):
-        parts = [lead] * (width * len(atoms[cut]) + 1)
+    (first, items), *rest = columns
+    lead = ""
+    if len(first) == 1 and len(rest[-1][0]) < len(atoms):
+        (lead,) = first.values()
+        if lead:  # an empty lead leaves the last table as it is
+            table, keys = rest[-1]
+            rest[-1] = {key: text + lead for key, text in table.items()}, keys
+        columns, trim = rest, trim + len(lead)
+    width, span = len(columns), range(len(items))
+    for cut in _cuts(atoms):
+        parts = [lead] * (width * len(span[cut]) + 1)
         for i, (table, items) in enumerate(columns, 1):
             parts[i::width] = items[cut] if table is None else map(table.__getitem__, items[cut])
         parts[-1] = parts[-1][: len(parts[-1]) - trim]
         yield "".join(parts)
-
-
-def _line_chunks(
-    ratios: Mapping[int, str], counts: Sequence[int], axes: tuple, sign: str, backward: bool = False
-) -> Iterator[str]:
-    """The JSON blocks of d = 1 atoms from their pieces (`_half_strings`), WRITE_CHUNK per text.
-
-    A block is three pieces (`_interleave`): _HEAD, its probability, _MID
-    and `sign`, made once per distinct count; its numerator; and its "/q"
-    with _TAIL and the separator, made once per distinct gcd. So no string
-    is made per atom, and the last block's separator is trimmed. When every
-    atom has one count, as in a law whose sums never collide, each tail
-    takes the next block's head, and a block is two pieces.
-    """
-    nums, gcds, dens = axes
-    heads = {count: f"{_HEAD}{p}{_MID}{sign}" for count, p in ratios.items()}
-    tails = {g: f"{q}{_TAIL},\n" for g, q in dens.items()}
-    if len(heads) > 1:
-        return _interleave("", [(heads, counts), (None, nums), (tails, gcds)], 2, backward)
-    (head,) = heads.values()
-    links = {g: tail + head for g, tail in tails.items()}
-    return _interleave(head, [(None, nums), (links, gcds)], len(head) + 2, backward)
-
-
-def _line_rows(
-    ratios: Mapping[int, str], counts: Sequence[int], axes: tuple, sign: str, backward: bool = False
-) -> Iterator[str]:
-    """The CSV rows of d = 1 atoms from their pieces (`_half_strings`), WRITE_CHUNK per text.
-
-    A row is `sign`, its numerator, its "/q" and "," (one per distinct
-    gcd), and its probability and "\\r\\n" (one per distinct count). That
-    last piece also carries the next row's `sign`, trimmed after a chunk's
-    last row.
-    """
-    nums, gcds, dens = axes
-    cells = {g: q + "," for g, q in dens.items()}
-    ends = {count: f"{p}\r\n{sign}" for count, p in ratios.items()}
-    return _interleave(sign, [(None, nums), (cells, gcds), (ends, counts)], len(sign), backward)
-
-
-def _json_chunks(
-    probs: Sequence[str], columns: Sequence[Sequence[str]], backward: bool = False
-) -> Iterator[str]:
-    """The JSON blocks of atoms of these "p/q" strings, WRITE_CHUNK blocks per text."""
-    head, mid, sep, tail = _HEAD, _MID, _SEP, _TAIL
-    for cut in _cuts(len(probs), backward):
-        points = zip(probs[cut], zip(*(col[cut] for col in columns)))
-        yield ",\n".join([f"{head}{p}{mid}{sep.join(x)}{tail}" for p, x in points])
-
-
-def _csv_chunks(
-    probs: Sequence[str], columns: Sequence[Sequence[str]], backward: bool = False
-) -> Iterator[str]:
-    """The CSV rows of atoms of these "p/q" strings, WRITE_CHUNK rows per text."""
-    for cut in _cuts(len(probs), backward):
-        rows = zip(*(col[cut] for col in columns), probs[cut])
-        yield "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
 class _AtomView(Mapping):

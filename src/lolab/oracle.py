@@ -36,10 +36,10 @@ from .engine import (
     ATOM_QUERY_CAP,
     DRAW_CAP,
     FULL_LAW_CAP,
-    WRITE_CHUNK,
     AtomDistribution,
     CapExceeded,
     WeightConfig,
+    _cuts,
     atom_probability,
     full_distribution,
 )
@@ -287,9 +287,10 @@ def run_campaign(
                         for k, c in set(pairs)
                     }
                     rows = list(map(texts.__getitem__, pairs))
-                    for part in (rows[::-1], rows) if mirrored else (rows,):
-                        for start in range(0, len(part), WRITE_CHUNK):
-                            handle.write("".join(part[start:start + WRITE_CHUNK]))
+                    order = range(len(rows))
+                    for part in (order[::-1], order) if mirrored else (order,):
+                        for cut in _cuts(part):
+                            handle.write("".join(rows[cut]))
                 hits = [i for i, (c, b) in enumerate(zip(counts, bounds)) if c >= b]
                 found = [(points[i], i) for i in hits]
                 if mirrored:

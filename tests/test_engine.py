@@ -8,7 +8,7 @@ import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, zip_longest
 from math import gcd
 from unittest.mock import patch
 
@@ -45,7 +45,7 @@ from lolab import (
 )
 from lolab import engine
 from lolab.engine import AtomDistribution, _lattice_sums, _sorted_sign_sums, lattice_law
-from lolab.rational import make_vec, vec_strs, wire, wire_points
+from lolab.rational import make_vec, ratio_str, vec_strs, wire, wire_points
 
 
 class TestWeightConfig:
@@ -712,14 +712,53 @@ def law_and_brute(cfg, m):
 MILLIONTHS = [Fraction(k, 10**6) for k in (123456, 250000, 5, 640, 999999, 3125, 1)]
 
 
+# a d = 3 grid-16 sign law of 8,092 atoms in two counts (ConfigGenerator(13,
+# 3, seed=1)'s first config): its upper half spans two WRITE_CHUNKs
+GRID_SPACE = WeightConfig.of(
+    3,
+    [
+        tuple(Fraction(a, 16) for a in pt)
+        for pt in (
+            (-8, -12, 0), (12, 1, -2), (8, -3, 11), (-2, -2, 13), (-10, -5, 2),
+            (3, 2, 15), (10, -5, 7), (3, 9, -6), (6, 13, 1), (-8, -3, 11),
+            (-5, -5, -11), (1, -9, -5), (6, 2, -12),
+        )
+    ],
+)
+# d = 2 weights over 10^6 with coordinates of both signs: every sum is its
+# own atom, and no two atoms share their first coordinate
+GENERIC_PLANE = WeightConfig.of(
+    2,
+    [
+        (Fraction(a, 10**6), Fraction(b, 10**6))
+        for a, b in ((-123456, 250000), (5, -640), (999, 3125), (654321, -1), (-77, -500000))
+    ],
+)
+# 2^5 atoms of one count each, whose axes take few values: the writers fold
+# the one count's piece into the last axis's table
+ONE_COUNT_PLANE = WeightConfig.of(
+    2, [(Fraction(a, 8), Fraction(b, 8)) for a, b in ((1, 0), (2, 0), (4, 0), (0, 1), (0, 2))]
+)
+
+
+def first_difference(text: str, expected: str):
+    """(line number, line, expected line) of the first line where text differs
+    from expected, or None when they are equal. Lines keep their ends, so
+    this is None exactly when text == expected; a failure names one line
+    instead of diffing two texts of hundreds of KB."""
+    pairs = zip_longest(text.splitlines(True), expected.splitlines(True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
 def writer_examples(test):
-    # a d = 1 progression law with an origin atom, a one-weight law, and two
-    # laws whose upper halves span more than one WRITE_CHUNK: 2^13 distinct
-    # signed sums of powers of 2, and 3^8 progression sums in the plane
-    # with one axis of mixed signs and zeros. At d = 1, weights over 10^6:
-    # a sign law with no origin atom, one with an origin atom (the last
-    # weight is a signed sum of the others) and a progression law; laws of
-    # scale 1, with and without an origin atom
+    # a d = 1 progression law with an origin atom, a one-weight law, and
+    # three laws whose upper halves span more than one WRITE_CHUNK: 2^13
+    # distinct signed sums of powers of 2, 3^8 progression sums in the plane
+    # with one axis of mixed signs and zeros, and GRID_SPACE. At d = 1,
+    # weights over 10^6: a sign law with no origin atom, one with an origin
+    # atom (the last weight is a signed sum of the others) and a
+    # progression law; laws of scale 1, with and without an origin atom. At
+    # d = 2, GENERIC_PLANE's progression law and ONE_COUNT_PLANE's sign law
     examples = (
         (scalar_config(["1", "1/2", "1/2"]), 3),
         (scalar_config(["2/3"]), 2),
@@ -740,6 +779,9 @@ def writer_examples(test):
             ),
             3,
         ),
+        (GRID_SPACE, 2),
+        (GENERIC_PLANE, 3),
+        (ONE_COUNT_PLANE, 2),
     )
     for cfg, m in reversed(examples):
         test = example(cfg, m)(test)
@@ -818,21 +860,63 @@ class TestAtomDistribution:
     @given(
         st.sets(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40),
         st.integers(min_value=1, max_value=10**6),
+        st.booleans(),
     )
-    @example({1, 2, 3}, 1)  # scale 1: every denominator is 1
-    @example({5, 10, 12, 60, 120}, 60)  # repeated denominators, and whole numbers
-    def test_line_column_is_each_keys_wire_form(self, keys, scale):
-        # at d = 1 each key k above the origin is written as k / scale in two
-        # pieces, its reduced numerator and one "/q" string per reduced
-        # denominator, shared by every key of that denominator
-        law = AtomDistribution(dict.fromkeys(keys, 1), scale, 2 * len(keys), 1, 1, max(keys))
-        _, _, (nums, gcds, dens), origin = law._half_strings()
-        assert origin is None
-        points = [Fraction(k, scale) for k in sorted(keys)]
-        assert nums == [str(x.numerator) for x in points]
-        assert [dens[g] for g in gcds] == [f"/{x.denominator}" for x in points]
-        assert [a + dens[g] for a, g in zip(nums, gcds)] == list(map(rat_str, points))
+    @example({1, 2, 3}, 1, False)  # scale 1: every denominator is 1
+    @example({5, 10, 12, 60, 120}, 60, True)  # repeated denominators, and whole numbers
+    def test_line_column_is_each_keys_wire_form(self, keys, scale, origin):
+        # at d = 1 each key k at or above the origin is written as k / scale in
+        # two pieces, its reduced numerator and one "/q" string per reduced
+        # denominator, shared by every key of that denominator and ending
+        # with the text after the axis; the lower half is "-" and the same
+        # pieces, of the keys above the origin, last first
+        counts = dict.fromkeys(keys | {0} if origin else keys, 1)
+        law = AtomDistribution(counts, scale, 2 * len(keys) + origin, 1, 1, max(keys))
+        ratios, probs, halves = law._half_strings([";"])
+        assert ratios == {1: f"1/{law.denom}"} and probs == [1] * len(counts)
+        (sign, below, lower), (plus, above, upper) = halves
+        assert (sign, plus) == ("-", "") and below == above
+        (none, nums), (dens, gcds) = above
+        points = [Fraction(k, scale) for k in sorted(counts)]
+        assert none is None and nums == [str(x.numerator) for x in points]
+        assert [dens[g] for g in gcds] == [f"/{x.denominator};" for x in points]
+        assert [a + dens[g] for a, g in zip(nums, gcds)] == [rat_str(x) + ";" for x in points]
         assert len(dens) == len(set(dens.values()))
+        assert list(upper) == list(range(len(points)))
+        assert list(lower) == list(range(len(points) - 1, origin - 1, -1))
+
+    @given(
+        weight_configs(max_n=5, dims=(2, 3), max_denominator=3),
+        st.sampled_from((2, 3)),
+    )
+    @example(GENERIC_PLANE, 3)  # an origin atom, a table entry per atom on the first axis
+    @example(ONE_COUNT_PLANE, 2)  # no origin atom
+    def test_plane_tables_are_each_coordinates_wire_form(self, cfg, m):
+        # at d >= 2 each axis has a table per half over its distinct
+        # coordinates a: a's string above the origin and -a's below, each
+        # ending with the text after the axis; both halves read the
+        # coordinates of the keys at or above the origin, the lower half
+        # those above it, last first
+        law = ap_uniform_sum_distribution(APUniformSpec(m), cfg)
+        ends = [f";{j}" for j in range(cfg.dim)]
+        ratios, counts, halves = law._half_strings(ends)
+        keys = sorted(law.counts)
+        assert counts == [law.counts[key] for key in keys]
+        assert ratios == {c: rat_str(Fraction(c, law.denom)) for c in set(counts)}
+        (sign, below, lower), (plus, above, upper) = halves
+        assert sign == plus == ""
+        assert list(upper) == list(range(len(keys)))
+        assert list(lower) == list(range(len(keys) - 1, (keys[0] == 0) - 1, -1))
+        points = law.points(keys)
+        for j, ((table, col), (mirror, same)) in enumerate(zip(above, below)):
+            assert col is same and col == [pt[j] for pt in points]
+            assert table.keys() == mirror.keys() == set(col)
+            for a in col:
+                assert table[a] == ratio_str(a, law.scale) + ends[j]
+                assert mirror[a] == ratio_str(-a, law.scale) + ends[j]
+        for i, pt in enumerate(points):
+            x = vec_strs(law.atom(pt))
+            assert [table[col[i]] for table, col in above] == [a + end for a, end in zip(x, ends)]
 
     def test_atom_view_is_a_read_only_mapping(self):
         law = full_distribution(scalar_config(["1", "1/2"]))
@@ -873,13 +957,14 @@ class TestAtomDistribution:
                 for x, p in sorted(brute.items())
             ],
         }
+        text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
         for chunk in (1, 3, engine.WRITE_CHUNK):
             buffer = io.StringIO()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "WRITE_CHUNK", chunk)
                 law.to_json(buffer)
-            text = buffer.getvalue()
-            assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+            difference = first_difference(buffer.getvalue(), text)
+            assert difference is None, (chunk, difference)
 
     @pytest.mark.parametrize(
         "cfg, m",
@@ -889,8 +974,17 @@ class TestAtomDistribution:
             (scalar_config([Fraction(1, k) for k in range(2, 9)]), 3),
             (WeightConfig.of(2, [(Fraction(k, 10**6), Fraction(1, 3)) for k in (1, 2, 4, 8, 16)]), 2),
             (WeightConfig.of(2, [(Fraction(3 ** i, 3 ** 9), Fraction(i - 4, 16)) for i in range(8)]), 3),
+            (GRID_SPACE, 2),
+            (
+                WeightConfig.of(
+                    3, [(Fraction(k, 10**6), Fraction(-1, 4), Fraction(1, 3)) for k in (1, 2, 4, 8, 16, 32)]
+                ),
+                3,
+            ),
         ),
-        ids=("line_sign", "line_ap3", "line_ap3_ties", "plane_sign", "plane_ap3"),
+        ids=(
+            "line_sign", "line_ap3", "line_ap3_ties", "plane_sign", "plane_ap3", "space_sign", "space_ap3"
+        ),
     )
     @pytest.mark.parametrize("chunk", (1, 5, engine.WRITE_CHUNK))
     @pytest.mark.parametrize("writer, mark", (("to_json", '"probability"'), ("to_csv", "\r\n")))
@@ -930,7 +1024,8 @@ class TestAtomDistribution:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "WRITE_CHUNK", chunk)
                 law.to_csv(buffer)
-            assert buffer.getvalue() == expected.getvalue()
+            difference = first_difference(buffer.getvalue(), expected.getvalue())
+            assert difference is None, (chunk, difference)
 
     def test_rat_parsing(self):
         assert rat("3/6") == Fraction(1, 2)

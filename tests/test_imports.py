@@ -400,6 +400,63 @@ def test_the_builder_scan_sees_every_call(module, source, found):
     assert builder_breaches(module, source) == found
 
 
+# `_cuts` is the one reader of the chunk size: every writer that holds its
+# text a WRITE_CHUNK at a time slices through it
+CHUNK_READERS = {("engine", "_cuts")}
+
+
+def chunk_readers(source: str) -> list[str]:
+    """The reads of WRITE_CHUNK in a module's source, by name, under a name
+    it is imported as, or as an attribute, each named by the innermost
+    function that makes it, or <module>."""
+    tree = ast.parse(source)
+    names = {"WRITE_CHUNK"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.asname for a in node.names if a.name == "WRITE_CHUNK" and a.asname}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                (isinstance(child, ast.Name) and child.id in names)
+                or (isinstance(child, ast.Attribute) and child.attr == "WRITE_CHUNK")
+            ) and isinstance(child.ctx, ast.Load):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_cuts_reads_the_chunk_size():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        readers = {(path.stem, owner) for owner in chunk_readers(path.read_text())}
+        assert readers <= CHUNK_READERS, path.name
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def _cuts(atoms):\n    return range(0, len(atoms), WRITE_CHUNK)", ["_cuts"]),
+        ("def f(rows):\n    for s in range(0, len(rows), WRITE_CHUNK):\n        pass", ["f"]),
+        ("def g(rows):\n    return rows[: engine.WRITE_CHUNK]", ["g"]),
+        ("from .engine import WRITE_CHUNK as W\ndef h(rows):\n    return rows[:W]", ["h"]),
+        ("class A:\n    def write(self, rows):\n        return rows[:WRITE_CHUNK]", ["write"]),
+        ("size = 2 * WRITE_CHUNK", ["<module>"]),
+        ("WRITE_CHUNK = 2048\nengine.WRITE_CHUNK = 1", []),
+        ("from .engine import WRITE_CHUNK", []),
+        ("def f(rows):\n    return [rows[cut] for cut in _cuts(range(len(rows)))]", []),
+    ],
+)
+def test_the_chunk_scan_sees_every_read(source, found):
+    assert chunk_readers(source) == found
+
+
 def test_every_module_imports_only_the_standard_library():
     package = Path(lolab.__file__).resolve().parent
     names = sorted(
