@@ -349,7 +349,10 @@ def bound_counts(m: int, n: int) -> tuple[int, ...]:
     unit-weight progression sum at k, shifted to the reachable parity for
     even m; 0 where that point falls outside the sum's support. The last k
     is one past the sum's reach (m - 1) * n, so the last entry is 0, as is
-    the bound at every larger k.
+    the bound at every larger k. At odd m every support point is even, so
+    the table is 0 at every odd k (`bound_counts(3, 4)` is (19, 0, 16, 0,
+    10, 0, 4, 0, 1, 0)): a search flags, never compares, an atom whose
+    floored norm is odd.
     """
     ks = range((m - 1) * n + 2)
     if m == 2:

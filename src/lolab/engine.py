@@ -1,50 +1,39 @@
 """Exact laws of weighted sums of random signs and of progression uniforms.
 
-Two lattice-sum builders enumerate every law:
-
-* progression-uniform sums: S = sum_i U_i v_i with U_i independent uniform
-  on the m symmetric support points {-m+1, -m+3, ..., m-1};
-* sign sums: S = sum_i eps_i v_i with eps_i independent uniform on
-  {-1, +1}, which is the progression sum with m = 2.
-
+A law is that of S = sum_i U_i v_i with U_i independent uniform on the m
+symmetric progression points {-m+1, -m+3, ..., m-1}; a sign sum is m = 2.
 A `WeightConfig` is its weights' integer lattice state, points over their
 least common denominator, made from rationals once (`WeightConfig.of`); a
-target goes on the same lattice (`lattice_target`). Each point is packed into one
-int (balanced digits of radix 2 * reach + 1, with reach bounding every
-coordinate of every partial sum), so a convolution step is one int add,
-and packed keys order as their points do. Every summand's support is
-symmetric, so every law is its own mirror, P(x) = P(-x): a builder
-makes, and a law keeps, only the half at or above the origin, a count per
-packed key >= 0 over one denominator (m^n, so 2^n for signs). No point
-below the origin is ever built by a convolution. The atom query joins two
-such folded half-sum tables, or counts subsets in one integer when that is
-cheaper; that integer, the product of the summands' generating polynomials
-(`_poly_counts`), also holds the half of a d = 1 law (`line_half_law`),
-which the search reads where it is cheaper and no cap could fire. Points
-are decoded, and `Fraction`s and their
-"p/q" strings made, only where a law is read, so there is no rounding at
-any step; at d = 1 a key is its point. Every law is built by
-`lattice_law` from a config's lattice points. A sign law whose 2^n sums
-seldom collide in the packing box, and that no cap could refuse, is made
-from the sorted list of its signed sums (`_sorted_sign_sums`), its keys
-counted in ascending order; every other law by the hash kernel
-(`_lattice_sums`), one convolution step per weight. `_takes_sorted_sums`
-is the rule between them, read from the input and the caps alone. Every
-walk in atom order mirrors the law's one sorted upper half (`upper_half`).
-The writers (`to_json`, and `to_csv` for CSV rows) format only that
-half and the origin, and write every law through one path,
-`_interleave`: an atom's text is pieces from tables of one string per
-distinct count and, at d >= 2, per distinct coordinate of an axis and
-half. At d = 1 a point is its reduced numerator's string and one "/q"
-string per distinct denominator, with "-" in front below the origin, so
-no string is made per atom but a numerator. The pieces of WRITE_CHUNK
-atoms are joined once a chunk.
-Enumeration sizes are guarded by explicit caps that raise `CapExceeded`
-rather than silently degrading; every law obeys the one `LAW_ATOM_CAP`
-on the atoms of both halves, checked as a hash-kernel step grows, and
-`LAW_PAIR_CAP` on the (atom, step) pairs its steps visit, checked before
-each step, firing once the steps to come must pass it; `DRAW_CAP` bounds the
-coordinate draws of one campaign weight.
+target goes on the same lattice (`lattice_target`). `_packed` packs each
+point into one int (balanced digits of radix 2 * reach + 1, reach bounding
+every coordinate of every partial sum), so a convolution step is one int
+add, and packed keys order as their points do. Every law is its own
+mirror, P(x) = P(-x): a builder makes, and a law keeps, only the half at
+or above the origin, a count per packed key >= 0 over one denominator, m^n.
+
+Three builders make a half law. `_half_sums` is the one sparse choice,
+for `lattice_law` and both half-sum tables of the atom query: a sign law
+whose 2^n sums seldom collide in the packing box is counted from its
+sorted signed sums (`_sorted_sign_sums`), in ascending key order, any
+other by the hash kernel (`_lattice_sums`), one step per weight. One
+integer, the product of the summands' generating polynomials
+(`_poly_counts`), holds the slots the atom query's subset count and the
+search's d = 1 half law (`line_half_law`) read; that choice stays theirs,
+so the sparse law `certify` recomputes never comes from the walk's
+integer. `_kernel_admits` is the one proof, for the sorted sums and the
+integer alike, that the hash kernel could not have refused their law.
+
+Points are decoded, and `Fraction`s and their "p/q" strings made, only
+where a law is read, so there is no rounding at any step; at d = 1 a key
+is its point. Every walk in atom order mirrors the law's one sorted upper
+half (`upper_half`). The writers (`to_json`, and `to_csv` for CSV rows)
+format that half and the origin through one path, `_interleave`: an atom's
+text is pieces from tables of one string per distinct count and per
+distinct coordinate, joined WRITE_CHUNK atoms at a time. Caps raise
+`CapExceeded` rather than degrade silently: `LAW_ATOM_CAP` on a law's
+atoms, both halves, checked as a hash-kernel step grows, `LAW_PAIR_CAP` on
+the (atom, step) pairs its steps visit, firing once the steps to come must
+pass it, and `DRAW_CAP` on the coordinate draws of one campaign weight.
 """
 
 from __future__ import annotations
@@ -298,7 +287,8 @@ class AtomDistribution:
 
         ratios holds one "p/q" string per distinct count, and counts the
         count of each key at or above the origin, in order, so that key's
-        probability is ratios[count]. A half is (sign, columns, atoms): its
+        probability is ratios[count]; a law of one count holds a zero bytes,
+        keyed 0, not a list of it. A half is (sign, columns, atoms): its
         text before the first axis, one column per axis over those keys, and
         the range of them it writes, in order. The upper half writes every
         key, the lower half the mirrors of those above the origin, last
@@ -308,14 +298,18 @@ class AtomDistribution:
         and one "/q" string per distinct g, for q = scale // g. Every point
         above the origin is positive, so the lower half's sign is "-". At
         d >= 2 each axis has a table per half over its distinct coordinates
-        a, of the string of a above and of -a below, and both halves read
-        the same coordinate lists.
+        a, of the string of a above and, its sign flipped, of -a below; both
+        halves read the same coordinate lists.
         """
         counts, scale = self.counts, self.scale
         ratios = {count: ratio_str(count, self.denom) for count in set(counts.values())}
         keys, origin = self.upper_half(), 0 in counts
         if origin:
             keys.insert(0, 0)
+        if len(ratios) == 1:  # a zero column keyed 0 holds no list of the one count
+            ratios, column = {0: ratios.popitem()[1]}, bytes(len(keys))
+        else:
+            column = list(map(counts.__getitem__, keys))
         if self.dim == 1:
             gcds = list(map(gcd, keys, repeat(scale)))
             nums = list(map(str, map(floordiv, keys, gcds)))
@@ -325,12 +319,13 @@ class AtomDistribution:
         else:
             above, below, sign = [], [], ""
             for col, end in zip(self._columns(keys), ends):
-                values = set(col)
-                above.append(({a: ratio_str(a, scale) + end for a in values}, col))
-                below.append(({a: ratio_str(-a, scale) + end for a in values}, col))
+                texts = {a: ratio_str(a, scale) + end for a in set(col)}
+                flip = {a: p[1:] if a < 0 else f"-{p}" if a else p for a, p in texts.items()}
+                above.append((texts, col))
+                below.append((flip, col))
         lower, upper = range(len(keys) - 1, origin - 1, -1), range(len(keys))
         halves = [(sign, below, lower), ("", above, upper)]
-        return ratios, list(map(counts.__getitem__, keys)), halves
+        return ratios, column, halves
 
     def to_json(self, handle: TextIO) -> None:
         """Write the law as json.dumps(..., indent=2, sort_keys=True) + "\\n".
@@ -457,18 +452,17 @@ def lattice_target(x, scale: int, dim: int) -> Optional[tuple[int, ...]]:
     return tuple(pt)
 
 
-def _packing(
-    points: Sequence[tuple[int, ...]], dim: int, support: Sequence[int]
-) -> tuple[int, int]:
-    """(reach, radix) for packing the sums of these points' support multiples.
+def _packed(points: Sequence[tuple[int, ...]], dim: int, m: int) -> tuple[int, int, list[int]]:
+    """(reach, radix, keys) of the sums of these points times m progression points.
 
     reach bounds every coordinate of every partial sum, so with the radix
     2 * reach + 1 a point packs into one int as balanced digits: linearly,
-    and one to one on the box of radius reach.
+    and one to one on the box of radius reach. keys are the points' packed
+    keys made >= 0, since flipping a symmetric summand keeps the law.
     """
-    top = max(abs(u) for u in support)
-    reach = top * max(sum(abs(pt[j]) for pt in points) for j in range(dim))
-    return reach, 2 * reach + 1
+    reach = (m - 1) * max(sum(abs(pt[j]) for pt in points) for j in range(dim))
+    radix = 2 * reach + 1
+    return reach, radix, [abs(_pack(pt, radix)) for pt in points]
 
 
 def _pack(pt: tuple[int, ...], radix: int) -> int:
@@ -497,17 +491,16 @@ def _lattice_sums(keys: Sequence[int], support: Sequence[int]) -> dict[int, int]
     origin, which the loop counted once.
 
     It runs atom by atom in a hash map, so the cost tracks the number of
-    distinct intermediate atoms rather than len(support)^n. It builds every
-    law but the sign laws whose sums seldom collide, which `lattice_law`
-    takes from `_sorted_sign_sums` (the rule is `_takes_sorted_sums`), and
-    the atom query's half-sum tables. The atom count, of both halves, is
-    capped by LAW_ATOM_CAP, read per call, and checked as a step grows
-    whenever the step could pass it. The work, the (atom, step)
-    pairs the steps visit, is capped by LAW_PAIR_CAP before each step, as
-    soon as the overrun is certain: a step never shrinks the table (a zero
-    weight keeps its keys, and (A + s) | (A - s) has more points than A for
-    s != 0), so each step still to come visits at least the pairs this one
-    does, and the request is the pairs spent with this step plus those.
+    distinct intermediate atoms rather than len(support)^n. `_half_sums`
+    runs it on every half law but the sign laws whose sums seldom collide.
+    The atom count, of both halves, is capped by LAW_ATOM_CAP, read per
+    call, and checked as a step grows whenever the step could pass it. The
+    work, the (atom, step) pairs the steps visit, is capped by LAW_PAIR_CAP
+    before each step, as soon as the overrun is certain: a step never
+    shrinks the table (a zero weight keeps its keys, and (A + s) | (A - s)
+    has more points than A for s != 0), so each step still to come visits
+    at least the pairs this one does, and the request is the pairs spent
+    with this step plus those.
     """
     cap, pairs = LAW_ATOM_CAP, 0
     acc = {0: 1}
@@ -567,18 +560,35 @@ def _sorted_sign_sums(keys: Sequence[int]) -> dict[int, int]:
     return dict(counts)  # a Counter would read a missing key as 0
 
 
-def _takes_sorted_sums(m: int, n: int, dim: int, radix: int) -> bool:
-    """Whether `lattice_law` builds its law by `_sorted_sign_sums`, not `_lattice_sums`.
+def _kernel_admits(m: int, n: int, box: int) -> bool:
+    """Whether `_lattice_sums` could refuse no law of n summands on m points
+    whose partial sums lie in a box of `box` points, under the caps read per call.
 
-    Only a sign law (m = 2) whose 2^n sums are at most half of the
-    (radix^dim + 1) / 2 points of the packing box at or above the origin,
-    so that they seldom collide, and with 2^n within LAW_ATOM_CAP and
-    LAW_PAIR_CAP, read per call. The hash kernel builds at most 2^n atoms
-    and visits at most 2^(n-1) + n - 1 pairs for such a law, so it could
-    not have refused any law this path takes, and every cap fires where it
-    does.
+    Such a law has at most min(m^n, box) atoms, and the half before step i
+    at most min(ceil(m^i / 2), box // 2 + 1) keys, each visited once per
+    positive support point, m // 2 of them: so at most (m // 2) *
+    min((m^n - 1) // (m - 1) // 2 + n, n * (box // 2 + 1)) pairs, which the
+    kernel's projection never passes. The box alone, tested first, decides
+    a small box before m^n is made.
     """
-    return m == 2 and 4 << n <= radix**dim + 1 and 1 << n <= min(LAW_ATOM_CAP, LAW_PAIR_CAP)
+    half, steps = box // 2 + 1, m // 2
+    if box <= LAW_ATOM_CAP and n * half * steps <= LAW_PAIR_CAP:
+        return True
+    total = m**n
+    pairs = steps * min((total - 1) // (m - 1) // 2 + n, n * half)
+    return min(total, box) <= LAW_ATOM_CAP and pairs <= LAW_PAIR_CAP
+
+
+def _half_sums(keys: Sequence[int], m: int, box: int) -> dict[int, int]:
+    """The half law of keys >= 0 on m points, its sums in a box of `box` points:
+    the one sparse choice. A sign law whose 2^n sums are at most half of the
+    box's points at or above the origin, so seldom collide, comes from
+    `_sorted_sign_sums` where `_kernel_admits` it; any other from `_lattice_sums`.
+    """
+    n = len(keys)
+    if m == 2 and keys and 4 << n <= box + 1 and _kernel_admits(m, n, box):
+        return _sorted_sign_sums(keys)
+    return _lattice_sums(keys, APUniformSpec(m).support())
 
 
 def lattice_law(
@@ -591,15 +601,9 @@ def lattice_law(
     """
     if spec.m > LAW_ATOM_CAP and any(map(any, points)):
         raise CapExceeded("law atom", LAW_ATOM_CAP, spec.m)
-    support = spec.support()
-    reach, radix = _packing(points, dim, support)
-    keys = [_pack(pt, radix) for pt in points]
-    n = len(points)
-    if _takes_sorted_sums(spec.m, n, dim, radix):
-        counts = _sorted_sign_sums(keys)
-    else:
-        counts = _lattice_sums(keys, support)
-    return AtomDistribution(counts, scale, spec.m ** n, n, dim, reach)
+    reach, radix, keys = _packed(points, dim, spec.m)
+    counts = _half_sums(keys, spec.m, radix**dim)
+    return AtomDistribution(counts, scale, spec.m ** len(points), len(points), dim, reach)
 
 
 def full_distribution(cfg: WeightConfig, *, cap: int = FULL_LAW_CAP) -> AtomDistribution:
@@ -649,12 +653,11 @@ def line_half_law(
     of sums at or below the origin are the slots of `_poly_counts` up to the
     middle degree, read as one `memoryview` cast of byte-aligned slots.
 
-    None where `lattice_law` is the kernel to run: dim >= 2, m^n of at
-    least 2^64, more than SUBSET_BITS_PER_KEY bits per key the half law
-    could hold (min(m^n // 2 + 1, reach // 2 + 1)), or a box whose worst case,
-    n steps over reach + 1 keys of m // 2 positive steps each and 2 * reach + 1
-    atoms, could reach LAW_PAIR_CAP or LAW_ATOM_CAP. So the kernel could not
-    have refused any law this returns, and every cap fires where it does.
+    None where `lattice_law` is the law to read: dim >= 2, m^n of at least
+    2^64, more than SUBSET_BITS_PER_KEY bits per key the half law could hold
+    (min(m^n // 2 + 1, reach // 2 + 1)), or a law of the box of 2 * reach + 1
+    points that the hash kernel might refuse (`_kernel_admits`), so every cap
+    fires where it does.
     """
     total = m ** len(points)
     if dim != 1 or total.bit_length() > 64:
@@ -663,11 +666,8 @@ def line_half_law(
     reach = (m - 1) * sum(keys)
     top = reach // 2
     size = next(b for b in _SLOT_FORMATS if total.bit_length() <= 8 * b)
-    if (
-        8 * size * (top + 1) > SUBSET_BITS_PER_KEY * min(total // 2 + 1, top + 1)
-        or len(points) * (reach + 1) * (m // 2) > LAW_PAIR_CAP
-        or 2 * reach + 1 > LAW_ATOM_CAP
-    ):
+    budget = SUBSET_BITS_PER_KEY * min(total // 2 + 1, top + 1)
+    if 8 * size * (top + 1) > budget or not _kernel_admits(m, len(points), 2 * reach + 1):
         return None
     data = _poly_counts(keys, m, 8 * size, top).to_bytes(size * (top + 1), sys.byteorder)
     counts = memoryview(data).cast(_SLOT_FORMATS[size]).tolist()
@@ -683,19 +683,17 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     sum is t >= 0 exactly when the -1 signs pick keys summing to s = (K - t) / 2,
     which `_poly_counts` counts in (n + 1) * (s + 1) bits. Past SUBSET_BITS_PER_KEY
     the weights split into the first ceil(n/2) and the rest, each half's signed
-    sums are enumerated once and joined on the complement, so a single atom
-    query costs O(2^(n/2)) instead of O(2^n).
+    sums are enumerated once (`_half_sums`) and joined on the complement, so a
+    single atom query costs O(2^(n/2)) instead of O(2^n).
     """
     target = lattice_target(x, cfg.scale, cfg.dim)
     if cfg.n > cap:
         raise CapExceeded("atom-query summand", cap, cfg.n)
-    signs = APUniformSpec(2).support()
-    reach, radix = _packing(cfg.points, cfg.dim, signs)
+    reach, radix, keys = _packed(cfg.points, cfg.dim, 2)
     if target is None or any(abs(t) > reach for t in target):
         return Fraction(0)
     # a sum hitting the target lies in the box of radius reach, where packing
     # is one to one, so counting or joining packed keys is exact
-    keys = [abs(_pack(pt, radix)) for pt in cfg.points]
     t, total = abs(_pack(target, radix)), sum(keys)
     if t > total or (total - t) % 2:
         return Fraction(0)
@@ -703,12 +701,10 @@ def atom_probability(cfg: WeightConfig, x, *, cap: int = ATOM_QUERY_CAP) -> Frac
     width = cfg.n + 1
     if width * (s + 1) <= SUBSET_BITS_PER_KEY * min(2 ** cut, total // 2 + 1):
         return Fraction(_poly_counts(keys, 2, width, s) >> width * s, 2 ** cfg.n)
-    front = _lattice_sums(keys[:cut], signs)
-    back = _lattice_sums(keys[cut:], signs)
-    if len(back) < len(front):
-        front, back = back, front
-    # both tables hold keys >= 0 of symmetric laws: a front key a > 0 stands
-    # for a and -a, and a back count at b is the count at -b
+    box = radix**cfg.dim
+    front, back = sorted([_half_sums(keys[:cut], 2, box), _half_sums(keys[cut:], 2, box)], key=len)
+    # the smaller table is walked; both hold keys >= 0 of symmetric laws: a
+    # front key a > 0 stands for a and -a, and a back count at b is the count at -b
     get = back.get
     hits = front.get(0, 0) * get(t, 0) + sum(
         mult * (get(abs(t - key), 0) + get(t + key, 0))

@@ -325,22 +325,34 @@ class TestAtomProbability:
         assert engine._poly_counts(keys, 2, width, s) >> width * s == expected
 
     @pytest.mark.parametrize(
-        "cfg, x, tables",
+        "cfg, x, builders",
         [
             # 301/1000 .. 330/1000: a 31 * 4,733-bit integer against half
             # tables of up to 2^15 keys
-            (WeightConfig(1, 1000, [(k,) for k in range(301, 331)]), ("1/1000",), False),
+            (WeightConfig(1, 1000, [(k,) for k in range(301, 331)]), ("1/1000",), ()),
             # 1,024 aligned unit weights: a 1,025 * 513-bit integer against
-            # tables of at most 513 keys
-            (WeightConfig(1, 1, [(1,)] * 1024), (0,), True),
+            # tables of at most 513 keys, which the box of 2,049 points
+            # leaves to the hash kernel
+            (WeightConfig(1, 1, [(1,)] * 1024), (0,), ("_lattice_sums",)),
+            # 2001/10^4 .. 2020/10^4: a 21 * 20,106-bit integer against half
+            # tables of 2^10 sums, which a box of 80,421 points holds apart
+            (
+                WeightConfig(1, 10**4, [(k,) for k in range(2001, 2021)]),
+                (0,),
+                ("_sorted_sign_sums",),
+            ),
         ],
-        ids=["thousandths", "aligned"],
+        ids=["thousandths", "aligned", "sorted"],
     )
-    def test_the_cheaper_path_answers(self, cfg, x, tables):
-        with patch.object(engine, "_lattice_sums", wraps=_lattice_sums) as spy:
+    def test_the_cheaper_path_answers(self, cfg, x, builders):
+        # the half-sum tables come from the one sparse choice, `_half_sums`
+        names = ("_lattice_sums", "_sorted_sign_sums")
+        spies = [patch.object(engine, name, wraps=getattr(engine, name)) for name in names]
+        with spies[0] as kernel, spies[1] as sums:
             got = atom_probability(cfg, x, cap=cfg.n)
-        assert spy.called == tables and got > 0
-        other = 1 << 64 if tables else 0
+        assert got > 0
+        assert {name for name, spy in zip(names, (kernel, sums)) if spy.called} == set(builders)
+        other = 1 << 64 if builders else 0
         with patch.object(engine, "SUBSET_BITS_PER_KEY", other):
             assert atom_probability(cfg, x, cap=cfg.n) == got
 
@@ -605,6 +617,45 @@ class TestLatticeSums:
         monkeypatch.setattr(engine, "LAW_ATOM_CAP", 1 << 24)
         assert len(ap_uniform_sum_distribution(APUniformSpec(1000), cfg).atoms) == 1000
 
+    @given(
+        st.integers(min_value=1, max_value=2).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=6)
+        ),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=300),
+    )
+    @example([], 2, 1, 1)  # no summand: one atom, no pair
+    # 2^6 distinct sums: at most 2^6 atoms and 2^5 - 1 + 6 pairs, at both
+    # caps; the kernel builds 2^6 atoms and visits 2^5 pairs
+    @example([(3**i,) for i in range(6)], 2, 64, 37)
+    @example([(3**i,) for i in range(6)], 2, 63, 300)
+    @example([(3**i,) for i in range(6)], 2, 300, 31)
+    @example([(0,)] * 6, 3, 1, 5)  # zero weights: 6 pairs in a box of one point
+    @example([(1,)] * 4, 3, 17, 36)  # the box at both caps: 17 points, 4 * 9 pairs
+    @example([(1, -2), (3, 0)], 4, 300, 300)
+    def test_the_kernel_refuses_no_law_it_admits(self, points, m, atoms, pairs):
+        # under any caps, `_kernel_admits` on the packing box of a law's
+        # partial sums is a proof that the hash kernel builds the law
+        dim = len(points[0]) if points else 1
+        _, radix, keys = engine._packed(points, dim, m)
+        with patch.object(engine, "LAW_ATOM_CAP", atoms), patch.object(
+            engine, "LAW_PAIR_CAP", pairs
+        ):
+            if engine._kernel_admits(m, len(keys), radix**dim):
+                _lattice_sums(keys, APUniformSpec(m).support())
+
+    def test_the_proof_admits_generic_sign_laws_up_to_the_summand_cap(self):
+        # under the default caps 2^24 atoms and 2^23 + 23 pairs fit, so a
+        # generic sign law of up to FULL_LAW_CAP weights may take the sorted path
+        assert engine._kernel_admits(2, FULL_LAW_CAP, 1 << 40)
+        assert not engine._kernel_admits(2, FULL_LAW_CAP + 1, 1 << 40)
+
+    @pytest.mark.parametrize("box", [1, 7, 1 << 30])
+    def test_no_summand_is_one_atom_at_the_origin(self, box):
+        # the atom query's second half is empty at n = 1
+        assert engine._half_sums([], 2, box) == {0: 1}
+
     def test_default_summand_caps_stay_under_the_atom_cap(self):
         # a full sign law has at most 2^n atoms and a half-sum table at most
         # 2^ceil(n/2), so the atom cap cannot fire under the default caps
@@ -627,25 +678,23 @@ class TestSortedSignSums:
     @given(
         st.integers(min_value=1, max_value=3).flatmap(sign_points),
         st.integers(min_value=1, max_value=7),
-        st.booleans(),
     )
-    @example([(3,), (-3,), (3,), (0,)], 1, True)  # sums back at the origin
-    @example([(0, 0), (0, 0)], 2, True)  # zero keys only
-    @example([(1, -6, 2), (-5, 0, 6), (1, -6, 2)], 3, True)
-    @example([(5,)], 1, True)  # one weight, no origin atom
-    def test_either_builder_is_the_brute_force_law(self, points, scale, sorted_path):
-        # the rule patched to each side: both builders give the brute-force
-        # law in a plain dict, and the sorted one in ascending key order
-        dim = len(points[0])
-        rule = patch.object(engine, "_takes_sorted_sums", return_value=sorted_path)
-        with rule, patch.object(engine, "_sorted_sign_sums", wraps=_sorted_sign_sums) as spy:
-            law = lattice_law(scale, points, dim, APUniformSpec(2))
-        assert spy.called == sorted_path
-        assert type(law.counts) is dict
+    @example([(3,), (-3,), (3,), (0,)], 1)  # sums back at the origin
+    @example([(0, 0), (0, 0)], 2)  # zero keys only
+    @example([(1, -6, 2), (-5, 0, 6), (1, -6, 2)], 3)
+    @example([(5,)], 1)  # one weight, no origin atom
+    def test_either_builder_is_the_brute_force_law(self, points, scale):
+        # on the same packed keys both builders give the brute-force law in a
+        # plain dict, and the sorted one in ascending key order
+        dim, n = len(points[0]), len(points)
+        reach, _, keys = engine._packed(points, dim, 2)
         weights = [tuple(Fraction(a, scale) for a in pt) for pt in points]
-        assert_symmetric_law(law, brute_sign_distribution(weights))
-        if sorted_path:
-            assert list(law.counts) == sorted(law.counts)
+        brute = brute_sign_distribution(weights)
+        ascending = _sorted_sign_sums(keys)
+        for counts in (ascending, _lattice_sums(keys, (-1, 1))):
+            assert type(counts) is dict
+            assert_symmetric_law(AtomDistribution(counts, scale, 2**n, n, dim, reach), brute)
+        assert list(ascending) == sorted(ascending)
 
     @pytest.mark.parametrize(
         "points, dim, m, sorted_path",
@@ -676,7 +725,7 @@ class TestSortedSignSums:
     )
     @example([3**i for i in range(6)], 63, 1 << 24)  # 2^6 atoms: the atom cap fires
     @example([3**i for i in range(6)], 64, 1 << 24)  # the sorted path
-    @example([3**i for i in range(6)], 1 << 24, 63)  # 32 pairs: built by the kernel
+    @example([3**i for i in range(6)], 1 << 24, 63)  # 32 pairs, at most 37: the sorted path
     @example([3**i for i in range(7)], 1 << 24, 63)  # 2^6 pairs: the pair cap fires
     def test_the_sorted_path_is_never_taken_where_the_kernel_refuses(self, keys, atoms, pairs):
         # under any caps the law is the kernel's, or its cap fires with the
@@ -869,11 +918,12 @@ class TestAtomDistribution:
         # two pieces, its reduced numerator and one "/q" string per reduced
         # denominator, shared by every key of that denominator and ending
         # with the text after the axis; the lower half is "-" and the same
-        # pieces, of the keys above the origin, last first
+        # pieces, of the keys above the origin, last first. Every key has one
+        # count, so the count column is a zero bytes keyed 0
         counts = dict.fromkeys(keys | {0} if origin else keys, 1)
         law = AtomDistribution(counts, scale, 2 * len(keys) + origin, 1, 1, max(keys))
         ratios, probs, halves = law._half_strings([";"])
-        assert ratios == {1: f"1/{law.denom}"} and probs == [1] * len(counts)
+        assert ratios == {0: f"1/{law.denom}"} and probs == bytes(len(counts))
         (sign, below, lower), (plus, above, upper) = halves
         assert (sign, plus) == ("-", "") and below == above
         (none, nums), (dens, gcds) = above
@@ -896,13 +946,14 @@ class TestAtomDistribution:
         # coordinates a: a's string above the origin and -a's below, each
         # ending with the text after the axis; both halves read the
         # coordinates of the keys at or above the origin, the lower half
-        # those above it, last first
+        # those above it, last first. A law of one count holds no count list
         law = ap_uniform_sum_distribution(APUniformSpec(m), cfg)
         ends = [f";{j}" for j in range(cfg.dim)]
         ratios, counts, halves = law._half_strings(ends)
         keys = sorted(law.counts)
-        assert counts == [law.counts[key] for key in keys]
-        assert ratios == {c: rat_str(Fraction(c, law.denom)) for c in set(counts)}
+        probs = [rat_str(Fraction(law.counts[key], law.denom)) for key in keys]
+        assert [ratios[c] for c in counts] == probs and len(ratios) == len(set(probs))
+        assert type(counts) is (bytes if len(ratios) == 1 else list)
         (sign, below, lower), (plus, above, upper) = halves
         assert sign == plus == ""
         assert list(upper) == list(range(len(keys)))

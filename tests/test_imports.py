@@ -334,12 +334,11 @@ def test_the_law_scan_sees_every_call(source, found):
     assert calls_of(source, "lattice_law") == found
 
 
-# lattice_law is the one choice of law builder: only it makes a law from the
-# sorted signed sums, and the hash kernel runs there and for the atom query's
-# half-sum tables
+# `_half_sums` is the one choice of sparse builder: only it runs the sorted
+# signed sums or the hash kernel, for every law and half-sum table
 BUILDER_CALLERS = {
-    "_sorted_sign_sums": {("engine", "lattice_law")},
-    "_lattice_sums": {("engine", "lattice_law"), ("engine", "atom_probability")},
+    "_sorted_sign_sums": {("engine", "_half_sums")},
+    "_lattice_sums": {("engine", "_half_sums")},
 }
 
 
@@ -354,7 +353,7 @@ def builder_breaches(module: str, source: str) -> list[str]:
     )
 
 
-def test_only_lattice_law_chooses_a_law_builder():
+def test_only_half_sums_chooses_a_law_builder():
     package = Path(lolab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         assert builder_breaches(path.stem, path.read_text()) == [], path.name
@@ -370,8 +369,13 @@ def test_only_lattice_law_chooses_a_law_builder():
         ),
         (
             "engine",
-            "def atom_probability(cfg, x):\n    return _sorted_sign_sums(keys)",
-            ["_sorted_sign_sums in atom_probability"],
+            "def atom_probability(cfg, x):\n    return _lattice_sums(a, u), _half_sums(b, 2, 9)",
+            ["_lattice_sums in atom_probability"],
+        ),
+        (
+            "engine",
+            "def lattice_law(s, p, d, spec):\n    return _sorted_sign_sums(p)",
+            ["_sorted_sign_sums in lattice_law"],
         ),
         (
             "search",
@@ -386,14 +390,10 @@ def test_only_lattice_law_chooses_a_law_builder():
         ("engine", "half = _lattice_sums([1], (-1, 1))", ["_lattice_sums in <module>"]),
         (
             "engine",
-            "def lattice_law(s, p, d, m):\n    return _sorted_sign_sums(p) or _lattice_sums(p, m)",
+            "def _half_sums(k, m, box):\n    return _sorted_sign_sums(k) or _lattice_sums(k, m)",
             [],
         ),
-        (
-            "engine",
-            "def atom_probability(cfg, x):\n    return _lattice_sums(a, u), _lattice_sums(b, u)",
-            [],
-        ),
+        ("engine", "def lattice_law(s, p, d, spec):\n    return _half_sums(p, 2, 9)", []),
     ],
 )
 def test_the_builder_scan_sees_every_call(module, source, found):
@@ -405,15 +405,15 @@ def test_the_builder_scan_sees_every_call(module, source, found):
 CHUNK_READERS = {("engine", "_cuts")}
 
 
-def chunk_readers(source: str) -> list[str]:
-    """The reads of WRITE_CHUNK in a module's source, by name, under a name
+def reads_of(source: str, constant: str) -> list[str]:
+    """The reads of a constant in a module's source, by name, under a name
     it is imported as, or as an attribute, each named by the innermost
     function that makes it, or <module>."""
     tree = ast.parse(source)
-    names = {"WRITE_CHUNK"}
+    names = {constant}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            names |= {a.asname for a in node.names if a.name == "WRITE_CHUNK" and a.asname}
+            names |= {a.asname for a in node.names if a.name == constant and a.asname}
     found = []
 
     def visit(node, owner):
@@ -423,7 +423,7 @@ def chunk_readers(source: str) -> list[str]:
                 continue
             if (
                 (isinstance(child, ast.Name) and child.id in names)
-                or (isinstance(child, ast.Attribute) and child.attr == "WRITE_CHUNK")
+                or (isinstance(child, ast.Attribute) and child.attr == constant)
             ) and isinstance(child.ctx, ast.Load):
                 found.append(owner)
             visit(child, owner)
@@ -435,7 +435,7 @@ def chunk_readers(source: str) -> list[str]:
 def test_only_cuts_reads_the_chunk_size():
     package = Path(lolab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
-        readers = {(path.stem, owner) for owner in chunk_readers(path.read_text())}
+        readers = {(path.stem, owner) for owner in reads_of(path.read_text(), "WRITE_CHUNK")}
         assert readers <= CHUNK_READERS, path.name
 
 
@@ -454,7 +454,71 @@ def test_only_cuts_reads_the_chunk_size():
     ],
 )
 def test_the_chunk_scan_sees_every_read(source, found):
-    assert chunk_readers(source) == found
+    assert reads_of(source, "WRITE_CHUNK") == found
+
+
+# the work caps are read where they are enforced, `_lattice_sums`, and in
+# the one proof that it could refuse no law another builder makes,
+# `_kernel_admits`; besides, the atom cap only by `lattice_law`'s check of m
+# and by the aligned-config cap `bounds.ALIGNED_CAP` derives from it
+CAP_READERS = {
+    ("engine", "_lattice_sums"): {"LAW_ATOM_CAP", "LAW_PAIR_CAP"},
+    ("engine", "_kernel_admits"): {"LAW_ATOM_CAP", "LAW_PAIR_CAP"},
+    ("engine", "lattice_law"): {"LAW_ATOM_CAP"},
+    ("bounds", "<module>"): {"LAW_ATOM_CAP"},
+}
+
+
+def cap_breaches(module: str, source: str) -> list[str]:
+    """The reads of a work cap in module `module`'s source from a function
+    not among its readers, each as "<cap> in <function>"."""
+    return sorted(
+        f"{cap} in {owner}"
+        for cap in ("LAW_ATOM_CAP", "LAW_PAIR_CAP")
+        for owner in reads_of(source, cap)
+        if cap not in CAP_READERS.get((module, owner), ())
+    )
+
+
+def test_only_the_kernel_and_its_proof_read_the_work_caps():
+    package = Path(lolab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert cap_breaches(path.stem, path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "module, source, found",
+    [
+        (
+            "engine",
+            "def line_half_law(p, d, m):\n    return 2 * r + 1 > LAW_ATOM_CAP",
+            ["LAW_ATOM_CAP in line_half_law"],
+        ),
+        (
+            "engine",
+            "def _half_sums(k, m, box):\n    return min(LAW_ATOM_CAP, LAW_PAIR_CAP) >= 1 << n",
+            ["LAW_ATOM_CAP in _half_sums", "LAW_PAIR_CAP in _half_sums"],
+        ),
+        (
+            "engine",
+            "def lattice_law(s, p, d, spec):\n    return n > LAW_PAIR_CAP",
+            ["LAW_PAIR_CAP in lattice_law"],
+        ),
+        (
+            "search",
+            "from .engine import LAW_PAIR_CAP as PAIRS\ndef _walk(p, s):\n    return PAIRS",
+            ["LAW_PAIR_CAP in _walk"],
+        ),
+        ("bounds", "def f(n):\n    return n * n > engine.LAW_ATOM_CAP", ["LAW_ATOM_CAP in f"]),
+        ("bounds", "ALIGNED_CAP = math.isqrt(LAW_PAIR_CAP)", ["LAW_PAIR_CAP in <module>"]),
+        ("bounds", "ALIGNED_CAP = math.isqrt(LAW_ATOM_CAP)", []),
+        ("engine", "def _kernel_admits(m, n, box):\n    return box <= LAW_ATOM_CAP", []),
+        ("engine", "LAW_ATOM_CAP = 1 << 24\nLAW_PAIR_CAP = 1 << 24", []),
+        ("__init__", "from .engine import LAW_ATOM_CAP, LAW_PAIR_CAP", []),
+    ],
+)
+def test_the_cap_scan_sees_every_read(module, source, found):
+    assert cap_breaches(module, source) == found
 
 
 def test_every_module_imports_only_the_standard_library():
