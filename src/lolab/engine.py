@@ -660,12 +660,13 @@ def line_half_law(
     fires where it does.
     """
     total = m ** len(points)
-    if dim != 1 or total.bit_length() > 64:
+    bits = total.bit_length()
+    if dim != 1 or bits > 64:
         return None
     keys = [abs(a) for (a,) in points]
     reach = (m - 1) * sum(keys)
     top = reach // 2
-    size = next(b for b in _SLOT_FORMATS if total.bit_length() <= 8 * b)
+    size = 1 << ((bits - 1) >> 3).bit_length()  # the least of 1, 2, 4, 8 bytes that holds m^n
     budget = SUBSET_BITS_PER_KEY * min(total // 2 + 1, top + 1)
     if 8 * size * (top + 1) > budget or not _kernel_admits(m, len(points), 2 * reach + 1):
         return None
